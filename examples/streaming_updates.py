@@ -1,9 +1,10 @@
-"""Live index maintenance: streaming inserts, expiry, save/load.
+"""Live index maintenance: streaming inserts, expiry, checkpoint/restore.
 
 A dispatch service keeps a rolling window of recent trips in the DITA
 index: new trips are inserted as they complete, trips older than the
-window are removed, and the index is periodically checkpointed to disk.
-Search results stay exact throughout (asserted against brute force).
+window are removed, and the index is periodically checkpointed to disk
+as a new generation of its store.  Search results stay exact throughout
+(asserted against brute force).
 
 Run with::
 
@@ -14,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from repro import DITAConfig, DITAEngine
-from repro.core.persistence import load_engine, save_engine
 from repro.datagen import citywide_dataset
 from repro.distances import get_distance
 from repro.trajectory import Trajectory
@@ -55,12 +55,13 @@ def main() -> None:
                 f"probe found {len(got)} matches (verified exact)"
             )
 
-    # checkpoint and restore
+    # checkpoint (merge into a new store generation) and restore
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt = Path(tmp) / "fleet_index"
-        save_engine(engine, ckpt)
-        size_kb = (ckpt.with_suffix(".npz").stat().st_size + ckpt.with_suffix(".json").stat().st_size) / 1024
-        restored = load_engine(ckpt)
+        root = Path(tmp) / "fleet_index"
+        engine.attach_generations(root)
+        engine.merge()
+        size_kb = sum(f.stat().st_size for f in root.rglob("*") if f.is_file()) / 1024
+        restored = DITAEngine.from_generations(root, config=engine.config)
         probe = stream[-1]
         assert restored.search_ids(probe, tau) == engine.search_ids(probe, tau)
         print(

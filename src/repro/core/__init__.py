@@ -19,7 +19,7 @@ from .join import JoinExecutor, JoinPair, JoinStats
 from .knn import knn_join, knn_search
 from .pivots import available_strategies, indexing_points, pivot_indices
 from .search import LocalSearcher, SearchStats
-from .trie import FilterStats, TrieIndex, TrieNode
+from .trie import FilterStats, TrieIndex
 from .verify import VerificationData, Verifier, VerifyStats
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "PartitionInfo",
     "SearchStats",
     "TrieIndex",
-    "TrieNode",
     "VerificationData",
     "Verifier",
     "VerifyStats",

@@ -15,7 +15,7 @@ exact computation, so the search/join framework is distance-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ from ..distances.erp import erp_threshold
 from ..distances.frechet import frechet_threshold
 from ..distances.hausdorff import hausdorff_threshold
 from ..distances.lcss import lcss_dissimilarity
-from ..geometry.mbr import MBR
 from .numerics import slack
 from .verify import Verifier, cell_bound_dtw, cell_bound_frechet
 
@@ -78,45 +77,11 @@ class IndexAdapter:
         # lower bound == tau are never dropped (see repro.core.numerics)
         return FilterState(remaining=slack(tau))
 
-    def visit(
-        self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None
-    ) -> Optional[FilterState]:
-        """Descend one trie level; return the child state or ``None`` to prune."""
-        if kind == FIRST:
-            d = mbr.min_dist_point(q[0])
-        elif kind == LAST:
-            d = mbr.min_dist_point(q[-1])
-            if self.use_suffix_pruning:
-                # after both align levels, tau1 = remaining - d is the budget
-                # any single pivot alignment may consume (Lemma 5.1)
-                if d <= state.remaining:
-                    return replace(state, remaining=state.remaining - d, tau1=state.remaining - d)
-                return None
-        else:
-            suffix = q[state.q_start :]
-            if suffix.shape[0] == 0:
-                return None
-            if self.use_suffix_pruning and state.tau1 is not None:
-                dists = mbr.min_dist_points(suffix)
-                within = dists <= state.tau1
-                if not within.any():
-                    return None
-                drop = int(np.argmax(within))
-                d = float(dists[drop:].min())
-                if d > state.remaining:
-                    return None
-                return replace(
-                    state, remaining=state.remaining - d, q_start=state.q_start + drop
-                )
-            d = mbr.min_dist_trajectory(suffix)
-        if d > state.remaining:
-            return None
-        return replace(state, remaining=state.remaining - d)
-
     def visit_batch(self, req: BatchVisit) -> BatchStep:
-        """Vectorized :meth:`visit` over a whole frontier expansion — one
-        row per (query-state, child-node) pair, the same float operations
-        in the same per-row order as the scalar walk."""
+        """Descend one trie level for a whole frontier expansion — one row
+        per (query-state, child-node) pair; ``keep`` is False where the
+        child is pruned.  Same float operations in the same per-row order
+        as the scalar walk (``tests/oracles/scalar_filter.py``)."""
         batch = req.batch
         rem = req.remaining.copy()
         qs = req.q_start.copy()
@@ -131,6 +96,8 @@ class IndexAdapter:
             keep = d <= req.remaining
             np.subtract(req.remaining, d, out=rem)
             if self.use_suffix_pruning:
+                # after both align levels, tau1 = remaining - d is the budget
+                # any single pivot alignment may consume (Lemma 5.1)
                 t1 = rem.copy()
             return BatchStep(keep, rem, qs, t1)
         # pivot level: rows whose admissible suffix is exhausted are pruned
@@ -198,24 +165,6 @@ class FrechetAdapter(IndexAdapter):
     distance_name = "frechet"
     subtracts = False
 
-    def visit(self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None) -> Optional[FilterState]:
-        tau = state.remaining
-        if kind == FIRST:
-            return state if mbr.min_dist_point(q[0]) <= tau else None
-        if kind == LAST:
-            return state if mbr.min_dist_point(q[-1]) <= tau else None
-        suffix = q[state.q_start :]
-        if suffix.shape[0] == 0:
-            return None
-        dists = mbr.min_dist_points(suffix)
-        within = dists <= tau
-        if not within.any():
-            return None
-        if self.use_suffix_pruning:
-            drop = int(np.argmax(within))
-            return replace(state, q_start=state.q_start + drop)
-        return state
-
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         batch = req.batch
         rem = req.remaining.copy()
@@ -267,13 +216,8 @@ class HausdorffAdapter(IndexAdapter):
     distance_name = "hausdorff"
     subtracts = False
 
-    def visit(self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None) -> Optional[FilterState]:
-        if mbr.min_dist_trajectory(q) > state.remaining:
-            return None
-        return state
-
     def visit_batch(self, req: BatchVisit) -> BatchStep:
-        # every level tests the *full* query (no suffix), matching visit
+        # every level tests the *full* query (no suffix)
         d = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
         )
@@ -306,19 +250,10 @@ class EDRAdapter(IndexAdapter):
         super().__init__(use_suffix_pruning=use_suffix_pruning)
         self.epsilon = epsilon
 
-    def visit(self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None) -> Optional[FilterState]:
+    def visit_batch(self, req: BatchVisit) -> BatchStep:
         # EDR's alignment need not pin first/last points, so every level —
         # align or pivot — uses the same "this indexing point must match
         # within epsilon somewhere in Q, else it costs one edit" argument.
-        d = mbr.min_dist_trajectory(q)
-        if d > self.epsilon:
-            remaining = state.remaining - 1
-            if remaining < 0:
-                return None
-            return replace(state, remaining=remaining)
-        return state
-
-    def visit_batch(self, req: BatchVisit) -> BatchStep:
         d = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
         )
@@ -354,16 +289,6 @@ class LCSSAdapter(IndexAdapter):
         super().__init__(use_suffix_pruning=use_suffix_pruning)
         self.epsilon = epsilon
         self.delta = delta
-
-    def visit(self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None) -> Optional[FilterState]:
-        d = mbr.min_dist_trajectory(q)
-        if d > self.epsilon:
-            if node_max_len is not None and node_max_len <= q.shape[0]:
-                remaining = state.remaining - 1
-                if remaining < 0:
-                    return None
-                return replace(state, remaining=remaining)
-        return state
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         d = span_min_dist(
@@ -401,12 +326,6 @@ class ERPAdapter(IndexAdapter):
         super().__init__(use_suffix_pruning=False)  # gaps break the ordering argument
         self.gap = np.zeros(ndim) if gap is None else np.asarray(gap, dtype=np.float64)
 
-    def visit(self, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None) -> Optional[FilterState]:
-        d = min(mbr.min_dist_trajectory(q), mbr.min_dist_point(self.gap))
-        if d > state.remaining:
-            return None
-        return replace(state, remaining=state.remaining - d)
-
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         d_traj = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
@@ -425,23 +344,6 @@ class ERPAdapter(IndexAdapter):
 
     def distance(self) -> TrajectoryDistance:
         return get_distance("erp", gap=self.gap)
-
-
-def _defining_class(cls: type, name: str) -> type:
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    return object
-
-
-def batch_visit_supported(adapter: IndexAdapter) -> bool:
-    """True when the adapter's ``visit_batch`` is at least as derived as its
-    ``visit`` — i.e. a subclass that customizes the scalar walk without
-    supplying a matching batched policy falls back to the reference path."""
-    cls = type(adapter)
-    return issubclass(
-        _defining_class(cls, "visit_batch"), _defining_class(cls, "visit")
-    )
 
 
 _ADAPTERS = {

@@ -43,10 +43,6 @@ class DITAConfig:
     division_quantile: float = 0.98
     #: enable the Lemma 5.1 suffix optimization during trie filtering.
     use_suffix_pruning: bool = True
-    #: route trie filtering through the columnar frontier traversal
-    #: (:mod:`repro.kernels.frontier`); False forces the recursive
-    #: reference walk.  Results are identical either way.
-    use_frontier_filter: bool = True
     #: install the observability layer (:mod:`repro.obs`): a span tracer on
     #: the engine's cluster plus a metrics registry on the engine.  Results
     #: are identical either way; off (the default) costs one attribute

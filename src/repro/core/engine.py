@@ -193,7 +193,7 @@ class DITAEngine:
         raw_partitions = partition_trajectories(data, self.config.num_global_partitions)
         self.global_index = GlobalIndex(raw_partitions, self.config)
         #: per-partition columnar blocks; each trie shares its partition's
-        #: dataset instance, so updates stay consistent by construction
+        #: dataset instance
         self.partitions: Dict[int, ColumnarDataset] = {
             pid: part for pid, part in enumerate(raw_partitions) if len(part)
         }
@@ -321,15 +321,6 @@ class DITAEngine:
             for pid, trie in self.tries.items()
         }
         self._register_rebuilds(cluster)
-        self._init_runtime_state()
-        #: the observability layer (None until tracing is enabled)
-        self.metrics: Optional[MetricsRegistry] = None
-        if self.config.use_tracing:
-            self.enable_tracing()
-
-    def _init_runtime_state(self) -> None:
-        """Mutable non-index state every construction path (including
-        :func:`~repro.core.persistence.load_engine`) must set up."""
         # process-backend state: mutation generation, worker pool and the
         # spilled snapshot a non-store (or mutated) engine hands workers
         self._mutations = 0
@@ -352,6 +343,10 @@ class DITAEngine:
         self._generation = 0
         self._part_versions: Dict[int, int] = {}
         self._in_flush = False
+        #: the observability layer (None until tracing is enabled)
+        self.metrics: Optional[MetricsRegistry] = None
+        if self.config.use_tracing:
+            self.enable_tracing()
 
     # ------------------------------------------------------------------ #
     # partition access (lazy for store-backed engines)
@@ -496,8 +491,8 @@ class DITAEngine:
         """The engine's mutation-generation counter: a monotonic integer
         that advances on *every* logical mutation — buffered
         ``append_trajectory``/``extend_trajectory``/``remove_trajectory``
-        writes (before any flush), legacy ``insert``/``remove``, delta
-        flushes, :meth:`merge` and :meth:`repartition`.  External caches
+        writes (before any flush), delta flushes, :meth:`merge` and
+        :meth:`repartition`.  External caches
         (:mod:`repro.serving`) key entries on it: an entry stamped at an
         older generation can never be served against newer data.
         """
@@ -544,52 +539,8 @@ class DITAEngine:
         return self.global_index.size_bytes(), local
 
     # ------------------------------------------------------------------ #
-    # incremental updates
+    # writes (delta buffers, merge, online repartitioning)
     # ------------------------------------------------------------------ #
-
-    def insert(self, traj: Trajectory) -> None:
-        """Insert a trajectory into the live index.
-
-        Routing picks the partition whose first/last-point MBR pair needs
-        the least enlargement; the partition's align MBRs grow accordingly
-        and the (small) global R-trees are rebuilt, so search and join stay
-        exact after any number of inserts.  (On a store-backed engine this
-        forces every block to load — updates need the full id set.)
-        """
-        self._sync_streams()
-        if any(traj.traj_id in self.partition(pid) for pid in self.partition_pids()):
-            raise ValueError(f"trajectory id {traj.traj_id} already present")
-
-        def enlargement(meta) -> float:
-            grown_f = meta.mbr_first.union(MBR.of_point(traj.first))
-            grown_l = meta.mbr_last.union(MBR.of_point(traj.last))
-            return (grown_f.area() - meta.mbr_first.area()) + (
-                grown_l.area() - meta.mbr_last.area()
-            )
-
-        meta = min(self.global_index.partitions_meta, key=lambda m: (enlargement(m), m.partition_id))
-        pid = meta.partition_id
-        # the trie appends to its (shared) partition dataset itself
-        self.trie(pid).insert(traj)
-        self._bump_generation([pid])
-        self._refresh_global_index()
-
-    def remove(self, traj_id: int) -> bool:
-        """Remove a trajectory by id from the live index (False if absent)."""
-        self._sync_streams()
-        for pid in self.partition_pids():
-            part = self.partition(pid)
-            if traj_id not in part:
-                continue
-            self.trie(pid).remove(traj_id)
-            if len(part) == 0:
-                del self.partitions[pid]
-                del self.tries[pid]
-                self._searchers.pop(pid, None)
-            self._bump_generation([pid])
-            self._refresh_global_index()
-            return True
-        return False
 
     def _refresh_global_index(self) -> None:
         """Rebuild the master-side metadata after an update (cheap: two
@@ -616,10 +567,6 @@ class DITAEngine:
         self._close_pool()
         self._stream_ids = None
 
-    # ------------------------------------------------------------------ #
-    # streaming ingestion (delta buffers, merge, online repartitioning)
-    # ------------------------------------------------------------------ #
-
     def _delta(self, pid: int) -> DeltaPartition:
         d = self._deltas.get(pid)
         if d is None:
@@ -635,9 +582,9 @@ class DITAEngine:
     def _id_map(self) -> Dict[int, int]:
         """``trajectory id -> partition id`` over base and pending rows.
 
-        Built lazily and invalidated by any index refresh; like
-        :meth:`insert`, building it forces a store-backed engine to load
-        every block (updates need the full id set).
+        Built lazily and invalidated by any index refresh; building it
+        forces a store-backed engine to load every block (updates need
+        the full id set).
         """
         if self._stream_ids is None:
             ids: Dict[int, int] = {}
@@ -653,21 +600,41 @@ class DITAEngine:
             self._stream_ids = ids
         return self._stream_ids
 
+    def _checked_points(self, points) -> np.ndarray:
+        """A write's points as an ``(n, ndim)`` float64 array.
+
+        Appends and extends are the only way rows enter an engine, so what
+        would poison an index (a NaN coordinate defeats every MBR test of
+        its partition) or surface later as an unrelated numpy error is
+        rejected here with ``ValueError``: no points, a dimensionality
+        other than the engine's, NaN or infinite coordinates."""
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        metas = self.global_index.partitions_meta
+        ndim = metas[0].mbr_first.low.shape[0] if metas else pts.shape[-1]
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != ndim:
+            raise ValueError(
+                f"points must be a non-empty (n, {ndim}) array, got shape {pts.shape}"
+            )
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite (no NaN or infinite coordinates)")
+        return pts
+
     def append_trajectory(self, traj_id: int, points) -> int:
         """Buffer a new trajectory in its home partition's delta; returns
         the partition id it was routed to.
 
-        Routing is the same least-enlargement rule as :meth:`insert`, but
-        the write is O(1): no block, trie or global-index bytes move until
-        the delta is applied (at ``delta_max_rows``, or lazily by the next
-        query).  Queries between now and then still see the trajectory —
-        the read path folds pending deltas in first — with results and
-        stats byte-identical to a bulk rebuild over the same logical data.
+        Routing picks the partition whose first/last-point MBR pair needs
+        the least enlargement, and the write is O(1): no block, trie or
+        global-index bytes move until the delta is applied (at
+        ``delta_max_rows``, or lazily by the next query).  Queries between
+        now and then still see the trajectory — the read path folds
+        pending deltas in first — with results and stats byte-identical to
+        a bulk rebuild over the same logical data.
         """
         traj_id = int(traj_id)
         if traj_id in self._id_map():
             raise ValueError(f"trajectory id {traj_id} already present")
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = self._checked_points(points)
         first, last = MBR.of_point(pts[0]), MBR.of_point(pts[-1])
 
         def enlargement(meta) -> float:
@@ -694,12 +661,12 @@ class DITAEngine:
         pid = self._id_map().get(traj_id)
         if pid is None:
             raise KeyError(traj_id)
+        pts = self._checked_points(extra_points)
         delta = self._delta(pid)
         if traj_id in delta.appended:
-            delta.extend_pending(traj_id, extra_points)
+            delta.extend_pending(traj_id, pts)
         else:
             part = self.partition(pid)
-            pts = np.atleast_2d(np.asarray(extra_points, dtype=np.float64))
             full = np.concatenate([part.points(part.row_of(traj_id)), pts], axis=0)
             delta.replace(traj_id, full)
         self._note_write(pid)
@@ -715,6 +682,15 @@ class DITAEngine:
         del ids[traj_id]
         self._note_write(pid)
         return True
+
+    def insert(self, traj: Trajectory) -> None:
+        """:meth:`append_trajectory` for callers holding a
+        :class:`Trajectory`; visible to the next read, like any append."""
+        self.append_trajectory(traj.traj_id, traj.points)
+
+    def remove(self, traj_id: int) -> bool:
+        """:meth:`remove_trajectory` under its short name."""
+        return self.remove_trajectory(traj_id)
 
     def _note_write(self, pid: int) -> None:
         # the *buffered* write is already a logical mutation: caches keyed

@@ -8,16 +8,19 @@ group's current indexing point; leaves store the trajectories themselves
 (a *clustered* index — the paper contrasts this with DFT's non-clustered
 bitmap design).
 
-The index is *row-native*: the partition's trajectories live in a
-:class:`~repro.storage.columnar.ColumnarDataset` (one contiguous CSR
-layout, possibly memory-mapped from a persisted store block) and every
-node holds ``int`` row indices into it.  Filtering returns row arrays;
-``Trajectory`` objects are materialized only at the boundary, by callers
-that need them.
+The index is *row-native* and *immutable*: the partition's trajectories
+live in a :class:`~repro.storage.columnar.ColumnarDataset` (one contiguous
+CSR layout, possibly memory-mapped from a persisted store block) and the
+trie is bulk-built once, straight into the contiguous arrays of a
+:class:`~repro.kernels.frontier.ColumnarTrie` whose members are ``int``
+row indices into that dataset.  A trie is a pure function of (partition
+rows, config); writes go through the engine's delta path, which rebuilds
+the partitions they touch.  Filtering returns row arrays; ``Trajectory``
+objects are materialized only at the boundary, by callers that need them.
 
-Filtering (Algorithm 2) walks the trie accumulating per-level ``MinDist``
-against a shrinking threshold; the per-distance accumulation policy lives
-in :mod:`repro.core.adapters`.
+Filtering (Algorithm 2) sweeps the trie level by level accumulating
+per-level ``MinDist`` against a shrinking threshold; the per-distance
+accumulation policy lives in :mod:`repro.core.adapters`.
 
 Trajectories too short to supply all ``K`` pivots terminate early in a
 *short leaf* attached at the level where their indexing sequence ends —
@@ -27,55 +30,27 @@ is sound (they simply enjoyed fewer pruning levels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..geometry.mbr import MBR
 from ..kernels.batch import TrajectoryBlock
-from ..kernels.frontier import ColumnarTrie, QueryBatch, frontier_filter
+from ..kernels.frontier import (
+    KIND_FIRST,
+    KIND_LAST,
+    KIND_PIVOT,
+    KIND_ROOT,
+    ColumnarTrie,
+    QueryBatch,
+    frontier_filter,
+)
 from ..spatial.str_pack import str_partition
 from ..storage.columnar import ColumnarDataset
 from ..trajectory.trajectory import Trajectory
-from .adapters import FIRST, LAST, PIVOT, FilterState, IndexAdapter, batch_visit_supported
+from .adapters import IndexAdapter
 from .config import DITAConfig
 from .pivots import indexing_points
-
-
-def _level_kind(level: int) -> str:
-    """Level 1 aligns the first point, level 2 the last, the rest pivots."""
-    if level == 1:
-        return FIRST
-    if level == 2:
-        return LAST
-    return PIVOT
-
-
-@dataclass
-class TrieNode:
-    """One node of the local index.
-
-    ``level`` is the depth (root = 0); ``mbr`` covers the ``level``-th
-    indexing point of every trajectory below (None for the root);
-    ``short_rows`` holds dataset rows whose indexing sequence ends at this
-    node; ``rows`` is non-empty only for leaves.
-    """
-
-    level: int
-    kind: Optional[str] = None
-    mbr: Optional[MBR] = None
-    children: List["TrieNode"] = field(default_factory=list)
-    rows: List[int] = field(default_factory=list)
-    short_rows: List[int] = field(default_factory=list)
-    max_len: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
 
 
 @dataclass
@@ -110,83 +85,119 @@ class TrieIndex:
         self,
         trajectories: Union[ColumnarDataset, Iterable[Trajectory]],
         config: Optional[DITAConfig] = None,
-        _root: Optional[TrieNode] = None,
     ) -> None:
         self.config = config or DITAConfig()
         self.dataset = ColumnarDataset.from_trajectories(trajectories)
-        cfg = self.config
-        rows = [int(r) for r in self.dataset.alive_rows()]
-        self._index_seqs: Dict[int, np.ndarray] = {
-            r: indexing_points(self.dataset.points(r), cfg.num_pivots, cfg.pivot_strategy)
-            for r in rows
-        }
-        self._ndim = self.dataset.ndim
-        # every structural mutation bumps this; derived caches (the stacked
-        # verification block and the columnar trie) key on it, so an
-        # equal-size remove+insert cycle can never resurrect stale arrays
-        self._mutations = 0
         self._block: Optional[TrajectoryBlock] = None
-        self._block_key = None
-        self._columnar: Optional[ColumnarTrie] = None
-        self._columnar_key = None
-        self.root = self._build(rows, level=0) if _root is None else _root
-
-    def _cache_key(self):
-        return (self._mutations, self.dataset.version)
+        self._columnar, self._seq_bytes = self._build()
 
     def batch_block(self) -> TrajectoryBlock:
         """The partition's verification artifacts stacked for the batched
         filter stages (:mod:`repro.kernels.batch`), sharing the dataset's
-        row space.  Built lazily straight from the columnar arrays and
-        cached; :meth:`insert` / :meth:`remove` invalidate the cache via
-        the mutation-version counter."""
-        if self._block is None or self._block_key != self._cache_key():
+        row space.  Built lazily straight from the columnar arrays, once."""
+        if self._block is None:
             self._block = TrajectoryBlock.from_columnar(self.dataset, self.config.cell_size)
-            self._block_key = self._cache_key()
         return self._block
 
     def columnar(self) -> ColumnarTrie:
-        """The trie flattened into contiguous arrays for frontier traversal
-        (:mod:`repro.kernels.frontier`); cached under the same
-        mutation-version contract as :meth:`batch_block`."""
-        if self._columnar is None or self._columnar_key != self._cache_key():
-            self._columnar = ColumnarTrie.from_root(self.root, self._ndim)
-            self._columnar_key = self._cache_key()
+        """The trie's contiguous arrays, as the frontier traversal
+        (:mod:`repro.kernels.frontier`) consumes them."""
         return self._columnar
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
 
-    def _build(self, rows: List[int], level: int) -> TrieNode:
-        node = TrieNode(level=level, kind=_level_kind(level) if level > 0 else None)
-        lengths = self.dataset.lengths
-        node.max_len = max((int(lengths[r]) for r in rows), default=0)
-        if not rows:
-            return node
-        max_level = self.config.num_pivots + 2
-        # rows whose indexing sequence ends here become short-leaf members;
-        # the rest are grouped by the next indexing point
-        remaining: List[int] = []
-        for r in rows:
-            if self._index_seqs[r].shape[0] <= level:
-                node.short_rows.append(r)
-            else:
-                remaining.append(r)
-        if not remaining:
-            return node
-        if level >= max_level or len(remaining) <= self.config.trie_leaf_capacity:
-            node.rows = remaining
-            return node
-        pts = np.asarray([self._index_seqs[r][level] for r in remaining])
-        groups = str_partition(pts, self.config.trie_fanout)
-        for idx in groups:
-            members = [remaining[i] for i in idx.tolist()]
-            child = self._build(members, level + 1)
-            child.kind = _level_kind(level + 1)
-            child.mbr = MBR.of_points(pts[idx])
-            node.children.append(child)
-        return node
+    def _build(self) -> Tuple[ColumnarTrie, int]:
+        """Bulk-build the trie breadth-first, straight into the columnar
+        layout; also returns the bytes of the per-trajectory indexing
+        points (a :meth:`size_bytes` term — the points themselves are not
+        kept).
+
+        Nodes are numbered in queue order, so each node's children occupy
+        one contiguous id range, and members are collected in node order
+        (short rows before leaf rows).
+        """
+        cfg = self.config
+        dataset = self.dataset
+        lengths = dataset.lengths
+        ndim = dataset.ndim
+        max_level = cfg.num_pivots + 2
+        root_rows = [int(r) for r in dataset.alive_rows()]
+        seqs = {
+            r: indexing_points(dataset.points(r), cfg.num_pivots, cfg.pivot_strategy)
+            for r in root_rows
+        }
+        # the breadth-first queue doubles as the node table (the root has
+        # no MBR: its corners stay zero)
+        node_rows: List[List[int]] = [root_rows]
+        levels: List[int] = [0]
+        lows: List[np.ndarray] = [np.zeros(ndim)]
+        highs: List[np.ndarray] = [np.zeros(ndim)]
+        max_len: List[int] = []
+        counts: List[int] = []
+        member_rows: List[int] = []
+        leaf_pos: List[int] = []
+        short_pos: List[int] = []
+        leaf_starts = [0]
+        short_starts = [0]
+        j = 0
+        while j < len(node_rows):
+            rows, level = node_rows[j], levels[j]
+            j += 1
+            max_len.append(max((int(lengths[r]) for r in rows), default=0))
+            # rows whose indexing sequence ends here become short-leaf
+            # members; the rest are grouped by the next indexing point
+            short: List[int] = []
+            remaining: List[int] = []
+            for r in rows:
+                (remaining if seqs[r].shape[0] > level else short).append(r)
+            short_pos.extend(range(len(member_rows), len(member_rows) + len(short)))
+            member_rows.extend(short)
+            n_children = 0
+            if remaining and (
+                level >= max_level or len(remaining) <= cfg.trie_leaf_capacity
+            ):
+                leaf_pos.extend(range(len(member_rows), len(member_rows) + len(remaining)))
+                member_rows.extend(remaining)
+            elif remaining:
+                pts = np.asarray([seqs[r][level] for r in remaining])
+                for idx in str_partition(pts, cfg.trie_fanout):
+                    group = pts[idx]
+                    node_rows.append([remaining[i] for i in idx.tolist()])
+                    levels.append(level + 1)
+                    lows.append(group.min(axis=0))
+                    highs.append(group.max(axis=0))
+                    n_children += 1
+            counts.append(n_children)
+            leaf_starts.append(len(leaf_pos))
+            short_starts.append(len(short_pos))
+        n = len(node_rows)
+        level = np.asarray(levels, dtype=np.int64)
+        # level 1 aligns the first point, level 2 the last, the rest pivots
+        kind = np.select(
+            [level == 0, level == 1, level == 2],
+            [KIND_ROOT, KIND_FIRST, KIND_LAST],
+            KIND_PIVOT,
+        ).astype(np.int8)
+        n_children = np.asarray(counts, dtype=np.int64)
+        child_lo = np.ones(n, dtype=np.int64)
+        child_lo[1:] += np.cumsum(n_children[:-1])
+        trie = ColumnarTrie(
+            np.asarray(lows, dtype=np.float64),
+            np.asarray(highs, dtype=np.float64),
+            kind,
+            level,
+            np.asarray(max_len, dtype=np.int64),
+            child_lo,
+            child_lo + n_children,
+            np.asarray(leaf_starts, dtype=np.int64),
+            np.asarray(leaf_pos, dtype=np.int64),
+            np.asarray(short_starts, dtype=np.int64),
+            np.asarray(short_pos, dtype=np.int64),
+            np.asarray(member_rows, dtype=np.int64),
+        )
+        return trie, sum(int(seq.nbytes) for seq in seqs.values())
 
     # ------------------------------------------------------------------ #
     # filtering (Algorithm 2, DITA-Search-Filter)
@@ -199,18 +210,14 @@ class TrieIndex:
         adapter: IndexAdapter,
         stats: Optional[FilterStats] = None,
     ) -> np.ndarray:
-        """Dataset rows of candidates possibly similar to query points ``q``.
+        """Dataset rows of candidates possibly similar to query points ``q``
+        — :meth:`filter_candidates_batch` for one query.
 
         Guaranteed superset of the true answers for the adapter's distance.
-        Routed through the columnar frontier traversal when the config and
-        adapter allow it; identical results either way.
         """
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        if self.config.use_frontier_filter and batch_visit_supported(adapter):
-            return self.filter_candidates_batch(
-                [q], [tau], adapter, None if stats is None else [stats]
-            )[0]
-        return self.filter_candidates_reference(q, tau, adapter, stats)
+        return self.filter_candidates_batch(
+            [q], [tau], adapter, None if stats is None else [stats]
+        )[0]
 
     def filter_candidates_batch(
         self,
@@ -222,24 +229,15 @@ class TrieIndex:
         """Run Algorithm 2 for many queries in one level-synchronous sweep
         over the columnar trie layout (:mod:`repro.kernels.frontier`).
 
-        Returns one int64 row array per query — the same candidate sets
-        (and the same ``FilterStats`` counts) the recursive reference walk
-        produces.  Adapters that customize the scalar ``visit`` without a
-        matching ``visit_batch`` fall back to the reference walk per query.
+        Returns one int64 row array per query, and accumulates the sweep's
+        counts into the matching ``FilterStats`` entries.
         """
         qs = [np.atleast_2d(np.asarray(q, dtype=np.float64)) for q in queries]
         if len(qs) != len(taus):
             raise ValueError("queries and taus must have equal length")
         if stats is not None and len(stats) != len(qs):
             raise ValueError("stats must have one (possibly None) entry per query")
-        if not (self.config.use_frontier_filter and batch_visit_supported(adapter)):
-            return [
-                self.filter_candidates_reference(
-                    q, t, adapter, None if stats is None else stats[i]
-                )
-                for i, (q, t) in enumerate(zip(qs, taus))
-            ]
-        trie = self.columnar()
+        trie = self._columnar
         batch = QueryBatch(qs)
         positions, visited, pruned = frontier_filter(trie, batch, taus, adapter)
         out: List[np.ndarray] = []
@@ -254,47 +252,6 @@ class TrieIndex:
             out.append(rows)
         return out
 
-    def filter_candidates_reference(
-        self,
-        q: np.ndarray,
-        tau: float,
-        adapter: IndexAdapter,
-        stats: Optional[FilterStats] = None,
-    ) -> np.ndarray:
-        """The recursive object-graph walk of Algorithm 2, kept as the
-        differential-testing oracle for the frontier traversal."""
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        state = adapter.initial_state(q, tau)
-        out: List[int] = []
-        self._filter_reference(self.root, q, state, adapter, out, stats)
-        if stats is not None:
-            stats.candidates += len(out)
-        return np.asarray(out, dtype=np.int64)
-
-    def _filter_reference(
-        self,
-        node: TrieNode,
-        q: np.ndarray,
-        state: FilterState,
-        adapter: IndexAdapter,
-        out: List[int],
-        stats: Optional[FilterStats],
-    ) -> None:
-        if stats is not None:
-            stats.nodes_visited += 1
-        # anything whose indexing sequence ended here survived every level,
-        # and leaf members are candidates outright; a node can hold members
-        # *and* children (insert's overflow path), so always keep walking
-        out.extend(node.short_rows)
-        out.extend(node.rows)
-        for child in node.children:
-            child_state = adapter.visit(state, child.kind, child.mbr, q, child.max_len)
-            if child_state is None:
-                if stats is not None:
-                    stats.nodes_pruned += 1
-                continue
-            self._filter_reference(child, q, child_state, adapter, out, stats)
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -303,163 +260,25 @@ class TrieIndex:
         return len(self.dataset)
 
     def node_count(self) -> int:
-        return self.root.node_count()
+        return self._columnar.n_nodes
 
     def height(self) -> int:
-        def depth(n: TrieNode) -> int:
-            return 1 + max((depth(c) for c in n.children), default=0)
-
-        return depth(self.root)
+        return int(self._columnar.level.max()) + 1
 
     def all_rows(self) -> List[int]:
-        """Every indexed dataset row, in trie walk order."""
+        """Every indexed dataset row, in depth-first trie walk order."""
+        trie = self._columnar
         out: List[int] = []
-
-        def walk(n: TrieNode) -> None:
-            out.extend(n.short_rows)
-            out.extend(n.rows)
-            for c in n.children:
-                walk(c)
-
-        walk(self.root)
+        stack = [0]
+        while stack:
+            j = stack.pop()
+            for starts, pos in (
+                (trie.short_starts, trie.short_pos),
+                (trie.leaf_starts, trie.leaf_pos),
+            ):
+                out.extend(trie.member_rows[pos[starts[j] : starts[j + 1]]].tolist())
+            stack.extend(range(int(trie.child_hi[j]) - 1, int(trie.child_lo[j]) - 1, -1))
         return out
-
-    # ------------------------------------------------------------------ #
-    # incremental updates
-    # ------------------------------------------------------------------ #
-
-    def insert(self, traj: Trajectory) -> None:
-        """Insert one trajectory (R-tree-style least-enlargement routing).
-
-        The trajectory is appended to the partition's dataset (existing
-        rows keep their indices) and its new row descends the existing
-        tree, expanding node MBRs along the path; a leaf that grows beyond
-        twice the configured capacity is re-split by STR on its level's
-        indexing point.  All filter invariants are preserved (every node
-        MBR covers its subtree's indexing points), so search stays exact.
-        """
-        if traj.traj_id in self.dataset:
-            raise ValueError(f"trajectory {traj.traj_id} already indexed")
-        cfg = self.config
-        row = self.dataset.append(traj)
-        seq = indexing_points(self.dataset.points(row), cfg.num_pivots, cfg.pivot_strategy)
-        self._index_seqs[row] = seq
-        self._mutations += 1  # stacked batch/columnar arrays are stale now
-        n_pts = int(self.dataset.lengths[row])
-        node = self.root
-        level = 0
-        max_level = cfg.num_pivots + 2
-        while True:
-            node.max_len = max(node.max_len, n_pts)
-            if seq.shape[0] <= level:
-                node.short_rows.append(row)
-                return
-            if not node.children:
-                node.rows.append(row)
-                self._maybe_split(node, level)
-                return
-            point = seq[level]
-            best = min(
-                node.children,
-                key=lambda c: (c.mbr.min_dist_point(point), c.mbr.area()),
-            )
-            best.mbr = best.mbr.union(MBR.of_point(point))
-            node = best
-            level += 1
-            if level > max_level:  # defensive; trees never exceed this
-                node.rows.append(row)
-                return
-
-    def _maybe_split(self, node: TrieNode, level: int) -> None:
-        """Split an overflowing leaf into NL children at the next level."""
-        cfg = self.config
-        max_level = cfg.num_pivots + 2
-        if level >= max_level or len(node.rows) <= 2 * cfg.trie_leaf_capacity:
-            return
-        members = node.rows
-        # members always have an indexing point at `level` (short ones went
-        # to short_rows), so grouping by it is well-defined
-        pts = np.asarray([self._index_seqs[r][level] for r in members])
-        node.rows = []
-        groups = str_partition(pts, cfg.trie_fanout)
-        for idx in groups:
-            sub = [members[i] for i in idx.tolist()]
-            child = self._build(sub, level + 1)
-            child.kind = _level_kind(level + 1)
-            child.mbr = MBR.of_points(pts[idx])
-            node.children.append(child)
-
-    def remove(self, traj_id: int) -> bool:
-        """Remove a trajectory by id; returns False when absent.
-
-        The dataset row is tombstoned (bytes stay in place, row indices
-        held elsewhere stay stable) and dropped from its node.  Node MBRs
-        are left unshrunk (still sound — possibly looser), as in
-        lazy-deletion R-trees.
-        """
-        row = self.dataset.mark_removed(traj_id)
-        if row is None:
-            return False
-
-        def walk(node: TrieNode) -> bool:
-            for lst in (node.short_rows, node.rows):
-                for i, r in enumerate(lst):
-                    if r == row:
-                        del lst[i]
-                        return True
-            return any(walk(c) for c in node.children)
-
-        walk(self.root)
-        self._index_seqs.pop(row, None)
-        self._mutations += 1  # stacked batch/columnar arrays are stale now
-        return True
-
-    # ------------------------------------------------------------------ #
-    # serialization (see repro.core.persistence)
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form of the trie structure (ids, not data)."""
-        ids = self.dataset.traj_ids
-
-        def node_dict(n: TrieNode) -> dict:
-            return {
-                "level": n.level,
-                "kind": n.kind,
-                "mbr": None if n.mbr is None else [n.mbr.low.tolist(), n.mbr.high.tolist()],
-                "max_len": n.max_len,
-                "short": [int(ids[r]) for r in n.short_rows],
-                "leaf": [int(ids[r]) for r in n.rows],
-                "children": [node_dict(c) for c in n.children],
-            }
-
-        return node_dict(self.root)
-
-    @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        trajectories: Union[ColumnarDataset, Iterable[Trajectory]],
-        config: DITAConfig,
-    ) -> "TrieIndex":
-        """Rebuild a TrieIndex from :meth:`to_dict` output plus the raw
-        trajectories (verification artifacts are recomputed — they are
-        derived data)."""
-        dataset = ColumnarDataset.from_trajectories(trajectories)
-
-        def build(d: dict) -> TrieNode:
-            node = TrieNode(
-                level=int(d["level"]),
-                kind=d["kind"],
-                mbr=None if d["mbr"] is None else MBR(d["mbr"][0], d["mbr"][1]),
-                max_len=int(d["max_len"]),
-            )
-            node.short_rows = [dataset.row_of(i) for i in d["short"]]
-            node.rows = [dataset.row_of(i) for i in d["leaf"]]
-            node.children = [build(c) for c in d["children"]]
-            return node
-
-        return cls(dataset, config, _root=build(data))
 
     def size_bytes(self) -> int:
         """Approximate *structural* index footprint: trie nodes, their MBRs,
@@ -468,21 +287,11 @@ class TrieIndex:
         index; the verification artifacts (trajectory MBRs + cells) are
         precomputed *data* reported separately by
         :meth:`verification_size_bytes`."""
-        total = 0
-
-        def walk(n: TrieNode) -> None:
-            nonlocal total
-            total += 64  # node overhead
-            if n.mbr is not None:
-                total += int(n.mbr.low.nbytes + n.mbr.high.nbytes)
-            total += 8 * (len(n.rows) + len(n.short_rows))  # row refs
-            for c in n.children:
-                walk(c)
-
-        walk(self.root)
-        for seq in self._index_seqs.values():
-            total += int(seq.nbytes)
-        return total
+        trie = self._columnar
+        total = 64 * trie.n_nodes  # node overhead
+        total += 2 * 8 * trie.ndim * (trie.n_nodes - 1)  # every non-root MBR
+        total += 8 * int(trie.member_rows.shape[0])  # row refs
+        return total + self._seq_bytes
 
     def verification_size_bytes(self) -> int:
         """Footprint of the precomputed verification artifacts (Lemma 5.4

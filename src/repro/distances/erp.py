@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..geometry.point import pairwise_distances
-from ..kernels.wavefront import erp_wavefront, erp_wavefront_threshold
+from ..kernels.wavefront import erp_mass_bound, erp_wavefront, erp_wavefront_threshold
 from .base import TrajectoryDistance, register_distance
 
 _INF = math.inf
@@ -75,14 +75,15 @@ def erp_threshold_reference(
 ) -> float:
     """Mass-bound + full-loop ERP threshold; oracle for
     :func:`erp_threshold`, using the triangle-derived lower bound
-    ``|sum dist(t_i, g) - sum dist(q_j, g)| <= ERP(T, Q)`` to abandon early.
+    ``|sum dist(t_i, g) - sum dist(q_j, g)| <= ERP(T, Q)`` (rounded down,
+    see :func:`~repro.kernels.wavefront.erp_mass_bound`) to abandon early.
     """
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     g = np.asarray(gap, dtype=np.float64)
-    mass_t = float(np.sum(np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1))))
-    mass_q = float(np.sum(np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1))))
-    if abs(mass_t - mass_q) > tau:
+    gt = np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1))
+    gq = np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1))
+    if erp_mass_bound(gt, gq) > tau:
         return _INF
     d = erp_reference(t, q, g)
     return d if d <= tau else _INF
@@ -111,9 +112,10 @@ class ERPDistance(TrajectoryDistance):
         t = np.atleast_2d(np.asarray(t, dtype=np.float64))
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         g = self.gap
-        mass_t = float(np.sum(np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1))))
-        mass_q = float(np.sum(np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1))))
-        return abs(mass_t - mass_q)
+        return erp_mass_bound(
+            np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1)),
+            np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1)),
+        )
 
     def __repr__(self) -> str:
         return f"ERPDistance(gap={self.gap.tolist()})"

@@ -1,35 +1,36 @@
 """Columnar trie layout and level-synchronous frontier traversal.
 
-Algorithm 2's trie walk (``TrieIndex._filter_reference``) is a per-node,
-per-query Python recursion: one ``adapter.visit`` call — a handful of tiny
-numpy operations — for every (node, query) pair the search touches.  Once
-verification is batched, that interpreted walk dominates the filter stage.
+Algorithm 2's trie walk, done node by node, is one adapter call — a
+handful of tiny numpy operations — for every (node, query) pair the search
+touches.  Once verification is batched, such an interpreted walk dominates
+the filter stage.
 
-This module removes the object graph from the hot path:
+This module keeps object graphs out of the index altogether:
 
-* :class:`ColumnarTrie` flattens every :class:`~repro.core.trie.TrieNode`
-  into contiguous arrays — per-node MBR corners stacked ``(N, d)``, child
-  ranges as CSR offsets over a breadth-first node numbering (each node's
-  children occupy one contiguous id range), level-kind codes, ``max_len``,
-  and CSR leaf / short-leaf member lists.
+* :class:`ColumnarTrie` holds a trie as contiguous arrays — per-node MBR
+  corners stacked ``(N, d)``, child ranges as CSR offsets over a
+  breadth-first node numbering (each node's children occupy one contiguous
+  id range), level-kind codes, ``max_len``, and CSR leaf / short-leaf
+  member lists.  :class:`~repro.core.trie.TrieIndex` bulk-builds it
+  directly.
 * :func:`frontier_filter` runs Algorithm 2 level-at-a-time over that
   layout for **many queries at once**: a frontier of ``(node, query)``
   rows with their accumulated :class:`~repro.core.adapters.FilterState`
   stored as parallel arrays.  Each step expands every row's children,
   evaluates the adapter's accumulation policy for the whole expansion with
   one ``visit_batch`` call (vectorized MinDist over stacked query points ×
-  node boxes), and emits candidates from leaf / short rows without ever
-  touching a Python ``TrieNode``.
+  node boxes), and emits candidates from leaf / short rows.
 
-The traversal reproduces the recursive walk *exactly*: the same float
-operations in the same per-path order, hence bit-identical pruning
+The traversal reproduces a recursive node-by-node walk *exactly*: the same
+float operations in the same per-path order, hence bit-identical pruning
 decisions, identical candidate sets and identical
 :class:`~repro.core.trie.FilterStats` counts
-(``tests/test_frontier.py`` pins all of this differentially).
+(``tests/test_frontier.py`` pins all of this differentially against the
+scalar walk in ``tests/oracles/scalar_filter.py``).
 
 Layering note: this module is deliberately free of imports from
 :mod:`repro.core` (the core imports the kernels, never the reverse), so
-the trie nodes, adapters and trajectories it consumes are duck-typed.
+the adapters it consumes are duck-typed.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ KIND_ROOT, KIND_FIRST, KIND_LAST, KIND_PIVOT = -1, 0, 1, 2
 
 #: code -> the adapter-facing kind string of ``repro.core.adapters``
 KIND_NAMES = {KIND_FIRST: "first", KIND_LAST: "last", KIND_PIVOT: "pivot"}
-
-_KIND_CODES = {"first": KIND_FIRST, "last": KIND_LAST, "pivot": KIND_PIVOT}
 
 #: element budget for the chunked span-distance passes (whole rows per
 #: chunk, same policy as ``repro.kernels.batch``)
@@ -100,7 +99,7 @@ class QueryBatch:
 
 
 class ColumnarTrie:
-    """A trie flattened into contiguous arrays (breadth-first numbering).
+    """A trie as contiguous arrays (breadth-first numbering).
 
     Node ``0`` is the root; node ``j``'s children are exactly the node ids
     ``child_lo[j]:child_hi[j]`` (contiguous by construction of the BFS
@@ -157,63 +156,6 @@ class ColumnarTrie:
         self.short_starts = short_starts
         self.short_pos = short_pos
         self.member_rows = np.asarray(member_rows, dtype=np.int64)
-
-    @classmethod
-    def from_root(cls, root, ndim: int) -> "ColumnarTrie":
-        """Flatten a ``TrieNode`` graph (duck-typed: ``level``, ``kind``,
-        ``mbr``, ``children``, ``rows``, ``short_rows``, ``max_len``)."""
-        order = [root]
-        head = 0
-        while head < len(order):
-            order.extend(order[head].children)
-            head += 1
-        n = len(order)
-        mbr_low = np.zeros((n, ndim), dtype=np.float64)
-        mbr_high = np.zeros((n, ndim), dtype=np.float64)
-        kind = np.full(n, KIND_ROOT, dtype=np.int8)
-        level = np.zeros(n, dtype=np.int64)
-        max_len = np.zeros(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        leaf_starts = np.zeros(n + 1, dtype=np.int64)
-        short_starts = np.zeros(n + 1, dtype=np.int64)
-        member_rows: List[int] = []
-        leaf_pos: List[int] = []
-        short_pos: List[int] = []
-        for j, node in enumerate(order):
-            if node.mbr is not None:
-                mbr_low[j] = node.mbr.low
-                mbr_high[j] = node.mbr.high
-            if node.kind is not None:
-                kind[j] = _KIND_CODES[node.kind]
-            level[j] = node.level
-            max_len[j] = node.max_len
-            counts[j] = len(node.children)
-            for r in node.short_rows:
-                short_pos.append(len(member_rows))
-                member_rows.append(int(r))
-            for r in node.rows:
-                leaf_pos.append(len(member_rows))
-                member_rows.append(int(r))
-            leaf_starts[j + 1] = len(leaf_pos)
-            short_starts[j + 1] = len(short_pos)
-        child_lo = np.ones(n, dtype=np.int64)
-        if n > 1:
-            child_lo[1:] += np.cumsum(counts[:-1])
-        child_hi = child_lo + counts
-        return cls(
-            mbr_low,
-            mbr_high,
-            kind,
-            level,
-            max_len,
-            child_lo,
-            child_hi,
-            leaf_starts,
-            np.asarray(leaf_pos, dtype=np.int64),
-            short_starts,
-            np.asarray(short_pos, dtype=np.int64),
-            np.asarray(member_rows, dtype=np.int64),
-        )
 
     def size_bytes(self) -> int:
         """Footprint of the flattened arrays."""
@@ -435,7 +377,8 @@ def frontier_filter(
         visited += np.bincount(q_idx, minlength=n_queries)
         # emit members: anything whose indexing sequence ends here survived
         # every level, and leaf rows contribute their clustered members —
-        # then the walk continues into any children (a node may hold both)
+        # then the walk continues into any children (a node may hold short
+        # rows and children)
         for starts, pos in (
             (trie.short_starts, trie.short_pos),
             (trie.leaf_starts, trie.leaf_pos),

@@ -34,6 +34,7 @@ import numpy as np
 from ..geometry.point import pairwise_distances
 
 _INF = math.inf
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _as_matrix_pair(t: np.ndarray, q: np.ndarray, name: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,6 +341,27 @@ def _erp_inputs(t: np.ndarray, q: np.ndarray, gap: np.ndarray):
     return w, gt, gq
 
 
+def erp_mass_bound(gt: np.ndarray, gq: np.ndarray) -> float:
+    """The triangle-derived ERP lower bound
+    ``|sum dist(t_i, g) - sum dist(q_j, g)|`` from the per-point gap costs,
+    rounded *down*.
+
+    The two masses are summed apart from the DP, so in floating point their
+    difference can land a few ULPs *of the masses* above an ERP value that
+    itself rounded to exactly ``tau`` — and ``bound > tau`` would then
+    dismiss a true answer at the closed boundary.  Subtracting the worst
+    case rounding of both computations (each adds at most ``m + n`` terms
+    no larger than the total mass) keeps the bound at or below the DP's
+    value; it is the closed-boundary allowance
+    :func:`repro.core.numerics.slack` gives the trie filters, scaled by the
+    magnitude the error actually has here.
+    """
+    mass_t = float(gt.sum())
+    mass_q = float(gq.sum())
+    allowance = (gt.shape[0] + gq.shape[0] + 8) * _EPS * (mass_t + mass_q)
+    return max(0.0, abs(mass_t - mass_q) - allowance)
+
+
 def erp_wavefront(t: np.ndarray, q: np.ndarray, gap: np.ndarray) -> float:
     """Exact ERP via the wavefront sweep."""
     w, gt, gq = _erp_inputs(t, q, gap)
@@ -350,7 +372,7 @@ def erp_wavefront_threshold(t: np.ndarray, q: np.ndarray, gap: np.ndarray, tau: 
     """ERP when ``<= tau``, else ``inf``, with the gap-mass lower bound as
     a free pre-check before any DP work."""
     w, gt, gq = _erp_inputs(t, q, gap)
-    if abs(float(gt.sum()) - float(gq.sum())) > tau:
+    if erp_mass_bound(gt, gq) > tau:
         return _INF
     value = _erp_sweep(w, gt, gq, tau=tau)
     return value if value <= tau else _INF

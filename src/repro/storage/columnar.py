@@ -88,8 +88,6 @@ class ColumnarDataset:
         #: tombstone mask (None means every row is alive)
         self._dead: Optional[np.ndarray] = None
         self._n_dead = 0
-        #: bumped on append / removal; derived caches key on it
-        self.version = 0
         #: number of Trajectory objects materialized from this dataset
         self.materializations = 0
         self._row_by_id: Optional[dict] = None
@@ -297,61 +295,8 @@ class ColumnarDataset:
         return self.subset(alive[np.sort(idx)])
 
     # ------------------------------------------------------------------ #
-    # mutation (rare paths: live inserts and lazy deletion)
+    # lazy deletion
     # ------------------------------------------------------------------ #
-
-    def append(self, traj: Trajectory) -> int:
-        """Append one trajectory; returns its (stable) row index.
-
-        Existing rows keep their indices, so index structures holding row
-        ids stay valid.  The arrays are re-concatenated — appends are the
-        rare path; bulk construction goes through :meth:`from_trajectories`
-        or the store loaders.
-        """
-        if traj.traj_id in self:
-            raise ValueError(f"trajectory {traj.traj_id} already present")
-        row = self.n_rows
-        pts = np.asarray(traj.points, dtype=np.float64)
-        if self.n_rows == 0 and self.point_coords.shape[1] != pts.shape[1]:
-            self.point_coords = np.empty((0, pts.shape[1]), dtype=np.float64)
-            self._ndim = int(pts.shape[1])
-        self.traj_ids = _read_only(
-            np.concatenate([self.traj_ids, np.asarray([traj.traj_id], dtype=np.int64)])
-        )
-        self.point_starts = _read_only(
-            np.concatenate(
-                [self.point_starts, np.asarray([self.n_points + len(traj)], dtype=np.int64)]
-            )
-        )
-        self.point_coords = _read_only(np.concatenate([self.point_coords, pts], axis=0))
-        if self._dead is not None:
-            self._dead = np.concatenate([self._dead, np.zeros(1, dtype=bool)])
-        if self._row_by_id is not None:
-            self._row_by_id[traj.traj_id] = row
-        self._firsts = self._lasts = self._mbr_lows = self._mbr_highs = None
-        self._lengths = None
-        self.version += 1
-        return row
-
-    def mark_removed(self, traj_id: int) -> Optional[int]:
-        """Tombstone a trajectory by id; returns its row (None when absent).
-
-        The row's bytes stay in place (lazy deletion), so row indices held
-        by index structures remain stable; the row simply stops appearing
-        in iteration, ``ids`` and the alive-row summaries.
-        """
-        try:
-            row = self.row_of(traj_id)
-        except KeyError:
-            return None
-        if self._dead is None:
-            self._dead = np.zeros(self.n_rows, dtype=bool)
-        self._dead[row] = True
-        self._n_dead += 1
-        if self._row_by_id is not None:
-            del self._row_by_id[traj_id]
-        self.version += 1
-        return row
 
     def mark_rows_removed(self, rows: "Sequence[int]") -> None:
         """Tombstone rows *by index* — the store-attach path: a worker
@@ -370,7 +315,6 @@ class ColumnarDataset:
             self._n_dead += 1
             if self._row_by_id is not None:
                 self._row_by_id.pop(int(self.traj_ids[row]), None)
-        self.version += 1
 
     def compact(self) -> "ColumnarDataset":
         """A defragmented copy without tombstoned rows."""

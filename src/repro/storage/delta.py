@@ -20,7 +20,8 @@ Semantics:
   pending points.
 * **remove** — a pending id is simply dropped; a base id is recorded for
   removal on apply.  Removing an id that *shadowed* a base row keeps the
-  shadow (the base row must still disappear).
+  shadow (the base row must still disappear), and re-appending a removed
+  base id turns the removal into a shadow.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class DeltaPartition:
         if traj_id in self.appended:
             raise ValueError(f"trajectory {traj_id} already pending")
         self.appended[traj_id] = self._coerce(points)
-        self.removed.discard(traj_id)
+        if traj_id in self.removed:
+            # a base id removed and re-appended before the flush: the new
+            # row shadows the base row, which must still disappear
+            self.removed.discard(traj_id)
+            self.replaced.add(traj_id)
 
     def extend_pending(self, traj_id: int, extra_points) -> None:
         """Grow an id already buffered in this delta."""

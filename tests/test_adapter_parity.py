@@ -1,11 +1,9 @@
 """Differential adapter parity: every distance adapter must produce the
-same candidates *and* the same :class:`FilterStats` through all three
-filter paths —
+same candidates *and* the same :class:`FilterStats` through
 
-* ``filter_candidates_reference`` — the recursive scalar ``visit`` walk
-  (the oracle);
-* ``filter_candidates`` — the public scalar entry point (routed through
-  the columnar frontier when the adapter supports ``visit_batch``);
+* ``oracles.scalar_filter.filter_candidates_reference`` — the recursive
+  scalar ``visit`` walk (the oracle, kept under ``tests/``);
+* ``filter_candidates`` — the public single-query entry point;
 * ``filter_candidates_batch`` — the multi-query frontier sweep.
 
 Randomized tries (several datasets × index shapes) keep the comparison
@@ -14,13 +12,8 @@ honest across node splits, short-trajectory leaves and mixed-length data.
 
 import pytest
 
-from repro.core.adapters import (
-    EDRAdapter,
-    ERPAdapter,
-    LCSSAdapter,
-    batch_visit_supported,
-    get_adapter,
-)
+from oracles.scalar_filter import filter_candidates_reference
+from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
 from repro.core.config import DITAConfig
 from repro.core.trie import FilterStats, TrieIndex
 from repro.datagen import citywide_dataset, random_walk_dataset, sample_queries
@@ -60,7 +53,7 @@ def _stats_tuple(s: FilterStats):
 def trie_and_queries(request):
     make_data, shape = TRIES[request.param]
     data = make_data()
-    config = DITAConfig(use_frontier_filter=True, **shape)
+    config = DITAConfig(**shape)
     trie = TrieIndex(list(data), config)
     queries = [q.points for q in sample_queries(data, 3, seed=5, perturb=0.0002)]
     return trie, queries
@@ -79,7 +72,7 @@ class TestThreeWayParity:
             )
             for i, q in enumerate(queries):
                 ref_stats, sc_stats = FilterStats(), FilterStats()
-                ref = trie.filter_candidates_reference(q, tau, adapter, ref_stats)
+                ref = filter_candidates_reference(trie, q, tau, adapter, ref_stats)
                 scalar = trie.filter_candidates(q, tau, adapter, sc_stats)
                 assert _ids(trie, scalar) == _ids(trie, ref), (name, tau, i)
                 assert _ids(trie, batched[i]) == _ids(trie, ref), (name, tau, i)
@@ -96,7 +89,7 @@ class TestThreeWayParity:
         batched = trie.filter_candidates_batch(queries, mixed, adapter, None)
         for i, q in enumerate(queries):
             assert _ids(trie, batched[i]) == _ids(
-                trie, trie.filter_candidates_reference(q, mixed[i], adapter, None)
+                trie, filter_candidates_reference(trie, q, mixed[i], adapter, None)
             ), (name, i)
 
     @pytest.mark.parametrize("name,make_adapter,taus", ADAPTERS, ids=[a[0] for a in ADAPTERS])
@@ -109,15 +102,11 @@ class TestThreeWayParity:
         tau = taus[-1]
         for q in queries:
             cands = set(_ids(trie, trie.filter_candidates(q, tau, adapter, None)))
-            for r in trie.filter_candidates_reference(q, float("inf"), adapter, None):
+            for r in filter_candidates_reference(trie, q, float("inf"), adapter, None):
                 r = int(r)
                 if dist.compute(trie.dataset.points(r), q) <= tau:
                     assert trie.dataset.id_of(r) in cands, (name, r)
         assert len(trie)  # the trie holds the data the queries run against
-
-    def test_frontier_supported_for_all_builtin_adapters(self):
-        for name, make_adapter, _ in ADAPTERS:
-            assert batch_visit_supported(make_adapter()), name
 
 
 class TestDeltaParity:

@@ -4,8 +4,7 @@
 columnar dataset's row space) must return the same matches, in the same
 order, with the same :class:`VerifyStats` counts, as calling
 :meth:`Verifier.verify` per candidate — for every verifier configuration,
-including custom cell bounds with no batched equivalent.  The block cache
-on :class:`TrieIndex` must invalidate on insert/remove.
+including custom cell bounds with no batched equivalent.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import pytest
 
 from repro.baselines.mbe import MBEIndex, envelope_lower_bound
 from repro.core.adapters import get_adapter
-from repro.core.config import DITAConfig
 from repro.core.numerics import slack
-from repro.core.trie import TrieIndex
 from repro.core.verify import VerificationData, VerifyStats
 from repro.datagen import beijing_like
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
@@ -133,27 +130,6 @@ def test_block_rows_share_dataset_row_space(data, dataset, block):
         assert np.array_equal(cs.counts, direct.cells.counts)
         assert np.array_equal(block.mbr_low[r], direct.mbr.low)
         assert np.array_equal(block.mbr_high[r], direct.mbr.high)
-
-
-class TestBlockCache:
-    def test_trie_block_invalidated_on_insert_and_remove(self, data):
-        cfg = DITAConfig(cell_size=CELL_SIZE)
-        trie = TrieIndex(data[:-1], cfg)
-        b1 = trie.batch_block()
-        assert trie.batch_block() is b1  # cached
-        extra = data[-1]
-        trie.insert(extra)
-        b2 = trie.batch_block()
-        assert b2 is not b1
-        assert extra.traj_id in b2.ids.tolist()
-        assert len(b2) == len(data)
-        assert trie.remove(extra.traj_id)
-        b3 = trie.batch_block()
-        assert b3 is not b2
-        # the tombstoned row stays in the row space but its cells are gone
-        row = len(data) - 1
-        assert int(b3.cell_starts[row + 1] - b3.cell_starts[row]) == 0
-        assert len(trie.dataset) == len(data) - 1
 
 
 def test_mbe_stacked_bounds_match_loop(data):

@@ -1,14 +1,16 @@
-"""Differential tests: frontier traversal vs. the recursive reference walk.
+"""Differential tests: frontier traversal vs. the recursive scalar walk.
 
-The columnar frontier filter must reproduce ``_filter_reference`` exactly —
-same candidate sets, same ``FilterStats`` counts — for every adapter, on
-tries of every shape (random fanouts, short leaves, post-insert/remove),
-and batched filtering must equal the per-query loop.
+The columnar frontier filter must reproduce the oracle walk of
+``tests/oracles/scalar_filter.py`` exactly — same candidate sets, same
+``FilterStats`` counts — for every adapter, on tries of every shape
+(random fanouts, short leaves, rebuilt after engine inserts/removes), and
+batched filtering must equal the per-query loop.
 """
 
 import numpy as np
 import pytest
 
+from oracles.scalar_filter import filter_candidates_reference
 from repro.core.adapters import (
     DTWAdapter,
     EDRAdapter,
@@ -16,15 +18,12 @@ from repro.core.adapters import (
     FrechetAdapter,
     HausdorffAdapter,
     LCSSAdapter,
-    batch_visit_supported,
 )
 from repro.core.config import DITAConfig
 from repro.core.engine import DITAEngine
-from repro.core.knn import knn_search
-from repro.core.trie import FilterStats, TrieIndex, TrieNode
+from repro.core.trie import FilterStats, TrieIndex
 from repro.datagen import beijing_like, random_walk_dataset
-from repro.geometry.mbr import MBR
-from repro.kernels.frontier import ColumnarTrie, QueryBatch
+from repro.kernels.frontier import QueryBatch
 from repro.trajectory import Trajectory
 
 #: (adapter, tau) pairs covering every accumulation policy, suffix pruning
@@ -52,7 +51,7 @@ def assert_parity(trie, queries, adapter, tau):
     s_ref = [FilterStats() for _ in range(n)]
     s_fro = [FilterStats() for _ in range(n)]
     ref = [
-        trie.filter_candidates_reference(q, tau, adapter, s)
+        filter_candidates_reference(trie, q, tau, adapter, s)
         for q, s in zip(queries, s_ref)
     ]
     got = trie.filter_candidates_batch(queries, [tau] * n, adapter, s_fro)
@@ -103,16 +102,25 @@ class TestDifferential:
 
     @pytest.mark.parametrize("adapter,tau", ADAPTER_CASES, ids=CASE_IDS)
     def test_post_insert_remove(self, adapter, tau):
+        """The tries an engine serves after inserts and removes (every
+        write rebuilds the partitions it touched)."""
         data = list(random_walk_dataset(60, avg_len=9, seed=23))
-        trie = TrieIndex(
-            data[:40], DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=2, cell_size=0.05)
+        engine = DITAEngine(
+            data[:40],
+            DITAConfig(
+                num_global_partitions=2, trie_fanout=3, num_pivots=2,
+                trie_leaf_capacity=2, cell_size=0.05,
+            ),
         )
         for t in data[40:]:
-            trie.insert(t)
+            engine.insert(t)
         for t in data[5:15]:
-            trie.remove(t.traj_id)
+            assert engine.remove(t.traj_id)
+        engine.sync_for_read()
+        assert len(engine) == 50
         queries = [t.points for t in data[:4]] + [data[45].points]
-        assert_parity(trie, queries, adapter, tau)
+        for pid in engine.partition_pids():
+            assert_parity(engine.trie(pid), queries, adapter, tau)
 
     def test_varied_taus_in_one_batch(self):
         data = list(beijing_like(150, seed=5))
@@ -122,7 +130,7 @@ class TestDifferential:
         taus = [0.0, 1e-4, 0.01, 0.1, 2.0]
         got = trie.filter_candidates_batch(queries, taus, adapter)
         for q, tau, cands in zip(queries, taus, got):
-            ref = trie.filter_candidates_reference(q, tau, adapter)
+            ref = filter_candidates_reference(trie, q, tau, adapter)
             assert sorted(trie.dataset.ids_of(ref)) == sorted(trie.dataset.ids_of(cands))
 
 
@@ -164,104 +172,21 @@ class TestBatchVsLoop:
 
 
 class TestEndToEnd:
-    def _engines(self, n=120, seed=4, **cfg_kw):
-        data = beijing_like(n, seed=seed)
-        base = dict(num_global_partitions=3, trie_fanout=4, num_pivots=3)
-        base.update(cfg_kw)
-        on = DITAEngine(data, DITAConfig(use_frontier_filter=True, **base))
-        off = DITAEngine(data, DITAConfig(use_frontier_filter=False, **base))
-        return data, on, off
-
-    def test_search_identical_under_both_paths(self):
-        data, on, off = self._engines()
-        for qid in sorted(data.ids)[:5]:
-            q = data.by_id(qid)
-            assert on.search_ids(q, 0.003) == off.search_ids(q, 0.003)
-
     def test_search_batch_matches_search(self):
-        data, on, _ = self._engines()
+        data = beijing_like(120, seed=4)
+        engine = DITAEngine(
+            data, DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3)
+        )
         queries = [data.by_id(i) for i in sorted(data.ids)[:5]]
         taus = [0.003] * len(queries)
-        batched = on.search_batch(queries, taus)
+        batched = engine.search_batch(queries, taus)
         for q, tau, matches in zip(queries, taus, batched):
             assert sorted((t.traj_id, d) for t, d in matches) == sorted(
-                (t.traj_id, d) for t, d in on.search(q, tau)
+                (t.traj_id, d) for t, d in engine.search(q, tau)
             )
-
-    def test_join_identical_under_both_paths(self):
-        data, on, off = self._engines(n=80)
-        assert sorted(on.self_join(0.002)) == sorted(off.self_join(0.002))
-
-    def test_knn_identical_under_both_paths(self):
-        data, on, off = self._engines(n=80)
-        q = data.by_id(sorted(data.ids)[0])
-        assert [(t.traj_id, d) for t, d in knn_search(on, q, 5)] == [
-            (t.traj_id, d) for t, d in knn_search(off, q, 5)
-        ]
-
-
-class TestOverflowNodeRegression:
-    """A node holding both leaf members and children (creatable through
-    insert's overflow path or deserialization) must emit its members *and*
-    keep walking — the old walk returned early and dropped candidates."""
-
-    def _trie(self):
-        t_a = Trajectory(1, [(0.0, 0.0), (0.1, 0.1), (0.2, 0.0), (0.3, 0.3)])
-        t_b = Trajectory(2, [(0.5, 0.5), (0.6, 0.5), (0.7, 0.6), (0.8, 0.7)])
-        child = TrieNode(
-            level=1,
-            kind="first",
-            mbr=MBR.of_point(np.asarray(t_b.points[0])),
-            rows=[1],
-            max_len=4,
-        )
-        root = TrieNode(level=0, children=[child], rows=[0], max_len=4)
-        return TrieIndex([t_a, t_b], DITAConfig(num_pivots=2), _root=root)
-
-    def test_reference_walk_emits_members_and_descends(self):
-        trie = self._trie()
-        ids = sorted(
-            trie.dataset.ids_of(
-                trie.filter_candidates_reference(
-                    np.asarray([(0.5, 0.5), (0.8, 0.7)]), 10.0, DTWAdapter()
-                )
-            )
-        )
-        assert ids == [1, 2]
-
-    def test_frontier_matches_on_overflow_node(self):
-        trie = self._trie()
-        assert_parity(
-            trie, [np.asarray([(0.5, 0.5), (0.8, 0.7)])], DTWAdapter(), 10.0
-        )
 
 
 class TestFallbacksAndLayout:
-    def test_custom_visit_without_batch_falls_back(self):
-        class TweakedDTW(DTWAdapter):
-            def visit(self, state, kind, mbr, q, node_max_len=None):
-                return super().visit(state, kind, mbr, q, node_max_len)
-
-        assert batch_visit_supported(DTWAdapter())
-        assert batch_visit_supported(EDRAdapter())
-        assert not batch_visit_supported(TweakedDTW())
-        data = list(beijing_like(60, seed=2))
-        trie = TrieIndex(data, DITAConfig(trie_fanout=4, num_pivots=2))
-        q = data[0].points
-        got = trie.filter_candidates_batch([q], [0.01], TweakedDTW())[0]
-        ref = trie.filter_candidates_reference(q, 0.01, TweakedDTW())
-        assert trie.dataset.ids_of(got) == trie.dataset.ids_of(ref)
-
-    def test_config_off_uses_reference(self):
-        data = list(beijing_like(60, seed=2))
-        trie = TrieIndex(data, DITAConfig(use_frontier_filter=False))
-        q = data[0].points
-        assert sorted(
-            trie.dataset.ids_of(trie.filter_candidates(q, 0.01, DTWAdapter()))
-        ) == sorted(
-            trie.dataset.ids_of(trie.filter_candidates_reference(q, 0.01, DTWAdapter()))
-        )
-
     def test_columnar_layout_counts(self):
         data = list(beijing_like(90, seed=6))
         trie = TrieIndex(data, DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=2))
@@ -275,16 +200,6 @@ class TestFallbacksAndLayout:
         )
         flat = [i for lo, hi in spans for i in range(lo, hi)]
         assert flat == list(range(1, ct.n_nodes))
-
-    def test_columnar_cache_invalidated_by_mutation(self):
-        data = list(random_walk_dataset(20, avg_len=8, seed=1))
-        trie = TrieIndex(data[:19], DITAConfig(trie_fanout=3, num_pivots=2, cell_size=0.05))
-        c1 = trie.columnar()
-        assert trie.columnar() is c1  # cached while unchanged
-        trie.insert(data[19])
-        c2 = trie.columnar()
-        assert c2 is not c1
-        assert int(c2.member_rows.shape[0]) == int(c1.member_rows.shape[0]) + 1
 
     def test_query_batch_validation(self):
         with pytest.raises(ValueError):

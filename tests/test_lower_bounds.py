@@ -2,8 +2,9 @@
 
 The static rule guarantees each distance class *declares* a bound (or opts
 out with a justification); this suite pins admissibility —
-``lower_bound(t, q) <= compute(t, q)`` — on random data, because the trie's
-pruning is only exact when that inequality holds.
+``lower_bound(t, q) <= compute(t, q)`` — on random data and on a
+ULP-adversarial pair, because the trie's pruning is only exact when that
+inequality holds.
 """
 
 import numpy as np
@@ -34,6 +35,17 @@ class TestAdmissibility:
             lb = dist.lower_bound(t, q)
             exact = dist.compute(t, q)
             assert lb <= exact + _TOL, f"{name}: lb {lb} > exact {exact}"
+
+    def test_erp_mass_bound_on_a_ulp_adversarial_pair(self):
+        """Exactly, not within ``_TOL``: ERP is 1.0 here while the two gap
+        masses, summed apart, differ by 1.0000000000000036 — a bound a few
+        ULPs above the distance dismisses an answer at ``tau == distance``."""
+        t = np.array([(0, 4), (20, 0), (7.008, 0), (0, 0), (0, 0)], float)
+        q = np.array([(0, 5), (20, 0), (7.008, 0), (0, 0), (0, 0)], float)
+        dist = get_distance("erp")
+        assert dist.compute(t, q) == 1.0
+        assert dist.lower_bound(t, q) <= 1.0
+        assert dist.lower_bound(q, t) <= 1.0
 
     @pytest.mark.parametrize("name", BOUNDED)
     def test_lower_bound_is_nonnegative(self, name):

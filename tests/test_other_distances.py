@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.distances import (
@@ -32,6 +32,12 @@ def trajectories(draw, min_len=1, max_len=9):
 
 T1 = np.array([(1, 1), (1, 2), (3, 2), (4, 4), (4, 5), (5, 5)], float)
 T3 = np.array([(1, 1), (4, 1), (4, 3), (4, 5), (4, 6), (5, 6)], float)
+
+#: a pair whose ERP (gap = origin) is exactly 1.0 while the two gap masses,
+#: summed apart, differ by 1.0000000000000036 — at tau = 1.0 an unrounded
+#: mass pre-check dismisses a true answer at the closed boundary
+ERP_BOUNDARY_T = np.array([(0, 4), (20, 0), (7.008, 0), (0, 0), (0, 0)], float)
+ERP_BOUNDARY_Q = np.array([(0, 5), (20, 0), (7.008, 0), (0, 0), (0, 0)], float)
 
 
 class TestFrechet:
@@ -188,6 +194,7 @@ class TestERP:
 
     @settings(max_examples=40)
     @given(trajectories(), trajectories(), st.floats(0.1, 60))
+    @example(ERP_BOUNDARY_T, ERP_BOUNDARY_Q, 1.0)
     def test_threshold_agrees(self, t, q, tau):
         d = erp(t, q, self.GAP)
         dt = erp_threshold(t, q, self.GAP, tau)
@@ -195,6 +202,23 @@ class TestERP:
             assert dt == pytest.approx(d, rel=1e-9, abs=1e-9)
         else:
             assert dt == math.inf
+
+    def test_closed_boundary_survives_every_threshold_path(self):
+        """The same pair through the kernel, the loop oracle and an engine
+        search: distance == tau is an answer."""
+        from repro import DITAConfig, DITAEngine
+        from repro.core.adapters import ERPAdapter
+        from repro.distances.erp import erp_threshold_reference
+        from repro.trajectory import Trajectory
+
+        t, q = ERP_BOUNDARY_T, ERP_BOUNDARY_Q
+        assert erp(t, q, self.GAP) == 1.0
+        assert erp_threshold(t, q, self.GAP, 1.0) == 1.0
+        assert erp_threshold_reference(t, q, self.GAP, 1.0) == 1.0
+        engine = DITAEngine(
+            [Trajectory(1, t)], DITAConfig(num_global_partitions=1), ERPAdapter()
+        )
+        assert [(m.traj_id, d) for m, d in engine.search(Trajectory(2, q), 1.0)] == [(1, 1.0)]
 
 
 class TestRegistry:

@@ -1,7 +1,8 @@
 """Streaming ingestion: the stateful differential-test harness.
 
 The headline invariant: **any** interleaving of appends, extends,
-removals, delta flushes, generation merges and online repartitionings
+removals (under both their names: ``insert``/``remove`` are the same
+delta path), delta flushes, generation merges and online repartitionings
 leaves the engine answering every query — results *and* ``SearchStats``
 — byte-identically to a freshly bulk-built engine over the same logical
 dataset, for all six distance adapters, on both execution backends.
@@ -120,6 +121,20 @@ class StreamingMachine(RuleBasedStateMachine):
     def remove(self, pick):
         tid = sorted(self.model)[pick % len(self.model)]
         assert self.engine.remove_trajectory(tid)
+        del self.model[tid]
+
+    @rule(points=point_lists)
+    def insert(self, points):
+        pts = np.asarray(points, dtype=np.float64)
+        self.engine.insert(Trajectory(self.next_id, pts))
+        self.model[self.next_id] = pts
+        self.next_id += 1
+
+    @precondition(lambda self: len(self.model) > 3)
+    @rule(pick=st.integers(0, 10_000))
+    def remove_by_short_name(self, pick):
+        tid = sorted(self.model)[pick % len(self.model)]
+        assert self.engine.remove(tid)
         del self.model[tid]
 
     # ---- maintenance ------------------------------------------------- #

@@ -140,43 +140,12 @@ class TestParameterEffects:
 
 
 class TestMutationVersioning:
-    """Derived caches key on an explicit mutation counter, so an equal-size
-    remove+insert cycle can never resurrect stale stacked arrays (the old
-    length-equality check would have)."""
-
-    def _trie_and_extra(self):
-        data = list(random_walk_dataset(24, avg_len=8, seed=9))
-        cfg = DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=4, cell_size=0.05)
-        return TrieIndex(data[:23], cfg), data[23]
+    """The trie is immutable — writes rebuild it — so there is no mutation
+    to version: the derived arrays are built once and shared."""
 
     def test_caches_stable_without_mutation(self):
-        trie, _ = self._trie_and_extra()
+        data = list(random_walk_dataset(24, avg_len=8, seed=9))
+        cfg = DITAConfig(trie_fanout=3, num_pivots=2, trie_leaf_capacity=4, cell_size=0.05)
+        trie = TrieIndex(data, cfg)
         assert trie.batch_block() is trie.batch_block()
         assert trie.columnar() is trie.columnar()
-
-    def test_equal_size_remove_insert_refreshes_caches(self):
-        trie, extra = self._trie_and_extra()
-        victim = _all_ids(trie)[0]
-        block_before = trie.batch_block()
-        columnar_before = trie.columnar()
-        assert trie.remove(victim)
-        trie.insert(extra)  # same size as before the removal
-        block_after = trie.batch_block()
-        columnar_after = trie.columnar()
-        assert block_after is not block_before
-        assert columnar_after is not columnar_before
-        member_ids = {
-            int(i) for i in trie.dataset.ids_of(columnar_after.member_rows)
-        }
-        assert extra.traj_id in member_ids
-        assert victim not in member_ids
-
-    def test_filtering_sees_replacement(self):
-        trie, extra = self._trie_and_extra()
-        victim = _all_ids(trie)[0]
-        trie.filter_candidates(extra.points, 0.1, DTWAdapter())  # warm caches
-        trie.remove(victim)
-        trie.insert(extra)
-        ids = _cand_ids(trie, extra.points, 100.0, DTWAdapter())
-        assert extra.traj_id in ids
-        assert victim not in ids

@@ -1,4 +1,5 @@
-"""Tests for incremental index updates (insert/remove)."""
+"""Tests for engine writes: insert/remove and the delta path they share
+with append/extend/remove_trajectory."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
-from repro.core.trie import TrieIndex
 from repro.datagen import beijing_like, citywide_dataset
 from repro.distances import get_distance
 from repro.trajectory import Trajectory
@@ -20,61 +20,6 @@ def cfg():
 def _brute(data, q, tau):
     d = get_distance("dtw")
     return sorted(t.traj_id for t in data if d.compute(t.points, q.points) <= tau)
-
-
-def _indexed_ids(trie):
-    rows = np.asarray(trie.all_rows(), dtype=np.int64)
-    return {int(i) for i in trie.dataset.ids_of(rows)}
-
-
-class TestTrieInsert:
-    def test_insert_found_by_filter(self, cfg):
-        base = list(beijing_like(30, seed=1))
-        trie = TrieIndex(base, cfg)
-        newcomer = Trajectory(999, base[0].points + 0.00001)
-        trie.insert(newcomer)
-        from repro.core.adapters import DTWAdapter
-
-        candidates = trie.filter_candidates(base[0].points, 0.01, DTWAdapter())
-        assert 999 in {int(i) for i in trie.dataset.ids_of(candidates)}
-        assert len(trie) == 31
-
-    def test_duplicate_insert_rejected(self, cfg):
-        base = list(beijing_like(10, seed=1))
-        trie = TrieIndex(base, cfg)
-        with pytest.raises(ValueError):
-            trie.insert(base[0])
-
-    def test_leaf_split_on_overflow(self, cfg):
-        base = list(beijing_like(8, seed=2))
-        trie = TrieIndex(base, cfg)
-        nodes_before = trie.node_count()
-        # flood one area so some leaf must split
-        for i in range(30):
-            trie.insert(Trajectory(500 + i, base[0].points + i * 1e-6))
-        assert trie.node_count() > nodes_before
-        assert sorted(_indexed_ids(trie)) == sorted(
-            [t.traj_id for t in base] + [500 + i for i in range(30)]
-        )
-
-    def test_single_point_insert(self, cfg):
-        base = list(beijing_like(10, seed=3))
-        trie = TrieIndex(base, cfg)
-        trie.insert(Trajectory(700, [(0.1, 0.1)]))
-        assert 700 in _indexed_ids(trie)
-
-
-class TestTrieRemove:
-    def test_remove_existing(self, cfg):
-        base = list(beijing_like(20, seed=4))
-        trie = TrieIndex(base, cfg)
-        assert trie.remove(base[5].traj_id)
-        assert base[5].traj_id not in _indexed_ids(trie)
-        assert len(trie) == 19
-
-    def test_remove_absent(self, cfg):
-        trie = TrieIndex(list(beijing_like(10, seed=4)), cfg)
-        assert not trie.remove(12345)
 
 
 class TestEngineUpdates:
@@ -181,6 +126,23 @@ class TestExtendAfterRemove:
         old_probe = Trajectory(-2, base[3].points)
         assert tid not in engine.search_ids(old_probe, 1e-9)
 
+    def test_remove_then_reappend_same_id_same_partition(self, cfg):
+        """Re-appended next to where it was, the id routes back to its old
+        partition: the pending row must shadow the removed base row, not
+        sit beside it."""
+        base = list(beijing_like(20, seed=11))
+        engine = DITAEngine(base, cfg)
+        tid = base[3].traj_id
+        replacement = base[3].points + 1e-6
+        home = next(
+            pid for pid in engine.partition_pids() if tid in engine.partition(pid)
+        )
+        assert engine.remove(tid)
+        assert engine.append_trajectory(tid, replacement) == home
+        assert len(engine) == len(base)
+        assert engine.search_ids(Trajectory(-1, replacement), 1e-9) == [tid]
+        assert np.array_equal(engine.trajectory(tid).points, replacement)
+
     def test_extend_then_remove_drops_the_extension(self, cfg):
         base = list(beijing_like(20, seed=11))
         engine = DITAEngine(base, cfg)
@@ -193,6 +155,44 @@ class TestExtendAfterRemove:
         q = base[0]
         current = [t for t in base if t.traj_id != tid]
         assert engine.search_ids(q, 0.003) == _brute(current, q, 0.003)
+
+
+class TestWriteValidation:
+    """Appends and extends are the one boundary rows cross into an engine:
+    what would poison the index is rejected there, before anything is
+    buffered."""
+
+    BAD_POINTS = {
+        "nan": [(float("nan"), 0.1), (0.2, 0.2)],
+        "inf": [(0.1, 0.1), (float("inf"), 0.2)],
+        "empty": np.empty((0, 2)),
+        "no-points": [],
+        "3d": [(0.1, 0.1, 0.1), (0.2, 0.2, 0.2)],
+    }
+
+    @staticmethod
+    def _write(engine, how, tid, points):
+        if how == "append":
+            engine.append_trajectory(9000, points)
+        elif how == "extend":
+            engine.extend_trajectory(tid, points)
+        else:
+            # Trajectory itself accepts NaN and any ndim (but not zero points)
+            engine.insert(Trajectory(9000, points))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+    @pytest.mark.parametrize("how", ["append", "extend", "insert"])
+    def test_rejected_write_leaves_engine_unchanged(self, how, bad):
+        base = list(beijing_like(30, seed=1))
+        engine = DITAEngine(base, DITAConfig(num_global_partitions=2))
+        want = engine.search_ids(base[0], 0.003)
+        assert len(want) > 1
+        generation = engine.generation
+        with pytest.raises(ValueError):
+            self._write(engine, how, base[5].traj_id, self.BAD_POINTS[bad])
+        assert engine.n_pending == 0 and engine.generation == generation
+        assert engine.search_ids(base[0], 0.003) == want
+        assert len(engine) == len(base)
 
 
 class TestRandomUpdateSequences:
