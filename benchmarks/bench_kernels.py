@@ -2,9 +2,12 @@
 
 Times the four vectorized distance kernels (DTW, discrete Fréchet, EDR,
 ERP) against their ``*_reference`` per-cell Python loops across trajectory
-lengths, the threshold/early-abandon variants, and the batched
+lengths, the threshold/early-abandon variants, the batched
 filter-verification stages (Lemma 5.4 + Lemma 5.6 as matrix ops) against
-the per-pair loop.  Emits ``BENCH_kernels.json``.
+the per-pair loop, and — at the 24 and 40 points Beijing and Chengdu trips
+average, where the workloads actually run them — the pair-batched
+verification sweeps (:mod:`repro.kernels.pairbatch`) against the per-pair
+kernels.  Emits ``BENCH_kernels.json``; every time in it is wall clock.
 
 Run::
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -35,6 +39,7 @@ from repro.core.verify import (
 from repro.datagen import beijing_like
 from repro.distances import (
     dtw,
+    dtw_double_direction,
     dtw_reference,
     dtw_threshold,
     dtw_threshold_reference,
@@ -51,12 +56,23 @@ from repro.distances import (
     frechet_threshold,
     frechet_threshold_reference,
 )
+from repro.geometry.point import pairwise_distances
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
+from repro.kernels.pairbatch import (
+    _sweep,
+    dtw_double_direction_batch,
+    frechet_threshold_batch,
+)
 from repro.core.numerics import slack
 from repro.storage.columnar import ColumnarDataset
 
 FULL_LENGTHS = [64, 128, 256, 512]
 SMOKE_LENGTHS = [32, 64]
+#: the pair-batch series: average trip lengths of the two cities, and batch
+#: sizes from one partition's share of a search (1, 2), through a kNN
+#: round's (6, 48), to a join chunk's (256)
+PAIR_LENGTHS = [24, 40]
+PAIR_COUNTS = [1, 2, 6, 48, 256]
 EDR_EPS = 0.002
 CELL_SIZE = 0.004
 
@@ -177,6 +193,69 @@ def bench_batch_filter(n_trajs: int, reps: int) -> Dict[str, float]:
     return row
 
 
+def bench_pair_batch(reps: int, rng: np.random.Generator) -> Dict[str, object]:
+    """Verification's exact stage over ``pairs`` surviving pairs of
+    ``n``-point trajectories: the per-pair kernel in a loop against one
+    pair-batched call, answers compared bit for bit first.  Every pair is
+    a trip against a noisy re-observation of itself at a threshold 1.5x
+    its distance, so no sweep abandons early: the full tables are timed.
+
+    Also times the sweep on its own (cost matrices given) at one pair and
+    at 256, for the two costs the kernel's bucketing constant compares: a
+    diagonal's fixed cost (one pair: nothing to amortise it over) and a
+    padded cell's marginal cost (what 255 more pairs add, per cell)."""
+    series: Dict[str, list] = {"dtw_double_direction": [], "frechet_threshold": []}
+    kernels = {
+        "dtw_double_direction": (dtw_double_direction, dtw_double_direction_batch, dtw),
+        "frechet_threshold": (frechet_threshold, frechet_threshold_batch, frechet),
+    }
+    for n in PAIR_LENGTHS:
+        for pairs in PAIR_COUNTS:
+            ts = [walk(rng, n) for _ in range(pairs)]
+            qs = [t + rng.normal(scale=1e-4, size=t.shape) for t in ts]
+            cost_s = best_of(lambda: [pairwise_distances(t, q) for t, q in zip(ts, qs)], reps)
+            for name, (single, batch, exact) in kernels.items():
+                taus = [1.5 * exact(t, q) for t, q in zip(ts, qs)]
+                want = np.asarray([single(t, q, x) for t, q, x in zip(ts, qs, taus)])
+                got = batch(ts, qs, taus)
+                assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), (
+                    f"{name}: the batched sweep disagrees with the per-pair kernel"
+                )
+                loop_s = best_of(lambda: [single(t, q, x) for t, q, x in zip(ts, qs, taus)], reps)
+                batch_s = best_of(lambda: batch(ts, qs, taus), reps)
+                row = {
+                    "n": n,
+                    "pairs": pairs,
+                    "loop_us_per_pair": loop_s / pairs * 1e6,
+                    "batch_us_per_pair": batch_s / pairs * 1e6,
+                    "cost_matrix_us_per_pair": cost_s / pairs * 1e6,
+                    "speedup": loop_s / batch_s if batch_s > 0 else float("inf"),
+                }
+                series[name].append(row)
+                print(f"  {name:<21} n={n:<3} pairs={pairs:<4} "
+                      f"loop {row['loop_us_per_pair']:7.1f} us/pair   "
+                      f"batch {row['batch_us_per_pair']:7.1f} us/pair   {row['speedup']:5.2f}x")
+    # the sweep's two cost terms: a double-direction pair is two half-tables
+    terms = []
+    for n in PAIR_LENGTHS:
+        half = (n + 1) // 2
+        few = [rng.random((half, n)) for _ in range(2)]
+        many = [rng.random((half, n)) for _ in range(2 * PAIR_COUNTS[-1])]
+        few_s = best_of(lambda: _sweep(few, np.full(len(few), 1e9), np.add), reps)
+        many_s = best_of(lambda: _sweep(many, np.full(len(many), 1e9), np.add), reps)
+        us_per_diagonal = few_s * 1e6 / (half + n - 1)
+        ns_per_cell = (many_s - few_s) * 1e9 / ((len(many) - len(few)) * half * n)
+        terms.append({
+            "n": n,
+            "us_per_diagonal": us_per_diagonal,
+            "ns_per_cell": ns_per_cell,
+            "diagonal_overhead_cells": us_per_diagonal * 1e3 / ns_per_cell,
+        })
+        print(f"  sweep at n={n}: {us_per_diagonal:.1f} us a diagonal, {ns_per_cell:.1f} ns a cell "
+              f"-> one diagonal costs what {terms[-1]['diagonal_overhead_cells']:.0f} cells do")
+    return {"lengths": PAIR_LENGTHS, "pair_counts": PAIR_COUNTS, **series, "sweep_cost_terms": terms}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true", help="CI-sized run (short lengths, few reps)")
@@ -193,6 +272,8 @@ def main() -> None:
     threshold = bench_threshold(lengths, reps, rng)
     print("== batched filter-verification stages ==")
     batch_filter = bench_batch_filter(64 if args.smoke else 300, reps)
+    print("== pair-batched verification sweeps (per-pair kernel vs one batched call) ==")
+    pair_batch = bench_pair_batch(3 * reps, rng)
 
     result = {
         "meta": {
@@ -201,10 +282,13 @@ def main() -> None:
             "lengths": lengths,
             "seed": 7,
             "timer": "min-of-reps perf_counter",
+            "clock": "wall",
+            "cpu_count": os.cpu_count(),
         },
         "kernels": kernels,
         "threshold": threshold,
         "batch_filter": batch_filter,
+        "pair_batch": pair_batch,
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, indent=2) + "\n")

@@ -106,11 +106,10 @@ class WorkerState:
     engine's ``_LocalResolver``.
 
     Datasets come from the worker's own memory-mapped store blocks;
-    tries, searchers, verifiers and sender-side verification artifacts
-    are built lazily and cached for the pool's lifetime.  Everything is
-    a deterministic function of the store bytes and the configs, so two
-    workers (or a worker and the coordinator) resolving the same
-    reference produce bit-identical state.
+    tries, searchers and verifiers are built lazily and cached for the
+    pool's lifetime.  Everything is a deterministic function of the store
+    bytes and the configs, so two workers (or a worker and the
+    coordinator) resolving the same reference produce bit-identical state.
     """
 
     def __init__(self, init: WorkerInit) -> None:
@@ -122,7 +121,6 @@ class WorkerState:
         self._join_searchers: Dict[Tuple[str, int], Any] = {}
         self._verifiers: Dict[str, Any] = {}
         self._distances: Dict[str, Any] = {}
-        self._sender_data: Dict[Tuple[str, int, int], Any] = {}
         self._counters: Dict[str, int] = {}
 
     def _bump(self, name: str) -> None:
@@ -209,15 +207,16 @@ class WorkerState:
         return VerificationData.from_points(points, self._sides["L"].config.cell_size)
 
     def sender_data(self, side: str, pid: int, row: int):
-        key = (side, pid, int(row))
-        if key not in self._sender_data:
-            from ..core.verify import VerificationData
+        # same rule as the engine's _LocalResolver: the block when the
+        # sending side was built with the join's (the left side's) cell size
+        from ..core.verify import VerificationData
 
-            self._sender_data[key] = VerificationData.from_points(
-                self.dataset(side, pid).points(int(row)),
-                self._sides["L"].config.cell_size,
-            )
-        return self._sender_data[key]
+        cell_size = self._sides["L"].config.cell_size
+        if self._sides[side].config.cell_size == cell_size:
+            return VerificationData.from_block(self.trie(side, pid).batch_block(), int(row))
+        return VerificationData.from_points(
+            self.dataset(side, pid).points(int(row)), cell_size
+        )
 
 
 def _worker_main(worker_id: int, init: WorkerInit, task_q, result_q) -> None:

@@ -142,14 +142,15 @@ def _knn_seed_body(spec: TaskSpec, res: Any) -> Any:
 
     Payload: ``(q_points, row_ids)``.  Returns ``(distance, trajectory
     id)`` pairs in row order — ids are read off the resolver's own id
-    column, never shipped.
+    column, never shipped.  The distances are one ``compute_batch``, so
+    DTW and Fréchet seeds share kernel sweeps.
     """
     q_pts, rows = spec.payload
     part = res.dataset(spec.side, spec.partition_id)
-    dist = res.distance(spec.side)
-    return [
-        (dist.compute(part.points(r), q_pts), int(part.traj_ids[r])) for r in rows
-    ]
+    dists = res.distance(spec.side).compute_batch(
+        [part.points(r) for r in rows], [q_pts] * len(rows)
+    )
+    return [(d, int(part.traj_ids[r])) for d, r in zip(dists, rows)]
 
 
 def _debug_echo_body(spec: TaskSpec, res: Any) -> Any:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,11 @@ from ..distances.erp import erp_threshold
 from ..distances.frechet import frechet_threshold
 from ..distances.hausdorff import hausdorff_threshold
 from ..distances.lcss import lcss_dissimilarity
+from ..kernels.pairbatch import (
+    MIN_BATCH_PAIRS,
+    dtw_double_direction_batch,
+    frechet_threshold_batch,
+)
 from .numerics import slack
 from .verify import Verifier, cell_bound_dtw, cell_bound_frechet
 
@@ -136,6 +141,15 @@ class IndexAdapter:
     def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return dtw_double_direction(t, q, tau)
 
+    def exact_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        """:meth:`exact` of every ``(ts[i], qs[i], taus[i])``, bit for bit
+        — the seam the verifier hands a whole task's surviving pairs to.
+        The default is the per-pair loop; DTW and Fréchet run the pairs
+        through shared kernel sweeps (:mod:`repro.kernels.pairbatch`)."""
+        return [self.exact(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
+
     def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
         return Verifier(
             self.exact,
@@ -154,6 +168,13 @@ class IndexAdapter:
 
 class DTWAdapter(IndexAdapter):
     """Default adapter: additive accumulation with suffix pruning."""
+
+    def exact_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        if len(ts) < MIN_BATCH_PAIRS:
+            return super().exact_batch(ts, qs, taus)
+        return dtw_double_direction_batch(ts, qs, taus).tolist()
 
 
 class FrechetAdapter(IndexAdapter):
@@ -195,6 +216,13 @@ class FrechetAdapter(IndexAdapter):
 
     def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return frechet_threshold(t, q, tau)
+
+    def exact_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        if len(ts) < MIN_BATCH_PAIRS:
+            return super().exact_batch(ts, qs, taus)
+        return frechet_threshold_batch(ts, qs, taus).tolist()
 
     def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
         return Verifier(

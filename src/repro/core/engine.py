@@ -91,15 +91,13 @@ class _LocalResolver:
     :mod:`repro.cluster.tasks` for the protocol;
     :class:`repro.cluster.parallel.WorkerState` is the process twin).
 
-    Query and sender verification artifacts can be *seeded* so the body
-    reuses the exact objects the engine built on the driver — the inline
-    path stays allocation-for-allocation identical to the pre-seam code.
+    Query verification artifacts can be *seeded* so the body reuses the
+    exact objects the engine built on the driver.
     """
 
     def __init__(self, left: "DITAEngine", right: Optional["DITAEngine"] = None) -> None:
         self._engines: Dict[str, "DITAEngine"] = {"L": left, "R": right if right is not None else left}
         self._qdata: Dict[int, VerificationData] = {}
-        self._sender: Dict[Tuple[str, int, int], VerificationData] = {}
         self._join_searchers: Dict[Tuple[str, int], LocalSearcher] = {}
         self._distances: Dict[str, Any] = {}
 
@@ -138,19 +136,14 @@ class _LocalResolver:
             self._qdata[id(points)] = q
         return q
 
-    def seed_sender_data(self, side: str, pid: int, row: int, data: VerificationData) -> None:
-        self._sender[(side, pid, int(row))] = data
-
     def sender_data(self, side: str, pid: int, row: int) -> VerificationData:
-        key = (side, pid, int(row))
-        d = self._sender.get(key)
-        if d is None:
-            d = VerificationData.from_points(
-                self._engines[side].partition(pid).points(int(row)),
-                self._engines["L"].config.cell_size,
-            )
-            self._sender[key] = d
-        return d
+        # a join verifies with the left engine's cell size; a sending side
+        # built with the same one already holds the row's cells in its block
+        eng = self._engines[side]
+        cell_size = self._engines["L"].config.cell_size
+        if eng.config.cell_size == cell_size:
+            return VerificationData.from_block(eng.trie(pid).batch_block(), int(row))
+        return VerificationData.from_points(eng.partition(pid).points(int(row)), cell_size)
 
 
 class DITAEngine:
@@ -618,6 +611,19 @@ class DITAEngine:
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite (no NaN or infinite coordinates)")
         return pts
+
+    def _check_query(self, taus: Iterable[float], queries: Iterable[Trajectory] = ()) -> None:
+        """The read-side twin of :meth:`_checked_points`, called by every
+        query entry point before it does anything: a negative or NaN
+        ``tau`` (``inf`` is legal) and query points that are non-finite or
+        not of the engine's dimensionality raise ``ValueError`` — a NaN
+        fails every comparison on the way down, so it would otherwise come
+        back as an empty (search) or arbitrary (kNN) answer."""
+        for tau in taus:
+            if not tau >= 0:
+                raise ValueError(f"tau must be non-negative, got {tau!r}")
+        for query in queries:
+            self._checked_points(query.points)
 
     def append_trajectory(self, traj_id: int, points) -> int:
         """Buffer a new trajectory in its home partition's delta; returns
@@ -1154,8 +1160,7 @@ class DITAEngine:
         Returns every (trajectory, distance) with ``f(T, Q) <= tau``,
         exact and complete for the engine's distance function.
         """
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
+        self._check_query([tau], [query])
         self._sync_streams()
         tracer = self.cluster.tracer
         track = stats is not None or tracer is not None or self.metrics is not None
@@ -1247,9 +1252,7 @@ class DITAEngine:
             raise ValueError("queries and taus must have equal length")
         if stats is not None and len(stats) != len(queries):
             raise ValueError("stats must have one (possibly None) entry per query")
-        for tau in taus:
-            if tau < 0:
-                raise ValueError("tau must be non-negative")
+        self._check_query(taus, queries)
         self._sync_streams()
         tracer = self.cluster.tracer
         track = stats is not None or tracer is not None or self.metrics is not None
@@ -1357,8 +1360,7 @@ class DITAEngine:
         ``tau``.  ``use_orientation``/``use_division`` toggle the Section 6
         load-balancing mechanisms (for the Figure 16 ablation).
         """
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
+        self._check_query([tau])
         self._sync_streams()
         if other is not self:
             other._sync_streams()

@@ -17,7 +17,7 @@ materialized anywhere in the join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .config import DITAConfig
 from .costmodel import BiEdge, Node, OrientationPlan, plan_join
 from .numerics import slack
 from .search import SearchStats
-from .verify import VerificationData
 
 #: join output: (left trajectory id, right trajectory id, distance)
 JoinPair = Tuple[int, int, float]
@@ -224,11 +223,11 @@ class JoinExecutor:
         js.plan = plan
         js.partition_pairs = len(plan.edges)
         results: List[JoinPair] = []
-        sender_data: Dict[tuple, VerificationData] = {}
         resolver = _LocalResolver(self.left, self.right)
         # pass 1 — drive-side planning only (no cluster charges): per edge,
-        # select the shipped rows, build their verification artifacts, and
-        # describe each division chunk as a backend-neutral task
+        # select the shipped rows and describe each division chunk as a
+        # backend-neutral task (a shipped row's verification artifacts are
+        # read out of its partition's block where the chunk runs)
         edge_batches: List[dict] = []
         n_tasks = 0
         for edge in plan.edges:
@@ -253,19 +252,6 @@ class JoinExecutor:
             )
             if shipped.shape[0] == 0:
                 continue
-            # build each shipped row's verification artifacts exactly once,
-            # before chunking — the same row may be queried by several
-            # division replicas and across edges in both directions.  Rows
-            # are per-partition, so the key carries the sending side + pid.
-            side_pid = (edge.direction == "qt", send_node[1])
-            for r in shipped.tolist():
-                data_key = (side_pid, r)
-                if data_key not in sender_data:
-                    data = VerificationData.from_points(
-                        senders.points(r), self.config.cell_size
-                    )
-                    sender_data[data_key] = data
-                    resolver.seed_sender_data(send_side, send_node[1], r, data)
             nbytes = int(senders.lengths[shipped].sum()) * senders.ndim * 8
             src_pid = self._cluster_pid(send_node)
             dst_pid = self._cluster_pid(recv_node)

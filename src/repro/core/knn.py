@@ -179,6 +179,7 @@ def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbou
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    engine._check_query([], [query])
     # fold pending deltas BEFORE seeding: _seed_tau and _full_pool read
     # partition blocks directly, and without this sync a buffered append
     # was invisible to them (undercounting results when k exceeds the

@@ -65,9 +65,12 @@ class LocalSearcher:
         stats: Optional[List[Optional[SearchStats]]] = None,
     ) -> List[List[Tuple[int, float]]]:
         """The row-native core: many queries (as raw point arrays) against
-        this partition in one frontier sweep plus one batched verify per
-        query.  Returns accepted ``(dataset row, distance)`` pairs per
-        query — no ``Trajectory`` is materialized anywhere on this path.
+        this partition in one frontier sweep, one batched filter pass per
+        query, then one exact stage over every surviving ``(row, query)``
+        pair of the whole call — so a task's pairs share their kernel
+        sweeps (:mod:`repro.kernels.pairbatch`).  Returns accepted
+        ``(dataset row, distance)`` pairs per query — no ``Trajectory`` is
+        materialized anywhere on this path.
         """
         fstats = None if stats is None else [
             s.filter if s is not None else None for s in stats
@@ -76,21 +79,22 @@ class LocalSearcher:
             list(q_points_list), list(taus), self.adapter, fstats
         )
         block = self.trie.batch_block()
-        dataset = self.trie.dataset
-        out: List[List[Tuple[int, float]]] = []
+        vstats = None if stats is None else [
+            s.verify if s is not None else None for s in stats
+        ]
+        survivors: List[np.ndarray] = []
         for i, (q_pts, tau, rows) in enumerate(zip(q_points_list, taus, cand_rows)):
             q_data = q_datas[i] if q_datas is not None else None
             if q_data is None:
                 q_data = VerificationData.from_points(q_pts, self.trie.config.cell_size)
-            vstats = None
-            if stats is not None and stats[i] is not None:
-                vstats = stats[i].verify
-            out.append(
-                self.verifier.verify_rows(
-                    block, dataset, rows, q_pts, tau, q_data, stats=vstats
+            survivors.append(
+                self.verifier.filter_rows(
+                    block, rows, tau, q_data, None if vstats is None else vstats[i]
                 )
             )
-        return out
+        return self.verifier.exact_rows(
+            self.trie.dataset, survivors, q_points_list, taus, vstats
+        )
 
     def search(
         self,

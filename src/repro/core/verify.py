@@ -55,6 +55,15 @@ class VerificationData:
         pts = np.asarray(points, dtype=np.float64)
         return cls(mbr=MBR.of_points(pts), cells=CellSet.from_points(pts, cell_size))
 
+    @classmethod
+    def from_block(cls, block: TrajectoryBlock, row: int) -> "VerificationData":
+        """The artifacts of dataset row ``row`` read back out of its
+        partition's block — what :meth:`from_points` would compute from the
+        row's points at the block's cell size, without the compression."""
+        return cls(
+            mbr=MBR(block.mbr_low[row], block.mbr_high[row]), cells=block.cellset_of(row)
+        )
+
 
 from .numerics import slack as _slack
 
@@ -162,34 +171,44 @@ class Verifier:
             stats.accepted += 1
         return d
 
-    def verify_rows(
+    def exact_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        """``exact_fn(ts[i], qs[i], taus[i])`` for every ``i``, bit for bit.
+
+        As with the built-in cell bounds, an ``exact_fn`` this package
+        supplied has a batched equivalent: an adapter's ``exact`` comes
+        with that adapter's ``exact_batch``, which may run many pairs per
+        kernel sweep (:mod:`repro.kernels.pairbatch`).  Any other callable
+        is looped over."""
+        batch = getattr(getattr(self.exact_fn, "__self__", None), "exact_batch", None)
+        if batch is not None:
+            return batch(ts, qs, taus)
+        return [self.exact_fn(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
+
+    def filter_rows(
         self,
         block: TrajectoryBlock,
-        dataset,
         rows: np.ndarray,
-        q_points: np.ndarray,
         tau: float,
         q_data: VerificationData,
         stats: Optional[VerifyStats] = None,
-    ) -> List[Tuple[int, float]]:
-        """Staged verification of a whole candidate row list at once.
+    ) -> np.ndarray:
+        """The two filter stages over a whole candidate row list.
 
         ``rows`` are dataset row indices (the trie filter's output) and
         ``block`` is the partition's stacked verification artifacts in the
-        same row space, so no id translation happens anywhere: the Lemma
-        5.4 and Lemma 5.6 filter stages run as matrix operations over the
-        block, and only survivors reach ``exact_fn`` — fed zero-copy point
-        views straight out of the columnar dataset, never a materialized
-        ``Trajectory``.  Returns accepted ``(row, distance)`` pairs in
-        candidate order, with the same answers and the same
-        :class:`VerifyStats` counts as calling :meth:`verify` per pair.
+        same row space, so no id translation happens anywhere: Lemma 5.4
+        and Lemma 5.6 run as matrix operations over the block.  Returns
+        the surviving rows in candidate order, having counted the list and
+        what each stage pruned exactly as :meth:`verify` does per pair.
         Verifiers with a custom scalar cell bound (no batched equivalent)
         evaluate it per row over the block's cell segments.
         """
         rows = np.asarray(rows, dtype=np.int64)
         k = int(rows.shape[0])
         if k == 0:
-            return []
+            return rows
         if stats is not None:
             stats.pairs += k
         slack = _slack(tau)
@@ -213,14 +232,61 @@ class Verifier:
             if stats is not None:
                 stats.pruned_by_cells += int(rows.shape[0] - int(mask.sum()))
             rows = rows[np.nonzero(mask)[0]]
-        q_points = np.asarray(q_points, dtype=np.float64)
-        out: List[Tuple[int, float]] = []
-        for r in rows.tolist():
-            if stats is not None:
-                stats.exact_computed += 1
-            d = self.exact_fn(dataset.points(r), q_points, tau)
-            if d <= tau:
-                if stats is not None:
-                    stats.accepted += 1
-                out.append((r, d))
+        return rows
+
+    def exact_rows(
+        self,
+        dataset,
+        rows_per_query: Sequence[np.ndarray],
+        q_points_list: Sequence[np.ndarray],
+        taus: Sequence[float],
+        stats: Optional[Sequence[Optional[VerifyStats]]] = None,
+    ) -> List[List[Tuple[int, float]]]:
+        """The exact stage for every surviving pair of a task at once.
+
+        ``rows_per_query[i]`` are query ``i``'s survivors of
+        :meth:`filter_rows`.  All ``(row, query)`` pairs go to
+        :meth:`exact_batch` together — fed zero-copy point views straight
+        out of the columnar dataset, never a materialized ``Trajectory`` —
+        and come back per query as accepted ``(row, distance)`` pairs in
+        candidate order, with the counts :meth:`verify` would have made.
+        """
+        row_lists = [rows.tolist() for rows in rows_per_query]
+        ts: List[np.ndarray] = []
+        qs: List[np.ndarray] = []
+        pair_taus: List[float] = []
+        for rows, q_points, tau in zip(row_lists, q_points_list, taus):
+            q_points = np.asarray(q_points, dtype=np.float64)
+            ts.extend(dataset.points(r) for r in rows)
+            qs.extend([q_points] * len(rows))
+            pair_taus.extend([tau] * len(rows))
+        dists = self.exact_batch(ts, qs, pair_taus) if ts else []
+        out: List[List[Tuple[int, float]]] = []
+        at = 0
+        for i, (rows, tau) in enumerate(zip(row_lists, taus)):
+            n = len(rows)
+            matches = [(r, d) for r, d in zip(rows, dists[at : at + n]) if d <= tau]
+            at += n
+            if stats is not None and stats[i] is not None:
+                stats[i].exact_computed += n
+                stats[i].accepted += len(matches)
+            out.append(matches)
         return out
+
+    def verify_rows(
+        self,
+        block: TrajectoryBlock,
+        dataset,
+        rows: np.ndarray,
+        q_points: np.ndarray,
+        tau: float,
+        q_data: VerificationData,
+        stats: Optional[VerifyStats] = None,
+    ) -> List[Tuple[int, float]]:
+        """Staged verification of one query's candidate row list:
+        :meth:`filter_rows`, then :meth:`exact_rows` on what is left.
+        Returns accepted ``(row, distance)`` pairs in candidate order, with
+        the same answers and the same :class:`VerifyStats` counts as
+        calling :meth:`verify` per pair."""
+        rows = self.filter_rows(block, rows, tau, q_data, stats)
+        return self.exact_rows(dataset, [rows], [q_points], [tau], [stats])[0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -51,6 +51,12 @@ class TrajectoryDistance(ABC):
     @abstractmethod
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         """Exact distance between point arrays ``t`` (m, d) and ``q`` (n, d)."""
+
+    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
+        """:meth:`compute` of every ``(ts[i], qs[i])``, bit for bit.  The
+        default loops; DTW and Fréchet run the pairs through shared kernel
+        sweeps (:mod:`repro.kernels.pairbatch`)."""
+        return [self.compute(t, q) for t, q in zip(ts, qs)]
 
     def lower_bound(self, t: np.ndarray, q: np.ndarray) -> float:
         """Cheap admissible bound: ``lower_bound(t, q) <= compute(t, q)``."""

@@ -24,10 +24,12 @@ and :func:`dtw_threshold_reference` for differential testing and for the
 from __future__ import annotations
 
 import math
+from typing import List, Sequence
 
 import numpy as np
 
 from ..geometry.point import pairwise_distances
+from ..kernels.pairbatch import MIN_BATCH_PAIRS, dtw_batch
 from ..kernels.wavefront import (
     dtw_wavefront,
     dtw_wavefront_last_row,
@@ -229,6 +231,11 @@ class DTWDistance(TrajectoryDistance):
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return dtw(t, q)
+
+    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
+        if len(ts) < MIN_BATCH_PAIRS:
+            return super().compute_batch(ts, qs)
+        return dtw_batch(ts, qs).tolist()
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return dtw_double_direction(t, q, tau)

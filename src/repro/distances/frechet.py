@@ -16,10 +16,12 @@ per-cell loops remain as ``*_reference`` oracles for differential testing.
 from __future__ import annotations
 
 import math
+from typing import List, Sequence
 
 import numpy as np
 
 from ..geometry.point import pairwise_distances
+from ..kernels.pairbatch import MIN_BATCH_PAIRS, frechet_batch
 from ..kernels.wavefront import frechet_wavefront, frechet_wavefront_threshold
 from .base import TrajectoryDistance, register_distance
 
@@ -115,6 +117,11 @@ class FrechetDistance(TrajectoryDistance):
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return frechet(t, q)
+
+    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
+        if len(ts) < MIN_BATCH_PAIRS:
+            return super().compute_batch(ts, qs)
+        return frechet_batch(ts, qs).tolist()
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return frechet_threshold(t, q, tau)

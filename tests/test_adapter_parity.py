@@ -167,3 +167,96 @@ class TestDeltaParity:
         want = merged.search_batch_rows(queries, tau_list, s_merged)
         assert got == want, name
         assert [stats_tuple(s) for s in s_delta] == [stats_tuple(s) for s in s_merged], name
+
+
+class TestVerifySeamParity:
+    """``search_rows_batch`` filters every query and then verifies every
+    survivor of the call through ``exact_batch`` (DTW and Fréchet: shared
+    kernel sweeps; the rest: the default loop).  It must answer — rows,
+    distances to the bit, and every ``SearchStats`` count — exactly as a
+    loop of ``Verifier.verify`` over each query's candidates does."""
+
+    @staticmethod
+    def _per_pair(trie, adapter, verifier, q_points, tau):
+        from repro.core.search import SearchStats
+        from repro.core.verify import VerificationData
+        from repro.trajectory import Trajectory
+
+        cell = trie.config.cell_size
+        stats = SearchStats()
+        rows = trie.filter_candidates(q_points, tau, adapter, stats.filter)
+        q = Trajectory(-1, q_points)
+        q_data = VerificationData.of(q, cell)
+        out = []
+        for r in rows.tolist():
+            t = trie.dataset.view(r)
+            d = verifier.verify(t, q, tau, VerificationData.of(t, cell), q_data, stats.verify)
+            if d <= tau:
+                out.append((r, d))
+        return out, stats
+
+    @pytest.mark.parametrize("name,make_adapter,taus", ADAPTERS, ids=[a[0] for a in ADAPTERS])
+    def test_rows_and_stats_identical_to_per_pair_verify(
+        self, trie_and_queries, name, make_adapter, taus
+    ):
+        import dataclasses
+        import struct
+
+        from repro.core.search import LocalSearcher, SearchStats
+
+        trie, queries = trie_and_queries
+        adapter = make_adapter()
+        searcher = LocalSearcher(trie, adapter)
+        # every query at every threshold — and once far above it, so many
+        # pairs survive the filters — in ONE call: pairs of different
+        # queries and thresholds share their sweeps
+        tau_list = [tau for tau in [*taus, 4 * taus[-1]] for _ in queries]
+        q_list = queries * (len(taus) + 1)
+        stats = [SearchStats() for _ in q_list]
+        got = searcher.search_rows_batch(q_list, tau_list, None, stats)
+        survivors = 0
+        for q, tau, matches, s in zip(q_list, tau_list, got, stats):
+            want, want_stats = self._per_pair(trie, adapter, searcher.verifier, q, tau)
+            assert matches == want, (name, tau)
+            assert [struct.pack("<d", d) for _, d in matches] == [
+                struct.pack("<d", d) for _, d in want
+            ]
+            assert all(type(d) is float for _, d in matches)
+            assert dataclasses.asdict(s) == dataclasses.asdict(want_stats), (name, tau)
+            survivors += s.verify.exact_computed
+        assert survivors >= 2, "the call never had pairs to share a sweep"
+
+    @pytest.mark.parametrize("name,make_adapter,taus", ADAPTERS, ids=[a[0] for a in ADAPTERS])
+    def test_join_identical_with_the_seam_forced_per_pair(
+        self, monkeypatch, name, make_adapter, taus
+    ):
+        """The same join with ``exact_batch`` replaced by the loop over
+        ``exact_fn``: pairs, distances and ``JoinStats`` counts equal."""
+        import dataclasses
+
+        from repro.core.engine import DITAEngine
+        from repro.core.join import JoinStats
+        from repro.core.verify import Verifier
+
+        def counts(js):
+            d = dataclasses.asdict(js)
+            d.pop("plan")
+            return d
+
+        cfg = DITAConfig(num_global_partitions=2, trie_fanout=3, num_pivots=2, trie_leaf_capacity=3)
+        engine = DITAEngine(citywide_dataset(60, seed=71), cfg, make_adapter())
+        tau = taus[-1]
+        batched_stats = JoinStats()
+        batched = engine.join(engine, tau, stats=batched_stats)
+        monkeypatch.setattr(
+            Verifier,
+            "exact_batch",
+            lambda self, ts, qs, ts_taus: [
+                self.exact_fn(t, q, x) for t, q, x in zip(ts, qs, ts_taus)
+            ],
+        )
+        looped_stats = JoinStats()
+        looped = engine.join(engine, tau, stats=looped_stats)
+        assert batched == looped, name
+        assert counts(batched_stats) == counts(looped_stats), name
+        assert batched_stats.verified_pairs > 0

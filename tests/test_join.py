@@ -163,3 +163,109 @@ class TestJoinStatsSemantics:
         got_b = {k: without.metrics.value(k) for k in keys}
         assert got_a == got_b
         assert got_a["join.candidate_pairs"] > 0
+
+
+class TestSenderCells:
+    """A shipped row's MBR and cells are read out of its partition's block
+    (built with the index) instead of being recompressed for every join;
+    only a sending side built with another ``cell_size`` than the join's
+    (the left engine's) falls back to compressing the row's points."""
+
+    @pytest.fixture()
+    def compressions(self, monkeypatch):
+        """Counts ``CellSet.from_points`` calls from here on."""
+        from repro.geometry.cell import CellSet
+
+        calls = []
+        original = CellSet.from_points.__func__
+
+        def counting(cls, points, side):
+            calls.append(side)
+            return original(cls, points, side)
+
+        monkeypatch.setattr(CellSet, "from_points", classmethod(counting))
+        return calls
+
+    def test_self_join_compresses_nothing(self, left, cfg, compressions):
+        engine = DITAEngine(left, cfg)
+        built = len(compressions)
+        assert built == len(left)  # the index build compressed every row once
+        stats = JoinStats()
+        pairs = engine.self_join(0.003, stats=stats)
+        assert len(compressions) == built
+        assert stats.trajectories_shipped > 0 and pairs
+
+    def test_worker_resolver_compresses_nothing(self, left, cfg, tmp_path, compressions):
+        """The process backend's resolver, driven in this process: the same
+        chunk bodies over a mapped store give the simulated backend's
+        answers without one compression beyond the trie builds."""
+        from repro import build_store
+        from repro.cluster.parallel import SideInit, WorkerInit, WorkerState
+        from repro.cluster.tasks import TaskSpec, run_task_body
+        from repro.core.engine import _LocalResolver
+        from repro.storage import TrajectoryStore
+
+        build_store(left, tmp_path / "store", n_groups=cfg.num_global_partitions)
+        engine = DITAEngine.from_store(TrajectoryStore.open(tmp_path / "store"), cfg, lazy=False)
+        side = SideInit(store_path=str(tmp_path / "store"), config=cfg, adapter=engine.adapter)
+        worker = WorkerState(WorkerInit(sides=(("L", side), ("R", side))))
+        pids = engine.partition_pids()
+        for pid in pids:
+            worker.trie("L", pid)
+            engine.trie(pid).batch_block()  # a store engine stacks blocks on first use
+        built = len(compressions)
+        local = _LocalResolver(engine)
+        shipped = 0
+        for send in pids:
+            rows = tuple(int(r) for r in engine.partition(send).alive_rows())
+            for recv in pids:
+                spec = TaskSpec(0, "join.chunk", "L", recv, ("L", send, rows, 0.003))
+                got, got_stats = run_task_body(spec, worker)
+                want, want_stats = run_task_body(spec, local)
+                assert got == want and got_stats == want_stats
+                shipped += len(rows)
+        assert shipped and len(compressions) == built
+
+    def test_two_engines_with_different_cell_size(self, left, right, cfg, compressions):
+        """The fallback: the right side's blocks hold cells of another
+        size, so its shipped rows are compressed at the join's size."""
+        from dataclasses import replace
+
+        left_engine = DITAEngine(left, cfg)
+        right_engine = DITAEngine(right, replace(cfg, cell_size=cfg.cell_size * 3))
+        built = len(compressions)
+        stats = JoinStats()
+        got = sorted((a, b) for a, b, _ in left_engine.join(right_engine, 0.003, stats=stats))
+        assert got == brute_force_join(left, right, get_distance("dtw"), 0.003)
+        fallback = compressions[built:]
+        assert fallback and set(fallback) == {cfg.cell_size}
+        # the other way round the left side (the join's cell size) ships
+        # from its blocks and the right side still falls back
+        assert sorted(
+            (b, a) for a, b, _ in right_engine.join(left_engine, 0.003)
+        ) == got
+
+    def test_self_join_after_append_and_remove(self, left, right, cfg, compressions):
+        """Writes rebuild the partitions they touch (flush-on-read), block
+        included: the join reads the new rows' cells from the new blocks."""
+        engine = DITAEngine(left, cfg)
+        extra = list(right)[:12]
+        for t in extra:
+            engine.append_trajectory(10_000 + t.traj_id, t.points)
+        removed = [t.traj_id for t in list(left)[:5]]
+        for tid in removed:
+            assert engine.remove_trajectory(tid)
+        from repro.trajectory import Trajectory
+
+        logical = [t for t in left if t.traj_id not in removed] + [
+            Trajectory(10_000 + t.traj_id, t.points) for t in extra
+        ]
+        got = sorted((a, b) for a, b, _ in engine.self_join(0.003))
+        want = sorted(
+            (a, b) for a, b in brute_force_join(logical, logical, get_distance("dtw"), 0.003) if a < b
+        )
+        assert got == want
+        # every compression so far is an index build at the engine's size
+        before = len(compressions)
+        engine.self_join(0.003)
+        assert len(compressions) == before

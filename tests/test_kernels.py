@@ -13,9 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distances import (
     dtw,
+    dtw_double_direction,
     dtw_reference,
     dtw_threshold,
     dtw_threshold_reference,
@@ -30,7 +33,7 @@ from repro.distances import (
     frechet_threshold,
 )
 from repro.distances.dtw import _forward_rows
-from repro.kernels import dtw_wavefront_last_row
+from repro.kernels import dtw_wavefront_last_row, pairbatch
 
 EDR_EPS = 0.002
 
@@ -166,3 +169,148 @@ class TestValidation:
             frechet(np.zeros((3, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             erp(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))
+
+
+# --------------------------------------------------------------------- #
+# pair-batched sweeps vs. the per-pair kernels: bit equality
+# --------------------------------------------------------------------- #
+
+TAU_KINDS = ("zero", "tiny", "half", "exact", "double", "huge", "inf")
+PAIR_KINDS = ("identical", "near", "far")
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _tau(kind: str, exact: float) -> float:
+    return {
+        "zero": 0.0, "tiny": 1e-12, "half": exact * 0.5, "exact": exact,
+        "double": exact * 2.0 + 1e-9, "huge": 1e12, "inf": math.inf,
+    }[kind]
+
+
+def _ragged_batch(rng, shapes, d):
+    """Pairs for ``shapes`` = [(m, n, pair kind), ...]: a trajectory against
+    itself, against a noisy resampling of itself, or against another walk."""
+    ts, qs = [], []
+    for m, n, kind in shapes:
+        t = _walk(rng, m, d)
+        if kind == "identical":
+            q = t.copy()
+        elif kind == "near":
+            q = t[np.sort(rng.integers(0, m, size=n))] + rng.normal(scale=1e-4, size=(n, d))
+        else:
+            q = _walk(rng, n, d)
+        ts.append(t)
+        qs.append(q)
+    return ts, qs
+
+
+def _assert_batches_bit_equal(ts, qs, tau_kinds):
+    """All four batched entry points against their per-pair kernels, with
+    each pair's thresholds placed relative to its own exact distance."""
+    full_dtw = [dtw(t, q) for t, q in zip(ts, qs)]
+    full_fre = [frechet(t, q) for t, q in zip(ts, qs)]
+    assert np.array_equal(_bits(pairbatch.dtw_batch(ts, qs)), _bits(full_dtw))
+    assert np.array_equal(_bits(pairbatch.frechet_batch(ts, qs)), _bits(full_fre))
+    taus = [_tau(k, d) for k, d in zip(tau_kinds, full_dtw)]
+    want = [dtw_double_direction(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
+    got = pairbatch.dtw_double_direction_batch(ts, qs, taus)
+    assert np.array_equal(_bits(got), _bits(want)), (taus, got, want)
+    taus = [_tau(k, d) for k, d in zip(tau_kinds, full_fre)]
+    want = [frechet_threshold(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
+    got = pairbatch.frechet_threshold_batch(ts, qs, taus)
+    assert np.array_equal(_bits(got), _bits(want)), (taus, got, want)
+
+
+class TestPairBatchBitIdentity:
+    """``view(uint64)`` equality, not ``approx``: the engine's byte-identity
+    contracts (and the benchmark's per-pair replay) ride on it."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fixed_ragged_batch(self, d):
+        rng = np.random.default_rng(7 + d)
+        shapes = [
+            (1, 1, "far"), (1, 9, "far"), (9, 1, "far"), (1, 1, "identical"),
+            (2, 2, "near"), (2, 80, "far"), (80, 2, "near"), (3, 3, "identical"),
+            (24, 24, "near"), (40, 40, "near"), (24, 40, "far"), (80, 80, "near"),
+            (80, 79, "identical"), (17, 64, "near"), (5, 13, "far"), (64, 63, "near"),
+        ]
+        ts, qs = _ragged_batch(rng, shapes, d)
+        # every pair at every threshold kind, and one batch where the
+        # thresholds differ from pair to pair
+        for kind in TAU_KINDS:
+            _assert_batches_bit_equal(ts, qs, [kind] * len(ts))
+        _assert_batches_bit_equal(ts, qs, [TAU_KINDS[i % len(TAU_KINDS)] for i in range(len(ts))])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 80), st.integers(1, 80),
+                st.sampled_from(PAIR_KINDS), st.sampled_from(TAU_KINDS),
+            ),
+            min_size=1, max_size=10,
+        ),
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_ragged_batches(self, rows, d, seed):
+        ts, qs = _ragged_batch(np.random.default_rng(seed), [r[:3] for r in rows], d)
+        _assert_batches_bit_equal(ts, qs, [r[3] for r in rows])
+
+    def test_shuffled_batch_scatters_back(self):
+        """Bucketing sorts pairs by table size; answers must come back in
+        the caller's order whatever order that was."""
+        rng = np.random.default_rng(23)
+        shapes = [(int(m), int(n), "near") for m, n in rng.integers(2, 60, size=(40, 2))]
+        ts, qs = _ragged_batch(rng, shapes, 2)
+        taus = [dtw(t, q) * (0.5 + i % 3) for i, (t, q) in enumerate(zip(ts, qs))]
+        want = pairbatch.dtw_double_direction_batch(ts, qs, taus)
+        order = rng.permutation(len(ts))
+        got = pairbatch.dtw_double_direction_batch(
+            [ts[i] for i in order], [qs[i] for i in order], [taus[i] for i in order]
+        )
+        assert np.array_equal(_bits(got), _bits(want[order]))
+        assert np.array_equal(
+            _bits(want), _bits([dtw_double_direction(t, q, tau) for t, q, tau in zip(ts, qs, taus)])
+        )
+
+    def test_sweep_volume_is_capped(self, monkeypatch):
+        """Two 1,500-point pairs among 60 short ones: no sweep's padded
+        frame exceeds MAX_SWEEP_VOLUME (the long pairs run on their own,
+        not in a frame that pads the short ones up to their size)."""
+        rng = np.random.default_rng(31)
+        shapes = [(30, 30, "near")] * 60
+        shapes[17] = shapes[44] = (1500, 1500, "near")
+        ts, qs = _ragged_batch(rng, shapes, 2)
+        taus = [0.05] * len(ts)
+        volumes = []
+        sweep = pairbatch._sweep
+
+        def recording(tables, table_taus, combine):
+            rows = max(w.shape[0] for w in tables)
+            cols = max(w.shape[1] for w in tables)
+            volumes.append((rows * cols * len(tables), len(tables)))
+            return sweep(tables, table_taus, combine)
+
+        monkeypatch.setattr(pairbatch, "_sweep", recording)
+        got = pairbatch.dtw_double_direction_batch(ts, qs, taus)
+        assert max(v for v, _ in volumes) <= pairbatch.MAX_SWEEP_VOLUME
+        assert sum(n for _, n in volumes) == 2 * len(ts)
+        # one long pair (two half-tables) fits a sweep, the two together do not
+        assert 750 * 1500 * 2 <= pairbatch.MAX_SWEEP_VOLUME < 750 * 1500 * 4
+        assert volumes.count((750 * 1500 * 2, 2)) == 2  # each ran as a batch of one
+        for i in (0, 17, 44, 59):
+            assert _bits(got[i]) == _bits(dtw_double_direction(ts[i], qs[i], taus[i]))
+
+    def test_rejects_what_the_per_pair_kernels_reject(self):
+        ok = np.zeros((3, 2))
+        for batch in (pairbatch.dtw_batch, pairbatch.frechet_batch):
+            with pytest.raises(ValueError):
+                batch([ok, np.zeros((0, 2))], [ok, ok])
+            with pytest.raises(ValueError):
+                batch([ok, ok], [ok, np.zeros((3, 3))])
+        with pytest.raises(ValueError):
+            pairbatch.dtw_double_direction_batch([np.zeros((0, 2))], [ok], [1.0])

@@ -140,3 +140,70 @@ class TestEngineConfigVariants:
 
     def test_build_time_recorded(self, dtw_engine):
         assert dtw_engine.build_time_s > 0
+
+
+QUERY_ENTRIES = ["search", "search_batch", "self_join", "knn_search", "knn_join", "sql"]
+BAD_QUERIES = {
+    "negative tau": dict(tau=-0.1),
+    "nan tau": dict(tau=float("nan")),
+    "nan coordinate": dict(points=[(116.3, 39.9), (float("nan"), 39.9)]),
+    "infinite coordinate": dict(points=[(116.3, 39.9), (116.3, float("inf"))]),
+    "three dimensions": dict(points=[(116.3, 39.9, 0.0), (116.4, 39.9, 0.0)]),
+}
+#: an entry point meets the bad inputs it takes: the kNN calls and the SQL
+#: literal have no tau to get wrong, a self-join no query
+BAD_QUERY_CASES = [
+    (entry, bad)
+    for entry in QUERY_ENTRIES
+    for bad, case in BAD_QUERIES.items()
+    if ("tau" in case and entry in ("search", "search_batch", "self_join"))
+    or ("points" in case and entry != "self_join")
+]
+
+
+class TestQueryValidation:
+    """Every query entry point rejects, with ``ValueError`` and before doing
+    any work, what would otherwise come back as a wrong answer: a NaN
+    fails every comparison on the way down (an empty search result, three
+    arbitrary kNN neighbours) and a wrong dimensionality surfaces as a
+    numpy broadcasting error from deep inside a kernel."""
+
+    @staticmethod
+    def _call(entry, engine, city, query, tau):
+        from repro.core.knn import knn_join, knn_search
+        from repro.sql import DITASession
+
+        if entry == "search":
+            return engine.search(query, tau)
+        if entry == "search_batch":
+            good = sample_queries(city, 1, seed=2)[0]
+            return engine.search_batch([good, query], [0.003, tau])
+        if entry == "self_join":
+            return engine.self_join(tau)
+        if entry == "knn_search":
+            return knn_search(engine, query, 3)
+        if entry == "knn_join":
+            return knn_join(engine, DITAEngine([query], engine.config), 3)
+        session = DITASession(engine.config)
+        session.register("taxi", city)
+        session.catalog.get("taxi").engine = engine
+        return session.sql(
+            "SELECT traj_id FROM taxi WHERE DTW(taxi, :q) <= 0.003", params={"q": query}
+        )
+
+    @pytest.mark.parametrize("entry,bad", BAD_QUERY_CASES, ids=[f"{e}-{b}" for e, b in BAD_QUERY_CASES])
+    def test_rejected_at_the_boundary(self, dtw_engine, city, entry, bad):
+        from repro.trajectory import Trajectory
+
+        case = BAD_QUERIES[bad]
+        query = Trajectory(-7, case.get("points", sample_queries(city, 1, seed=1)[0].points))
+        generation = dtw_engine.generation
+        with pytest.raises(ValueError, match="tau must be|points must be"):
+            self._call(entry, dtw_engine, city, query, case.get("tau", 0.003))
+        assert dtw_engine.generation == generation
+
+    def test_infinite_tau_stays_legal(self, dtw_engine, city):
+        import math
+
+        q = sample_queries(city, 1, seed=1)[0]
+        assert dtw_engine.search_ids(q, math.inf) == sorted(t.traj_id for t in city)
