@@ -24,7 +24,6 @@ from .parallel import (
     SideInit,
     TaskResult,
     WorkerInit,
-    schedule_makespan,
 )
 from .partitioner import DITAPartitioner, RandomPartitioner
 from .simulator import Cluster, Worker
@@ -54,7 +53,6 @@ __all__ = [
     "pickle_budget",
     "register_task_kind",
     "run_task_body",
-    "schedule_makespan",
     "unit_cost_measure",
     "wall_clock",
     "wall_clock_measure",

@@ -12,11 +12,13 @@ executor fleet would attach to DITA's storage tier:
   only ``(partition id, row ids, query payload)``; the pool enforces
   that with :func:`~repro.cluster.tasks.pickle_budget` before anything
   is sent;
-* **per-worker lazy index caches** — a worker builds a partition's
-  :class:`~repro.core.trie.TrieIndex` the first time a task touches it
-  and keeps it for the pool's lifetime, keyed by ``(side, partition)``
-  exactly like the coordinator's own caches (LocationSpark's
-  executor-side local indexing);
+* **a worker is a store-backed engine** — :func:`open_sides` gives each
+  worker one lazy ``DITAEngine.from_store`` per distinct engine side, and
+  tasks resolve through the coordinator's own resolver class, so a
+  partition's block is mapped and its
+  :class:`~repro.core.trie.TrieIndex` built the first time a task
+  touches it, by the code path the coordinator plans against, and kept
+  for the pool's lifetime (LocationSpark's executor-side local indexing);
 * **deque-based work stealing** — the coordinator keeps one task deque
   per worker, seeded by partition affinity; an idle worker steals *half*
   of the most-loaded peer's deque (from the tail, so the victim keeps
@@ -74,15 +76,13 @@ class SideInit:
     config: Any
     #: the side's index adapter (a picklable frozen dataclass)
     adapter: Any
-    #: tombstones to replay: ((partition id, (row, ...)), ...)
-    dead_rows: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
 class WorkerInit:
     """Everything a spawned worker needs to mirror the coordinator's
-    view: per-side store paths, configs, adapters and tombstones.  No
-    coordinate bytes — workers map their own."""
+    view: per-side store paths, configs and adapters.  No coordinate
+    bytes — workers map their own."""
 
     sides: Tuple[Tuple[str, SideInit], ...]
 
@@ -96,148 +96,58 @@ class TaskResult:
     #: worker-local monotonic interval of the body execution
     t0: float
     t1: float
-    #: worker-side counter deltas attributed to this task (trie builds,
-    #: block maps, ...)
-    counters: Dict[str, int]
 
 
-class WorkerState:
-    """A worker process's resolver: the process-backend twin of the
-    engine's ``_LocalResolver``.
+def open_sides(init: WorkerInit) -> Dict[str, Any]:
+    """A worker's engines, ``{side name: engine}``: one lazily-loading
+    :meth:`~repro.core.engine.DITAEngine.from_store` engine per *distinct*
+    :class:`SideInit` — a self-join's equal ``L``/``R`` sides share one, so
+    each block is mapped and each trie built once per worker.  The engines
+    run inline (``backend="simulated"``): a worker never owns a pool."""
+    from ..core.engine import DITAEngine
+    from ..storage.store import TrajectoryStore
 
-    Datasets come from the worker's own memory-mapped store blocks;
-    tries, searchers and verifiers are built lazily and cached for the
-    pool's lifetime.  Everything is a deterministic function of the store
-    bytes and the configs, so two workers (or a worker and the
-    coordinator) resolving the same reference produce bit-identical state.
-    """
-
-    def __init__(self, init: WorkerInit) -> None:
-        self._sides: Dict[str, SideInit] = dict(init.sides)
-        self._stores: Dict[str, Any] = {}
-        self._datasets: Dict[Tuple[str, int], Any] = {}
-        self._tries: Dict[Tuple[str, int], Any] = {}
-        self._searchers: Dict[Tuple[str, int], Any] = {}
-        self._join_searchers: Dict[Tuple[str, int], Any] = {}
-        self._verifiers: Dict[str, Any] = {}
-        self._distances: Dict[str, Any] = {}
-        self._counters: Dict[str, int] = {}
-
-    def _bump(self, name: str) -> None:
-        self._counters[name] = self._counters.get(name, 0) + 1
-
-    def take_counters(self) -> Dict[str, int]:
-        """Counter deltas since the last call (attributed to one task)."""
-        out = self._counters
-        self._counters = {}
-        return out
-
-    # ------------------------------------------------------------------ #
-    # the resolver protocol (see repro.cluster.tasks)
-    # ------------------------------------------------------------------ #
-
-    def _store(self, side: str):
-        if side not in self._stores:
-            from ..storage.store import TrajectoryStore
-
-            self._stores[side] = TrajectoryStore.open(self._sides[side].store_path)
-        return self._stores[side]
-
-    def dataset(self, side: str, pid: int):
-        key = (side, pid)
-        if key not in self._datasets:
-            part = self._store(side).partition(pid)
-            for dead_pid, rows in self._sides[side].dead_rows:
-                if dead_pid == pid and rows:
-                    part.mark_rows_removed(rows)
-            self._datasets[key] = part
-            self._bump("pool.blocks_mapped")
-        return self._datasets[key]
-
-    def trie(self, side: str, pid: int):
-        key = (side, pid)
-        if key not in self._tries:
-            from ..core.trie import TrieIndex
-
-            trie = TrieIndex(self.dataset(side, pid), self._sides[side].config)
-            trie.batch_block()
-            self._tries[key] = trie
-            self._bump("pool.tries_built")
-        return self._tries[key]
-
-    def _verifier(self, side: str):
-        if side not in self._verifiers:
-            cfg = self._sides[side].config
-            self._verifiers[side] = self._sides[side].adapter.make_verifier(
-                use_mbr_coverage=cfg.use_mbr_coverage,
-                use_cell_filter=cfg.use_cell_filter,
+    opened: Dict[SideInit, Any] = {}
+    for _, side in init.sides:
+        if side not in opened:
+            opened[side] = DITAEngine.from_store(
+                TrajectoryStore.open(side.store_path),
+                side.config.with_options(backend="simulated"),
+                distance=side.adapter,
             )
-        return self._verifiers[side]
-
-    def searcher(self, side: str, pid: int):
-        key = (side, pid)
-        if key not in self._searchers:
-            from ..core.search import LocalSearcher
-
-            self._searchers[key] = LocalSearcher(
-                self.trie(side, pid), self._sides[side].adapter, self._verifier(side)
-            )
-        return self._searchers[key]
-
-    def join_searcher(self, side: str, pid: int):
-        # mirrors JoinExecutor: the *left* engine's adapter drives the
-        # join, the receiving side supplies trie and verifier
-        key = (side, pid)
-        if key not in self._join_searchers:
-            from ..core.search import LocalSearcher
-
-            self._join_searchers[key] = LocalSearcher(
-                self.trie(side, pid), self._sides["L"].adapter, self._verifier(side)
-            )
-        return self._join_searchers[key]
-
-    def distance(self, side: str):
-        if side not in self._distances:
-            self._distances[side] = self._sides[side].adapter.distance()
-        return self._distances[side]
-
-    def query_data(self, points):
-        from ..core.verify import VerificationData
-
-        return VerificationData.from_points(points, self._sides["L"].config.cell_size)
-
-    def sender_data(self, side: str, pid: int, row: int):
-        # same rule as the engine's _LocalResolver: the block when the
-        # sending side was built with the join's (the left side's) cell size
-        from ..core.verify import VerificationData
-
-        cell_size = self._sides["L"].config.cell_size
-        if self._sides[side].config.cell_size == cell_size:
-            return VerificationData.from_block(self.trie(side, pid).batch_block(), int(row))
-        return VerificationData.from_points(
-            self.dataset(side, pid).points(int(row)), cell_size
-        )
+    return {name: opened[side] for name, side in init.sides}
 
 
 def _worker_main(worker_id: int, init: WorkerInit, task_q, result_q) -> None:
     """The spawned worker loop: pull pickled specs, run them against the
-    worker's :class:`WorkerState`, push pickled results.
+    worker's engines (:func:`open_sides`, opened by the first task so a
+    bad store surfaces as a typed failure), push pickled results.
+
+    Every task gets a *fresh* resolver — the class the coordinator itself
+    resolves with.  Its query-artifact cache is keyed by ``id(points)``,
+    sound only while the job holds its query arrays alive; a resolver
+    outliving a task could hand the next unpickled query the cells of a
+    freed one that sat at the same address.
 
     Results are pre-pickled *here* so a value pickle can't carry — which
     ``mp.Queue``'s feeder thread would otherwise swallow silently — comes
     back as a typed ``("unpicklable", ...)`` record instead.
     """
-    state = WorkerState(init)
+    from ..core.engine import _LocalResolver
+
+    engines: Optional[Dict[str, Any]] = None
     while True:
         item = task_q.get()
         if item is None:
             return
         spec = pickle.loads(item)
         try:
+            if engines is None:
+                engines = open_sides(init)
             t0 = wall_clock()
-            value = run_task_body(spec, state)
+            value = run_task_body(spec, _LocalResolver(engines["L"], engines["R"]))
             t1 = wall_clock()
-            payload = (spec.task_id, worker_id, t0, t1, value, state.take_counters())
+            payload = (spec.task_id, worker_id, t0, t1, value)
         except BaseException as exc:  # noqa: BLE001 — every failure must cross the pipe typed
             detail = f"{exc!r}\n{traceback.format_exc()}"
             result_q.put(("exc", spec.task_id, worker_id, detail))
@@ -362,8 +272,8 @@ class ParallelExecutor:
                 continue
             kind = item[0]
             if kind == "ok":
-                tid, wid, t0, t1, value, counters = pickle.loads(item[1])
-                results[tid] = TaskResult(value, wid, t0, t1, counters)
+                tid, wid, t0, t1, value = pickle.loads(item[1])
+                results[tid] = TaskResult(value, wid, t0, t1)
                 inflight[wid] = None
                 dispatch(wid)
             elif kind == "exc":
@@ -419,55 +329,3 @@ class ParallelExecutor:
             self.close()
         except Exception:
             pass
-
-
-def schedule_makespan(
-    costs: Sequence[float],
-    num_workers: int,
-    affinity: Optional[Sequence[int]] = None,
-) -> float:
-    """The makespan the pool's dispatch/steal policy achieves when task
-    ``i`` costs ``costs[i]`` seconds — a deterministic discrete-event
-    replay of :meth:`ParallelExecutor.run`'s scheduling loop.
-
-    Pure (no clocks, no processes): benchmarks use it to report the
-    scheduler's balancing quality independent of how many cores the
-    measuring machine happens to have.  The replay mirrors the live
-    scheduler exactly — affinity-seeded deques, steal-half from the
-    most-loaded victim (ties to the lowest worker id) on an empty deque,
-    next dispatch on the earliest completion (ties to the lowest worker
-    id) — so its makespan is what the pool would measure on
-    ``num_workers`` dedicated cores with zero dispatch overhead.
-    """
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    n = num_workers
-    queues: List[deque] = [deque() for _ in range(n)]
-    for i in range(len(costs)):
-        w = (affinity[i] if affinity is not None else i) % n
-        queues[w].append(i)
-    clocks = [0.0] * n
-    inflight: Dict[int, Tuple[float, int]] = {}
-
-    def dispatch(w: int) -> None:
-        if w in inflight:
-            return
-        if not queues[w]:
-            lengths = [len(q) for q in queues]
-            most = max(lengths)
-            if most == 0:
-                return
-            victim = lengths.index(most)
-            k = (most + 1) // 2
-            stolen = [queues[victim].pop() for _ in range(k)]
-            queues[w].extend(reversed(stolen))
-        tid = queues[w].popleft()
-        inflight[w] = (clocks[w] + float(costs[tid]), tid)
-
-    for w in range(n):
-        dispatch(w)
-    while inflight:
-        w = min(inflight, key=lambda i: (inflight[i][0], i))
-        clocks[w] = inflight.pop(w)[0]
-        dispatch(w)
-    return max(clocks) if clocks else 0.0

@@ -7,19 +7,21 @@ described by a picklable :class:`TaskSpec` and executed by
 spec's ``(side, partition id, row ids)`` references into live searchers,
 datasets and verification artifacts.
 
-Two resolvers exist:
+One resolver class exists — the engine's ``_LocalResolver``, over one
+engine per join side — and both backends use it:
 
-* the engine's ``_LocalResolver`` (``backend="simulated"``) resolves
-  against the coordinator's own partitions and tries, so the body runs
-  inline exactly as it always has;
-* :class:`repro.cluster.parallel.WorkerState` (``backend="process"``)
-  resolves against the worker process's *own* memory-mapped view of the
-  same :class:`~repro.storage.store.TrajectoryStore` blocks and its own
-  lazily built tries.
+* under ``backend="simulated"`` it resolves against the coordinator's
+  own partitions and tries, so the body runs inline exactly as it always
+  has;
+* under ``backend="process"`` each worker resolves against its *own*
+  store-backed engines (:func:`repro.cluster.parallel.open_sides`): its
+  own memory-mapped view of the same
+  :class:`~repro.storage.store.TrajectoryStore` blocks and its own lazily
+  built tries.
 
-Because both backends run the same body over bit-identical block bytes,
-their results and stats are bit-identical; only *where* the body runs
-differs.
+Because both backends run the same body through the same resolver over
+bit-identical block bytes, their results and stats are bit-identical;
+only *where* the body runs differs.
 
 The payload discipline is the backbone of the zero-copy guarantee: a
 spec may carry query point arrays (queries originate at the coordinator

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..cluster.faults import FaultPlan, RecoveryPolicy
-
 
 @dataclass(frozen=True)
 class DITAConfig:
@@ -48,27 +46,6 @@ class DITAConfig:
     #: are identical either way; off (the default) costs one attribute
     #: check per task.
     use_tracing: bool = False
-    #: install a config-derived :class:`~repro.cluster.faults.FaultPlan`
-    #: on the engine's cluster (results are identical either way — only
-    #: simulated costs and the FaultReport change).
-    use_fault_injection: bool = False
-    #: retries per task/message before TaskAbandonedError.
-    max_retries: int = 3
-    #: base of the exponential retry backoff, simulated seconds.
-    backoff_base_s: float = 0.01
-    #: launch speculative copies of tasks landing on straggler workers.
-    use_speculation: bool = True
-    #: speculate tasks whose worker's slowdown factor exceeds this
-    #: quantile of all workers' factors (1.0 disables speculation).
-    speculation_quantile: float = 0.75
-    #: FaultPlan rates used when ``use_fault_injection`` is on; the plan
-    #: seed is the config ``seed`` so the whole experiment stays a
-    #: function of one number.
-    fault_worker_crash_rate: float = 0.0
-    fault_task_failure_rate: float = 0.0
-    fault_message_drop_rate: float = 0.0
-    fault_straggler_rate: float = 0.0
-    fault_straggler_slowdown: float = 4.0
     #: task execution backend.  ``"simulated"`` (the default) runs every
     #: task body inline on the deterministic cluster simulator — byte-
     #: identical to all prior releases.  ``"process"`` runs the *same*
@@ -133,22 +110,6 @@ class DITAConfig:
             raise ValueError("join_sample_fraction must be in (0, 1]")
         if not 0 < self.division_quantile <= 1:
             raise ValueError("division_quantile must be in (0, 1]")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if not 0 < self.speculation_quantile <= 1:
-            raise ValueError("speculation_quantile must be in (0, 1]")
-        for name in (
-            "fault_worker_crash_rate",
-            "fault_task_failure_rate",
-            "fault_message_drop_rate",
-            "fault_straggler_rate",
-        ):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.fault_straggler_slowdown < 1:
-            raise ValueError("fault_straggler_slowdown must be >= 1")
         if self.delta_max_rows < 1:
             raise ValueError("delta_max_rows must be >= 1")
         if self.merge_trigger <= 0:
@@ -175,26 +136,6 @@ class DITAConfig:
         """λ = 1 / (Δ · B), Section 6.2's tuning constant between network
         bytes and candidate-pair computation."""
         return 1.0 / (self.comp_time_per_pair * self.network_bandwidth)
-
-    def fault_plan(self) -> FaultPlan:
-        """The config-derived fault schedule (seeded by ``seed``)."""
-        return FaultPlan(
-            seed=self.seed,
-            worker_crash_rate=self.fault_worker_crash_rate,
-            task_failure_rate=self.fault_task_failure_rate,
-            message_drop_rate=self.fault_message_drop_rate,
-            straggler_rate=self.fault_straggler_rate,
-            straggler_slowdown=self.fault_straggler_slowdown,
-        )
-
-    def recovery_policy(self) -> RecoveryPolicy:
-        """The config-derived recovery behaviour."""
-        return RecoveryPolicy(
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-            use_speculation=self.use_speculation,
-            speculation_quantile=self.speculation_quantile,
-        )
 
     def with_options(self, **kwargs) -> "DITAConfig":
         """Functional update, e.g. ``cfg.with_options(num_pivots=5)``."""

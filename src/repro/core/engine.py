@@ -47,7 +47,7 @@ from ..cluster.simulator import Cluster
 from ..cluster.tasks import TaskSpec, run_task_body
 from ..obs import MetricsRegistry
 from ..geometry.mbr import MBR
-from ..storage.columnar import ColumnarDataset, concat_datasets
+from ..storage.columnar import ColumnarDataset, check_finite, concat_datasets
 from ..storage.delta import DeltaPartition
 from ..storage.generations import GenerationalStore
 from ..storage.store import snapshot_partitions, write_catalog, write_partition_block
@@ -86,10 +86,11 @@ class _EngineTask:
 
 
 class _LocalResolver:
-    """The simulated backend's resolver: task-body references resolve
-    against the coordinator's own partitions, tries and caches (see
-    :mod:`repro.cluster.tasks` for the protocol;
-    :class:`repro.cluster.parallel.WorkerState` is the process twin).
+    """The resolver of both backends: task-body references resolve
+    against the partitions, tries and caches of one engine per join side
+    (see :mod:`repro.cluster.tasks` for the protocol) — the coordinator's
+    own engines inline, a worker's store-backed ones
+    (:func:`repro.cluster.parallel.open_sides`) on the pool.
 
     Query verification artifacts can be *seeded* so the body reuses the
     exact objects the engine built on the driver.
@@ -177,30 +178,11 @@ class DITAEngine:
         cluster: Optional[Cluster] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.config = config or DITAConfig()
-        self.adapter = _resolve_adapter(distance, self.config)
+        config = config or DITAConfig()
         data = ColumnarDataset.from_trajectories(dataset)
-        if len(data) == 0:
-            raise ValueError("cannot index an empty dataset")
         watch = Stopwatch(clock or wall_clock)
-        raw_partitions = partition_trajectories(data, self.config.num_global_partitions)
-        self.global_index = GlobalIndex(raw_partitions, self.config)
-        #: per-partition columnar blocks; each trie shares its partition's
-        #: dataset instance
-        self.partitions: Dict[int, ColumnarDataset] = {
-            pid: part for pid, part in enumerate(raw_partitions) if len(part)
-        }
-        self._store = None
-        self._unloaded: Set[int] = set()
-        self.tries: Dict[int, TrieIndex] = {
-            pid: TrieIndex(part, self.config) for pid, part in self.partitions.items()
-        }
-        # stack each partition's verification artifacts now so the first
-        # query doesn't pay the batch-block build
-        for trie in self.tries.values():
-            trie.batch_block()
-        self.build_time_s = watch.elapsed()
-        self._finish_init(cluster)
+        groups = partition_trajectories(data, config.num_global_partitions)
+        self._open(config, distance, cluster, watch, dict(enumerate(groups)))
 
     @classmethod
     def from_store(
@@ -222,27 +204,12 @@ class DITAEngine:
         it, so globally-pruned partitions are never read from disk.
         Results and stats are identical to ``lazy=False`` (and to an
         engine built from the same trajectories with the store's
-        ``n_groups`` as ``num_global_partitions``).
+        ``n_groups`` as ``num_global_partitions``).  Block coordinates are
+        not re-validated here: the store was checked when it was built.
         """
         self = cls.__new__(cls)
-        self.config = config or DITAConfig()
-        self.adapter = _resolve_adapter(distance, self.config)
-        if store.n_trajectories == 0:
-            raise ValueError("cannot index an empty store")
         watch = Stopwatch(clock or wall_clock)
-        self.global_index = GlobalIndex.from_infos(
-            [_info_from_store_meta(store.metas[pid]) for pid in sorted(store.metas)],
-            self.config,
-        )
-        self._store = store
-        self.partitions = {}
-        self.tries = {}
-        self._unloaded = set(store.metas)
-        if not lazy:
-            for pid in sorted(store.metas):
-                self._ensure_loaded(pid)
-        self.build_time_s = watch.elapsed()
-        self._finish_init(cluster)
+        self._open(config or DITAConfig(), distance, cluster, watch, {}, store, lazy)
         return self
 
     @classmethod
@@ -261,28 +228,11 @@ class DITAEngine:
         handing it a streamed engine's ``{pid: engine.partition(pid)}``
         yields a freshly bulk-built twin with the same partition ids, row
         numbering and (therefore) byte-identical query results and stats.
-        Pass compact datasets when row numbering must line up.
         """
         self = cls.__new__(cls)
-        self.config = config or DITAConfig()
-        self.adapter = _resolve_adapter(distance, self.config)
-        adopted = {int(pid): part for pid, part in parts.items() if len(part)}
-        if not adopted:
-            raise ValueError("cannot index an empty dataset")
         watch = Stopwatch(clock or wall_clock)
-        self.global_index = GlobalIndex.from_infos(
-            [partition_info(pid, adopted[pid]) for pid in sorted(adopted)], self.config
-        )
-        self.partitions = {pid: adopted[pid] for pid in sorted(adopted)}
-        self._store = None
-        self._unloaded = set()
-        self.tries = {
-            pid: TrieIndex(part, self.config) for pid, part in self.partitions.items()
-        }
-        for trie in self.tries.values():
-            trie.batch_block()
-        self.build_time_s = watch.elapsed()
-        self._finish_init(cluster)
+        adopted = {int(pid): part for pid, part in parts.items()}
+        self._open(config or DITAConfig(), distance, cluster, watch, adopted)
         return self
 
     @classmethod
@@ -296,36 +246,44 @@ class DITAEngine:
         self._generations = gens
         return self
 
-    def _finish_init(self, cluster: Optional[Cluster]) -> None:
+    def _open(
+        self,
+        config: DITAConfig,
+        distance: "str | IndexAdapter",
+        cluster: Optional[Cluster],
+        watch: Stopwatch,
+        partitions: Dict[int, ColumnarDataset],
+        store=None,
+        lazy: bool = True,
+    ) -> None:
+        """The construction path every constructor shares; they differ
+        only in where ``partitions`` (in-memory blocks, validated and
+        bulk-indexed here) and ``store`` (blocks mapped on demand, or all
+        up front with ``lazy=False``) come from."""
+        self.config = config
+        self.adapter = _resolve_adapter(distance, config)
         self.verifier = self.adapter.make_verifier(
-            use_mbr_coverage=self.config.use_mbr_coverage,
-            use_cell_filter=self.config.use_cell_filter,
+            use_mbr_coverage=config.use_mbr_coverage,
+            use_cell_filter=config.use_cell_filter,
         )
+        partitions = {pid: part for pid, part in sorted(partitions.items()) if len(part)}
+        for part in partitions.values():
+            check_finite(part.point_coords)
+        unloaded = set(store.metas) if store is not None else set()
+        if not partitions and not unloaded:
+            raise ValueError("cannot index an empty dataset")
         if cluster is None:
-            cluster = Cluster(n_workers=min(16, max(1, self.n_partitions)))
+            cluster = Cluster(n_workers=min(16, max(1, len(partitions) + len(unloaded))))
         self.cluster = cluster
-        if self.config.use_fault_injection and cluster.faults is None:
-            cluster.install_faults(self.config.fault_plan(), self.config.recovery_policy())
-        # left engine partitions occupy [0, n); a right engine in a join is
-        # offset by n (JoinExecutor._cluster_pid)
-        cluster.place_partitions(self.partition_pids())
-        self._searchers: Dict[int, LocalSearcher] = {
-            pid: LocalSearcher(trie, self.adapter, self.verifier)
-            for pid, trie in self.tries.items()
-        }
-        self._register_rebuilds(cluster)
-        # process-backend state: mutation generation, worker pool and the
-        # spilled snapshot a non-store (or mutated) engine hands workers
-        self._mutations = 0
+        # process-backend state: the worker pool and the spilled snapshot a
+        # non-store (or mutated) engine hands workers
         self._pool: Optional[ParallelExecutor] = None
         self._pool_init: Optional[WorkerInit] = None
         self._spill_dir: Optional[str] = None
-        self._spill_mutations = -1
-        # streaming-ingestion state: per-partition write buffers, the lazy
-        # id -> partition routing map, the merge-trigger counter and the
-        # (optional) generational store merges compact into
+        # streaming-ingestion state: per-partition write buffers, the
+        # merge-trigger counter and the (optional) generational store
+        # merges compact into
         self._deltas: Dict[int, DeltaPartition] = {}
-        self._stream_ids: Optional[Dict[int, int]] = None
         self._rows_since_merge = 0
         self._generations: Optional[GenerationalStore] = None
         # mutation-generation state for external caches (repro.serving):
@@ -338,8 +296,64 @@ class DITAEngine:
         self._in_flush = False
         #: the observability layer (None until tracing is enabled)
         self.metrics: Optional[MetricsRegistry] = None
-        if self.config.use_tracing:
+        self._install(partitions, None, store, unloaded)
+        if not lazy:
+            for pid in sorted(unloaded):
+                self._ensure_loaded(pid)
+        self.build_time_s = watch.elapsed()
+        if config.use_tracing:
             self.enable_tracing()
+
+    def _install(
+        self,
+        partitions: Dict[int, ColumnarDataset],
+        tries: Optional[Dict[int, TrieIndex]],
+        store,
+        unloaded: Set[int],
+        mutated: bool = False,
+    ) -> None:
+        """Adopt a partition layout — the one place the engine's view of
+        its partitions changes (construction, delta flush, merge,
+        repartition).
+
+        ``partitions`` are the loaded blocks and ``tries`` their indexes,
+        each sharing its partition's dataset instance (bulk-built here
+        when None); ``store`` backs the ``unloaded`` partition ids, and
+        ``mutated`` says the loaded blocks are no longer the store's, so
+        process workers need a spilled snapshot and not the store itself.
+        Everything derived from the layout follows: master-side metadata
+        (cheap: two R-trees over at most NG^2 partition MBRs), placement,
+        lineage, and the invalidation of whatever mirrored the old layout
+        (searchers, worker pool, spill, id map)."""
+        if tries is None:
+            tries = {pid: TrieIndex(part, self.config) for pid, part in partitions.items()}
+            # stack each partition's verification artifacts now so the
+            # first query doesn't pay the batch-block build
+            for trie in tries.values():
+                trie.batch_block()
+        self.partitions, self.tries = partitions, tries
+        self._store, self._unloaded, self._mutated = store, unloaded, mutated
+        pids = self.partition_pids()
+        self.global_index = GlobalIndex.from_infos(
+            [
+                partition_info(pid, partitions[pid])
+                if pid in partitions
+                else _info_from_store_meta(store.metas[pid])
+                for pid in pids
+            ],
+            self.config,
+        )
+        # left engine partitions occupy [0, n); a right engine in a join is
+        # offset by n (JoinExecutor._cluster_pid)
+        self.cluster.place_partitions(pids)
+        self._searchers: Dict[int, LocalSearcher] = {}
+        self._register_rebuilds(self.cluster)
+        # worker processes mirror a snapshot that no longer matches; the
+        # next process-backend call respawns against a fresh one
+        self._close_pool()
+        self._drop_spill()
+        #: the lazy id -> partition routing map (see :meth:`_id_map`)
+        self._stream_ids: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------ #
     # partition access (lazy for store-backed engines)
@@ -535,31 +549,6 @@ class DITAEngine:
     # writes (delta buffers, merge, online repartitioning)
     # ------------------------------------------------------------------ #
 
-    def _refresh_global_index(self) -> None:
-        """Rebuild the master-side metadata after an update (cheap: two
-        R-trees over at most NG^2 partition MBRs)."""
-        infos: List[PartitionInfo] = []
-        for pid in self.partition_pids():
-            if pid in self.partitions:
-                part = self.partitions[pid]
-                if len(part) == 0:
-                    continue
-                infos.append(partition_info(pid, part))
-            else:
-                infos.append(_info_from_store_meta(self._store.metas[pid]))
-        self.global_index = GlobalIndex.from_infos(infos, self.config)
-        self.cluster.place_partitions(self.partition_pids())
-        self._searchers = {
-            pid: LocalSearcher(self.tries[pid], self.adapter, self.verifier)
-            for pid in self.tries
-        }
-        self._register_rebuilds(self.cluster)
-        # worker processes mirror a snapshot that no longer matches; the
-        # next process-backend call respawns against a fresh one
-        self._mutations += 1
-        self._close_pool()
-        self._stream_ids = None
-
     def _delta(self, pid: int) -> DeltaPartition:
         d = self._deltas.get(pid)
         if d is None:
@@ -608,8 +597,7 @@ class DITAEngine:
             raise ValueError(
                 f"points must be a non-empty (n, {ndim}) array, got shape {pts.shape}"
             )
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite (no NaN or infinite coordinates)")
+        check_finite(pts)
         return pts
 
     def _check_query(self, taus: Iterable[float], queries: Iterable[Trajectory] = ()) -> None:
@@ -761,17 +749,15 @@ class DITAEngine:
         finally:
             self._in_flush = False
         for pid, part, trie in staged:
+            self._unloaded.discard(pid)
             if part is None:
                 self.partitions.pop(pid, None)
                 self.tries.pop(pid, None)
-                self._searchers.pop(pid, None)
-                self._unloaded.discard(pid)
             else:
                 self.partitions[pid] = part
                 self.tries[pid] = trie
-                self._unloaded.discard(pid)
             self._part_versions[pid] = self._part_versions.get(pid, 0) + 1
-        self._refresh_global_index()
+        self._install(self.partitions, self.tries, self._store, self._unloaded, mutated=True)
         return applied
 
     def _sync_streams(self) -> None:
@@ -806,10 +792,9 @@ class DITAEngine:
         engine) exactly as before: readers can never observe a torn image.
 
         After the commit the engine adopts the new generation as its
-        store with all partitions lazily mapped and the mutation counter
-        cleared, so process-backend workers attach straight to the merged
-        blocks (no spill).  With ``prune=True`` superseded generations'
-        blocks are deleted afterwards.
+        store with all partitions lazily mapped, so process-backend
+        workers attach straight to the merged blocks (no spill).  With
+        ``prune=True`` superseded generations' blocks are deleted afterwards.
         """
         if self._generations is None:
             raise ValueError(
@@ -839,24 +824,10 @@ class DITAEngine:
             gens.abort(gen)
             raise
         store = gens.current_store()
-        self._store = store
         # the compaction re-lays every partition's rows: caches holding
         # row-addressed state for any partition are stale now
-        self._bump_generation(set(self.partition_pids()) | set(store.metas))
-        self.partitions = {}
-        self.tries = {}
-        self._unloaded = set(store.metas)
-        self.global_index = GlobalIndex.from_infos(
-            [_info_from_store_meta(store.metas[pid]) for pid in sorted(store.metas)],
-            self.config,
-        )
-        self.cluster.place_partitions(self.partition_pids())
-        self._searchers = {}
-        self._register_rebuilds(self.cluster)
-        self._mutations = 0
-        self._close_pool()
-        self._drop_spill()
-        self._stream_ids = None
+        self._bump_generation(set(pids) | set(store.metas))
+        self._install({}, {}, store, set(store.metas))
         self._rows_since_merge = 0
         if prune:
             gens.prune()
@@ -912,14 +883,8 @@ class DITAEngine:
         old_pids = self.partition_pids()
         if not old_pids:
             return False
-        for pid in old_pids:
-            self._ensure_loaded(pid)
-        id_to_old: Dict[int, int] = {}
-        for pid in old_pids:
-            part = self.partitions[pid]
-            for tid in part.traj_ids[part.alive_rows()]:
-                id_to_old[int(tid)] = pid
-        logical = concat_datasets([self.partitions[pid] for pid in sorted(old_pids)])
+        id_to_old = self._id_map()  # nothing is pending: this loads and maps every block
+        logical = concat_datasets([self.partitions[pid] for pid in old_pids])
         groups = partition_trajectories(logical, self.config.num_global_partitions)
         new_parts = {npid: part for npid, part in enumerate(groups) if len(part)}
         staged: Dict[int, TrieIndex] = {}
@@ -952,11 +917,7 @@ class DITAEngine:
                 self.cluster.ship(src, offset + npid, by_src[src])
         # adoption: every old and new partition's row layout changed
         self._bump_generation(set(old_pids) | set(new_parts))
-        self.partitions = new_parts
-        self.tries = staged
-        self._store = None
-        self._unloaded = set()
-        self._refresh_global_index()
+        self._install(new_parts, staged, None, set())
         return True
 
     def _make_stage_rebuild(
@@ -1031,8 +992,7 @@ class DITAEngine:
             results = pool.run([t.spec for t in tasks], affinity=affinity)
         except ExecutorError:
             self.cluster.note_executor_failure()
-            self._pool = None
-            self._pool_init = None
+            self._close_pool()  # already shut down by the failure; forget it
             raise
         self._merge_pool_obs(tasks, results)
         return {tid: r.value for tid, r in results.items()}
@@ -1053,23 +1013,22 @@ class DITAEngine:
         return self._pool
 
     def _side_init(self) -> SideInit:
-        path, dead = self._ensure_snapshot()
-        return SideInit(store_path=path, config=self.config, adapter=self.adapter, dead_rows=dead)
+        return SideInit(
+            store_path=self._ensure_snapshot(), config=self.config, adapter=self.adapter
+        )
 
-    def _ensure_snapshot(self) -> Tuple[str, tuple]:
-        """``(store path, tombstones)`` giving worker processes a
-        mappable, row-aligned view of this engine's partitions.
+    def _ensure_snapshot(self) -> str:
+        """The store directory giving worker processes a mappable,
+        row-aligned view of this engine's partitions.
 
         A store-backed engine that was never mutated hands out its own
         store directory (zero extra bytes on disk).  Otherwise the live
-        partitions are spilled once per mutation generation — verbatim,
-        pids and row numbering preserved (:func:`snapshot_partitions`) —
-        and tombstoned rows ride along as indices for workers to replay.
+        partitions are spilled once per installed layout — verbatim, pids
+        and row numbering preserved (:func:`snapshot_partitions`).
         """
-        if self._store is not None and self._mutations == 0:
-            return str(self._store.path), ()
-        if self._spill_dir is None or self._spill_mutations != self._mutations:
-            self._drop_spill()
+        if self._store is not None and not self._mutated:
+            return str(self._store.path)
+        if self._spill_dir is None:
             for pid in self.partition_pids():
                 self._ensure_loaded(pid)
             spill = tempfile.mkdtemp(prefix="repro-spill-")
@@ -1078,31 +1037,17 @@ class DITAEngine:
                 self.partitions, Path(spill) / "store", ndim, self.config.num_global_partitions
             )
             self._spill_dir = spill
-            self._spill_mutations = self._mutations
-        dead = []
-        for pid in sorted(self.partitions):
-            part = self.partitions[pid]
-            if len(part) != part.n_rows:
-                alive = set(part.alive_rows().tolist())
-                dead.append((pid, tuple(r for r in range(part.n_rows) if r not in alive)))
-        return str(Path(self._spill_dir) / "store"), tuple(dead)
+        return str(Path(self._spill_dir) / "store")
 
     def _merge_pool_obs(self, tasks: List[_EngineTask], results: Dict[int, Any]) -> None:
         """Fold the pool's per-task observability into the coordinator's.
 
-        Worker counter deltas (tries built, blocks mapped) merge in task
-        order — deterministic given a task-to-worker assignment, though
-        the totals legitimately depend on scheduling (two workers may
-        each build the same trie).  Each task's worker-side execution
-        becomes a ``cat="pool"`` span, re-based so the batch starts at 0
-        and ordered by (pool worker, start): wall-clock diagnostics,
-        excluded from the simulated accounting identities."""
+        Each task's worker-side execution becomes a ``cat="pool"`` span,
+        re-based so the batch starts at 0 and ordered by (pool worker,
+        start): wall-clock diagnostics, excluded from the simulated
+        accounting identities."""
         if self.metrics is not None:
             self.metrics.counter("pool.tasks", len(tasks))
-            for t in tasks:
-                r = results[t.spec.task_id]
-                for name in sorted(r.counters):
-                    self.metrics.counter(name, r.counters[name])
         tracer = self.cluster.tracer
         if tracer is not None:
             base = min(r.t0 for r in results.values())
@@ -1129,7 +1074,6 @@ class DITAEngine:
         if self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
-            self._spill_mutations = -1
 
     def shutdown(self) -> None:
         """Release process-backend resources: the worker pool and any
@@ -1160,60 +1104,10 @@ class DITAEngine:
         Returns every (trajectory, distance) with ``f(T, Q) <= tau``,
         exact and complete for the engine's distance function.
         """
-        self._check_query([tau], [query])
-        self._sync_streams()
-        tracer = self.cluster.tracer
-        track = stats is not None or tracer is not None or self.metrics is not None
-        job_stats = SearchStats() if track else None
-        with self._job("search", tau=tau):
-            relevant = self.global_index.relevant_partitions(query.points, tau, self.adapter)
-            if job_stats is not None:
-                job_stats.relevant_partitions += len(relevant)
-            q_data = VerificationData.of(query, self.config.cell_size)
-            resolver = _LocalResolver(self)
-            resolver.seed_query_data(query.points, q_data)
-            tasks: List[_EngineTask] = []
-            for pid in relevant:
-                if pid not in self.partitions and pid not in self._unloaded:
-                    continue
-                tasks.append(
-                    _EngineTask(
-                        spec=TaskSpec(
-                            task_id=len(tasks),
-                            kind="search",
-                            side="L",
-                            partition_id=pid,
-                            payload=((query.points,), (tau,), track),
-                        ),
-                        work=self.global_index.meta(pid).size,
-                        tag="search.partition",
-                        cluster_pid=pid,
-                    )
-                )
-            matches: List[Match] = []
-
-            def on_result(task: _EngineTask, result: Any) -> None:
-                # the body ran with a fresh stats object per task:
-                # partitions must not share one accumulator (the batch
-                # filter *assigns* its candidate count), and the tracer
-                # needs per-task stage weights
-                match_lists, stats_list = result
-                if stats_list is not None:
-                    ts = stats_list[0]
-                    if tracer is not None:
-                        self._subdivide_task(tracer, ts)
-                    job_stats.merge(ts)
-                part = self.partition(task.spec.partition_id)
-                matches.extend((part.view(row), d) for row, d in match_lists[0])
-
-            self._run_tasks(tasks, resolver, on_result)
-        if job_stats is not None:
-            if stats is not None:
-                stats.merge(job_stats)
-            if self.metrics is not None:
-                self.metrics.counter("search.jobs")
-                self.metrics.absorb("search", job_stats)
-        return matches
+        rows = self._search_rows(
+            [query], [tau], None if stats is None else [stats], "search", tau=tau
+        )[0]
+        return [(self.partition(pid).view(row), d) for pid, row, d in rows]
 
     def search_batch(
         self,
@@ -1248,6 +1142,18 @@ class DITAEngine:
         trie (one simulated task per partition, charged for the whole
         group).
         """
+        return self._search_rows(queries, taus, stats, "search_batch", n_queries=len(queries))
+
+    def _search_rows(
+        self,
+        queries: List[Trajectory],
+        taus: List[float],
+        stats: Optional[List[Optional[SearchStats]]],
+        job: str,
+        **job_args: object,
+    ) -> List[List[Tuple[int, int, float]]]:
+        """:meth:`search_batch_rows` under the caller's job span
+        (:meth:`search` is its one-query case and keeps its own)."""
         if len(queries) != len(taus):
             raise ValueError("queries and taus must have equal length")
         if stats is not None and len(stats) != len(queries):
@@ -1257,7 +1163,7 @@ class DITAEngine:
         tracer = self.cluster.tracer
         track = stats is not None or tracer is not None or self.metrics is not None
         internal = [SearchStats() for _ in queries] if track else None
-        with self._job("search_batch", n_queries=len(queries)):
+        with self._job(job, **job_args):
             by_pid: Dict[int, List[int]] = {}
             q_datas: List[VerificationData] = []
             for i, (query, tau) in enumerate(zip(queries, taus)):

@@ -86,7 +86,7 @@ class TrajectoryBlock:
         (no object iteration); cells run the paper's greedy compression per
         row over zero-copy point views.  ``rows`` restricts the cell
         computation (other rows get empty cell runs and undefined-but-
-        allocated MBRs) — tombstoned rows are skipped automatically.
+        allocated MBRs).
         """
         from ..geometry.cell import CellSet
 

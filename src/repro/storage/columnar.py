@@ -22,8 +22,9 @@ that the batch search/join/kNN paths never touch objects.
 
 The arrays may be ordinary ndarrays or read-only ``np.memmap`` views of a
 persisted store block (:mod:`repro.storage.store`) — all consumers are
-agnostic.  Removal is handled with a tombstone mask so row indices held
-by index structures stay stable.
+agnostic.  A dataset is immutable: removal builds a new compact dataset
+(:meth:`repro.storage.delta.DeltaPartition.apply`), so ``len(ds)`` is
+always ``ds.n_rows`` and row indices held by index structures stay valid.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..trajectory.trajectory import Trajectory
+
+
+def check_finite(coords: np.ndarray) -> None:
+    """Reject coordinates no index may hold: a NaN poisons every MBR
+    computed over it, so a partition containing one prunes wrongly."""
+    if not np.isfinite(coords).all():
+        raise ValueError("points must be finite (no NaN or infinite coordinates)")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -85,9 +93,6 @@ class ColumnarDataset:
         self.point_starts = _read_only(point_starts)
         self.point_coords = _read_only(point_coords)
         self._ndim = int(point_coords.shape[1]) if point_coords.ndim == 2 and point_coords.shape[1] else 2
-        #: tombstone mask (None means every row is alive)
-        self._dead: Optional[np.ndarray] = None
-        self._n_dead = 0
         #: number of Trajectory objects materialized from this dataset
         self.materializations = 0
         self._row_by_id: Optional[dict] = None
@@ -130,11 +135,11 @@ class ColumnarDataset:
 
     @property
     def n_rows(self) -> int:
-        """Total rows including tombstoned ones (the index row space)."""
+        """Total rows (the index row space)."""
         return int(self.traj_ids.shape[0])
 
     def __len__(self) -> int:
-        return self.n_rows - self._n_dead
+        return self.n_rows
 
     @property
     def ndim(self) -> int:
@@ -189,7 +194,7 @@ class ColumnarDataset:
                 self._mbr_highs = _read_only(np.empty((0, self.ndim), dtype=np.float64))
         return self._mbr_highs
 
-    # TrajectoryDataset-compatible array accessors (alive rows only)
+    # TrajectoryDataset-compatible array accessors
     def first_points(self) -> np.ndarray:
         return self.firsts[self.alive_rows()]
 
@@ -197,23 +202,16 @@ class ColumnarDataset:
         return self.lasts[self.alive_rows()]
 
     def nbytes(self) -> int:
-        """Raw point bytes of the alive rows (cost-accounting metric)."""
-        if self._dead is None:
-            return int(self.point_coords.nbytes)
-        return int(self.lengths[self.alive_rows()].sum()) * self.ndim * 8
+        """Raw point bytes (cost-accounting metric)."""
+        return int(self.point_coords.nbytes)
 
     # ------------------------------------------------------------------ #
     # rows and views
     # ------------------------------------------------------------------ #
 
     def alive_rows(self) -> np.ndarray:
-        """Row indices of the non-tombstoned rows, ascending."""
-        if self._dead is None:
-            return np.arange(self.n_rows, dtype=np.int64)
-        return np.nonzero(~self._dead)[0].astype(np.int64)
-
-    def is_alive(self, row: int) -> bool:
-        return self._dead is None or not bool(self._dead[row])
+        """Every row index, ascending."""
+        return np.arange(self.n_rows, dtype=np.int64)
 
     def points(self, row: int) -> np.ndarray:
         """Zero-copy ``(len, ndim)`` view of one row's points."""
@@ -236,11 +234,9 @@ class ColumnarDataset:
         return [int(i) for i in self.traj_ids[np.asarray(rows, dtype=np.int64)]]
 
     def row_of(self, traj_id: int) -> int:
-        """Row index of an alive trajectory id (KeyError when absent)."""
+        """Row index of a trajectory id (KeyError when absent)."""
         if self._row_by_id is None:
-            self._row_by_id = {
-                int(tid): r for r, tid in enumerate(self.traj_ids) if self.is_alive(r)
-            }
+            self._row_by_id = {int(tid): r for r, tid in enumerate(self.traj_ids)}
         return self._row_by_id[traj_id]
 
     def __contains__(self, traj_id: int) -> bool:
@@ -294,30 +290,8 @@ class ColumnarDataset:
         idx = rng.choice(alive.shape[0], size=n, replace=False)
         return self.subset(alive[np.sort(idx)])
 
-    # ------------------------------------------------------------------ #
-    # lazy deletion
-    # ------------------------------------------------------------------ #
-
-    def mark_rows_removed(self, rows: "Sequence[int]") -> None:
-        """Tombstone rows *by index* — the store-attach path: a worker
-        process replaying the coordinator's removals onto its own mapped
-        block, where the removed ids are already gone from the catalog's
-        point of view but the row numbering must stay aligned."""
-        if not len(rows):
-            return
-        if self._dead is None:
-            self._dead = np.zeros(self.n_rows, dtype=bool)
-        for row in rows:
-            row = int(row)
-            if self._dead[row]:
-                continue
-            self._dead[row] = True
-            self._n_dead += 1
-            if self._row_by_id is not None:
-                self._row_by_id.pop(int(self.traj_ids[row]), None)
-
     def compact(self) -> "ColumnarDataset":
-        """A defragmented copy without tombstoned rows."""
+        """An in-memory copy of every row, in order."""
         return self.subset(self.alive_rows())
 
     def __repr__(self) -> str:
@@ -325,13 +299,12 @@ class ColumnarDataset:
 
 
 def concat_datasets(parts: Sequence[ColumnarDataset]) -> ColumnarDataset:
-    """One compact dataset holding every alive row of ``parts``, in order.
+    """One compact dataset holding every row of ``parts``, in order.
 
-    Row order is each part's alive order, parts in the given sequence
+    Row order is each part's row order, parts in the given sequence
     order — the canonical layout online repartitioning feeds back into
     :func:`partition_rows`.  Trajectory ids must be unique across parts.
     """
-    parts = [p if p._dead is None else p.compact() for p in parts]
     parts = [p for p in parts if p.n_rows]
     if not parts:
         return ColumnarDataset.empty()
@@ -346,7 +319,7 @@ def concat_datasets(parts: Sequence[ColumnarDataset]) -> ColumnarDataset:
 def partition_rows(dataset: ColumnarDataset, n_groups: int) -> List[np.ndarray]:
     """First/last-point STR partitioning over the summary arrays.
 
-    Returns up to ``n_groups**2`` row-index arrays (alive rows only): STR
+    Returns up to ``n_groups**2`` row-index arrays: STR
     on first points into ``n_groups`` rank-balanced buckets, then each
     bucket STR-grouped by last point — the array-native form of the
     Section 4.2.1 global partitioning, shared by the engine and the

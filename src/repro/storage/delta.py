@@ -26,7 +26,7 @@ Semantics:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -150,12 +150,3 @@ class DeltaPartition:
             else coords
         )
         return ColumnarDataset(all_ids, starts, all_coords)
-
-    def pending_first_last(self) -> Optional[List[np.ndarray]]:
-        """``[firsts, lasts]`` arrays of the pending rows (None if empty)
-        — enough for a router or size estimator without applying."""
-        if not self.appended:
-            return None
-        firsts = np.asarray([p[0] for p in self.appended.values()], dtype=np.float64)
-        lasts = np.asarray([p[-1] for p in self.appended.values()], dtype=np.float64)
-        return [firsts, lasts]

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..geometry.mbr import MBR
-from .columnar import ColumnarDataset, partition_rows
+from .columnar import ColumnarDataset, check_finite, partition_rows
 
 PathLike = Union[str, Path]
 
@@ -211,39 +211,17 @@ def build_store(
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
     data = ColumnarDataset.from_trajectories(dataset)
+    check_finite(data.point_coords)
     path = Path(path)
     if (path / CATALOG_NAME).exists():
         raise StorageError(f"store already exists at {path}")
     path.mkdir(parents=True, exist_ok=True)
-    metas: List[dict] = []
     groups = [rows for rows in partition_rows(data, n_groups) if rows.shape[0]]
-    for pid, rows in enumerate(groups):
-        part = data.subset(rows)
-        directory = f"part-{pid:05d}"
-        checksums = _write_block(path / directory, part)
-        meta = PartitionMeta(
-            partition_id=pid,
-            directory=directory,
-            n_trajectories=len(part),
-            n_points=part.n_points,
-            nbytes=part.nbytes(),
-            min_len=int(part.lengths.min()),
-            mbr_first=MBR(part.firsts.min(axis=0), part.firsts.max(axis=0)),
-            mbr_last=MBR(part.lasts.min(axis=0), part.lasts.max(axis=0)),
-            mbr=MBR(part.mbr_lows.min(axis=0), part.mbr_highs.max(axis=0)),
-            checksums=checksums,
-        )
-        metas.append(meta.to_json())
-    catalog = {
-        "format_version": STORAGE_FORMAT_VERSION,
-        "ndim": data.ndim,
-        "n_groups": n_groups,
-        "n_trajectories": len(data),
-        "n_points": data.n_points,
-        "dtypes": dict(BLOCK_ARRAYS),
-        "partitions": metas,
-    }
-    (path / CATALOG_NAME).write_text(json.dumps(catalog, indent=1, sort_keys=True))
+    # one partition in memory at a time
+    metas = [
+        write_partition_block(path, pid, data.subset(rows)) for pid, rows in enumerate(groups)
+    ]
+    write_catalog(path, metas, data.ndim, n_groups)
     return TrajectoryStore.open(path)
 
 
@@ -256,13 +234,13 @@ def snapshot_partitions(
     """Persist an engine's live partitions *verbatim* under ``path``.
 
     Unlike :func:`build_store`, nothing is repartitioned, reordered or
-    compacted: each dataset is written row-for-row (tombstoned rows
-    included) under its given partition id, so row indices in the
-    written blocks are exactly the coordinator's row indices.  This is
-    the spill path the process backend uses to hand worker processes a
-    mappable view of an engine that was built from objects (or mutated
-    since its store was written) — result rows resolved by a worker must
-    mean the same thing to the coordinator.
+    compacted: each dataset is written row-for-row under its given
+    partition id, so row indices in the written blocks are exactly the
+    coordinator's row indices.  This is the spill path the process
+    backend uses to hand worker processes a mappable view of an engine
+    that was built from objects (or mutated since its store was written)
+    — result rows resolved by a worker must mean the same thing to the
+    coordinator.
     """
     path = Path(path)
     if (path / CATALOG_NAME).exists():

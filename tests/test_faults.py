@@ -474,15 +474,14 @@ class TestEngineUnderFaults:
         assert engine.fault_report().recovered_partitions >= len(swapped)
 
     def test_config_driven_installation(self, fault_city, fault_config):
-        cfg = fault_config.with_options(
-            use_fault_injection=True,
-            fault_task_failure_rate=0.3,
-            max_retries=8,
-            seed=13,
-        )
-        engine = DITAEngine(fault_city, cfg)
-        assert engine.cluster.faults is not None
-        assert engine.cluster.faults.plan == cfg.fault_plan()
+        """`install_faults` on the engine's cluster is the one route (the
+        config carries no fault knobs): the plan it was handed is the plan
+        that runs."""
+        plan = FaultPlan(seed=13, task_failure_rate=0.3)
+        engine = DITAEngine(fault_city, fault_config)
+        assert engine.cluster.faults is None
+        engine.cluster.install_faults(plan, PATIENT)
+        assert engine.cluster.faults.plan == plan
         query = sample_queries(fault_city, 1, seed=5)[0]
         healthy = DITAEngine(fault_city, fault_config)
         assert _ids(engine.search(query, 0.01)) == _ids(healthy.search(query, 0.01))
@@ -502,20 +501,16 @@ class TestSQLUnderFaults:
     def test_session_results_equal_fault_free(self, fault_city):
         from repro.sql import DITASession
 
-        base = DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3)
-        faulty_cfg = base.with_options(
-            use_fault_injection=True,
-            fault_task_failure_rate=0.3,
-            fault_worker_crash_rate=0.3,
-            max_retries=8,
-            seed=21,
-        )
+        cfg = DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3)
+        plan = FaultPlan(seed=21, task_failure_rate=0.3, worker_crash_rate=0.3)
         query = sample_queries(fault_city, 1, seed=5)[0]
         rows = {}
-        for name, cfg in (("healthy", base), ("faulty", faulty_cfg)):
+        for name in ("healthy", "faulty"):
             session = DITASession(cfg)
             session.register("taxi", fault_city)
             session.sql("CREATE INDEX idx ON taxi USE TRIE")
+            if name == "faulty":
+                session.catalog.get("taxi").engine.cluster.install_faults(plan, PATIENT)
             out = session.sql(
                 "SELECT taxi.traj_id, distance FROM taxi "
                 "WHERE DTW(taxi, :q) <= 0.01 ORDER BY distance, taxi.traj_id",

@@ -196,11 +196,12 @@ class TestSenderCells:
         assert stats.trajectories_shipped > 0 and pairs
 
     def test_worker_resolver_compresses_nothing(self, left, cfg, tmp_path, compressions):
-        """The process backend's resolver, driven in this process: the same
-        chunk bodies over a mapped store give the simulated backend's
-        answers without one compression beyond the trie builds."""
+        """The process backend's bootstrap, driven in this process: the
+        chunk bodies over a worker's store-backed engines give the
+        coordinator's answers without one compression beyond the trie
+        builds."""
         from repro import build_store
-        from repro.cluster.parallel import SideInit, WorkerInit, WorkerState
+        from repro.cluster.parallel import SideInit, WorkerInit, open_sides
         from repro.cluster.tasks import TaskSpec, run_task_body
         from repro.core.engine import _LocalResolver
         from repro.storage import TrajectoryStore
@@ -208,20 +209,19 @@ class TestSenderCells:
         build_store(left, tmp_path / "store", n_groups=cfg.num_global_partitions)
         engine = DITAEngine.from_store(TrajectoryStore.open(tmp_path / "store"), cfg, lazy=False)
         side = SideInit(store_path=str(tmp_path / "store"), config=cfg, adapter=engine.adapter)
-        worker = WorkerState(WorkerInit(sides=(("L", side), ("R", side))))
+        sides = open_sides(WorkerInit(sides=(("L", side), ("R", side))))
         pids = engine.partition_pids()
-        for pid in pids:
-            worker.trie("L", pid)
-            engine.trie(pid).batch_block()  # a store engine stacks blocks on first use
+        for pid in pids:  # a store engine stacks blocks on first use
+            sides["L"].trie(pid).batch_block()
+            engine.trie(pid).batch_block()
         built = len(compressions)
-        local = _LocalResolver(engine)
         shipped = 0
         for send in pids:
             rows = tuple(int(r) for r in engine.partition(send).alive_rows())
             for recv in pids:
                 spec = TaskSpec(0, "join.chunk", "L", recv, ("L", send, rows, 0.003))
-                got, got_stats = run_task_body(spec, worker)
-                want, want_stats = run_task_body(spec, local)
+                got, got_stats = run_task_body(spec, _LocalResolver(sides["L"], sides["R"]))
+                want, want_stats = run_task_body(spec, _LocalResolver(engine))
                 assert got == want and got_stats == want_stats
                 shipped += len(rows)
         assert shipped and len(compressions) == built

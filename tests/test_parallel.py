@@ -10,6 +10,9 @@ crashed or unpicklable worker surfaces as a typed :class:`ExecutorError`
 ``FaultReport``, and the next call transparently respawns the pool.
 """
 
+import pickle
+import queue
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +24,12 @@ from repro.cluster.parallel import (
     ParallelExecutor,
     SideInit,
     WorkerInit,
-    schedule_makespan,
+    _worker_main,
+    open_sides,
 )
 from repro.cluster.tasks import TaskSpec, pickle_budget, run_task_body
 from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
+from repro.core.engine import _LocalResolver
 from repro.core.join import JoinStats
 from repro.core.knn import knn_search
 from repro.core.search import SearchStats
@@ -180,10 +185,11 @@ class TestBackendParity:
 
 
 class TestMutationParity:
-    def test_spill_path_and_tombstones(self, data):
-        """Object-built engines exercise the snapshot/spill path; removes
-        must be replayed as tombstones in the workers and inserts must
-        force a pool respawn."""
+    def test_spill_path_and_respawn(self, data):
+        """Object-built engines exercise the snapshot/spill path; a write
+        installs a new layout, which drops the pool and the spill, so a
+        remove reaches the respawned workers as a re-spilled compact
+        block (the flush rebuilt the partition without the row)."""
         sim = DITAEngine(data, _config("simulated"), "dtw")
         proc = DITAEngine(data, _config("process"), "dtw")
         try:
@@ -250,28 +256,6 @@ class TestInvariance:
         got = raw_pool.run(specs, affinity=[0] * len(specs), schedule_seed=seed)
         assert {tid: r.value for tid, r in got.items()} == want
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        costs=st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=40),
-        n=st.integers(min_value=1, max_value=8),
-    )
-    def test_schedule_makespan_bounds(self, costs, n):
-        """The scheduler replay respects the classic list-scheduling
-        bounds: never better than the critical path or the perfect split,
-        never worse than (2 - 1/n) x optimal."""
-        span = schedule_makespan(costs, n)
-        lower = max(max(costs), sum(costs) / n)
-        assert span >= lower - 1e-9
-        assert span <= (2 - 1 / n) * lower + 1e-9
-        assert schedule_makespan(costs, 1) == pytest.approx(sum(costs))
-
-    def test_schedule_makespan_balances_hot_affinity(self):
-        """Seeding every task onto worker 0 (a hot partition home) does
-        not serialize: stealing spreads the deque."""
-        costs = [1.0] * 16
-        span = schedule_makespan(costs, 4, affinity=[0] * 16)
-        assert span <= sum(costs) / 2  # far below the 16.0 serial time
-
     def test_stealing_actually_happens(self, raw_pool):
         before = raw_pool.steals
         specs = [TaskSpec(i, "debug.spin", "L", 0, (50000,)) for i in range(8)]
@@ -289,6 +273,89 @@ def _worker_init(store_path):
         store_path=str(store_path), config=_config("process"), adapter=get_adapter("dtw")
     )
     return WorkerInit(sides=(("L", side), ("R", side)))
+
+
+def _drive_worker(init, specs):
+    """The spawned worker's loop run in *this* process over plain queues:
+    ``{task_id: value}`` for pickled ``specs`` served in order."""
+    task_q, result_q = queue.Queue(), queue.Queue()
+    for spec in specs:
+        task_q.put(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL))
+    task_q.put(None)
+    _worker_main(0, init, task_q, result_q)
+    values = {}
+    while not result_q.empty():
+        kind, blob = result_q.get()
+        assert kind == "ok"
+        task_id, _, _, _, value = pickle.loads(blob)
+        values[task_id] = value
+    assert len(values) == len(specs)
+    return values
+
+
+class TestWorkerBootstrap:
+    """A worker is store-backed engines behind the coordinator's own
+    resolver class — checked without spawning, against the inline
+    engine over the same store."""
+
+    def test_self_join_sides_share_one_engine(self, store_path):
+        engines = open_sides(_worker_init(store_path))
+        assert engines["L"] is engines["R"]
+        assert engines["L"].config.backend == "simulated"  # no pool of its own
+        other = SideInit(
+            store_path=str(store_path), config=_config("process"), adapter=get_adapter("dtw")
+        )
+        left, right = _worker_init(store_path).sides[0], ("R", other)
+        engines = open_sides(WorkerInit(sides=(left, right)))
+        assert engines["L"] is not engines["R"]
+
+    def test_self_join_builds_each_trie_once(self, store_path, engines_by_workers, monkeypatch):
+        import repro.core.engine as engine_module
+
+        sim = engines_by_workers[0]
+        specs = []
+        # the join hands every chunk of every edge to this seam in one batch
+        monkeypatch.setattr(
+            sim, "_process_outcomes", lambda tasks, resolver: specs.extend(t.spec for t in tasks)
+        )
+        sim.self_join(0.002)
+        assert specs and {s.kind for s in specs} == {"join.chunk"}
+        built = []
+
+        class CountingTrie(engine_module.TrieIndex):
+            def __init__(self, part, config):
+                built.append(part)
+                super().__init__(part, config)
+
+        monkeypatch.setattr(engine_module, "TrieIndex", CountingTrie)
+        got = _drive_worker(_worker_init(store_path), specs)
+        touched = {s.partition_id for s in specs} | {s.payload[1] for s in specs}
+        assert len(built) == len(touched)  # receivers and senders, once each
+        inline = _LocalResolver(sim)
+        for spec in specs:  # chunk matches *and* SearchStats
+            assert got[spec.task_id] == run_task_body(spec, inline)
+
+    def test_resolver_does_not_outlive_its_task(self, store_path, engines_by_workers, data):
+        """Back-to-back search tasks whose equal-shaped query arrays are
+        unpickled, used and freed one after another, so a later array
+        sits where an earlier one did: each task answers for *its* query
+        — the resolver caches query artifacts by ``id(points)``, so the
+        worker must not carry one from task to task.  Every fourth task
+        asks for a stored trajectory itself; the others are copies of it
+        moved out of town, whose artifacts would prune that self-match."""
+        sim = engines_by_workers[0]
+        home = list(data)[0]
+        pid = next(p for p in sim.partition_pids() if home.traj_id in sim.partition(p))
+        pts = np.asarray(home.points)
+        specs = [
+            TaskSpec(i, "search", "L", pid, ((pts if i % 4 == 3 else pts + 1.0 + i,), (0.01,), True))
+            for i in range(48)
+        ]
+        got = _drive_worker(_worker_init(store_path), specs)
+        for spec in specs:  # matches *and* SearchStats, per task
+            assert got[spec.task_id] == run_task_body(spec, _LocalResolver(sim))
+        self_match = (sim.partition(pid).row_of(home.traj_id), 0.0)
+        assert all(self_match in got[i][0][0] for i in range(3, 48, 4))
 
 
 @pytest.fixture(scope="module")

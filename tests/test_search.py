@@ -207,3 +207,26 @@ class TestQueryValidation:
 
         q = sample_queries(city, 1, seed=1)[0]
         assert dtw_engine.search_ids(q, math.inf) == sorted(t.traj_id for t in city)
+
+
+class TestConstructorValidation:
+    """What ``append_trajectory`` refuses, construction refuses too: a
+    NaN coordinate poisons every MBR computed over it, so an engine or a
+    store built over one would prune wrongly without complaint."""
+
+    @pytest.mark.parametrize("entry", ["init", "from_partitions", "build_store"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_coordinates_rejected(self, city, cfg, tmp_path, entry, bad):
+        from repro import build_store
+        from repro.storage import ColumnarDataset
+        from repro.trajectory import Trajectory
+
+        data = list(city)[:50] + [Trajectory(9999, [[0, 0], [bad, 1], [1, 1]])]
+        with pytest.raises(ValueError, match="points must be finite"):
+            if entry == "init":
+                DITAEngine(data, cfg)
+            elif entry == "from_partitions":
+                DITAEngine.from_partitions({0: ColumnarDataset.from_trajectories(data)}, cfg)
+            else:
+                build_store(data, tmp_path / "store", n_groups=2)
+        assert not (tmp_path / "store").exists()  # refused before anything was written

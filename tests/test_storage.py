@@ -186,6 +186,33 @@ class TestEngineParity:
             assert s1 == s0
             assert s2 == s0
 
+    @pytest.mark.parametrize("how", ["from_partitions", "from_store_lazy", "from_store_eager"])
+    def test_every_constructor_installs_the_same_layout(self, data, store, how):
+        """The constructors differ only in where their partitions come
+        from: same partition ids, same master-side metadata, same answers
+        and stats as ``DITAEngine(data)``."""
+        from repro.core.join import JoinStats
+
+        cfg = _cfg()
+        base = DITAEngine(data, cfg)
+        if how == "from_partitions":
+            other = DITAEngine.from_partitions(
+                {pid: base.partition(pid) for pid in base.partition_pids()}, cfg
+            )
+        else:
+            other = DITAEngine.from_store(store, cfg, lazy=how == "from_store_lazy")
+        assert other.partition_pids() == base.partition_pids()
+        assert other.global_index.partitions_meta == base.global_index.partitions_meta
+        for q in sample_queries(list(data), 3, seed=7):
+            s0, s1 = SearchStats(), SearchStats()
+            want = [(t.traj_id, d) for t, d in base.search(q, 0.01, s0)]
+            assert [(t.traj_id, d) for t, d in other.search(q, 0.01, s1)] == want
+            assert s1 == s0
+        j0, j1 = JoinStats(), JoinStats()
+        assert other.self_join(0.005, stats=j1) == base.self_join(0.005, stats=j0)
+        j0.plan = j1.plan = None  # plans are objects; the counts are the contract
+        assert j1 == j0 and j0.result_pairs > 0
+
     def test_globally_pruned_partitions_never_load(self, data, store):
         engine = DITAEngine.from_store(store, _cfg(), distance="dtw", lazy=True)
         assert engine.partitions == {}

@@ -256,9 +256,9 @@ class TestDeltaMechanics:
         assert small_engine.remove_trajectory(424_242) is False
 
     def test_flush_with_no_deltas_is_a_noop(self, small_engine):
-        version = small_engine._mutations
+        index = small_engine.global_index
         assert small_engine.flush_deltas() == 0
-        assert small_engine._mutations == version  # no index refresh happened
+        assert small_engine.global_index is index  # no layout was installed
 
     def test_scripted_writes_match_bulk_twin(self, small_engine):
         rng = np.random.default_rng(11)
@@ -305,9 +305,8 @@ class TestGenerations:
         # post-merge the engine is store-backed and unmutated: process
         # workers would map the generation blocks directly (no spill)
         assert small_engine._store is not None
-        assert small_engine._mutations == 0
-        path, dead = small_engine._ensure_snapshot()
-        assert "gen-00001" in path and dead == ()
+        assert not small_engine._mutated
+        assert "gen-00001" in small_engine._ensure_snapshot()
 
     def test_maybe_merge_trips_on_write_fraction(self, tmp_path):
         eng = DITAEngine(
