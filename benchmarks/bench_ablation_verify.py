@@ -14,9 +14,9 @@ from typing import Dict, List
 
 from common import dataset, default_config, print_header, queries_for
 from repro.core.adapters import DTWAdapter
-from repro.core.search import LocalSearcher
+from repro.core.search import SearchStats, search_rows
 from repro.core.trie import TrieIndex
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.verify import VerificationData, Verifier
 
 CONFIGS = (
     ("exact only", False, False),
@@ -35,25 +35,17 @@ def run():
     queries = queries_for(data, 10)
     rows = []
     for label, use_mbr, use_cells in CONFIGS:
-        verifier = Verifier(
-            adapter.exact,
-            use_mbr_coverage=use_mbr,
-            use_cell_filter=use_cells,
-        )
-        stats = VerifyStats()
+        verifier = Verifier(adapter, use_mbr_coverage=use_mbr, use_cell_filter=use_cells)
+        stats = SearchStats()
         start = time.perf_counter()
         n_matches = 0
-        block = trie.batch_block()
         for q in queries:
-            cand_rows = trie.filter_candidates(q.points, TAU, adapter)
             q_data = VerificationData.of(q, cfg.cell_size)
             n_matches += len(
-                verifier.verify_rows(
-                    block, trie.dataset, cand_rows, q.points, TAU, q_data, stats=stats
-                )
+                search_rows(trie, adapter, verifier, [q.points], [TAU], [q_data], [stats])[0]
             )
         elapsed = (time.perf_counter() - start) / len(queries) * 1000
-        rows.append((label, stats, elapsed, n_matches))
+        rows.append((label, stats.verify, elapsed, n_matches))
     return rows
 
 
@@ -85,9 +77,9 @@ def test_verify_pipeline_benchmark(benchmark):
     cfg = default_config()
     trie = TrieIndex(list(data), cfg)
     adapter = DTWAdapter()
-    searcher = LocalSearcher(trie, adapter)
-    queries = queries_for(data, 5)
-    benchmark(lambda: [searcher.search(q, TAU) for q in queries])
+    verifier = Verifier(adapter)
+    queries = [q.points for q in queries_for(data, 5)]
+    benchmark(lambda: [search_rows(trie, adapter, verifier, [q], [TAU]) for q in queries])
 
 
 def test_ablation_stages_agree():

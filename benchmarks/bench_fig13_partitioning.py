@@ -23,9 +23,9 @@ from common import (
 )
 from repro.cluster import Cluster, RandomPartitioner
 from repro.core.adapters import DTWAdapter
-from repro.core.search import LocalSearcher
+from repro.core.search import search_rows
 from repro.core.trie import TrieIndex
-from repro.core.verify import VerificationData
+from repro.core.verify import VerificationData, Verifier
 
 
 def random_partition_join(data, tau: float, n_partitions: int = 16) -> float:
@@ -38,6 +38,7 @@ def random_partition_join(data, tau: float, n_partitions: int = 16) -> float:
     cluster = Cluster(16, network=BENCH_NETWORK)
     cluster.place_partitions(list(range(len(parts))))
     adapter = DTWAdapter()
+    verifier = Verifier(adapter)
     part_bytes = [sum(t.nbytes() for t in p) for p in parts]
     for src in range(len(parts)):
         # ship the whole partition to every other partition
@@ -46,11 +47,11 @@ def random_partition_join(data, tau: float, n_partitions: int = 16) -> float:
                 # ditalint: disable=DIT010 -- deliberately-naive baseline; measures cost, never recovers
                 cluster.ship(src, dst, part_bytes[src])
     for dst, trie in enumerate(tries):
-        searcher = LocalSearcher(trie, adapter)
         start = time.perf_counter()
         for src_part in parts:
             for t in src_part:
-                searcher.search(t, tau, query_data=VerificationData.of(t, cfg.cell_size))
+                q_data = VerificationData.of(t, cfg.cell_size)
+                search_rows(trie, adapter, verifier, [t.points], [tau], [q_data])
         cluster.charge_compute(dst, time.perf_counter() - start)
     return cluster.report().makespan
 

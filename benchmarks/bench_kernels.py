@@ -1,8 +1,8 @@
 """Kernel micro-benchmarks: wavefront DP vs. the reference loops.
 
 Times the four vectorized distance kernels (DTW, discrete Fréchet, EDR,
-ERP) against their ``*_reference`` per-cell Python loops across trajectory
-lengths, the threshold/early-abandon variants, the batched
+ERP) against their per-cell Python loops (``tests/oracles/dp_reference.py``)
+across trajectory lengths, the threshold/early-abandon variants, the batched
 filter-verification stages (Lemma 5.4 + Lemma 5.6 as matrix ops) against
 the per-pair loop, and — at the 24 and 40 points Beijing and Chengdu trips
 average, where the workloads actually run them — the pair-batched
@@ -24,37 +24,39 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.verify import (
-    VerificationData,
-    Verifier,
-    cell_bound_dtw,
-    mbr_coverage_ok,
+# the loops the kernels are timed against are the test suite's oracles
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles.dp_reference import (  # noqa: E402
+    dtw_reference,
+    dtw_threshold_reference,
+    edr_reference,
+    edr_threshold_reference,
+    erp_reference,
+    erp_threshold_reference,
+    frechet_reference,
+    frechet_threshold_reference,
 )
+from oracles.per_pair import cell_bound_dtw, mbr_coverage_ok  # noqa: E402
+from repro.core.verify import VerificationData
 from repro.datagen import beijing_like
 from repro.distances import (
     dtw,
     dtw_double_direction,
-    dtw_reference,
     dtw_threshold,
-    dtw_threshold_reference,
     edr,
-    edr_reference,
     edr_threshold,
-    edr_threshold_reference,
     erp,
-    erp_reference,
     erp_threshold,
-    erp_threshold_reference,
     frechet,
-    frechet_reference,
     frechet_threshold,
-    frechet_threshold_reference,
 )
 from repro.geometry.point import pairwise_distances
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage

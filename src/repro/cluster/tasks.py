@@ -4,7 +4,7 @@ Every per-partition unit of work the engine schedules — a partition's
 share of a search, one replica chunk of a join, a kNN seeding batch — is
 described by a picklable :class:`TaskSpec` and executed by
 :func:`run_task_body` against a *resolver*: an object that turns the
-spec's ``(side, partition id, row ids)`` references into live searchers,
+spec's ``(side, partition id, row ids)`` references into live engines,
 datasets and verification artifacts.
 
 One resolver class exists — the engine's ``_LocalResolver``, over one
@@ -106,13 +106,15 @@ def _search_body(spec: TaskSpec, res: Any) -> Any:
     ``(match_lists, stats_list)``: accepted ``(row, distance)`` pairs and
     a fresh SearchStats per query (``None`` when ``track`` is off).
     """
-    from ..core.search import SearchStats
+    from ..core.search import SearchStats, search_rows
 
     q_points_list, taus, track = spec.payload
-    searcher = res.searcher(spec.side, spec.partition_id)
+    eng = res.engine(spec.side)
     q_datas = [res.query_data(pts) for pts in q_points_list]
     stats = [SearchStats() for _ in q_points_list] if track else None
-    match_lists = searcher.search_rows_batch(list(q_points_list), list(taus), q_datas, stats)
+    match_lists = search_rows(
+        eng.trie(spec.partition_id), eng.adapter, eng.verifier, q_points_list, taus, q_datas, stats
+    )
     return match_lists, stats
 
 
@@ -126,16 +128,26 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     stats_list)`` aligned with ``row_ids``; matches are receiver-side
     ``(row, distance)`` pairs.
     """
-    from ..core.search import SearchStats
+    from ..core.search import SearchStats, search_rows
 
     send_side, send_pid, rows, tau = spec.payload
-    searcher = res.join_searcher(spec.side, spec.partition_id)
+    # the left engine's adapter drives the join; the receiving side
+    # supplies trie and verifier
+    recv = res.engine(spec.side)
     part = res.dataset(send_side, send_pid)
     row_list = list(rows)
     datas = [res.sender_data(send_side, send_pid, r) for r in row_list]
     q_pts = [part.points(r) for r in row_list]
     stats = [SearchStats() for _ in row_list]
-    match_lists = searcher.search_rows_batch(q_pts, [tau] * len(row_list), datas, stats)
+    match_lists = search_rows(
+        recv.trie(spec.partition_id),
+        res.engine("L").adapter,
+        recv.verifier,
+        q_pts,
+        [tau] * len(row_list),
+        datas,
+        stats,
+    )
     return match_lists, stats
 
 

@@ -18,7 +18,7 @@ from .global_index import GlobalIndex, PartitionInfo, partition_info, partition_
 from .join import JoinExecutor, JoinPair, JoinStats
 from .knn import knn_join, knn_search
 from .pivots import available_strategies, indexing_points, pivot_indices
-from .search import LocalSearcher, SearchStats
+from .search import SearchStats, search_rows
 from .trie import FilterStats, TrieIndex
 from .verify import VerificationData, Verifier, VerifyStats
 
@@ -38,7 +38,6 @@ __all__ = [
     "JoinPair",
     "JoinStats",
     "LCSSAdapter",
-    "LocalSearcher",
     "OrientationPlan",
     "PartitionInfo",
     "SearchStats",
@@ -61,4 +60,5 @@ __all__ = [
     "partition_trajectories",
     "pivot_indices",
     "plan_join",
+    "search_rows",
 ]

@@ -40,7 +40,6 @@ from ..kernels.pairbatch import (
     frechet_threshold_batch,
 )
 from .numerics import slack
-from .verify import Verifier, cell_bound_dtw, cell_bound_frechet
 
 _INF = math.inf
 
@@ -69,6 +68,12 @@ class IndexAdapter:
     distance_name = "dtw"
     #: whether trie descent subtracts level distances from the budget
     subtracts = True
+    #: the verifier's filter stages (Section 5.3.3) this distance admits:
+    #: the batched Lemma 5.6 cell bound to run — ``"sum"`` (additive) or
+    #: ``"max"`` (max-accumulating) — or None where neither the cell bound
+    #: nor MBR coverage (Lemma 5.4) is sound and pairs go straight to
+    #: :meth:`exact`
+    cell_bound: Optional[str] = "sum"
 
     def __init__(self, use_suffix_pruning: bool = True) -> None:
         self.use_suffix_pruning = use_suffix_pruning
@@ -150,14 +155,6 @@ class IndexAdapter:
         through shared kernel sweeps (:mod:`repro.kernels.pairbatch`)."""
         return [self.exact(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
 
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(
-            self.exact,
-            cell_bound_fn=cell_bound_dtw,
-            use_mbr_coverage=use_mbr_coverage,
-            use_cell_filter=use_cell_filter,
-        )
-
     def distance(self) -> TrajectoryDistance:
         """The underlying exact distance object (for brute-force checks)."""
         return get_distance(self.distance_name)
@@ -185,6 +182,7 @@ class FrechetAdapter(IndexAdapter):
 
     distance_name = "frechet"
     subtracts = False
+    cell_bound = "max"
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         batch = req.batch
@@ -224,14 +222,6 @@ class FrechetAdapter(IndexAdapter):
             return super().exact_batch(ts, qs, taus)
         return frechet_threshold_batch(ts, qs, taus).tolist()
 
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(
-            self.exact,
-            cell_bound_fn=cell_bound_frechet,
-            use_mbr_coverage=use_mbr_coverage,
-            use_cell_filter=use_cell_filter,
-        )
-
 
 class HausdorffAdapter(IndexAdapter):
     """Hausdorff (the DFT baseline's metric): no ordering and no endpoint
@@ -243,6 +233,7 @@ class HausdorffAdapter(IndexAdapter):
 
     distance_name = "hausdorff"
     subtracts = False
+    cell_bound = "max"
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         # every level tests the *full* query (no suffix)
@@ -256,14 +247,6 @@ class HausdorffAdapter(IndexAdapter):
     def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return hausdorff_threshold(t, q, tau)
 
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(
-            self.exact,
-            cell_bound_fn=cell_bound_frechet,
-            use_mbr_coverage=use_mbr_coverage,
-            use_cell_filter=use_cell_filter,
-        )
-
 
 class EDRAdapter(IndexAdapter):
     """EDR (Appendix A): each indexing point of T farther than ``epsilon``
@@ -273,6 +256,7 @@ class EDRAdapter(IndexAdapter):
 
     distance_name = "edr"
     subtracts = True
+    cell_bound = None
 
     def __init__(self, epsilon: float = 0.001, use_suffix_pruning: bool = True) -> None:
         super().__init__(use_suffix_pruning=use_suffix_pruning)
@@ -293,9 +277,6 @@ class EDRAdapter(IndexAdapter):
     def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return edr_threshold(t, q, self.epsilon, tau)
 
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(self.exact, cell_bound_fn=None, use_mbr_coverage=False, use_cell_filter=False)
-
     def distance(self) -> TrajectoryDistance:
         return get_distance("edr", epsilon=self.epsilon)
 
@@ -312,6 +293,7 @@ class LCSSAdapter(IndexAdapter):
 
     distance_name = "lcss"
     subtracts = True
+    cell_bound = None
 
     def __init__(self, epsilon: float = 0.001, delta: int = 3, use_suffix_pruning: bool = True) -> None:
         super().__init__(use_suffix_pruning=use_suffix_pruning)
@@ -332,9 +314,6 @@ class LCSSAdapter(IndexAdapter):
         d = float(lcss_dissimilarity(t, q, self.epsilon, self.delta))
         return d if d <= tau else _INF
 
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(self.exact, cell_bound_fn=None, use_mbr_coverage=False, use_cell_filter=False)
-
     def distance(self) -> TrajectoryDistance:
         return get_distance("lcss", epsilon=self.epsilon, delta=self.delta)
 
@@ -349,6 +328,7 @@ class ERPAdapter(IndexAdapter):
 
     distance_name = "erp"
     subtracts = True
+    cell_bound = None
 
     def __init__(self, gap=None, ndim: int = 2, use_suffix_pruning: bool = False) -> None:
         super().__init__(use_suffix_pruning=False)  # gaps break the ordering argument
@@ -366,9 +346,6 @@ class ERPAdapter(IndexAdapter):
 
     def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return erp_threshold(t, q, self.gap, tau)
-
-    def make_verifier(self, use_mbr_coverage: bool = True, use_cell_filter: bool = True) -> Verifier:
-        return Verifier(self.exact, cell_bound_fn=None, use_mbr_coverage=False, use_cell_filter=False)
 
     def distance(self) -> TrajectoryDistance:
         return get_distance("erp", gap=self.gap)

@@ -29,16 +29,10 @@ class DITAConfig:
     #: side length for cell-based compression, D of Lemma 5.6.  When None it
     #: is derived from the expected threshold (2 * tau is a good default).
     cell_size: float = 0.004
-    #: R-tree node capacity for the global index.
-    rtree_fanout: int = 16
     #: cost-model lambda numerator pieces: average verification time per
     #: candidate pair (Delta, seconds) and network bandwidth (B, bytes/s).
     comp_time_per_pair: float = 2e-5
     network_bandwidth: float = 125e6  # 1 Gbps in bytes/s
-    #: sample fraction used to estimate bi-graph edge weights (Section 6.2).
-    join_sample_fraction: float = 0.1
-    #: quantile used by division-based load balancing (Section 6.3).
-    division_quantile: float = 0.98
     #: enable the Lemma 5.1 suffix optimization during trie filtering.
     use_suffix_pruning: bool = True
     #: install the observability layer (:mod:`repro.obs`): a span tracer on
@@ -106,10 +100,6 @@ class DITAConfig:
             raise ValueError("trie_leaf_capacity must be >= 1")
         if self.cell_size is not None and self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if not 0 < self.join_sample_fraction <= 1:
-            raise ValueError("join_sample_fraction must be in (0, 1]")
-        if not 0 < self.division_quantile <= 1:
-            raise ValueError("division_quantile must be in (0, 1]")
         if self.delta_max_rows < 1:
             raise ValueError("delta_max_rows must be >= 1")
         if self.merge_trigger <= 0:

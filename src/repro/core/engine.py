@@ -56,9 +56,9 @@ from .adapters import IndexAdapter, get_adapter
 from .config import DITAConfig
 from .global_index import GlobalIndex, PartitionInfo, partition_info, partition_trajectories
 from .join import JoinExecutor, JoinPair, JoinStats
-from .search import LocalSearcher, Match, SearchStats
+from .search import Match, SearchStats
 from .trie import TrieIndex
-from .verify import VerificationData
+from .verify import VerificationData, Verifier
 
 
 def _resolve_adapter(distance: "str | IndexAdapter", config: DITAConfig) -> IndexAdapter:
@@ -87,7 +87,7 @@ class _EngineTask:
 
 class _LocalResolver:
     """The resolver of both backends: task-body references resolve
-    against the partitions, tries and caches of one engine per join side
+    against the partitions, tries and verifier of one engine per join side
     (see :mod:`repro.cluster.tasks` for the protocol) — the coordinator's
     own engines inline, a worker's store-backed ones
     (:func:`repro.cluster.parallel.open_sides`) on the pool.
@@ -99,25 +99,10 @@ class _LocalResolver:
     def __init__(self, left: "DITAEngine", right: Optional["DITAEngine"] = None) -> None:
         self._engines: Dict[str, "DITAEngine"] = {"L": left, "R": right if right is not None else left}
         self._qdata: Dict[int, VerificationData] = {}
-        self._join_searchers: Dict[Tuple[str, int], LocalSearcher] = {}
         self._distances: Dict[str, Any] = {}
 
     def engine(self, side: str) -> "DITAEngine":
         return self._engines[side]
-
-    def searcher(self, side: str, pid: int) -> Optional[LocalSearcher]:
-        return self._engines[side]._searcher(pid)
-
-    def join_searcher(self, side: str, pid: int) -> LocalSearcher:
-        # mirrors JoinExecutor: the left engine's adapter drives the join,
-        # the receiving side supplies trie and verifier
-        key = (side, pid)
-        s = self._join_searchers.get(key)
-        if s is None:
-            eng = self._engines[side]
-            s = LocalSearcher(eng.trie(pid), self._engines["L"].adapter, eng.verifier)
-            self._join_searchers[key] = s
-        return s
 
     def dataset(self, side: str, pid: int) -> ColumnarDataset:
         return self._engines[side].partition(pid)
@@ -262,10 +247,7 @@ class DITAEngine:
         up front with ``lazy=False``) come from."""
         self.config = config
         self.adapter = _resolve_adapter(distance, config)
-        self.verifier = self.adapter.make_verifier(
-            use_mbr_coverage=config.use_mbr_coverage,
-            use_cell_filter=config.use_cell_filter,
-        )
+        self.verifier = Verifier(self.adapter, config.use_mbr_coverage, config.use_cell_filter)
         partitions = {pid: part for pid, part in sorted(partitions.items()) if len(part)}
         for part in partitions.values():
             check_finite(part.point_coords)
@@ -296,48 +278,46 @@ class DITAEngine:
         self._in_flush = False
         #: the observability layer (None until tracing is enabled)
         self.metrics: Optional[MetricsRegistry] = None
-        self._install(partitions, None, store, unloaded)
+        self._install(
+            {pid: self._build_index(part) for pid, part in partitions.items()}, store, unloaded
+        )
         if not lazy:
             for pid in sorted(unloaded):
-                self._ensure_loaded(pid)
+                self.trie(pid)
         self.build_time_s = watch.elapsed()
         if config.use_tracing:
             self.enable_tracing()
 
+    def _build_index(self, part: ColumnarDataset) -> TrieIndex:
+        """Index one in-memory partition: its trie, with the verification
+        artifacts stacked now so the first query doesn't pay the
+        batch-block build."""
+        trie = TrieIndex(part, self.config)
+        trie.batch_block()
+        return trie
+
     def _install(
-        self,
-        partitions: Dict[int, ColumnarDataset],
-        tries: Optional[Dict[int, TrieIndex]],
-        store,
-        unloaded: Set[int],
-        mutated: bool = False,
+        self, tries: Dict[int, TrieIndex], store, unloaded: Set[int], mutated: bool = False
     ) -> None:
         """Adopt a partition layout — the one place the engine's view of
         its partitions changes (construction, delta flush, merge,
         repartition).
 
-        ``partitions`` are the loaded blocks and ``tries`` their indexes,
-        each sharing its partition's dataset instance (bulk-built here
-        when None); ``store`` backs the ``unloaded`` partition ids, and
-        ``mutated`` says the loaded blocks are no longer the store's, so
-        process workers need a spilled snapshot and not the store itself.
-        Everything derived from the layout follows: master-side metadata
-        (cheap: two R-trees over at most NG^2 partition MBRs), placement,
-        lineage, and the invalidation of whatever mirrored the old layout
-        (searchers, worker pool, spill, id map)."""
-        if tries is None:
-            tries = {pid: TrieIndex(part, self.config) for pid, part in partitions.items()}
-            # stack each partition's verification artifacts now so the
-            # first query doesn't pay the batch-block build
-            for trie in tries.values():
-                trie.batch_block()
-        self.partitions, self.tries = partitions, tries
+        ``tries`` are the loaded partitions, each an index over its own
+        block (``trie.dataset``); ``store`` backs the ``unloaded``
+        partition ids, and ``mutated`` says the loaded blocks are no
+        longer the store's, so process workers need a spilled snapshot and
+        not the store itself.  Everything derived from the layout follows:
+        master-side metadata (cheap: two R-trees over at most NG^2
+        partition MBRs), placement, lineage, and the invalidation of
+        whatever mirrored the old layout (worker pool, spill, id map)."""
+        self.tries = tries
         self._store, self._unloaded, self._mutated = store, unloaded, mutated
         pids = self.partition_pids()
         self.global_index = GlobalIndex.from_infos(
             [
-                partition_info(pid, partitions[pid])
-                if pid in partitions
+                partition_info(pid, tries[pid].dataset)
+                if pid in tries
                 else _info_from_store_meta(store.metas[pid])
                 for pid in pids
             ],
@@ -346,7 +326,6 @@ class DITAEngine:
         # left engine partitions occupy [0, n); a right engine in a join is
         # offset by n (JoinExecutor._cluster_pid)
         self.cluster.place_partitions(pids)
-        self._searchers: Dict[int, LocalSearcher] = {}
         self._register_rebuilds(self.cluster)
         # worker processes mirror a snapshot that no longer matches; the
         # next process-backend call respawns against a fresh one
@@ -361,38 +340,26 @@ class DITAEngine:
 
     def partition_pids(self) -> List[int]:
         """Every partition id, loaded or not, ascending."""
-        return sorted(set(self.partitions) | self._unloaded)
+        return sorted(set(self.tries) | self._unloaded)
 
-    def _ensure_loaded(self, pid: int) -> None:
-        if pid in self.tries or pid not in self._unloaded:
-            return
-        part = self._store.partition(pid)
-        self.partitions[pid] = part
-        self.tries[pid] = TrieIndex(part, self.config)
-        self._unloaded.discard(pid)
+    def trie(self, pid: int) -> TrieIndex:
+        """The partition: its local index over its columnar block.  A
+        store block is mapped and indexed when first asked for; its
+        verification artifacts wait for the first query."""
+        if pid in self._unloaded:
+            self.tries[pid] = TrieIndex(self._store.partition(pid), self.config)
+            self._unloaded.discard(pid)
+        return self.tries[pid]
 
     def partition(self, pid: int) -> ColumnarDataset:
         """The partition's columnar block (loads a store block on demand)."""
-        if pid not in self.partitions:
-            self._ensure_loaded(pid)
-        return self.partitions[pid]
+        return self.trie(pid).dataset
 
-    def trie(self, pid: int) -> TrieIndex:
-        """The partition's local index (built on demand for store blocks)."""
-        if pid not in self.tries:
-            self._ensure_loaded(pid)
-        return self.tries[pid]
-
-    def _searcher(self, pid: int) -> Optional[LocalSearcher]:
-        """The partition's searcher, or None when the pid is unknown."""
-        s = self._searchers.get(pid)
-        if s is not None:
-            return s
-        if pid not in self.tries and pid not in self._unloaded:
-            return None
-        s = LocalSearcher(self.trie(pid), self.adapter, self.verifier)
-        self._searchers[pid] = s
-        return s
+    @property
+    def partitions(self) -> Dict[int, ColumnarDataset]:
+        """The loaded partitions' blocks by pid — a read-only view derived
+        from :attr:`tries` (unloaded store partitions are not in it)."""
+        return {pid: trie.dataset for pid, trie in self.tries.items()}
 
     # ------------------------------------------------------------------ #
     # observability (repro.obs)
@@ -464,11 +431,7 @@ class DITAEngine:
 
     def _make_rebuild(self, pid: int) -> Callable[[], None]:
         def rebuild() -> None:
-            part = self.partition(pid)
-            trie = TrieIndex(part, self.config)
-            trie.batch_block()
-            self.tries[pid] = trie
-            self._searchers[pid] = LocalSearcher(trie, self.adapter, self.verifier)
+            self.tries[pid] = self._build_index(self.partition(pid))
 
         return rebuild
 
@@ -482,7 +445,7 @@ class DITAEngine:
 
     @property
     def n_partitions(self) -> int:
-        return len(self.partitions) + len(self._unloaded)
+        return len(self.tries) + len(self._unloaded)
 
     def __len__(self) -> int:
         indexed = sum(m.size for m in self.global_index.partitions_meta)
@@ -553,8 +516,8 @@ class DITAEngine:
         d = self._deltas.get(pid)
         if d is None:
             ndim = None
-            if pid in self.partitions:
-                ndim = self.partitions[pid].ndim
+            if pid in self.tries:
+                ndim = self.tries[pid].dataset.ndim
             elif self._store is not None and pid in self._unloaded:
                 ndim = int(self._store.catalog["ndim"])
             d = DeltaPartition(ndim)
@@ -726,20 +689,15 @@ class DITAEngine:
             return 0
         self._in_flush = True
         applied = 0
-        staged: List[Tuple[int, Optional[ColumnarDataset], Optional[TrieIndex]]] = []
+        staged: List[Tuple[int, Optional[TrieIndex]]] = []
         try:
             for pid, delta in items:
                 applied += delta.n_pending
                 base = None
-                if pid in self.partitions or pid in self._unloaded:
+                if pid in self.tries or pid in self._unloaded:
                     base = self.partition(pid)
                 part = delta.apply(base)
-                if len(part) == 0:
-                    staged.append((pid, None, None))
-                    continue
-                trie = TrieIndex(part, self.config)
-                trie.batch_block()
-                staged.append((pid, part, trie))
+                staged.append((pid, self._build_index(part) if len(part) else None))
         except BaseException:
             # nothing was adopted; put every popped delta back so a retry
             # (or the next read) sees the exact pre-flush pending state
@@ -748,16 +706,14 @@ class DITAEngine:
             raise
         finally:
             self._in_flush = False
-        for pid, part, trie in staged:
+        for pid, trie in staged:
             self._unloaded.discard(pid)
-            if part is None:
-                self.partitions.pop(pid, None)
+            if trie is None:
                 self.tries.pop(pid, None)
             else:
-                self.partitions[pid] = part
                 self.tries[pid] = trie
             self._part_versions[pid] = self._part_versions.get(pid, 0) + 1
-        self._install(self.partitions, self.tries, self._store, self._unloaded, mutated=True)
+        self._install(self.tries, self._store, self._unloaded, mutated=True)
         return applied
 
     def _sync_streams(self) -> None:
@@ -817,7 +773,7 @@ class DITAEngine:
                     tag="merge.partition",
                 )
                 metas.append(meta)
-            ndim = next(iter(self.partitions.values())).ndim
+            ndim = self.partition(pids[0]).ndim
             write_catalog(staging, metas, ndim, self.config.num_global_partitions)
             gens.commit(gen)
         except BaseException:
@@ -827,7 +783,7 @@ class DITAEngine:
         # the compaction re-lays every partition's rows: caches holding
         # row-addressed state for any partition are stale now
         self._bump_generation(set(pids) | set(store.metas))
-        self._install({}, {}, store, set(store.metas))
+        self._install({}, store, set(store.metas))
         self._rows_since_merge = 0
         if prune:
             gens.prune()
@@ -884,14 +840,10 @@ class DITAEngine:
         if not old_pids:
             return False
         id_to_old = self._id_map()  # nothing is pending: this loads and maps every block
-        logical = concat_datasets([self.partitions[pid] for pid in old_pids])
+        logical = concat_datasets([self.partition(pid) for pid in old_pids])
         groups = partition_trajectories(logical, self.config.num_global_partitions)
         new_parts = {npid: part for npid, part in enumerate(groups) if len(part)}
-        staged: Dict[int, TrieIndex] = {}
-        for npid, part in new_parts.items():
-            trie = TrieIndex(part, self.config)
-            trie.batch_block()
-            staged[npid] = trie
+        staged = {npid: self._build_index(part) for npid, part in new_parts.items()}
         # destinations live beside the old partitions during migration:
         # place them, register their lineage, then account the transfers
         offset = max(old_pids) + 1
@@ -917,16 +869,14 @@ class DITAEngine:
                 self.cluster.ship(src, offset + npid, by_src[src])
         # adoption: every old and new partition's row layout changed
         self._bump_generation(set(old_pids) | set(new_parts))
-        self._install(new_parts, staged, None, set())
+        self._install(staged, None, set())
         return True
 
     def _make_stage_rebuild(
         self, staged: Dict[int, TrieIndex], npid: int, part: ColumnarDataset
     ) -> Callable[[], None]:
         def rebuild() -> None:
-            trie = TrieIndex(part, self.config)
-            trie.batch_block()
-            staged[npid] = trie
+            staged[npid] = self._build_index(part)
 
         return rebuild
 
@@ -1029,12 +979,11 @@ class DITAEngine:
         if self._store is not None and not self._mutated:
             return str(self._store.path)
         if self._spill_dir is None:
-            for pid in self.partition_pids():
-                self._ensure_loaded(pid)
+            parts = {pid: self.partition(pid) for pid in self.partition_pids()}
             spill = tempfile.mkdtemp(prefix="repro-spill-")
-            ndim = next(iter(self.partitions.values())).ndim
+            ndim = next(iter(parts.values())).ndim
             snapshot_partitions(
-                self.partitions, Path(spill) / "store", ndim, self.config.num_global_partitions
+                parts, Path(spill) / "store", ndim, self.config.num_global_partitions
             )
             self._spill_dir = spill
         return str(Path(self._spill_dir) / "store")
@@ -1180,8 +1129,6 @@ class DITAEngine:
             tasks: List[_EngineTask] = []
             idx_of: Dict[int, List[int]] = {}
             for pid in sorted(by_pid):
-                if pid not in self.partitions and pid not in self._unloaded:
-                    continue
                 idxs = by_pid[pid]
                 tid = len(tasks)
                 idx_of[tid] = idxs
@@ -1241,12 +1188,10 @@ class DITAEngine:
         """Total trie candidates across relevant partitions (Fig 17 metric)."""
         self._sync_streams()
         relevant = self.global_index.relevant_partitions(query.points, tau, self.adapter)
-        total = 0
-        for pid in relevant:
-            searcher = self._searcher(pid)
-            if searcher is not None:
-                total += searcher.count_candidates(query, tau)
-        return total
+        return sum(
+            int(self.trie(pid).filter_candidates(query.points, tau, self.adapter).shape[0])
+            for pid in relevant
+        )
 
     # ------------------------------------------------------------------ #
     # join (Section 6)

@@ -32,6 +32,9 @@ from .adapters import IndexAdapter
 from .config import DITAConfig
 from .numerics import slack
 
+#: R-tree node capacity of the two partition-MBR trees
+RTREE_FANOUT = 16
+
 
 @dataclass
 class PartitionInfo:
@@ -108,12 +111,11 @@ class GlobalIndex:
     ) -> None:
         self.config = config or DITAConfig()
         self.partitions_meta = infos
-        fanout = self.config.rtree_fanout
         self.rtree_first = RTree(
-            [(m.mbr_first, m.partition_id) for m in infos], max_entries=fanout
+            [(m.mbr_first, m.partition_id) for m in infos], max_entries=RTREE_FANOUT
         )
         self.rtree_last = RTree(
-            [(m.mbr_last, m.partition_id) for m in infos], max_entries=fanout
+            [(m.mbr_last, m.partition_id) for m in infos], max_entries=RTREE_FANOUT
         )
         self._meta_by_id = {m.partition_id: m for m in self.partitions_meta}
 
@@ -161,19 +163,6 @@ class GlobalIndex:
             if bound <= tau_s:
                 out.append(pid)
         return sorted(out)
-
-    def relevant_partitions_for_mbr(self, first_mbr: MBR, last_mbr: MBR, tau: float) -> List[int]:
-        """Partitions whose align MBRs are within ``tau`` of the given pair
-        of MBRs — the partition-to-partition predicate of the join planner."""
-        out: List[int] = []
-        tau_s = slack(tau)
-        for meta in self.partitions_meta:
-            df = meta.mbr_first.min_dist_mbr(first_mbr)
-            dl = meta.mbr_last.min_dist_mbr(last_mbr)
-            bound = max(df, dl) if meta.min_len == 1 else df + dl
-            if bound <= tau_s:
-                out.append(meta.partition_id)
-        return out
 
     def size_bytes(self) -> int:
         """Approximate global-index footprint (two R-trees of partition MBRs)."""

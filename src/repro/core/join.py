@@ -9,9 +9,9 @@ to the simulated cluster.
 The whole path is row-native: senders are selected as row arrays over each
 partition's columnar dataset (one vectorized endpoint-distance filter per
 edge), shipped rows are verified through
-:meth:`~repro.core.search.LocalSearcher.search_rows_batch`, and result ids
-are read straight from the id columns — no ``Trajectory`` object is
-materialized anywhere in the join.
+:func:`~repro.core.search.search_rows`, and result ids are read straight
+from the id columns — no ``Trajectory`` object is materialized anywhere in
+the join.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .search import SearchStats
 
 #: join output: (left trajectory id, right trajectory id, distance)
 JoinPair = Tuple[int, int, float]
+
+#: share of a sending partition sampled to estimate a bi-graph edge's
+#: weights (Section 6.2)
+JOIN_SAMPLE_FRACTION = 0.1
 
 
 @dataclass
@@ -128,7 +132,6 @@ class JoinExecutor:
         so a store-backed engine never loads partitions the planner prunes
         for every counterpart."""
         rng = rng or np.random.default_rng(self.config.seed)
-        frac = self.config.join_sample_fraction
         edges: List[BiEdge] = []
         for mt in self.left.global_index.partitions_meta:
             for mq in self.right.global_index.partitions_meta:
@@ -136,8 +139,8 @@ class JoinExecutor:
                     continue
                 t_part = self.left.partition(mt.partition_id)
                 q_part = self.right.partition(mq.partition_id)
-                trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, frac, rng)
-                trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, frac, rng)
+                trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng)
+                trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, rng)
                 edges.append(
                     BiEdge(
                         t_part=mt.partition_id,
@@ -156,7 +159,6 @@ class JoinExecutor:
         receiver_meta,
         receiver_engine,
         tau: float,
-        frac: float,
         rng: np.random.Generator,
     ) -> Tuple[float, float]:
         """Estimate (bytes shipped, candidate pairs) for one direction by
@@ -165,7 +167,7 @@ class JoinExecutor:
         n = int(alive.shape[0])
         if n == 0:
             return 0.0, 0.0
-        k = max(1, int(round(n * frac)))
+        k = max(1, int(round(n * JOIN_SAMPLE_FRACTION)))
         idx = rng.choice(n, size=min(k, n), replace=False)
         sampled = alive[idx.astype(np.int64)]
         scale = n / sampled.shape[0]
@@ -187,7 +189,6 @@ class JoinExecutor:
         return plan_join(
             edges,
             lam=self.config.cost_lambda,
-            division_quantile=self.config.division_quantile,
             use_orientation=use_orientation,
             use_division=use_division,
         )

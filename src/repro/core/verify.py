@@ -18,18 +18,16 @@ Cells and MBRs are precomputed at indexing time (``VerificationData``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.cell import Cell, CellSet
+from ..geometry.cell import CellSet
 from ..geometry.mbr import MBR
 from ..kernels.batch import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
 from ..trajectory.trajectory import Trajectory
-
-_INF = math.inf
+from .numerics import slack as _slack
 
 
 @dataclass
@@ -65,31 +63,6 @@ class VerificationData:
         )
 
 
-from .numerics import slack as _slack
-
-
-def mbr_coverage_ok(t_mbr: MBR, q_mbr: MBR, tau: float) -> bool:
-    """True when the pair survives Lemma 5.4 (may still be similar)."""
-    slack = _slack(tau)
-    return t_mbr.expand(slack).contains_mbr(q_mbr) and q_mbr.expand(slack).contains_mbr(t_mbr)
-
-
-def cell_bound_dtw(cells_t: CellSet, cells_q: CellSet) -> float:
-    """``max(Cell(T,Q), Cell(Q,T))`` — additive lower bound for DTW."""
-    m = cells_t.min_dist_matrix(cells_q)
-    forward = float(np.dot(m.min(axis=1), cells_t.counts))
-    backward = float(np.dot(m.min(axis=0), cells_q.counts))
-    return max(forward, backward)
-
-
-def cell_bound_frechet(cells_t: CellSet, cells_q: CellSet) -> float:
-    """Max-based cell lower bound for Fréchet: every point of T must match a
-    point of Q within the Fréchet distance, so the largest cell-to-nearest-
-    cell gap (in either direction) lower-bounds it."""
-    m = cells_t.min_dist_matrix(cells_q)
-    return max(float(m.min(axis=1).max()), float(m.min(axis=0).max()))
-
-
 @dataclass
 class VerifyStats:
     """Counts of where candidate pairs were resolved (for the ablations)."""
@@ -114,77 +87,28 @@ class VerifyStats:
 
 
 class Verifier:
-    """Configurable verification pipeline shared by search and join."""
+    """The staged verification pipeline of one adapter, shared by search
+    and join.
+
+    The adapter says what is sound for its distance and how the exact
+    stage runs: ``adapter.cell_bound`` names the batched Lemma 5.6 bound
+    (``"sum"`` for additive distances, ``"max"`` for max-accumulating
+    ones) or is ``None`` where neither the cell bound nor MBR coverage
+    holds, and ``adapter.exact`` / ``adapter.exact_batch`` are the
+    threshold-constrained exact distance for one pair and for many.  The
+    two flags only ever switch a sound stage off (the ablations).
+    """
 
     def __init__(
-        self,
-        exact_fn,
-        cell_bound_fn=cell_bound_dtw,
-        use_mbr_coverage: bool = True,
-        use_cell_filter: bool = True,
+        self, adapter, use_mbr_coverage: bool = True, use_cell_filter: bool = True
     ) -> None:
-        """``exact_fn(t_points, q_points, tau) -> distance or inf`` is the
-        threshold-constrained exact distance (e.g. double-direction DTW);
-        ``cell_bound_fn`` may be ``None`` to disable the cell stage."""
-        self.exact_fn = exact_fn
-        self.cell_bound_fn = cell_bound_fn
-        self.use_mbr_coverage = use_mbr_coverage
-        self.use_cell_filter = use_cell_filter and cell_bound_fn is not None
-        # the two built-in bounds have batched equivalents; anything custom
-        # drops verify_batch back to the per-pair pipeline
-        if cell_bound_fn is cell_bound_dtw:
-            self.cell_bound_kind: Optional[str] = "sum"
-        elif cell_bound_fn is cell_bound_frechet:
-            self.cell_bound_kind = "max"
-        else:
-            self.cell_bound_kind = None
-
-    def verify(
-        self,
-        t: Trajectory,
-        q: Trajectory,
-        tau: float,
-        t_data: Optional[VerificationData] = None,
-        q_data: Optional[VerificationData] = None,
-        stats: Optional[VerifyStats] = None,
-    ) -> float:
-        """Exact distance when ``<= tau`` else ``inf``, using the staged
-        filters whenever precomputed data is available."""
-        if stats is not None:
-            stats.pairs += 1
-        if self.use_mbr_coverage:
-            t_mbr = t_data.mbr if t_data is not None else t.mbr
-            q_mbr = q_data.mbr if q_data is not None else q.mbr
-            if not mbr_coverage_ok(t_mbr, q_mbr, tau):
-                if stats is not None:
-                    stats.pruned_by_mbr += 1
-                return _INF
-        if self.use_cell_filter and t_data is not None and q_data is not None:
-            if self.cell_bound_fn(t_data.cells, q_data.cells) > _slack(tau):
-                if stats is not None:
-                    stats.pruned_by_cells += 1
-                return _INF
-        if stats is not None:
-            stats.exact_computed += 1
-        d = self.exact_fn(t.points, q.points, tau)
-        if d <= tau and stats is not None:
-            stats.accepted += 1
-        return d
-
-    def exact_batch(
-        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
-    ) -> List[float]:
-        """``exact_fn(ts[i], qs[i], taus[i])`` for every ``i``, bit for bit.
-
-        As with the built-in cell bounds, an ``exact_fn`` this package
-        supplied has a batched equivalent: an adapter's ``exact`` comes
-        with that adapter's ``exact_batch``, which may run many pairs per
-        kernel sweep (:mod:`repro.kernels.pairbatch`).  Any other callable
-        is looped over."""
-        batch = getattr(getattr(self.exact_fn, "__self__", None), "exact_batch", None)
-        if batch is not None:
-            return batch(ts, qs, taus)
-        return [self.exact_fn(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
+        self.cell_bound: Optional[str] = adapter.cell_bound
+        self.use_mbr_coverage = use_mbr_coverage and self.cell_bound is not None
+        self.use_cell_filter = use_cell_filter and self.cell_bound is not None
+        #: ``exact_fn(t_points, q_points, tau) -> distance or inf``
+        self.exact_fn = adapter.exact
+        #: ``exact_fn`` over aligned sequences of pairs, bit for bit
+        self.exact_batch = adapter.exact_batch
 
     def filter_rows(
         self,
@@ -201,9 +125,7 @@ class Verifier:
         same row space, so no id translation happens anywhere: Lemma 5.4
         and Lemma 5.6 run as matrix operations over the block.  Returns
         the surviving rows in candidate order, having counted the list and
-        what each stage pruned exactly as :meth:`verify` does per pair.
-        Verifiers with a custom scalar cell bound (no batched equivalent)
-        evaluate it per row over the block's cell segments.
+        what each stage pruned.
         """
         rows = np.asarray(rows, dtype=np.int64)
         k = int(rows.shape[0])
@@ -218,17 +140,7 @@ class Verifier:
                 stats.pruned_by_mbr += int(k - int(mask.sum()))
             rows = rows[np.nonzero(mask)[0]]
         if self.use_cell_filter and rows.shape[0]:
-            if self.cell_bound_kind is not None:
-                bounds = batch_cell_bounds(block, rows, q_data.cells, self.cell_bound_kind)
-                mask = bounds <= slack
-            else:
-                mask = np.asarray(
-                    [
-                        self.cell_bound_fn(block.cellset_of(int(r)), q_data.cells) <= slack
-                        for r in rows
-                    ],
-                    dtype=bool,
-                )
+            mask = batch_cell_bounds(block, rows, q_data.cells, self.cell_bound) <= slack
             if stats is not None:
                 stats.pruned_by_cells += int(rows.shape[0] - int(mask.sum()))
             rows = rows[np.nonzero(mask)[0]]
@@ -246,10 +158,10 @@ class Verifier:
 
         ``rows_per_query[i]`` are query ``i``'s survivors of
         :meth:`filter_rows`.  All ``(row, query)`` pairs go to
-        :meth:`exact_batch` together — fed zero-copy point views straight
-        out of the columnar dataset, never a materialized ``Trajectory`` —
-        and come back per query as accepted ``(row, distance)`` pairs in
-        candidate order, with the counts :meth:`verify` would have made.
+        ``exact_batch`` together — fed zero-copy point views straight out
+        of the columnar dataset, never a materialized ``Trajectory`` — and
+        come back per query as accepted ``(row, distance)`` pairs in
+        candidate order, counted as computed and accepted.
         """
         row_lists = [rows.tolist() for rows in rows_per_query]
         ts: List[np.ndarray] = []
@@ -272,21 +184,3 @@ class Verifier:
                 stats[i].accepted += len(matches)
             out.append(matches)
         return out
-
-    def verify_rows(
-        self,
-        block: TrajectoryBlock,
-        dataset,
-        rows: np.ndarray,
-        q_points: np.ndarray,
-        tau: float,
-        q_data: VerificationData,
-        stats: Optional[VerifyStats] = None,
-    ) -> List[Tuple[int, float]]:
-        """Staged verification of one query's candidate row list:
-        :meth:`filter_rows`, then :meth:`exact_rows` on what is left.
-        Returns accepted ``(row, distance)`` pairs in candidate order, with
-        the same answers and the same :class:`VerifyStats` counts as
-        calling :meth:`verify` per pair."""
-        rows = self.filter_rows(block, rows, tau, q_data, stats)
-        return self.exact_rows(dataset, [rows], [q_points], [tau], [stats])[0]

@@ -344,7 +344,7 @@ class Project:
         self, node: Optional[ast.AST], module: str, table: Dict[str, str]
     ) -> Optional[TypeRef]:
         """``Cluster`` / ``Optional[Cluster]`` / ``List[Worker]`` /
-        ``Dict[int, LocalSearcher]`` -> a TypeRef, else None."""
+        ``Dict[int, TrieIndex]`` -> a TypeRef, else None."""
         if node is None:
             return None
         if isinstance(node, ast.Constant) and isinstance(node.value, str):

@@ -9,19 +9,15 @@ from .dtw import (
     DTWDistance,
     dtw,
     dtw_double_direction,
-    dtw_reference,
     dtw_threshold,
-    dtw_threshold_reference,
     dtw_window,
 )
-from .edr import EDRDistance, edr, edr_reference, edr_threshold, edr_threshold_reference
-from .erp import ERPDistance, erp, erp_reference, erp_threshold, erp_threshold_reference
+from .edr import EDRDistance, edr, edr_threshold
+from .erp import ERPDistance, erp, erp_threshold
 from .frechet import (
     FrechetDistance,
     frechet,
-    frechet_reference,
     frechet_threshold,
-    frechet_threshold_reference,
 )
 from .hausdorff import HausdorffDistance, hausdorff, hausdorff_threshold
 from .lb import keogh_envelope, lb_keogh, lb_kim
@@ -38,22 +34,14 @@ __all__ = [
     "available_distances",
     "dtw",
     "dtw_double_direction",
-    "dtw_reference",
     "dtw_threshold",
-    "dtw_threshold_reference",
     "dtw_window",
     "edr",
-    "edr_reference",
     "edr_threshold",
-    "edr_threshold_reference",
     "erp",
-    "erp_reference",
     "erp_threshold",
-    "erp_threshold_reference",
     "frechet",
-    "frechet_reference",
     "frechet_threshold",
-    "frechet_threshold_reference",
     "hausdorff",
     "hausdorff_threshold",
     "get_distance",

@@ -16,9 +16,8 @@ The paper uses DTW as the default distance.  We provide:
 * :func:`dtw_window` — a Sakoe-Chiba banded DTW (extension; not used by the
   paper's experiments but standard in the time-series literature it cites).
 
-The original per-cell Python loops are retained as :func:`dtw_reference`
-and :func:`dtw_threshold_reference` for differential testing and for the
-``benchmarks/bench_kernels.py`` baseline.
+The per-cell Python loops these replaced are differential oracles under
+``tests/oracles/`` (also the ``benchmarks/bench_kernels.py`` baseline).
 """
 
 from __future__ import annotations
@@ -62,31 +61,6 @@ def dtw(t: np.ndarray, q: np.ndarray) -> float:
     return dtw_wavefront(t, q)
 
 
-def dtw_reference(t: np.ndarray, q: np.ndarray) -> float:
-    """Exact DTW via the classic per-cell cumulative-cost loop.
-
-    Kept as the differential-testing oracle for :func:`dtw`.
-    """
-    t, q = _check(t, q)
-    w = pairwise_distances(t, q)
-    m, n = w.shape
-    v = np.empty_like(w)
-    v[0, :] = np.cumsum(w[0, :])
-    v[:, 0] = np.cumsum(w[:, 0])
-    for i in range(1, m):
-        row_prev = v[i - 1]
-        row = v[i]
-        wi = w[i]
-        for j in range(1, n):
-            best = row_prev[j - 1]
-            if row_prev[j] < best:
-                best = row_prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = wi[j] + best
-    return float(v[m - 1, n - 1])
-
-
 def dtw_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """``DTW(T, Q, tau)``: the exact value when ``<= tau``, else ``inf``.
 
@@ -96,66 +70,6 @@ def dtw_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """
     t, q = _check(t, q)
     return dtw_wavefront_threshold(t, q, tau)
-
-
-def dtw_threshold_reference(t: np.ndarray, q: np.ndarray, tau: float) -> float:
-    """Row-by-row early-abandon DTW loop; oracle for :func:`dtw_threshold`."""
-    t, q = _check(t, q)
-    w = pairwise_distances(t, q)
-    m, n = w.shape
-    prev = np.cumsum(w[0, :])
-    prev[prev > tau] = _INF
-    if not np.isfinite(prev).any():
-        return _INF
-    for i in range(1, m):
-        cur = np.full(n, _INF)
-        wi = w[i]
-        if np.isfinite(prev[0]):
-            val = wi[0] + prev[0]
-            if val <= tau:
-                cur[0] = val
-        for j in range(1, n):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            if np.isfinite(best):
-                val = wi[j] + best
-                if val <= tau:
-                    cur[j] = val
-        if not np.isfinite(cur).any():
-            return _INF
-        prev = cur
-    return float(prev[n - 1]) if np.isfinite(prev[n - 1]) else _INF
-
-
-def _forward_rows(w: np.ndarray, rows: int, tau: float):
-    """Forward DP over the first ``rows`` rows of ``w``; returns the last
-    computed row (or None on early abandon).  Loop-based oracle for
-    :func:`repro.kernels.wavefront.dtw_wavefront_last_row`."""
-    n = w.shape[1]
-    prev = np.cumsum(w[0, :])
-    prev[prev > tau] = _INF
-    if not np.isfinite(prev).any():
-        return None
-    for i in range(1, rows):
-        cur = np.full(n, _INF)
-        wi = w[i]
-        if np.isfinite(prev[0]):
-            val = wi[0] + prev[0]
-            if val <= tau:
-                cur[0] = val
-        for j in range(1, n):
-            best = min(prev[j - 1], prev[j], cur[j - 1])
-            if np.isfinite(best):
-                val = wi[j] + best
-                if val <= tau:
-                    cur[j] = val
-        if not np.isfinite(cur).any():
-            return None
-        prev = cur
-    return prev
 
 
 def dtw_double_direction(t: np.ndarray, q: np.ndarray, tau: float) -> float:

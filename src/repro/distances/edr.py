@@ -9,15 +9,10 @@ which gives the paper's length filter.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..geometry.point import pairwise_distances
 from ..kernels.wavefront import edr_wavefront, edr_wavefront_threshold
 from .base import TrajectoryDistance, register_distance
-
-_INF = math.inf
 
 
 def edr(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
@@ -29,79 +24,12 @@ def edr(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
     return edr_wavefront(t, q, epsilon)
 
 
-def edr_reference(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
-    """Exact EDR via the per-cell edit-distance loop; oracle for
-    :func:`edr`."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    m, n = t.shape[0], q.shape[0]
-    match = pairwise_distances(t, q) <= epsilon
-    prev = np.arange(n + 1)  # EDR(empty, Q^j) = j
-    for i in range(1, m + 1):
-        cur = np.empty(n + 1, dtype=np.int64)
-        cur[0] = i  # EDR(T^i, empty) = i
-        match_row = match[i - 1]
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (0 if match_row[j - 1] else 1)
-            ins = prev[j] + 1
-            dele = cur[j - 1] + 1
-            best = sub
-            if ins < best:
-                best = ins
-            if dele < best:
-                best = dele
-            cur[j] = best
-        prev = cur
-    return int(prev[n])
-
-
 def edr_threshold(t: np.ndarray, q: np.ndarray, epsilon: float, tau: float) -> float:
     """EDR if ``<= tau`` else ``inf``: length filter, then a wavefront sweep
     that prunes cells above ``tau`` and abandons once the frontier dies."""
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     return edr_wavefront_threshold(t, q, epsilon, tau)
-
-
-def edr_threshold_reference(
-    t: np.ndarray, q: np.ndarray, epsilon: float, tau: float
-) -> float:
-    """Banded-loop EDR threshold; oracle for :func:`edr_threshold`.
-
-    Any path with more than ``tau`` edits is useless, so cells with
-    ``|i - j| > tau`` (which force at least that many indels) are skipped.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    m, n = t.shape[0], q.shape[0]
-    if abs(m - n) > tau:
-        return _INF
-    band = int(math.floor(tau))
-    match = pairwise_distances(t, q) <= epsilon
-    big = m + n + 1
-    prev = np.full(n + 1, big, dtype=np.int64)
-    hi0 = min(n, band)
-    prev[: hi0 + 1] = np.arange(hi0 + 1)
-    for i in range(1, m + 1):
-        cur = np.full(n + 1, big, dtype=np.int64)
-        lo = max(0, i - band)
-        hi = min(n, i + band)
-        if lo == 0:
-            cur[0] = i
-            lo = 1
-        match_row = match[i - 1]
-        for j in range(lo, hi + 1):
-            sub = prev[j - 1] + (0 if match_row[j - 1] else 1)
-            ins = prev[j] + 1
-            dele = cur[j - 1] + 1
-            best = min(sub, ins, dele)
-            cur[j] = best
-        if cur.min() > tau:
-            return _INF
-        prev = cur
-    return float(prev[n]) if prev[n] <= tau else _INF
 
 
 @register_distance("edr")

@@ -8,15 +8,10 @@ the paper among the widely-adopted functions (reference [9]).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..geometry.point import pairwise_distances
 from ..kernels.wavefront import erp_mass_bound, erp_wavefront, erp_wavefront_threshold
 from .base import TrajectoryDistance, register_distance
-
-_INF = math.inf
 
 
 def erp(t: np.ndarray, q: np.ndarray, gap: np.ndarray) -> float:
@@ -29,36 +24,6 @@ def erp(t: np.ndarray, q: np.ndarray, gap: np.ndarray) -> float:
     return erp_wavefront(t, q, g)
 
 
-def erp_reference(t: np.ndarray, q: np.ndarray, gap: np.ndarray) -> float:
-    """Exact ERP via the per-cell loop; oracle for :func:`erp`."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    g = np.asarray(gap, dtype=np.float64)
-    if g.shape != (t.shape[1],):
-        raise ValueError("gap point must match trajectory dimensionality")
-    m, n = t.shape[0], q.shape[0]
-    w = pairwise_distances(t, q)
-    gt = np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1))  # delete from T
-    gq = np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1))  # delete from Q
-    prev = np.concatenate(([0.0], np.cumsum(gq)))
-    for i in range(1, m + 1):
-        cur = np.empty(n + 1)
-        cur[0] = prev[0] + gt[i - 1]
-        wi = w[i - 1]
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + wi[j - 1]
-            dele = prev[j] + gt[i - 1]
-            ins = cur[j - 1] + gq[j - 1]
-            best = sub
-            if dele < best:
-                best = dele
-            if ins < best:
-                best = ins
-            cur[j] = best
-        prev = cur
-    return float(prev[n])
-
-
 def erp_threshold(t: np.ndarray, q: np.ndarray, gap: np.ndarray, tau: float) -> float:
     """ERP if ``<= tau`` else ``inf``: the triangle-derived gap-mass bound
     rejects first, then a tau-pruned wavefront sweep decides the rest."""
@@ -68,25 +33,6 @@ def erp_threshold(t: np.ndarray, q: np.ndarray, gap: np.ndarray, tau: float) -> 
     if g.shape != (t.shape[1],):
         raise ValueError("gap point must match trajectory dimensionality")
     return erp_wavefront_threshold(t, q, g, tau)
-
-
-def erp_threshold_reference(
-    t: np.ndarray, q: np.ndarray, gap: np.ndarray, tau: float
-) -> float:
-    """Mass-bound + full-loop ERP threshold; oracle for
-    :func:`erp_threshold`, using the triangle-derived lower bound
-    ``|sum dist(t_i, g) - sum dist(q_j, g)| <= ERP(T, Q)`` (rounded down,
-    see :func:`~repro.kernels.wavefront.erp_mass_bound`) to abandon early.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    g = np.asarray(gap, dtype=np.float64)
-    gt = np.sqrt(np.sum((t - g[None, :]) ** 2, axis=1))
-    gq = np.sqrt(np.sum((q - g[None, :]) ** 2, axis=1))
-    if erp_mass_bound(gt, gq) > tau:
-        return _INF
-    d = erp_reference(t, q, g)
-    return d if d <= tau else _INF
 
 
 @register_distance("erp")

@@ -29,10 +29,9 @@ package delivers both:
   walk for many queries at once as chunked array passes instead of a
   per-node Python recursion.
 
-The legacy per-cell loop implementations remain available as
-``*_reference`` functions in :mod:`repro.distances` and are used for
-differential testing; ``benchmarks/bench_kernels.py`` measures one against
-the other and emits ``BENCH_kernels.json``.
+The per-cell loops these kernels replaced live on as differential oracles
+under ``tests/oracles/``; ``benchmarks/bench_kernels.py``
+measures one against the other and emits ``BENCH_kernels.json``.
 """
 
 from .batch import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage

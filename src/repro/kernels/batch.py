@@ -1,8 +1,8 @@
 """Batched candidate filtering over stacked verification artifacts.
 
-The per-pair verification pipeline (``repro.core.verify``) pays Python
-call overhead for every candidate: one ``mbr_coverage_ok`` and one
-``cell_bound_*`` per pair, each a handful of tiny numpy operations.  With
+Verifying one pair at a time (the oracle in ``tests/oracles/per_pair.py``)
+pays Python call overhead for every candidate: one MBR coverage test and
+one cell bound per pair, each a handful of tiny numpy operations.  With
 hundreds of candidates per query that overhead dominates the cheap stages.
 
 This module stacks the precomputed per-trajectory artifacts (Lemma 5.4
@@ -167,8 +167,7 @@ def batch_mbr_coverage(
     """Lemma 5.4 coverage mask for all selected rows at once.
 
     ``mask[i]`` is True when candidate ``rows[i]`` *survives*: its
-    tau-expanded MBR covers the query MBR and vice versa — the exact
-    vectorization of :func:`repro.core.verify.mbr_coverage_ok`.
+    tau-expanded MBR covers the query MBR and vice versa.
     """
     lo = block.mbr_low[rows]
     hi = block.mbr_high[rows]

@@ -21,7 +21,7 @@ finite cell — every warping/edit path advances ``k`` by 1 or 2 per step, so
 nothing beyond such a pair of diagonals is reachable.  Surviving cell
 values are bit-identical to the unconstrained DP, which is what the
 differential tests in ``tests/test_kernels.py`` assert against the
-``*_reference`` loop implementations.
+per-cell loops kept under ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def dtw_wavefront_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
 def dtw_wavefront_last_row(w: np.ndarray, rows: int, tau: float) -> Optional[np.ndarray]:
     """Threshold-capped forward DP over ``w[:rows]``; returns DP row
     ``rows - 1`` (cells above ``tau`` as ``inf``) or ``None`` when no cell
-    of that row stays within ``tau`` — the vectorized replacement for the
-    per-cell ``_forward_rows`` used by double-direction verification.
+    of that row stays within ``tau`` — the half-sweep of double-direction
+    verification.
     """
     _, row = _min_plus_sweep(w[:rows], tau=tau, capture_row=rows - 1)
     assert row is not None

@@ -24,27 +24,11 @@ from .physical import (
     FullScan,
     IndexJoin,
     IndexSearch,
+    KnnScan,
     PhysicalOperator,
     Row,
 )
 from .tokens import SQLError
-
-
-class _KnnOp(PhysicalOperator):
-    def __init__(self, engine, binding: str, query: Trajectory, k: int) -> None:
-        self.engine = engine
-        self.binding = binding
-        self.query = query
-        self.k = k
-
-    def execute(self, params: Dict[str, object]) -> List[Row]:
-        from ..core.knn import knn_search
-
-        b = self.binding
-        return [
-            {f"{b}.traj_id": t.traj_id, f"{b}.trajectory": t, "distance": d}
-            for t, d in knn_search(self.engine, self.query, self.k)
-        ]
 
 
 class _LambdaFilter(PhysicalOperator):
@@ -140,7 +124,7 @@ class TrajectoryFrame:
         if self._table is None:
             raise SQLError("knn applies to a base table frame")
         engine = self._session.catalog.engine_for(self._table, distance)
-        return self._derive(_KnnOp(engine, self._table, query, k))
+        return self._derive(KnnScan(engine, self._table, query, k))
 
     def tra_join(
         self, other: "TrajectoryFrame", tau: float, distance: str = "dtw"

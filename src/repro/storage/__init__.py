@@ -9,6 +9,10 @@
   catalog-level partition pruning and lazy loading.
 """
 
+# repro.trajectory's loaders build ColumnarDatasets and columnar.py views
+# rows as Trajectory objects: the cycle resolves only when entered from the
+# trajectory package, so enter it there whichever a caller imports first
+from .. import trajectory as _trajectory  # noqa: F401
 from .columnar import ColumnarDataset, concat_datasets, partition_rows
 from .delta import DeltaPartition
 from .generations import CURRENT_NAME, GenerationalStore

@@ -36,11 +36,13 @@ import numpy as np
 from ..trajectory.trajectory import Trajectory
 
 
-def check_finite(coords: np.ndarray) -> None:
+def check_finite(coords: np.ndarray, source: object = None) -> None:
     """Reject coordinates no index may hold: a NaN poisons every MBR
-    computed over it, so a partition containing one prunes wrongly."""
+    computed over it, so a partition containing one prunes wrongly.
+    ``source`` (a loader's file path) prefixes the message."""
     if not np.isfinite(coords).all():
-        raise ValueError("points must be finite (no NaN or infinite coordinates)")
+        where = "" if source is None else f"{source}: "
+        raise ValueError(f"{where}points must be finite (no NaN or infinite coordinates)")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

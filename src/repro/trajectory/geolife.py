@@ -29,7 +29,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..storage.columnar import ColumnarDataset
+from ..storage.columnar import ColumnarDataset, check_finite
 from .trajectory import Trajectory, TrajectoryDataset
 
 PathLike = Union[str, Path]
@@ -84,6 +84,7 @@ def load_plt_directory_columnar(
         if max_trajectories is not None and len(blocks) >= max_trajectories:
             break
         pts = _plt_points(path, max_points)
+        check_finite(pts, path)
         if pts.shape[0] >= min_points:
             blocks.append(pts)
     if not blocks:

@@ -24,7 +24,7 @@ from typing import List, Union
 
 import numpy as np
 
-from ..storage.columnar import ColumnarDataset
+from ..storage.columnar import ColumnarDataset, check_finite
 from .trajectory import TrajectoryDataset
 
 PathLike = Union[str, Path]
@@ -69,6 +69,7 @@ def load_csv_columnar(path: PathLike) -> ColumnarDataset:
     order = np.lexsort((data["seq"], data["tid"]))
     tids = data["tid"][order]
     coords = np.ascontiguousarray(data["c"][order].reshape(-1, ndim))
+    check_finite(coords, path)
     uniq, first_idx = np.unique(tids, return_index=True)
     starts = np.empty(uniq.shape[0] + 1, dtype=np.int64)
     starts[:-1] = first_idx
@@ -120,6 +121,7 @@ def load_jsonl_columnar(path: PathLike) -> ColumnarDataset:
     coords = np.asarray(flat, dtype=np.float64)
     if coords.ndim != 2:
         raise ValueError(f"{path}: ragged or empty point lists")
+    check_finite(coords, path)
     return ColumnarDataset(ids, starts, coords)
 
 

@@ -12,6 +12,7 @@ honest across node splits, short-trajectory leaves and mixed-length data.
 
 import pytest
 
+from oracles.per_pair import verify
 from oracles.scalar_filter import filter_candidates_reference
 from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
 from repro.core.config import DITAConfig
@@ -170,11 +171,11 @@ class TestDeltaParity:
 
 
 class TestVerifySeamParity:
-    """``search_rows_batch`` filters every query and then verifies every
+    """``search_rows`` filters every query and then verifies every
     survivor of the call through ``exact_batch`` (DTW and Fréchet: shared
     kernel sweeps; the rest: the default loop).  It must answer — rows,
     distances to the bit, and every ``SearchStats`` count — exactly as a
-    loop of ``Verifier.verify`` over each query's candidates does."""
+    loop of the per-pair oracle over each query's candidates does."""
 
     @staticmethod
     def _per_pair(trie, adapter, verifier, q_points, tau):
@@ -190,7 +191,7 @@ class TestVerifySeamParity:
         out = []
         for r in rows.tolist():
             t = trie.dataset.view(r)
-            d = verifier.verify(t, q, tau, VerificationData.of(t, cell), q_data, stats.verify)
+            d = verify(verifier, t, q, tau, VerificationData.of(t, cell), q_data, stats.verify)
             if d <= tau:
                 out.append((r, d))
         return out, stats
@@ -202,21 +203,22 @@ class TestVerifySeamParity:
         import dataclasses
         import struct
 
-        from repro.core.search import LocalSearcher, SearchStats
+        from repro.core.search import SearchStats, search_rows
+        from repro.core.verify import Verifier
 
         trie, queries = trie_and_queries
         adapter = make_adapter()
-        searcher = LocalSearcher(trie, adapter)
+        verifier = Verifier(adapter, trie.config.use_mbr_coverage, trie.config.use_cell_filter)
         # every query at every threshold — and once far above it, so many
         # pairs survive the filters — in ONE call: pairs of different
         # queries and thresholds share their sweeps
         tau_list = [tau for tau in [*taus, 4 * taus[-1]] for _ in queries]
         q_list = queries * (len(taus) + 1)
         stats = [SearchStats() for _ in q_list]
-        got = searcher.search_rows_batch(q_list, tau_list, None, stats)
+        got = search_rows(trie, adapter, verifier, q_list, tau_list, None, stats)
         survivors = 0
         for q, tau, matches, s in zip(q_list, tau_list, got, stats):
-            want, want_stats = self._per_pair(trie, adapter, searcher.verifier, q, tau)
+            want, want_stats = self._per_pair(trie, adapter, verifier, q, tau)
             assert matches == want, (name, tau)
             assert [struct.pack("<d", d) for _, d in matches] == [
                 struct.pack("<d", d) for _, d in want
@@ -236,7 +238,6 @@ class TestVerifySeamParity:
 
         from repro.core.engine import DITAEngine
         from repro.core.join import JoinStats
-        from repro.core.verify import Verifier
 
         def counts(js):
             d = dataclasses.asdict(js)
@@ -248,15 +249,41 @@ class TestVerifySeamParity:
         tau = taus[-1]
         batched_stats = JoinStats()
         batched = engine.join(engine, tau, stats=batched_stats)
+        exact_fn = engine.verifier.exact_fn
         monkeypatch.setattr(
-            Verifier,
+            engine.verifier,
             "exact_batch",
-            lambda self, ts, qs, ts_taus: [
-                self.exact_fn(t, q, x) for t, q, x in zip(ts, qs, ts_taus)
-            ],
+            lambda ts, qs, ts_taus: [exact_fn(t, q, x) for t, q, x in zip(ts, qs, ts_taus)],
         )
         looped_stats = JoinStats()
         looped = engine.join(engine, tau, stats=looped_stats)
         assert batched == looped, name
         assert counts(batched_stats) == counts(looped_stats), name
         assert batched_stats.verified_pairs > 0
+
+    @pytest.mark.parametrize("name,make_adapter,taus", ADAPTERS, ids=[a[0] for a in ADAPTERS])
+    def test_exact_batch_bit_equal_to_looping_exact(self, name, make_adapter, taus):
+        """The verifier's exact stage is the adapter's own ``exact_batch``:
+        over a ragged batch of pairs it returns, bit for bit, what looping
+        ``adapter.exact`` does — whichever kernel the adapter batches with."""
+        import numpy as np
+
+        from repro.core.verify import Verifier
+        from repro.kernels.pairbatch import MIN_BATCH_PAIRS
+
+        adapter = make_adapter()
+        data = list(citywide_dataset(30, seed=71))
+        ts = [t.points for t in data]
+        # near-copies of the data, rotated so lengths differ within a pair
+        near = [q.points for q in sample_queries(data, len(data), seed=5, perturb=0.0002)]
+        qs = near[7:] + near[:7]
+        tau_cycle = [taus[0], taus[-1], 4 * taus[-1], float("inf")]
+        pair_taus = [tau_cycle[i % len(tau_cycle)] for i in range(len(ts))]
+        assert len(ts) >= MIN_BATCH_PAIRS
+        assert any(t.shape[0] != q.shape[0] for t, q in zip(ts, qs))
+        got = np.asarray(Verifier(adapter).exact_batch(ts, qs, pair_taus), dtype=np.float64)
+        want = np.asarray(
+            [adapter.exact(t, q, tau) for t, q, tau in zip(ts, qs, pair_taus)], dtype=np.float64
+        )
+        assert np.isfinite(want).any(), name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name

@@ -18,6 +18,7 @@ from repro.core.adapters import (
     get_adapter,
 )
 from oracles.scalar_filter import visit as scalar_visit
+from repro.core.verify import Verifier
 from repro.geometry.mbr import MBR
 from repro.kernels.frontier import BatchVisit, QueryBatch
 
@@ -155,7 +156,7 @@ class TestEDRAdapter:
         assert visit(a, state, PIVOT, far, Q) is None
 
     def test_verifier_disables_geometric_filters(self):
-        v = EDRAdapter().make_verifier()
+        v = Verifier(EDRAdapter())
         assert not v.use_mbr_coverage
         assert not v.use_cell_filter
 

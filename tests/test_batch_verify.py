@@ -1,10 +1,10 @@
 """Batched filter-verification vs. the per-pair pipeline.
 
-``Verifier.verify_rows`` over a :class:`TrajectoryBlock` (stacked in the
-columnar dataset's row space) must return the same matches, in the same
-order, with the same :class:`VerifyStats` counts, as calling
-:meth:`Verifier.verify` per candidate — for every verifier configuration,
-including custom cell bounds with no batched equivalent.
+``Verifier.filter_rows`` then ``exact_rows`` over a :class:`TrajectoryBlock`
+(stacked in the columnar dataset's row space) must return the same
+matches, in the same order, with the same :class:`VerifyStats` counts, as
+the per-pair oracle (``oracles.per_pair.verify``) called per candidate —
+for every verifier configuration.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.per_pair import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok, verify
 from repro.baselines.mbe import MBEIndex, envelope_lower_bound
 from repro.core.adapters import get_adapter
 from repro.core.numerics import slack
-from repro.core.verify import VerificationData, VerifyStats
+from repro.core.verify import VerificationData, Verifier, VerifyStats
 from repro.datagen import beijing_like
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
 from repro.storage.columnar import ColumnarDataset
@@ -47,57 +48,38 @@ def block(dataset):
 def _per_pair(verifier, candidates, q, tau, verification, stats=None):
     out = []
     for t in candidates:
-        d = verifier.verify(t, q, tau, verification[t.traj_id],
-                            verification[q.traj_id], stats)
+        d = verify(verifier, t, q, tau, verification[t.traj_id],
+                   verification[q.traj_id], stats)
         if d <= tau:
             out.append((t.traj_id, d))
     return out
+
+
+def _verify_rows(verifier, block, dataset, rows, q_points, tau, q_data, stats=None):
+    """One query's candidate rows through both batched stages."""
+    rows = verifier.filter_rows(block, rows, tau, q_data, stats)
+    return verifier.exact_rows(dataset, [rows], [q_points], [tau], [stats])[0]
 
 
 @pytest.mark.parametrize("distance", ["dtw", "frechet"])
 @pytest.mark.parametrize("use_mbr,use_cells", [(True, True), (True, False), (False, True), (False, False)])
 def test_rows_match_per_pair(data, dataset, verification, block, distance, use_mbr, use_cells):
     adapter = get_adapter(distance)
-    verifier = adapter.make_verifier(use_mbr_coverage=use_mbr, use_cell_filter=use_cells)
+    verifier = Verifier(adapter, use_mbr_coverage=use_mbr, use_cell_filter=use_cells)
     rows = dataset.alive_rows()
     for qi in (0, 13, 55):
         q = data[qi]
         s_loop, s_batch = VerifyStats(), VerifyStats()
         expect = _per_pair(verifier, data, q, TAU, verification, s_loop)
-        got = verifier.verify_rows(
-            block, dataset, rows, q.points, TAU, verification[q.traj_id], stats=s_batch
+        got = _verify_rows(
+            verifier, block, dataset, rows, q.points, TAU, verification[q.traj_id], stats=s_batch
         )
         assert [(dataset.id_of(r), d) for r, d in got] == expect
         assert s_batch == s_loop
 
 
-def test_custom_cell_bound_uses_per_row_path(data, dataset, verification, block):
-    adapter = get_adapter("dtw")
-    verifier = adapter.make_verifier()
-    calls = []
-
-    def custom_bound(cells_t, cells_q):
-        calls.append(cells_t)
-        return 0.0  # never prunes
-
-    verifier.cell_bound_fn = custom_bound
-    verifier.cell_bound_kind = None
-    q = data[11]
-    loop_verifier = adapter.make_verifier()
-    loop_verifier.cell_bound_fn = lambda a, b: 0.0
-    loop_verifier.cell_bound_kind = None
-    expect = _per_pair(loop_verifier, data, q, TAU, verification)
-    got = verifier.verify_rows(
-        block, dataset, dataset.alive_rows(), q.points, TAU, verification[q.traj_id]
-    )
-    assert [(dataset.id_of(r), d) for r, d in got] == expect
-    assert calls  # the scalar bound really ran, fed block cell segments
-
-
 def test_batch_filter_stages_match_scalar_lemmas(data, dataset, verification, block):
     """Lemma 5.4 / 5.6 matrix forms agree with the scalar implementations."""
-    from repro.core.verify import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok
-
     q_data = verification[data[5].traj_id]
     rows = dataset.alive_rows()
     tau_s = slack(TAU)
@@ -113,9 +95,9 @@ def test_batch_filter_stages_match_scalar_lemmas(data, dataset, verification, bl
 
 
 def test_empty_candidates(data, dataset, verification, block):
-    verifier = get_adapter("dtw").make_verifier()
-    got = verifier.verify_rows(
-        block, dataset, np.empty(0, dtype=np.int64), data[0].points, TAU,
+    verifier = Verifier(get_adapter("dtw"))
+    got = _verify_rows(
+        verifier, block, dataset, np.empty(0, dtype=np.int64), data[0].points, TAU,
         verification[data[0].traj_id],
     )
     assert got == []

@@ -149,7 +149,7 @@ class TestOrientationEquivalence:
     def test_matches_reference_bit_for_bit(self, edges, lam):
         import copy
 
-        from repro.core.costmodel import _orient_edges_reference
+        from oracles.orient_reference import _orient_edges_reference
 
         a = copy.deepcopy(edges)
         b = copy.deepcopy(edges)
@@ -162,7 +162,7 @@ class TestOrientationEquivalence:
         """Exact cost ties everywhere — the tie-break paths must agree."""
         import copy
 
-        from repro.core.costmodel import _orient_edges_reference
+        from oracles.orient_reference import _orient_edges_reference
 
         edges = [_edge(i, j) for i in range(3) for j in range(3)]
         a = copy.deepcopy(edges)

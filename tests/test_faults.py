@@ -531,3 +531,18 @@ class TestSQLUnderFaults:
         op = IndexSearch(engine, "t", query, 0.01)
         with pytest.raises(SQLError, match="distributed execution failed"):
             op.execute({})
+
+    def test_abandoned_dataframe_knn_becomes_sql_error(self, fault_city, fault_config):
+        """The DataFrame's kNN is the SQL path's ``KnnScan``: an abandoned
+        task surfaces as ``SQLError`` there too, not the cluster exception."""
+        from repro.sql import DITASession
+        from repro.sql.tokens import SQLError
+
+        session = DITASession(fault_config)
+        session.register("taxi", fault_city)
+        session.catalog.engine_for("taxi", "dtw").cluster.install_faults(
+            FaultPlan(seed=0, task_failure_rate=1.0), RecoveryPolicy(max_retries=0)
+        )
+        query = sample_queries(fault_city, 1, seed=5)[0]
+        with pytest.raises(SQLError, match="distributed execution failed"):
+            session.table("taxi").knn(query, 3).collect()

@@ -150,22 +150,25 @@ class TestBatchVsLoop:
         ]
 
     def test_searcher_batch_equals_loop(self):
-        from repro.core.search import LocalSearcher, SearchStats
+        from repro.core.search import SearchStats, search_rows
+        from repro.core.verify import Verifier
 
         data = list(beijing_like(120, seed=9))
         trie = TrieIndex(data, DITAConfig(trie_fanout=4, num_pivots=3))
         adapter = DTWAdapter()
-        searcher = LocalSearcher(trie, adapter)
-        queries = data[:6]
+        verifier = Verifier(adapter)
+        queries = [t.points for t in data[:6]]
         taus = [0.004] * 6
         stats_b = [SearchStats() for _ in queries]
         stats_l = [SearchStats() for _ in queries]
-        batched = searcher.search_batch(queries, taus, stats=stats_b)
+        batched = search_rows(trie, adapter, verifier, queries, taus, None, stats_b)
         looped = [
-            searcher.search(q, t, stats=s) for q, t, s in zip(queries, taus, stats_l)
+            search_rows(trie, adapter, verifier, [q], [t], None, [s])[0]
+            for q, t, s in zip(queries, taus, stats_l)
         ]
+        ids = trie.dataset.id_of
         for got, ref, sb, sl in zip(batched, looped, stats_b, stats_l):
-            assert [(t.traj_id, d) for t, d in got] == [(t.traj_id, d) for t, d in ref]
+            assert [(ids(r), d) for r, d in got] == [(ids(r), d) for r, d in ref]
             assert sb.filter.candidates == sl.filter.candidates
             assert sb.verify.accepted == sl.verify.accepted
             assert sb.verify.exact_computed == sl.verify.exact_computed

@@ -95,8 +95,3 @@ class TestGlobalIndex:
 
     def test_size_bytes(self, gindex):
         assert gindex.size_bytes() > 0
-
-    def test_relevant_for_mbr_pairs(self, gindex):
-        meta = gindex.partitions_meta[0]
-        rel = gindex.relevant_partitions_for_mbr(meta.mbr_first, meta.mbr_last, 0.01)
-        assert meta.partition_id in rel

@@ -11,6 +11,7 @@ order.  Covers empty datasets, 1-point trajectories and ndim >= 3.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.trajectory import (
     load_csv_columnar,
     load_jsonl,
     load_jsonl_columnar,
+    load_plt_directory_columnar,
     save_csv,
     save_jsonl,
 )
@@ -133,3 +135,28 @@ def test_single_point_3d_round_trips(tmp_path):
         _same_dataset(data, loaded)
         save(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_loaders_reject_non_finite_coordinates_naming_the_file(tmp_path, bad):
+    """A non-finite cell fails at the loader, with the file in the message
+    — not later, at whichever engine constructor first scans the block."""
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"traj_id,seq,c0,c1\n1,0,0.0,0.0\n1,1,{bad},1.0\n")
+    jsonl_path = tmp_path / "bad.jsonl"
+    token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[bad]
+    jsonl_path.write_text(f'{{"traj_id": 1, "points": [[0.0, 0.0], [{token}, 1.0]]}}\n')
+    plt_root = tmp_path / "plt"
+    plt_root.mkdir()
+    plt_path = plt_root / "bad.plt"
+    plt_path.write_text("h\n" * 6 + f"39.9,116.3,0,0,0,d,t\n{bad},116.4,0,0,0,d,t\n")
+    for load, path, named in (
+        (load_csv_columnar, csv_path, csv_path),
+        (load_csv, csv_path, csv_path),
+        (load_jsonl_columnar, jsonl_path, jsonl_path),
+        (load_jsonl, jsonl_path, jsonl_path),
+        (load_plt_directory_columnar, plt_root, plt_path),
+    ):
+        with pytest.raises(ValueError, match="points must be finite") as exc:
+            load(path)
+        assert str(named) in str(exc.value)

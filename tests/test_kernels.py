@@ -16,23 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.dp_reference import (
+    _forward_rows,
+    dtw_reference,
+    dtw_threshold_reference,
+    edr_reference,
+    erp_reference,
+    frechet_reference,
+)
 from repro.distances import (
     dtw,
     dtw_double_direction,
-    dtw_reference,
     dtw_threshold,
-    dtw_threshold_reference,
     edr,
-    edr_reference,
     edr_threshold,
     erp,
-    erp_reference,
     erp_threshold,
     frechet,
-    frechet_reference,
     frechet_threshold,
 )
-from repro.distances.dtw import _forward_rows
 from repro.kernels import dtw_wavefront_last_row, pairbatch
 
 EDR_EPS = 0.002

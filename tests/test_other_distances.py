@@ -206,9 +206,9 @@ class TestERP:
     def test_closed_boundary_survives_every_threshold_path(self):
         """The same pair through the kernel, the loop oracle and an engine
         search: distance == tau is an answer."""
+        from oracles.dp_reference import erp_threshold_reference
         from repro import DITAConfig, DITAEngine
         from repro.core.adapters import ERPAdapter
-        from repro.distances.erp import erp_threshold_reference
         from repro.trajectory import Trajectory
 
         t, q = ERP_BOUNDARY_T, ERP_BOUNDARY_Q

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.verify import (
-    VerificationData,
-    Verifier,
-    VerifyStats,
-    cell_bound_dtw,
-    cell_bound_frechet,
-    mbr_coverage_ok,
-)
-from repro.distances.dtw import dtw, dtw_double_direction
-from repro.distances.frechet import frechet, frechet_threshold
+from oracles.per_pair import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok, verify
+from repro.core.adapters import DTWAdapter, FrechetAdapter
+from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.distances.dtw import dtw
+from repro.distances.frechet import frechet
 from repro.geometry.cell import CellSet
+from repro.kernels import TrajectoryBlock
+from repro.storage.columnar import ColumnarDataset
 from repro.trajectory import Trajectory
 
 coords = st.floats(-20, 20, allow_nan=False, allow_infinity=False)
@@ -70,21 +67,33 @@ class TestCellBounds:
 
 
 class TestVerifier:
-    def _data(self, t, cell=1.0):
-        return VerificationData.of(t, cell)
+    def _verify(self, v, t, q, tau, stats=None, cell=1.0):
+        """One pair through ``src``'s batched stages (a one-row block) and
+        through the per-pair oracle: same verdict, same counts."""
+        dataset = ColumnarDataset.from_trajectories([t])
+        block = TrajectoryBlock.from_columnar(dataset, cell)
+        q_data = VerificationData.of(q, cell)
+        rows = v.filter_rows(block, dataset.alive_rows(), tau, q_data, stats)
+        matches = v.exact_rows(dataset, [rows], [q.points], [tau], [stats])[0]
+        got = matches[0][1] if matches else math.inf
+        oracle_stats = None if stats is None else VerifyStats()
+        want = verify(v, t, q, tau, VerificationData.of(t, cell), q_data, oracle_stats)
+        assert got == want
+        assert stats == oracle_stats
+        return got
 
     def test_exact_path(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
         q = Trajectory(1, [(0, 0), (1, 1)])
-        v = Verifier(dtw_double_direction)
-        assert v.verify(t, q, 0.5, self._data(t), self._data(q)) == 0.0
+        v = Verifier(DTWAdapter())
+        assert self._verify(v, t, q, 0.5) == 0.0
 
     def test_mbr_prune_path(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
         q = Trajectory(1, [(50, 50), (51, 51)])
         stats = VerifyStats()
-        v = Verifier(dtw_double_direction)
-        assert v.verify(t, q, 1.0, self._data(t), self._data(q), stats) == math.inf
+        v = Verifier(DTWAdapter())
+        assert self._verify(v, t, q, 1.0, stats) == math.inf
         assert stats.pruned_by_mbr == 1
         assert stats.exact_computed == 0
 
@@ -94,16 +103,16 @@ class TestVerifier:
         t = Trajectory(0, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)])
         q = Trajectory(1, [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2)])
         stats = VerifyStats()
-        v = Verifier(dtw_double_direction, use_mbr_coverage=True)
-        d = v.verify(t, q, 3.0, self._data(t, 0.5), self._data(q, 0.5), stats)
+        v = Verifier(DTWAdapter(), use_mbr_coverage=True)
+        d = self._verify(v, t, q, 3.0, stats, cell=0.5)
         assert d == math.inf
         assert stats.pruned_by_cells == 1
 
     def test_stats_accept(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
         stats = VerifyStats()
-        v = Verifier(dtw_double_direction)
-        v.verify(t, t, 0.1, self._data(t), self._data(t), stats)
+        v = Verifier(DTWAdapter())
+        self._verify(v, t, t, 0.1, stats)
         assert stats.accepted == 1
 
     def test_stats_merge(self):
@@ -116,8 +125,8 @@ class TestVerifier:
         t = Trajectory(0, [(0, 0), (1, 1)])
         q = Trajectory(1, [(50, 50), (51, 51)])
         stats = VerifyStats()
-        v = Verifier(dtw_double_direction, use_mbr_coverage=False, use_cell_filter=False)
-        assert v.verify(t, q, 1.0, self._data(t), self._data(q), stats) == math.inf
+        v = Verifier(DTWAdapter(), use_mbr_coverage=False, use_cell_filter=False)
+        assert self._verify(v, t, q, 1.0, stats) == math.inf
         assert stats.exact_computed == 1
 
     @settings(max_examples=80)
@@ -126,8 +135,8 @@ class TestVerifier:
         """The staged pipeline never changes the verdict (DTW)."""
         t = Trajectory(0, t_pts)
         q = Trajectory(1, q_pts)
-        v = Verifier(dtw_double_direction)
-        got = v.verify(t, q, tau, self._data(t), self._data(q))
+        v = Verifier(DTWAdapter())
+        got = self._verify(v, t, q, tau)
         d = dtw(t_pts, q_pts)
         if d <= tau:
             assert got == pytest.approx(d, rel=1e-9, abs=1e-9)
@@ -139,8 +148,8 @@ class TestVerifier:
     def test_pipeline_equals_exact_frechet(self, t_pts, q_pts, tau):
         t = Trajectory(0, t_pts)
         q = Trajectory(1, q_pts)
-        v = Verifier(frechet_threshold, cell_bound_fn=cell_bound_frechet)
-        got = v.verify(t, q, tau, self._data(t), self._data(q))
+        v = Verifier(FrechetAdapter())
+        got = self._verify(v, t, q, tau)
         f = frechet(t_pts, q_pts)
         if f <= tau:
             assert got == pytest.approx(f, rel=1e-9, abs=1e-9)
