@@ -44,9 +44,8 @@ import numpy as np
 from repro.core.config import DITAConfig
 from repro.core.engine import DITAEngine
 from repro.datagen import citywide_dataset
-from repro.storage.columnar import ColumnarDataset
 from repro.storage.store import TrajectoryStore, build_store
-from repro.trajectory import TrajectoryDataset, load_csv_columnar, save_csv
+from repro.trajectory import load_csv, save_csv
 
 FULL_SIZES = [2_000, 10_000]
 SMOKE_SIZES = [2_000, 10_000]
@@ -79,12 +78,10 @@ def _cfg() -> DITAConfig:
 
 def _materialize(workdir: Path, n: int) -> Dict[str, Path]:
     """Write the CSV and the store for one dataset size; returns paths."""
-    data = ColumnarDataset.from_trajectories(
-        citywide_dataset(n, avg_len=24, seed=11, min_len=4, max_len=64)
-    )
+    data = citywide_dataset(n, avg_len=24, seed=11, min_len=4, max_len=64)
     csv_path = workdir / f"data-{n}.csv"
     store_path = workdir / f"store-{n}"
-    save_csv(TrajectoryDataset(data), csv_path)
+    save_csv(data, csv_path)
     t0 = time.perf_counter()
     build_store(data, store_path, n_groups=N_GROUPS)
     build_s = time.perf_counter() - t0
@@ -108,7 +105,7 @@ def bench_cold_start(paths: Dict, n: int, reps: int) -> Dict[str, float]:
     query = Trajectory(-1, paths["query"])
 
     def parse() -> int:
-        block = load_csv_columnar(paths["csv"])
+        block = load_csv(paths["csv"])
         engine = DITAEngine(block, _cfg())
         return len(engine.search(query, TAU))
 
@@ -140,7 +137,7 @@ def bench_scan(paths: Dict, n: int, reps: int) -> Dict[str, float]:
     warm for both sides, so this isolates decode cost)."""
 
     def scan_csv() -> float:
-        return float(load_csv_columnar(paths["csv"]).point_coords.sum())
+        return float(load_csv(paths["csv"]).point_coords.sum())
 
     def scan_store() -> float:
         store = TrajectoryStore.open(paths["store"])

@@ -28,7 +28,8 @@ from repro.baselines import DFTEngine, MBEIndex, NaiveEngine, SimbaEngine, VPTre
 from repro.cluster import Cluster
 from repro.cluster import NetworkModel
 from repro.datagen import beijing_like, chengdu_like, citywide_dataset, osm_like, sample_queries, worldwide_dataset
-from repro.trajectory import Trajectory, TrajectoryDataset
+from repro.storage import ColumnarDataset
+from repro.trajectory import Trajectory
 
 #: the paper's tau sweep (degrees; 0.001 ~ 111 m)
 TAUS = [0.001, 0.002, 0.003, 0.004, 0.005]
@@ -47,11 +48,11 @@ JOIN_N = 800
 #: compute/communication ratio (DESIGN.md, substitutions).
 BENCH_NETWORK = NetworkModel(bandwidth_bytes_per_s=2e6, latency_s=0.0002)
 
-_datasets: Dict[str, TrajectoryDataset] = {}
+_datasets: Dict[str, ColumnarDataset] = {}
 _engines: Dict[tuple, object] = {}
 
 
-def dataset(name: str, n: Optional[int] = None) -> TrajectoryDataset:
+def dataset(name: str, n: Optional[int] = None) -> ColumnarDataset:
     """Cached scaled dataset by name: beijing | chengdu | osm | *_join."""
     key = f"{name}:{n}"
     if key not in _datasets:
@@ -105,7 +106,7 @@ def default_config(**overrides) -> DITAConfig:
 
 def engine_for(
     method: str,
-    data: TrajectoryDataset,
+    data: ColumnarDataset,
     data_key: str,
     n_workers: int = 16,
     distance: str = "dtw",
@@ -165,7 +166,7 @@ def join_time_s(engine, other, tau: float, **kwargs) -> float:
     return engine.cluster.report().makespan + DRIVER_OVERHEAD_S
 
 
-def queries_for(data: TrajectoryDataset, n: int = 20, seed: int = 7) -> List[Trajectory]:
+def queries_for(data: ColumnarDataset, n: int = 20, seed: int = 7) -> List[Trajectory]:
     """The paper samples queries from the dataset itself."""
     return sample_queries(data, n, seed=seed)
 

@@ -21,12 +21,13 @@ from repro.analytics import (
     top_outliers,
 )
 from repro.datagen import citywide_dataset, sample_queries
-from repro.trajectory import Trajectory, TrajectoryDataset
+from repro.trajectory import Trajectory
 
 
 def main() -> None:
     # a day of fleet trips: 300 trips over ~50 routes, plus two anomalies
-    trips = list(citywide_dataset(300, avg_len=24, seed=90, duplication=6))
+    fleet = citywide_dataset(300, avg_len=24, seed=90, duplication=6)
+    trips = list(fleet)
     rng = np.random.default_rng(1)
     trips.append(Trajectory(9000, rng.uniform(0.0, 0.2, size=(25, 2))))  # GPS garbage
     trips.append(Trajectory(9001, np.linspace((0.0, 0.0), (0.2, 0.01), 30)))  # odd detour
@@ -52,7 +53,7 @@ def main() -> None:
         )
 
     # 3. navigation: match a new trip to a known frequent route
-    trip = sample_queries(TrajectoryDataset(trips[:300]), 1, seed=4, perturb=0.0001)[0]
+    trip = sample_queries(fleet, 1, seed=4, perturb=0.0001)[0]
     hit = route_for(routes, trip, engine, tau)
     if hit is not None:
         print(f"\nnew trip matches frequent route {hit.route_id} (support {hit.support})")

@@ -29,7 +29,7 @@ from .storage import (
     TrajectoryStore,
     build_store,
 )
-from .trajectory import Trajectory, TrajectoryDataset
+from .trajectory import Trajectory
 
 __version__ = "1.0.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "TaskAbandonedError",
     "Tracer",
     "Trajectory",
-    "TrajectoryDataset",
     "TrajectoryStore",
     "available_distances",
     "build_store",

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from typing import List, Optional
 
 from .core.config import DITAConfig
 from .core.engine import DITAEngine
 from .core.knn import knn_search
 from .datagen import beijing_like, chengdu_like, citywide_dataset, osm_like, random_walk_dataset
-from .trajectory import TrajectoryDataset, dataset_stats, load_jsonl, save_jsonl, stats_header
+from .storage.columnar import ColumnarDataset
+from .trajectory import dataset_stats, load_csv, load_jsonl, save_jsonl, stats_header
 
 _GENERATORS = {
     "beijing": beijing_like,
@@ -41,7 +43,7 @@ _GENERATORS = {
 }
 
 
-def _engine(dataset: TrajectoryDataset, args: argparse.Namespace) -> DITAEngine:
+def _engine(dataset: ColumnarDataset, args: argparse.Namespace) -> DITAEngine:
     config = DITAConfig(
         num_global_partitions=args.partitions,
         trie_fanout=args.fanout,
@@ -180,9 +182,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_store_build(args: argparse.Namespace) -> int:
     from .storage.store import build_store
-    from .trajectory import load_csv_columnar, load_jsonl_columnar
 
-    loader = load_csv_columnar if args.dataset.endswith(".csv") else load_jsonl_columnar
+    loader = load_csv if args.dataset.endswith(".csv") else load_jsonl
     data = loader(args.dataset)
     store = build_store(data, args.out, n_groups=args.groups)
     total = sum(f.stat().st_size for f in store.path.rglob("*") if f.is_file())
@@ -253,20 +254,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .datagen import sample_queries
 
     data = load_jsonl(args.dataset)
-    trajs = list(data)
     engine = _engine(data, args)
     if args.root:
         engine.attach_generations(args.root)
     rng = np.random.default_rng(args.seed)
-    next_id = max(t.traj_id for t in trajs) + 1
-    queries = sample_queries(trajs, max(1, min(8, len(trajs))), seed=args.seed)
+    next_id = int(data.traj_ids.max()) + 1
+    queries = sample_queries(data, max(1, min(8, len(data))), seed=args.seed)
     merges = repartitions = 0
     latencies = []
     t0 = time.perf_counter()
     for k in range(args.n):
-        src = trajs[int(rng.integers(len(trajs)))]
-        jitter = rng.normal(0.0, args.spread, size=src.points.shape)
-        engine.append_trajectory(next_id + k, src.points + jitter)
+        src = data.points(int(rng.integers(len(data))))
+        engine.append_trajectory(next_id + k, src + rng.normal(0.0, args.spread, size=src.shape))
         if (k + 1) % args.query_every == 0:
             q = queries[(k // args.query_every) % len(queries)]
             tq = time.perf_counter()
@@ -305,7 +304,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     dataset = _GENERATORS[args.kind](args.n, seed=args.seed)
-    queries = list(dataset)[: args.queries]
+    queries = list(islice(dataset, args.queries))
 
     def measure(backend: str, workers: int = 0) -> float:
         config = DITAConfig(

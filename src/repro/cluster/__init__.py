@@ -25,13 +25,12 @@ from .parallel import (
     TaskResult,
     WorkerInit,
 )
-from .partitioner import DITAPartitioner, RandomPartitioner
+from .partitioner import RandomPartitioner
 from .simulator import Cluster, Worker
 from .tasks import TaskSpec, pickle_budget, register_task_kind, run_task_body
 
 __all__ = [
     "Cluster",
-    "DITAPartitioner",
     "ExecutionReport",
     "ExecutorError",
     "FaultPlan",

@@ -1,11 +1,10 @@
-"""Partitioning strategies for the cluster (Appendix B, Figure 13).
+"""The random partitioning strawman (Appendix B, Figure 13).
 
-``DITAPartitioner`` is the first/last-point STR scheme of Section 4.2.1;
-``RandomPartitioner`` is the strawman the paper compares against in
-Figure 13 (random assignment, so similar trajectories scatter and every
-partition is relevant to every query).
-
-Both operate on the columnar summary arrays and return one compact
+DITA's own first/last-point STR scheme (Section 4.2.1) is
+:func:`repro.core.global_index.partition_trajectories`;
+``RandomPartitioner`` is what the paper compares it against in Figure 13
+(random assignment, so similar trajectories scatter and every partition
+is relevant to every query).  It returns one compact
 :class:`~repro.storage.columnar.ColumnarDataset` per partition.
 """
 
@@ -15,20 +14,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from ..core.global_index import partition_trajectories
 from ..storage.columnar import ColumnarDataset
-
-
-class DITAPartitioner:
-    """First-point then last-point STR partitioning (NG x NG partitions)."""
-
-    def __init__(self, n_groups: int) -> None:
-        if n_groups < 1:
-            raise ValueError("n_groups must be >= 1")
-        self.n_groups = n_groups
-
-    def partition(self, trajectories: Iterable) -> List[ColumnarDataset]:
-        return partition_trajectories(trajectories, self.n_groups)
 
 
 class RandomPartitioner:
@@ -42,8 +28,7 @@ class RandomPartitioner:
 
     def partition(self, trajectories: Iterable) -> List[ColumnarDataset]:
         data = ColumnarDataset.from_trajectories(trajectories)
-        alive = data.alive_rows()
         rng = np.random.default_rng(self.seed)
-        assign = rng.integers(0, self.n_partitions, size=int(alive.shape[0]))
-        parts = [data.subset(alive[assign == p]) for p in range(self.n_partitions)]
+        assign = rng.integers(0, self.n_partitions, size=data.n_rows)
+        parts = [data.subset(np.flatnonzero(assign == p)) for p in range(self.n_partitions)]
         return [p for p in parts if len(p)]

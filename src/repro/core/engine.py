@@ -534,9 +534,7 @@ class DITAEngine:
         if self._stream_ids is None:
             ids: Dict[int, int] = {}
             for pid in self.partition_pids():
-                part = self.partition(pid)
-                for tid in part.traj_ids[part.alive_rows()]:
-                    ids[int(tid)] = pid
+                ids.update(dict.fromkeys(self.partition(pid).traj_ids.tolist(), pid))
             for pid, delta in self._deltas.items():
                 for tid in delta.removed:
                     ids.pop(tid, None)

@@ -163,13 +163,11 @@ class JoinExecutor:
     ) -> Tuple[float, float]:
         """Estimate (bytes shipped, candidate pairs) for one direction by
         sampling the sending partition."""
-        alive = senders.alive_rows()
-        n = int(alive.shape[0])
+        n = senders.n_rows
         if n == 0:
             return 0.0, 0.0
         k = max(1, int(round(n * JOIN_SAMPLE_FRACTION)))
-        idx = rng.choice(n, size=min(k, n), replace=False)
-        sampled = alive[idx.astype(np.int64)]
+        sampled = rng.choice(n, size=min(k, n), replace=False).astype(np.int64)
         scale = n / sampled.shape[0]
         trie = receiver_engine.trie(receiver_meta.partition_id)
         kept = _relevant_rows(senders, sampled, receiver_meta, tau, self.adapter)

@@ -45,8 +45,7 @@ def _full_pool(engine: "DITAEngine") -> List[PoolEntry]:
     pool: List[PoolEntry] = []
     for pid in engine.partition_pids():
         part = engine.partition(pid)
-        for r in part.alive_rows().tolist():
-            pool.append((part, r))
+        pool.extend((part, r) for r in range(part.n_rows))
     return pool
 
 
@@ -113,10 +112,8 @@ def _seed_tau(engine: "DITAEngine", query: Trajectory, k: int) -> Tuple[float, f
     firsts_parts: List[np.ndarray] = []
     for pid in engine.partition_pids():
         part = engine.partition(pid)
-        alive = part.alive_rows()
-        for r in alive.tolist():
-            pool.append((pid, part, r))
-        firsts_parts.append(part.firsts[alive])
+        pool.extend((pid, part, r) for r in range(part.n_rows))
+        firsts_parts.append(part.firsts)
     if len(pool) < k:
         return math.inf, 0.0
     firsts = np.concatenate(firsts_parts, axis=0)
@@ -260,8 +257,7 @@ def knn_join(left_engine, right_engine, k: int) -> List[Tuple[int, int, float]]:
     out: List[Tuple[int, int, float]] = []
     for pid in right_engine.partition_pids():
         part = right_engine.partition(pid)
-        for row in part.alive_rows().tolist():
-            q = part.view(row)
+        for q in part:
             for t, d in knn_search(left_engine, q, k):
                 out.append((t.traj_id, q.traj_id, d))
     out.sort(key=lambda r: (r[1], r[2], r[0]))

@@ -123,7 +123,7 @@ class TrieIndex:
         lengths = dataset.lengths
         ndim = dataset.ndim
         max_level = cfg.num_pivots + 2
-        root_rows = [int(r) for r in dataset.alive_rows()]
+        root_rows = list(range(dataset.n_rows))
         seqs = {
             r: indexing_points(dataset.points(r), cfg.num_pivots, cfg.pivot_strategy)
             for r in root_rows

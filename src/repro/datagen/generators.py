@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..trajectory.trajectory import Trajectory, TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
 
 
 def random_walk_dataset(
@@ -33,20 +33,20 @@ def random_walk_dataset(
     extent: float = 1.0,
     step: float = 0.01,
     min_len: int = 5,
-) -> TrajectoryDataset:
+) -> ColumnarDataset:
     """``n`` unbiased random walks inside ``[0, extent]^2``."""
     if n <= 0:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    trajs: List[Trajectory] = []
-    for traj_id in range(n):
+    trajs: List[np.ndarray] = []
+    for _ in range(n):
         length = max(min_len, int(rng.poisson(avg_len)))
         start = rng.uniform(0, extent, size=2)
         steps = rng.normal(0, step, size=(length - 1, 2))
         pts = np.vstack([start, start + np.cumsum(steps, axis=0)])
         np.clip(pts, 0.0, extent, out=pts)
-        trajs.append(Trajectory(traj_id, pts))
-    return TrajectoryDataset(trajs)
+        trajs.append(pts)
+    return ColumnarDataset.from_point_arrays(np.arange(n), trajs)
 
 
 def _zone_centers(n_zones: int, extent: float, rng: np.random.Generator) -> np.ndarray:
@@ -66,7 +66,7 @@ def citywide_dataset(
     duplication: int = 4,
     jitter: float = 0.00003,
     zone_skew: float = 0.0,
-) -> TrajectoryDataset:
+) -> ColumnarDataset:
     """Taxi-like citywide trips (Beijing/Chengdu analogue).
 
     Each *route* picks an origin zone and a destination zone, jitters
@@ -116,13 +116,13 @@ def citywide_dataset(
             pts = np.vstack([pts, pad])
         pts = pts + rng.normal(0, noise, size=pts.shape)
         routes.append(pts)
-    trajs: List[Trajectory] = []
+    trajs: List[np.ndarray] = []
     for traj_id in range(n):
         base = routes[traj_id % n_routes]
         pts = base + rng.normal(0, jitter, size=base.shape)
         np.clip(pts, 0.0, extent, out=pts)
-        trajs.append(Trajectory(traj_id, pts))
-    return TrajectoryDataset(trajs)
+        trajs.append(pts)
+    return ColumnarDataset.from_point_arrays(np.arange(n), trajs)
 
 
 def worldwide_dataset(
@@ -135,7 +135,7 @@ def worldwide_dataset(
     min_len: int = 9,
     duplication: int = 2,
     jitter: float = 0.00003,
-) -> TrajectoryDataset:
+) -> ColumnarDataset:
     """OSM-style worldwide traces: many small, far-apart activity clusters.
 
     Each trace lives entirely inside one tiny cluster (a city or trail area
@@ -164,23 +164,23 @@ def worldwide_dataset(
             stepv = np.array([math.cos(heading), math.sin(heading)]) * speed
             pts.append(pts[-1] + stepv + rng.normal(0, noise, size=2))
         routes.append(np.asarray(pts))
-    trajs: List[Trajectory] = []
+    trajs: List[np.ndarray] = []
     for traj_id in range(n):
         base = routes[traj_id % n_routes]
-        trajs.append(Trajectory(traj_id, base + rng.normal(0, jitter, size=base.shape)))
-    return TrajectoryDataset(trajs)
+        trajs.append(base + rng.normal(0, jitter, size=base.shape))
+    return ColumnarDataset.from_point_arrays(np.arange(n), trajs)
 
 
-def beijing_like(n: int = 600, seed: int = 1) -> TrajectoryDataset:
+def beijing_like(n: int = 600, seed: int = 1) -> ColumnarDataset:
     """Scaled-down Beijing analogue (Table 2: avg length ~22, 7..112)."""
     return citywide_dataset(n, avg_len=22, seed=seed, min_len=7, max_len=112)
 
 
-def chengdu_like(n: int = 800, seed: int = 2) -> TrajectoryDataset:
+def chengdu_like(n: int = 800, seed: int = 2) -> ColumnarDataset:
     """Scaled-down Chengdu analogue (Table 2: avg length ~37, 10..209)."""
     return citywide_dataset(n, avg_len=37, seed=seed, min_len=10, max_len=209)
 
 
-def osm_like(n: int = 400, seed: int = 3) -> TrajectoryDataset:
+def osm_like(n: int = 400, seed: int = 3) -> ColumnarDataset:
     """Scaled-down OSM analogue (Table 2: long worldwide traces)."""
     return worldwide_dataset(n, avg_len=60, seed=seed, min_len=9)

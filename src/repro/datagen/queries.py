@@ -12,11 +12,12 @@ from typing import List
 
 import numpy as np
 
-from ..trajectory.trajectory import Trajectory, TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
+from ..trajectory.trajectory import Trajectory
 
 
 def sample_queries(
-    dataset: TrajectoryDataset,
+    dataset: ColumnarDataset,
     n_queries: int,
     seed: int = 0,
     perturb: float = 0.0,

@@ -103,11 +103,11 @@ class TrajectoryBlock:
                 np.zeros(1, dtype=np.int64),
                 cell_size,
             )
-        live = dataset.alive_rows() if rows is None else np.asarray(rows, dtype=np.int64)
+        live = range(n) if rows is None else np.asarray(rows, dtype=np.int64).tolist()
         centers: List[np.ndarray] = []
         counts: List[np.ndarray] = []
         lens = np.zeros(n, dtype=np.int64)
-        for r in live.tolist():
+        for r in live:
             cs = CellSet.from_points(dataset.points(r), cell_size)
             centers.append(cs.centers)
             counts.append(cs.counts)

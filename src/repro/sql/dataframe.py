@@ -99,8 +99,7 @@ class TrajectoryFrame:
     def _root_op(self) -> PhysicalOperator:
         if self._op is not None:
             return self._op
-        table = self._session.catalog.get(self._table)
-        return FullScan(table.dataset, self._table)
+        return FullScan(self._session.catalog.get(self._table), self._table)
 
     def _derive(self, op: PhysicalOperator) -> "TrajectoryFrame":
         return TrajectoryFrame(self._session, self._table, op)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from ..cluster.faults import TaskAbandonedError
 from ..core.engine import DITAEngine
 from ..distances.base import get_distance
-from ..trajectory.trajectory import Trajectory, TrajectoryDataset
+from ..trajectory.trajectory import Trajectory
 from .ast import (
     BinaryOp,
     BoolOp,
@@ -27,6 +27,7 @@ from .ast import (
     Param,
     TrajectoryLiteral,
 )
+from .catalog import Table
 from .tokens import SQLError
 
 Row = Dict[str, object]
@@ -149,17 +150,17 @@ def _distributed(call):
 
 
 class FullScan(PhysicalOperator):
-    """Unindexed scan of a table."""
+    """Unindexed scan of a table's rows as they stand at execution."""
 
-    def __init__(self, dataset: TrajectoryDataset, binding: str) -> None:
-        self.dataset = dataset
+    def __init__(self, table: Table, binding: str) -> None:
+        self.table = table
         self.binding = binding
 
     def execute(self, params: Dict[str, object]) -> List[Row]:
         b = self.binding
         return [
             {f"{b}.traj_id": t.traj_id, f"{b}.trajectory": t}
-            for t in self.dataset
+            for t in self.table.scan()
         ]
 
 

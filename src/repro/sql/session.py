@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.metrics import ExecutionReport
 from ..core.config import DITAConfig
 from ..obs import MetricsRegistry, Span, format_breakdown
-from ..trajectory.trajectory import TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
 from .ast import CreateIndex, Explain, Expr, Select
 from .catalog import Catalog
 from .logical import (
@@ -133,7 +133,7 @@ class DITASession:
     # registration
     # ------------------------------------------------------------------ #
 
-    def register(self, name: str, dataset: TrajectoryDataset) -> None:
+    def register(self, name: str, dataset: ColumnarDataset) -> None:
         """Register an in-memory dataset as a table."""
         self.catalog.register(name, dataset)
 
@@ -342,7 +342,7 @@ class DITASession:
         if isinstance(plan, Filter):
             return FilterOp(self.to_physical(plan.child, params), plan.predicate)
         if isinstance(plan, Scan):
-            return FullScan(self.catalog.get(plan.table).dataset, plan.binding)
+            return FullScan(self.catalog.get(plan.table), plan.binding)
         if isinstance(plan, KnnSearch):
             engine = self.catalog.engine_for(plan.table, plan.function)
             op = KnnScan(engine, plan.binding, plan.query, plan.k)

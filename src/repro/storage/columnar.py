@@ -29,6 +29,7 @@ always ``ds.n_rows`` and row indices held by index structures stay valid.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -53,13 +54,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class ColumnarDataset:
-    """A trajectory collection stored as contiguous CSR arrays.
+    """A trajectory collection stored as contiguous CSR arrays — the one
+    dataset container: generators and loaders return it, the engine
+    adopts it, SQL tables hold it.
 
-    Duck-compatible with :class:`~repro.trajectory.trajectory.TrajectoryDataset`
-    (``len`` / iteration / ``by_id`` / ``ids`` / ``first_points`` / ...), so
-    it drops into every consumer of a dataset; iteration materializes row
-    views, which only boundary code (analytics, SQL rendering, tests)
-    should do.
+    Iteration and indexing materialize row views, which only boundary
+    code (analytics, SQL rendering, tests) should do.
     """
 
     def __init__(
@@ -122,14 +122,19 @@ class ColumnarDataset:
         if isinstance(trajectories, ColumnarDataset):
             return trajectories
         trajs = list(trajectories)
-        if not trajs:
+        return cls.from_point_arrays([t.traj_id for t in trajs], [t.points for t in trajs])
+
+    @classmethod
+    def from_point_arrays(
+        cls, ids: Sequence[int], arrays: Sequence[np.ndarray]
+    ) -> "ColumnarDataset":
+        """Pack one ``(len, ndim)`` point array per trajectory into CSR form."""
+        if not len(arrays):
             return cls.empty()
-        ids = np.asarray([t.traj_id for t in trajs], dtype=np.int64)
-        lens = np.asarray([len(t) for t in trajs], dtype=np.int64)
-        starts = np.zeros(len(trajs) + 1, dtype=np.int64)
+        lens = np.asarray([a.shape[0] for a in arrays], dtype=np.int64)
+        starts = np.zeros(lens.shape[0] + 1, dtype=np.int64)
         np.cumsum(lens, out=starts[1:])
-        coords = np.concatenate([t.points for t in trajs], axis=0)
-        return cls(ids, starts, coords)
+        return cls(ids, starts, np.concatenate(arrays, axis=0))
 
     # ------------------------------------------------------------------ #
     # shape and summaries
@@ -196,13 +201,6 @@ class ColumnarDataset:
                 self._mbr_highs = _read_only(np.empty((0, self.ndim), dtype=np.float64))
         return self._mbr_highs
 
-    # TrajectoryDataset-compatible array accessors
-    def first_points(self) -> np.ndarray:
-        return self.firsts[self.alive_rows()]
-
-    def last_points(self) -> np.ndarray:
-        return self.lasts[self.alive_rows()]
-
     def nbytes(self) -> int:
         """Raw point bytes (cost-accounting metric)."""
         return int(self.point_coords.nbytes)
@@ -253,14 +251,19 @@ class ColumnarDataset:
 
     @property
     def ids(self) -> List[int]:
-        return [int(i) for i in self.traj_ids[self.alive_rows()]]
+        return self.traj_ids.tolist()
 
     def __iter__(self) -> Iterator[Trajectory]:
-        for row in self.alive_rows():
-            yield self.view(int(row))
+        for row in range(self.n_rows):
+            yield self.view(row)
 
     def __getitem__(self, idx: int) -> Trajectory:
-        return self.view(int(self.alive_rows()[idx]))
+        row = operator.index(idx)
+        if row < 0:
+            row += self.n_rows
+        if not 0 <= row < self.n_rows:
+            raise IndexError(f"row {idx} out of range for {self.n_rows} rows")
+        return self.view(row)
 
     def subset(self, rows: Sequence[int]) -> "ColumnarDataset":
         """A new compact dataset holding the selected rows, in order."""
@@ -284,17 +287,19 @@ class ColumnarDataset:
         """A deterministic random sample of ``fraction`` of the dataset."""
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
-        alive = self.alive_rows()
         if fraction == 1.0:
-            return self.subset(alive)
+            return self
         rng = np.random.default_rng(seed)
-        n = max(1, int(round(alive.shape[0] * fraction)))
-        idx = rng.choice(alive.shape[0], size=n, replace=False)
-        return self.subset(alive[np.sort(idx)])
+        n = max(1, int(round(self.n_rows * fraction)))
+        return self.subset(np.sort(rng.choice(self.n_rows, size=n, replace=False)))
 
     def compact(self) -> "ColumnarDataset":
         """An in-memory copy of every row, in order."""
-        return self.subset(self.alive_rows())
+        return ColumnarDataset(
+            np.array(self.traj_ids, dtype=np.int64),
+            np.array(self.point_starts, dtype=np.int64),
+            np.array(self.point_coords, dtype=np.float64),
+        )
 
     def __repr__(self) -> str:
         return f"ColumnarDataset(n={len(self)}, points={self.n_points}, d={self.ndim})"
@@ -329,14 +334,10 @@ def partition_rows(dataset: ColumnarDataset, n_groups: int) -> List[np.ndarray]:
     """
     from ..spatial.str_pack import str_partition
 
-    alive = dataset.alive_rows()
-    if alive.shape[0] == 0:
+    if dataset.n_rows == 0:
         return []
-    firsts = dataset.firsts[alive]
-    lasts = dataset.lasts[alive]
     out: List[np.ndarray] = []
-    for bucket_idx in str_partition(firsts, n_groups):
-        bucket_rows = alive[bucket_idx]
-        for sub_idx in str_partition(lasts[bucket_idx], n_groups):
+    for bucket_rows in str_partition(dataset.firsts, n_groups):
+        for sub_idx in str_partition(dataset.lasts[bucket_rows], n_groups):
             out.append(bucket_rows[sub_idx])
     return out

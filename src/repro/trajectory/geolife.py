@@ -30,7 +30,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..storage.columnar import ColumnarDataset, check_finite
-from .trajectory import Trajectory, TrajectoryDataset
+from .trajectory import Trajectory
 
 PathLike = Union[str, Path]
 
@@ -68,7 +68,7 @@ def load_plt(path: PathLike, traj_id: int = 0, max_points: Optional[int] = None)
     return Trajectory(traj_id, pts)
 
 
-def load_plt_directory_columnar(
+def load_plt_directory(
     root: PathLike,
     max_trajectories: Optional[int] = None,
     max_points: Optional[int] = None,
@@ -87,27 +87,4 @@ def load_plt_directory_columnar(
         check_finite(pts, path)
         if pts.shape[0] >= min_points:
             blocks.append(pts)
-    if not blocks:
-        return ColumnarDataset.empty(2)
-    ids = np.arange(len(blocks), dtype=np.int64)
-    lens = np.asarray([b.shape[0] for b in blocks], dtype=np.int64)
-    starts = np.zeros(ids.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    coords = np.concatenate(blocks, axis=0)
-    return ColumnarDataset(ids, starts, coords)
-
-
-def load_plt_directory(
-    root: PathLike,
-    max_trajectories: Optional[int] = None,
-    max_points: Optional[int] = None,
-    min_points: int = 2,
-) -> TrajectoryDataset:
-    """Recursively load every ``.plt`` under ``root`` (sorted for
-    determinism), assigning sequential ids; files with fewer than
-    ``min_points`` valid rows are skipped.  Rows come back as thin views
-    over one shared columnar buffer (see
-    :func:`load_plt_directory_columnar`)."""
-    return TrajectoryDataset(
-        load_plt_directory_columnar(root, max_trajectories, max_points, min_points)
-    )
+    return ColumnarDataset.from_point_arrays(np.arange(len(blocks)), blocks)

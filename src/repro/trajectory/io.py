@@ -8,11 +8,10 @@ JSON-lines format (one trajectory per line)::
 
     {"traj_id": 7, "points": [[x, y], [x, y], ...]}
 
-Both loaders run through **columnar ingest**: the file parses into one
-contiguous CSR block (:class:`~repro.storage.columnar.ColumnarDataset`)
-in a handful of vectorized numpy calls, and the returned
-:class:`TrajectoryDataset` holds zero-copy row views of that block —
-no per-point Python loop, no per-trajectory array allocation.
+Both loaders are **columnar ingest**: the file parses into one contiguous
+CSR block (:class:`~repro.storage.columnar.ColumnarDataset`) in a handful
+of vectorized numpy calls — no per-point Python loop, no per-trajectory
+array allocation — and that block is what the engine adopts.
 """
 
 from __future__ import annotations
@@ -25,26 +24,25 @@ from typing import List, Union
 import numpy as np
 
 from ..storage.columnar import ColumnarDataset, check_finite
-from .trajectory import TrajectoryDataset
 
 PathLike = Union[str, Path]
 
 
-def save_csv(dataset: TrajectoryDataset, path: PathLike) -> None:
+def save_csv(dataset: ColumnarDataset, path: PathLike) -> None:
     """Write the dataset as a flat point-per-row CSV with header."""
     path = Path(path)
     with path.open("w", newline="") as f:
         writer = csv.writer(f)
-        ndim = dataset[0].ndim if len(dataset) else 2
+        ndim = dataset.ndim
         writer.writerow(["traj_id", "seq"] + [f"c{i}" for i in range(ndim)])
         for traj in dataset:
             for seq, point in enumerate(traj.points):
                 writer.writerow([traj.traj_id, seq] + [repr(float(v)) for v in point])
 
 
-def load_csv_columnar(path: PathLike) -> ColumnarDataset:
+def load_csv(path: PathLike) -> ColumnarDataset:
     """Read a point-per-row CSV produced by :func:`save_csv` into one
-    contiguous columnar block.
+    contiguous columnar block, trajectories ordered by id.
 
     The whole body parses in a single :func:`np.loadtxt` call against a
     structured dtype (exact int64 ids, float64 coordinates), points are
@@ -77,16 +75,7 @@ def load_csv_columnar(path: PathLike) -> ColumnarDataset:
     return ColumnarDataset(uniq.astype(np.int64, copy=True), starts, coords)
 
 
-def load_csv(path: PathLike) -> TrajectoryDataset:
-    """Read a point-per-row CSV produced by :func:`save_csv`.
-
-    Trajectories come back ordered by id, as thin views over one shared
-    columnar buffer (see :func:`load_csv_columnar`).
-    """
-    return TrajectoryDataset(load_csv_columnar(path))
-
-
-def save_jsonl(dataset: TrajectoryDataset, path: PathLike) -> None:
+def save_jsonl(dataset: ColumnarDataset, path: PathLike) -> None:
     """Write the dataset as JSON lines, one trajectory per line."""
     path = Path(path)
     with path.open("w") as f:
@@ -96,7 +85,7 @@ def save_jsonl(dataset: TrajectoryDataset, path: PathLike) -> None:
             f.write("\n")
 
 
-def load_jsonl_columnar(path: PathLike) -> ColumnarDataset:
+def load_jsonl(path: PathLike) -> ColumnarDataset:
     """Read a JSON-lines file produced by :func:`save_jsonl` into one
     contiguous columnar block (file order preserved).
 
@@ -123,9 +112,3 @@ def load_jsonl_columnar(path: PathLike) -> ColumnarDataset:
         raise ValueError(f"{path}: ragged or empty point lists")
     check_finite(coords, path)
     return ColumnarDataset(ids, starts, coords)
-
-
-def load_jsonl(path: PathLike) -> TrajectoryDataset:
-    """Read a JSON-lines file produced by :func:`save_jsonl` (file order
-    preserved; rows are views over one shared columnar buffer)."""
-    return TrajectoryDataset(load_jsonl_columnar(path))

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-import numpy as np
-
-from .trajectory import TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
 
 
 @dataclass(frozen=True)
@@ -29,17 +26,17 @@ class DatasetStats:
         )
 
 
-def dataset_stats(dataset: TrajectoryDataset) -> DatasetStats:
+def dataset_stats(dataset: ColumnarDataset) -> DatasetStats:
     """Compute Table-2-style statistics for ``dataset``."""
-    lengths: List[int] = [len(t) for t in dataset]
-    if not lengths:
+    lengths = dataset.lengths
+    if not len(dataset):
         return DatasetStats(0, 0.0, 0, 0, 0, 0)
     return DatasetStats(
         cardinality=len(dataset),
-        avg_len=float(np.mean(lengths)),
-        min_len=int(min(lengths)),
-        max_len=int(max(lengths)),
-        total_points=int(sum(lengths)),
+        avg_len=float(lengths.mean()),
+        min_len=int(lengths.min()),
+        max_len=int(lengths.max()),
+        total_points=dataset.n_points,
         size_bytes=dataset.nbytes(),
     )
 

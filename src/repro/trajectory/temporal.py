@@ -16,11 +16,12 @@ matching, the behaviour a "find trips I could have shared" query needs.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .trajectory import Trajectory, TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
+from .trajectory import Trajectory
 
 
 def attach_time(traj: Trajectory, timestamps: Sequence[float], weight: float) -> Trajectory:
@@ -58,17 +59,23 @@ def attach_uniform_time(
 
 
 def temporal_dataset(
-    dataset: TrajectoryDataset,
+    dataset: ColumnarDataset,
     start_times: Sequence[float],
     interval: float,
     weight: float,
-) -> TrajectoryDataset:
+) -> ColumnarDataset:
     """Lift a whole dataset to space-time: trajectory ``i`` starts at
-    ``start_times[i]`` with fixed-rate sampling."""
-    starts = list(start_times)
-    if len(starts) != len(dataset):
+    ``start_times[i]`` with fixed-rate sampling — :func:`attach_uniform_time`
+    over every row at once, ids and offsets carried over."""
+    starts = np.asarray(list(start_times), dtype=np.float64)
+    if starts.shape != (len(dataset),):
         raise ValueError("need one start time per trajectory")
-    out: List[Trajectory] = []
-    for t, s in zip(dataset, starts):
-        out.append(attach_uniform_time(t, s, interval, weight))
-    return TrajectoryDataset(out)
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    if weight < 0:
+        raise ValueError("weight must be non-negative")
+    lens = dataset.lengths
+    seq = np.arange(dataset.n_points, dtype=np.int64) - np.repeat(dataset.point_starts[:-1], lens)
+    ts = np.repeat(starts, lens) + interval * seq.astype(np.float64)
+    coords = np.hstack([dataset.point_coords, (ts * weight)[:, None]])
+    return ColumnarDataset(dataset.traj_ids, dataset.point_starts, coords)

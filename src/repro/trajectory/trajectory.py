@@ -1,14 +1,16 @@
-"""The ``Trajectory`` type and the ``TrajectoryDataset`` container.
+"""The ``Trajectory`` type.
 
 A trajectory (Definition 2.1) is a sequence of d-dimensional points produced
 by a moving object.  We store the points as an immutable ``(n, d)`` float64
 numpy array; the paper's examples and our defaults are 2-d
-``(latitude, longitude)`` but every algorithm works for d >= 1.
+``(latitude, longitude)`` but every algorithm works for d >= 1.  Collections
+of trajectories live in :class:`~repro.storage.columnar.ColumnarDataset`,
+whose rows materialize as zero-copy ``Trajectory`` views.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,61 +93,3 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return f"Trajectory(id={self.traj_id}, n={len(self)}, d={self.ndim})"
-
-
-class TrajectoryDataset:
-    """An in-memory collection of trajectories with id lookup.
-
-    Datasets are the unit handed to index builders and to the cluster
-    simulator's partitioners.
-    """
-
-    def __init__(self, trajectories: Iterable[Trajectory]) -> None:
-        self._trajs: List[Trajectory] = list(trajectories)
-        self._by_id = {t.traj_id: t for t in self._trajs}
-        if len(self._by_id) != len(self._trajs):
-            raise ValueError("duplicate trajectory ids in dataset")
-
-    def __len__(self) -> int:
-        return len(self._trajs)
-
-    def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self._trajs)
-
-    def __getitem__(self, idx: int) -> Trajectory:
-        return self._trajs[idx]
-
-    def by_id(self, traj_id: int) -> Trajectory:
-        return self._by_id[traj_id]
-
-    def __contains__(self, traj_id: int) -> bool:
-        return traj_id in self._by_id
-
-    @property
-    def ids(self) -> List[int]:
-        return [t.traj_id for t in self._trajs]
-
-    def sample(self, fraction: float, seed: int = 0) -> "TrajectoryDataset":
-        """A deterministic random sample of ``fraction`` of the dataset."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        if fraction == 1.0:
-            return TrajectoryDataset(self._trajs)
-        rng = np.random.default_rng(seed)
-        n = max(1, int(round(len(self._trajs) * fraction)))
-        idx = rng.choice(len(self._trajs), size=n, replace=False)
-        return TrajectoryDataset(self._trajs[i] for i in sorted(idx.tolist()))
-
-    def first_points(self) -> np.ndarray:
-        """(n, d) array of first points, the global-partitioning key."""
-        return np.asarray([t.first for t in self._trajs])
-
-    def last_points(self) -> np.ndarray:
-        """(n, d) array of last points."""
-        return np.asarray([t.last for t in self._trajs])
-
-    def nbytes(self) -> int:
-        return sum(t.nbytes() for t in self._trajs)
-
-    def __repr__(self) -> str:
-        return f"TrajectoryDataset(n={len(self)})"

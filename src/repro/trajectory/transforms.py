@@ -13,11 +13,12 @@ these helpers normalize them before indexing:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .trajectory import Trajectory, TrajectoryDataset
+from ..storage.columnar import ColumnarDataset
+from .trajectory import Trajectory
 
 
 def resample(traj: Trajectory, n_points: int) -> Trajectory:
@@ -61,24 +62,19 @@ def scale(traj: Trajectory, factor: float, origin=None) -> Trajectory:
     return Trajectory(traj.traj_id, (traj.points - o[None, :]) * factor + o[None, :])
 
 
-def dataset_bounds(dataset: Iterable[Trajectory]) -> Tuple[np.ndarray, np.ndarray]:
+def dataset_bounds(dataset: ColumnarDataset) -> Tuple[np.ndarray, np.ndarray]:
     """(low, high) corners covering every point of every trajectory."""
-    trajs = list(dataset)
-    if not trajs:
+    if not len(dataset):
         raise ValueError("empty dataset has no bounds")
-    low = np.min([t.points.min(axis=0) for t in trajs], axis=0)
-    high = np.max([t.points.max(axis=0) for t in trajs], axis=0)
-    return low, high
+    return dataset.point_coords.min(axis=0), dataset.point_coords.max(axis=0)
 
 
-def normalize_unit_box(dataset: TrajectoryDataset) -> TrajectoryDataset:
+def normalize_unit_box(dataset: ColumnarDataset) -> ColumnarDataset:
     """Affinely map the whole dataset into ``[0, 1]^d`` (aspect preserved:
     one uniform scale factor, so distances keep their relative order)."""
     low, high = dataset_bounds(dataset)
     span = float(np.max(high - low))
     if span == 0.0:
         span = 1.0
-    out: List[Trajectory] = []
-    for t in dataset:
-        out.append(Trajectory(t.traj_id, (t.points - low[None, :]) / span))
-    return TrajectoryDataset(out)
+    coords = (dataset.point_coords - low[None, :]) / span
+    return ColumnarDataset(dataset.traj_ids, dataset.point_starts, coords)

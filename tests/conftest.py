@@ -9,7 +9,8 @@ from hypothesis import settings
 
 from repro.core.config import DITAConfig
 from repro.datagen import beijing_like, citywide_dataset, random_walk_dataset
-from repro.trajectory import Trajectory, TrajectoryDataset
+from repro.storage import ColumnarDataset
+from repro.trajectory import Trajectory
 
 # Tier-1 is a gate, so it must be green or red by code, not by which
 # examples a random search happened to draw: the default profile derives
@@ -35,7 +36,7 @@ def paper_trajectories():
 
 @pytest.fixture(scope="session")
 def paper_dataset(paper_trajectories):
-    return TrajectoryDataset(paper_trajectories.values())
+    return ColumnarDataset.from_trajectories(paper_trajectories.values())
 
 
 @pytest.fixture(scope="session")

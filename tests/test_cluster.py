@@ -4,12 +4,12 @@ import pytest
 
 from repro.cluster import (
     Cluster,
-    DITAPartitioner,
     ExecutionReport,
     NetworkModel,
     RandomPartitioner,
     Worker,
 )
+from repro.core.global_index import partition_trajectories
 from repro.datagen import random_walk_dataset
 
 
@@ -197,7 +197,7 @@ class TestExecutionReport:
 class TestPartitioners:
     def test_dita_partitioner_covers(self):
         data = list(random_walk_dataset(50, seed=9))
-        parts = DITAPartitioner(3).partition(data)
+        parts = partition_trajectories(data, 3)
         ids = sorted(t.traj_id for p in parts for t in p)
         assert ids == sorted(t.traj_id for t in data)
         assert len(parts) <= 9
@@ -216,7 +216,7 @@ class TestPartitioners:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DITAPartitioner(0)
+            partition_trajectories(random_walk_dataset(5, seed=9), 0)
         with pytest.raises(ValueError):
             RandomPartitioner(0)
 

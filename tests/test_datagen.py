@@ -13,6 +13,7 @@ from repro.datagen import (
     worldwide_dataset,
 )
 from repro.distances import get_distance
+from repro.storage import ColumnarDataset
 from repro.trajectory import dataset_stats
 
 
@@ -64,7 +65,7 @@ class TestGenerators:
     def test_worldwide_is_sparse(self):
         """Worldwide data spans a huge extent so most pairs are dissimilar."""
         ds = worldwide_dataset(30, seed=4)
-        firsts = ds.first_points()
+        firsts = ds.firsts
         spread = np.max(firsts, axis=0) - np.min(firsts, axis=0)
         assert np.all(spread > 1.0)
 
@@ -100,7 +101,5 @@ class TestSampleQueries:
         ds = citywide_dataset(5, seed=0)
         with pytest.raises(ValueError):
             sample_queries(ds, 0)
-        from repro.trajectory import TrajectoryDataset
-
         with pytest.raises(ValueError):
-            sample_queries(TrajectoryDataset([]), 1)
+            sample_queries(ColumnarDataset.from_trajectories([]), 1)

@@ -15,14 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.storage import ColumnarDataset
 from repro.trajectory import (
     Trajectory,
-    TrajectoryDataset,
     load_csv,
-    load_csv_columnar,
     load_jsonl,
-    load_jsonl_columnar,
-    load_plt_directory_columnar,
+    load_plt_directory,
     save_csv,
     save_jsonl,
 )
@@ -46,10 +44,10 @@ def datasets(draw):
             )
         )
         trajs.append(Trajectory(tid, np.asarray(pts, dtype=np.float64).reshape(npts, ndim)))
-    return TrajectoryDataset(trajs)
+    return ColumnarDataset.from_trajectories(trajs)
 
 
-def _same_dataset(a: TrajectoryDataset, b: TrajectoryDataset) -> None:
+def _same_dataset(a: ColumnarDataset, b: ColumnarDataset) -> None:
     assert sorted(t.traj_id for t in a) == sorted(t.traj_id for t in b)
     for t in a:
         assert np.array_equal(t.points, b.by_id(t.traj_id).points)
@@ -96,7 +94,9 @@ def test_columnar_loaders_match_object_loaders(tmp_path, data):
     pc, pj = tmp_path / "a.csv", tmp_path / "a.jsonl"
     save_csv(data, pc)
     save_jsonl(data, pj)
-    for block in (load_csv_columnar(pc), load_jsonl_columnar(pj)):
+    for block in (load_csv(pc), load_jsonl(pj)):
+        # the loaders return the container the engine adopts: nothing re-packs it
+        assert ColumnarDataset.from_trajectories(block) is block
         assert block.traj_ids.dtype == np.int64
         assert block.point_coords.dtype == np.float64
         assert sorted(block.ids) == sorted(t.traj_id for t in data)
@@ -105,7 +105,7 @@ def test_columnar_loaders_match_object_loaders(tmp_path, data):
 
 
 def test_empty_dataset_round_trips(tmp_path):
-    empty = TrajectoryDataset([])
+    empty = ColumnarDataset.from_trajectories([])
     for save, load, name in (
         (save_csv, load_csv, "e.csv"),
         (save_jsonl, load_jsonl, "e.jsonl"),
@@ -119,7 +119,7 @@ def test_empty_dataset_round_trips(tmp_path):
 
 
 def test_single_point_3d_round_trips(tmp_path):
-    data = TrajectoryDataset(
+    data = ColumnarDataset.from_trajectories(
         [
             Trajectory(1, [(0.1, -2.5, 1e300)]),
             Trajectory(2, [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]),
@@ -151,11 +151,9 @@ def test_loaders_reject_non_finite_coordinates_naming_the_file(tmp_path, bad):
     plt_path = plt_root / "bad.plt"
     plt_path.write_text("h\n" * 6 + f"39.9,116.3,0,0,0,d,t\n{bad},116.4,0,0,0,d,t\n")
     for load, path, named in (
-        (load_csv_columnar, csv_path, csv_path),
         (load_csv, csv_path, csv_path),
-        (load_jsonl_columnar, jsonl_path, jsonl_path),
         (load_jsonl, jsonl_path, jsonl_path),
-        (load_plt_directory_columnar, plt_root, plt_path),
+        (load_plt_directory, plt_root, plt_path),
     ):
         with pytest.raises(ValueError, match="points must be finite") as exc:
             load(path)

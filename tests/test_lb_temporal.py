@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances import dtw, dtw_window, lb_keogh, lb_kim, keogh_envelope
+from repro.storage import ColumnarDataset
 from repro.trajectory import (
     Trajectory,
-    TrajectoryDataset,
     attach_time,
     attach_uniform_time,
     strip_time,
@@ -133,6 +133,6 @@ class TestTemporal:
         assert got == want
 
     def test_temporal_dataset_validation(self):
-        base = TrajectoryDataset([Trajectory(1, [(0, 0)])])
+        base = ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0)])])
         with pytest.raises(ValueError):
             temporal_dataset(base, [0.0, 1.0], 10, 0.1)

@@ -26,3 +26,16 @@ def test_src_defines_no_reference_twin_and_imports_no_oracle():
                 f"{path}:{node.lineno}: imports {m}" for m in modules if "oracles" in m.split(".")
             )
     assert not offenders, "\n".join(offenders)
+
+
+def test_src_has_one_dataset_container_and_one_loader_per_format():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "TrajectoryDataset":
+                offenders.append(f"{path}:{node.lineno}: class {node.name}")
+            elif isinstance(node, ast.FunctionDef) and (
+                node.name.startswith("load_") and node.name.endswith("_columnar")
+            ):
+                offenders.append(f"{path}:{node.lineno}: def {node.name}")
+    assert not offenders, "\n".join(offenders)

@@ -16,7 +16,9 @@ from repro.sql.ast import (
 )
 from repro.sql.physical import FullScan, eval_expr, expr_name
 from repro.sql.tokens import SQLError
-from repro.trajectory import Trajectory, TrajectoryDataset
+from repro.sql.catalog import Table
+from repro.storage import ColumnarDataset
+from repro.trajectory import Trajectory
 
 
 ROW = {"t.traj_id": 7, "t.trajectory": Trajectory(7, [(0, 0), (3, 4)]), "distance": 0.5}
@@ -98,7 +100,7 @@ class TestExprName:
 
 class TestFullScan:
     def test_rows(self):
-        ds = TrajectoryDataset([Trajectory(1, [(0, 0)]), Trajectory(2, [(1, 1)])])
-        rows = FullScan(ds, "x").execute({})
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0)]), Trajectory(2, [(1, 1)])])
+        rows = FullScan(Table("x", ds), "x").execute({})
         assert [r["x.traj_id"] for r in rows] == [1, 2]
         assert isinstance(rows[0]["x.trajectory"], Trajectory)

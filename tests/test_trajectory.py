@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.storage import ColumnarDataset
 from repro.trajectory import (
     Trajectory,
-    TrajectoryDataset,
     dataset_stats,
     douglas_peucker,
     load_csv,
@@ -81,8 +81,11 @@ class TestTrajectory:
 
 
 class TestTrajectoryDataset:
+    """The dataset container's contract, on ``ColumnarDataset`` (the class
+    keeps its old name so the test ids stay stable)."""
+
     def _ds(self):
-        return TrajectoryDataset(
+        return ColumnarDataset.from_trajectories(
             [Trajectory(i, [(i, i), (i + 1, i + 1)]) for i in range(10)]
         )
 
@@ -90,17 +93,29 @@ class TestTrajectoryDataset:
         ds = self._ds()
         assert len(ds) == 10
         assert ds[3].traj_id == 3
+        assert ds[-1].traj_id == 9
         assert [t.traj_id for t in ds] == list(range(10))
+        for bad in (10, -11):
+            with pytest.raises(IndexError):
+                ds[bad]
 
     def test_by_id_and_contains(self):
         ds = self._ds()
         assert ds.by_id(5).traj_id == 5
         assert 5 in ds
         assert 99 not in ds
+        with pytest.raises(KeyError):
+            ds.by_id(99)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            TrajectoryDataset([Trajectory(1, [(0, 0)]), Trajectory(1, [(1, 1)])])
+            ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0)]), Trajectory(1, [(1, 1)])])
+
+    def test_empty_input(self):
+        ds = ColumnarDataset.from_trajectories([])
+        assert len(ds) == 0 and ds.ids == [] and list(ds) == []
+        with pytest.raises(IndexError):
+            ds[0]
 
     def test_sample_deterministic(self):
         ds = self._ds()
@@ -108,6 +123,9 @@ class TestTrajectoryDataset:
         b = ds.sample(0.5, seed=1)
         assert a.ids == b.ids
         assert len(a) == 5
+        # the rows the deleted list-backed container picked for this seed
+        picked = np.random.default_rng(1).choice(10, size=5, replace=False)
+        assert a.ids == sorted(picked.tolist())
 
     def test_sample_full(self):
         ds = self._ds()
@@ -119,13 +137,13 @@ class TestTrajectoryDataset:
 
     def test_first_last_points(self):
         ds = self._ds()
-        assert ds.first_points().shape == (10, 2)
-        assert ds.last_points()[0].tolist() == [1, 1]
+        assert ds.firsts.shape == (10, 2)
+        assert ds.lasts[0].tolist() == [1, 1]
 
 
 class TestIO:
     def test_csv_roundtrip(self, tmp_path):
-        ds = TrajectoryDataset(
+        ds = ColumnarDataset.from_trajectories(
             [Trajectory(3, [(0.125, -1.5), (2.25, 3.75)]), Trajectory(9, [(5, 5)])]
         )
         path = tmp_path / "out.csv"
@@ -135,7 +153,7 @@ class TestIO:
         assert np.array_equal(back.by_id(3).points, ds.by_id(3).points)
 
     def test_jsonl_roundtrip(self, tmp_path):
-        ds = TrajectoryDataset([Trajectory(1, [(0.1, 0.2), (0.3, 0.4)])])
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(0.1, 0.2), (0.3, 0.4)])])
         path = tmp_path / "out.jsonl"
         save_jsonl(ds, path)
         back = load_jsonl(path)
@@ -149,7 +167,7 @@ class TestIO:
 
 class TestStats:
     def test_dataset_stats(self):
-        ds = TrajectoryDataset(
+        ds = ColumnarDataset.from_trajectories(
             [Trajectory(1, [(0, 0)] * 4), Trajectory(2, [(0, 0)] * 8)]
         )
         s = dataset_stats(ds)
@@ -160,11 +178,11 @@ class TestStats:
         assert s.total_points == 12
 
     def test_empty_stats(self):
-        s = dataset_stats(TrajectoryDataset([]))
+        s = dataset_stats(ColumnarDataset.from_trajectories([]))
         assert s.cardinality == 0
 
     def test_row_formatting(self):
-        ds = TrajectoryDataset([Trajectory(1, [(0, 0)])])
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0)])])
         row = dataset_stats(ds).row("tiny")
         assert "tiny" in row
         assert stats_header().startswith("Dataset")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import ColumnarDataset
 from repro.trajectory import (
     Trajectory,
-    TrajectoryDataset,
     dataset_bounds,
     normalize_unit_box,
     resample,
@@ -84,17 +84,17 @@ class TestAffine:
 
 class TestNormalize:
     def test_bounds(self):
-        ds = TrajectoryDataset([Trajectory(1, [(0, 0), (4, 2)]), Trajectory(2, [(2, -2)])])
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0), (4, 2)]), Trajectory(2, [(2, -2)])])
         low, high = dataset_bounds(ds)
         assert low.tolist() == [0, -2]
         assert high.tolist() == [4, 2]
 
     def test_bounds_empty(self):
         with pytest.raises(ValueError):
-            dataset_bounds([])
+            dataset_bounds(ColumnarDataset.empty())
 
     def test_unit_box(self):
-        ds = TrajectoryDataset([Trajectory(1, [(0, 0), (4, 2)]), Trajectory(2, [(2, -2)])])
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(0, 0), (4, 2)]), Trajectory(2, [(2, -2)])])
         out = normalize_unit_box(ds)
         low, high = dataset_bounds(out)
         assert np.all(low >= -1e-12) and np.all(high <= 1.0 + 1e-12)
@@ -102,7 +102,7 @@ class TestNormalize:
     def test_preserves_relative_distances(self):
         from repro.distances import dtw
 
-        ds = TrajectoryDataset(
+        ds = ColumnarDataset.from_trajectories(
             [Trajectory(1, [(0, 0), (4, 2)]), Trajectory(2, [(1, 1), (5, 3)]), Trajectory(3, [(9, 9), (9, 9)])]
         )
         out = normalize_unit_box(ds)
@@ -113,6 +113,6 @@ class TestNormalize:
         assert (d12 < d13) == (n12 < n13)
 
     def test_degenerate_single_point_dataset(self):
-        ds = TrajectoryDataset([Trajectory(1, [(5, 5)])])
+        ds = ColumnarDataset.from_trajectories([Trajectory(1, [(5, 5)])])
         out = normalize_unit_box(ds)
         assert np.allclose(out.by_id(1).points, 0.0)
