@@ -16,12 +16,21 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Set
 
 from ..core.engine import DITAEngine
+from ..trajectory.trajectory import Trajectory
 
 #: DBSCAN labels
 NOISE = -1
+
+
+def trajectories(engine: DITAEngine) -> Iterator[Trajectory]:
+    """Every row the engine logically holds, through its read contract:
+    pending writes folded in first, lazy store blocks loaded as reached."""
+    engine.sync_for_read()
+    for pid in engine.partition_pids():
+        yield from engine.partition(pid)
 
 
 def similarity_graph(engine: DITAEngine, tau: float) -> Dict[int, Set[int]]:
@@ -30,9 +39,8 @@ def similarity_graph(engine: DITAEngine, tau: float) -> Dict[int, Set[int]]:
     One distributed self-join produces every edge; the graph is symmetric.
     """
     adj: Dict[int, Set[int]] = defaultdict(set)
-    for t in engine.partitions.values():
-        for traj in t:
-            adj[traj.traj_id]  # ensure isolated vertices exist
+    for traj in trajectories(engine):
+        adj[traj.traj_id]  # ensure isolated vertices exist
     for a, b, _ in engine.join(engine, tau):
         if a != b:
             adj[a].add(b)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from ..core.engine import DITAEngine
 from ..trajectory.trajectory import Trajectory
-from .clustering import TrajectoryDBSCAN
+from .clustering import TrajectoryDBSCAN, trajectories
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ def mine_frequent_routes(
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     result = TrajectoryDBSCAN(eps=tau, min_pts=min_support).fit(engine)
-    by_id: Dict[int, Trajectory] = {
-        t.traj_id: t for part in engine.partitions.values() for t in part
-    }
+    by_id: Dict[int, Trajectory] = {t.traj_id: t for t in trajectories(engine)}
     dist = engine.adapter.distance()
     routes: List[FrequentRoute] = []
     for route_id, members in enumerate(result.clusters()):

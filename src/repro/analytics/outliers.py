@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from ..core.engine import DITAEngine
 from ..core.knn import knn_search
-from .clustering import similarity_graph
+from .clustering import similarity_graph, trajectories
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,11 @@ def knn_outlier_scores(engine: DITAEngine, k: int = 3) -> Dict[int, float]:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores: Dict[int, float] = {}
-    for part in engine.partitions.values():
-        for t in part:
-            # k+1 because the trajectory itself is its own 0-distance NN
-            neighbours = knn_search(engine, t, k + 1)
-            others = [d for nbr, d in neighbours if nbr.traj_id != t.traj_id]
-            scores[t.traj_id] = others[k - 1] if len(others) >= k else float("inf")
+    for t in trajectories(engine):
+        # k+1 because the trajectory itself is its own 0-distance NN
+        neighbours = knn_search(engine, t, k + 1)
+        others = [d for nbr, d in neighbours if nbr.traj_id != t.traj_id]
+        scores[t.traj_id] = others[k - 1] if len(others) >= k else float("inf")
     return scores
 
 

@@ -19,7 +19,8 @@ paper criticizes — and which this reimplementation reproduces — are:
 Filtering is sound for DTW/Fréchet: the first (last) segment's MBR covers
 ``t1`` (``tm``), so a trajectory with
 ``MinDist(q1, seg_first) + MinDist(qn, seg_last) > tau`` cannot align its
-endpoints within ``tau``.
+endpoints within ``tau``.  The filter *is* that endpoint test, so a
+distance whose adapter declares no ``endpoint_bound`` is refused.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from ..cluster.clock import Stopwatch
 from ..cluster.simulator import Cluster
 from ..core.adapters import IndexAdapter, get_adapter
+from ..core.bounds import endpoint_bound
 from ..geometry.mbr import MBR
 from ..spatial.rtree import RTree
 from ..spatial.str_pack import str_partition
@@ -68,6 +70,10 @@ class DFTEngine:
         rtree_fanout: int = 16,
     ) -> None:
         self.adapter = get_adapter(distance) if isinstance(distance, str) else distance
+        if self.adapter.endpoint_bound is None:
+            raise ValueError(
+                f"DFT filters on first/last points, which {self.adapter.distance_name} does not pin"
+            )
         trajs = list(dataset)
         if not trajs:
             raise ValueError("cannot index an empty dataset")
@@ -119,20 +125,15 @@ class DFTEngine:
             tid: mbr.min_dist_point(query.last)
             for mbr, tid in self._last_seg[pid].search_min_dist(query.last, tau)
         }
-        if self.adapter.subtracts:
-            q_is_point = len(query) == 1
-            out = set()
-            for tid, d in df.items():
-                if tid not in dl:
-                    continue
-                # length-1 x length-1 pairs share one DTW cell
-                if q_is_point and len(self._by_id[tid]) == 1:
-                    if max(d, dl[tid]) <= tau:
-                        out.add(tid)
-                elif d + dl[tid] <= tau:
-                    out.add(tid)
-            return out
-        return {tid for tid in df if tid in dl}
+        tids = [tid for tid in df if tid in dl]
+        q_is_point = len(query) == 1
+        bound = endpoint_bound(
+            self.adapter.endpoint_bound,
+            [df[tid] for tid in tids],
+            [dl[tid] for tid in tids],
+            [q_is_point and len(self._by_id[tid]) == 1 for tid in tids],
+        )
+        return {tid for tid, b in zip(tids, bound.tolist()) if b <= tau}
 
     def search(self, query: Trajectory, tau: float) -> List[Match]:
         """Two-phase search with the master-side bitmap barrier."""

@@ -61,9 +61,10 @@ class MBEIndex:
         points_per_box: int = 4,
     ) -> None:
         self.adapter = get_adapter(distance) if isinstance(distance, str) else distance
-        if self.adapter.distance_name not in ("dtw", "frechet"):
-            raise ValueError("MBE supports DTW and Frechet only")
-        self._aggregate = "sum" if self.adapter.distance_name == "dtw" else "max"
+        # the envelope bound is the cell bound's per-point argument
+        if self.adapter.cell_bound is None:
+            raise ValueError(f"the MBE bound is unsound for {self.adapter.distance_name}")
+        self._aggregate = self.adapter.cell_bound
         trajs = list(dataset)
         if not trajs:
             raise ValueError("cannot index an empty dataset")

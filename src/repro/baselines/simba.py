@@ -47,6 +47,10 @@ class SimbaEngine:
         rtree_fanout: int = 16,
     ) -> None:
         self.adapter = get_adapter(distance) if isinstance(distance, str) else distance
+        if self.adapter.endpoint_bound is None:
+            raise ValueError(
+                f"Simba filters on first points, which {self.adapter.distance_name} does not pin"
+            )
         trajs = list(dataset)
         if not trajs:
             raise ValueError("cannot index an empty dataset")

@@ -27,6 +27,7 @@ import sys
 from itertools import islice
 from typing import List, Optional
 
+from .core.adapters import available_adapters
 from .core.config import DITAConfig
 from .core.engine import DITAEngine
 from .core.knn import knn_search
@@ -55,7 +56,7 @@ def _engine(dataset: ColumnarDataset, args: argparse.Namespace) -> DITAEngine:
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--distance", default="dtw", choices=["dtw", "frechet", "hausdorff", "edr", "lcss", "erp"])
+    p.add_argument("--distance", default="dtw", choices=available_adapters())
     p.add_argument("--partitions", type=int, default=4, help="NG, global partition groups")
     p.add_argument("--fanout", type=int, default=8, help="NL, trie fanout")
     p.add_argument("--pivots", type=int, default=4, help="K, pivots per trajectory")
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[1, 2, 4], metavar="N,N,...",
         help="process-pool sizes to measure (default 1,2,4)",
     )
-    p.add_argument("--distance", default="dtw", choices=["dtw", "frechet", "hausdorff", "edr", "lcss", "erp"])
+    p.add_argument("--distance", default="dtw", choices=available_adapters())
     p.add_argument("--partitions", type=int, default=4, help="NG, global partition groups")
     p.add_argument("--fanout", type=int, default=8, help="NL, trie fanout")
     p.add_argument("--pivots", type=int, default=4, help="K, pivots per trajectory")

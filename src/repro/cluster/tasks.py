@@ -161,7 +161,7 @@ def _knn_seed_body(spec: TaskSpec, res: Any) -> Any:
     """
     q_pts, rows = spec.payload
     part = res.dataset(spec.side, spec.partition_id)
-    dists = res.distance(spec.side).compute_batch(
+    dists = res.engine(spec.side).adapter.distance().compute_batch(
         [part.points(r) for r in rows], [q_pts] * len(rows)
     )
     return [(d, int(part.traj_ids[r])) for d, r in zip(dists, rows)]

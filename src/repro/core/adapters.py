@@ -5,18 +5,21 @@ One trie serves every similarity function; what changes per function is
 * how a trie level's ``MinDist`` consumes the threshold while descending
   (DTW subtracts, Fréchet compares without subtracting, EDR/LCSS decrement
   an edit budget, ERP subtracts the cheaper of match-or-gap), and
-* which verification filters are sound (MBR coverage and cells hold for
-  DTW/Fréchet; EDR/LCSS/ERP go straight to their banded exact DPs).
+* which filters are sound: the first/last-point bound of global and join
+  pruning (:attr:`IndexAdapter.endpoint_bound`) and the verifier's MBR
+  coverage and cell bound (:attr:`IndexAdapter.cell_bound`).
 
-An adapter bundles those choices together with the threshold-constrained
-exact computation, so the search/join framework is distance-agnostic.
+An adapter is that declaration — a descent and two traits — around the
+distance object (:mod:`repro.distances`) that owns the function itself:
+its parameters, their validation and the exact computations.  Defining a
+subclass with its own ``distance_name`` registers it, so the engine, the
+baselines and SQL find a new function with no edit anywhere else.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -28,20 +31,7 @@ from ..kernels.frontier import (
     span_drop_min,
     span_min_dist,
 )
-from ..distances.dtw import dtw_double_direction
-from ..distances.edr import edr_threshold
-from ..distances.erp import erp_threshold
-from ..distances.frechet import frechet_threshold
-from ..distances.hausdorff import hausdorff_threshold
-from ..distances.lcss import lcss_dissimilarity
-from ..kernels.pairbatch import (
-    MIN_BATCH_PAIRS,
-    dtw_double_direction_batch,
-    frechet_threshold_batch,
-)
 from .numerics import slack
-
-_INF = math.inf
 
 #: trie level kinds
 FIRST, LAST, PIVOT = "first", "last", "pivot"
@@ -61,22 +51,40 @@ class FilterState:
     tau1: Optional[float] = None
 
 
-class IndexAdapter:
-    """Base adapter: threshold-subtracting additive accumulation (DTW)."""
+#: adapter classes by ``distance_name`` (filled as subclasses are defined)
+_REGISTRY: Dict[str, Type["IndexAdapter"]] = {}
 
-    #: registry key of the underlying distance
-    distance_name = "dtw"
-    #: whether trie descent subtracts level distances from the budget
-    subtracts = True
+
+class IndexAdapter:
+    """What the index reads about one similarity function: a trie descent
+    (:meth:`visit_batch`), the two soundness traits below, and the
+    distance object itself (:attr:`dist`), built once from ``params``."""
+
+    #: registry key of the adapter and of the distance it builds
+    distance_name: str
+    #: the bound the gaps between two trajectories' first points and last
+    #: points give (:func:`repro.core.bounds.endpoint_bound`), which global
+    #: pruning, join shipping and the baselines' filters test: ``"sum"``
+    #: where every alignment pays both gaps, ``"max"`` where it pays the
+    #: larger, None where the distance pins neither endpoint and every
+    #: partition stays relevant
+    endpoint_bound: Optional[str] = None
     #: the verifier's filter stages (Section 5.3.3) this distance admits:
     #: the batched Lemma 5.6 cell bound to run — ``"sum"`` (additive) or
     #: ``"max"`` (max-accumulating) — or None where neither the cell bound
     #: nor MBR coverage (Lemma 5.4) is sound and pairs go straight to
     #: :meth:`exact`
-    cell_bound: Optional[str] = "sum"
+    cell_bound: Optional[str] = None
 
-    def __init__(self, use_suffix_pruning: bool = True) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "distance_name" in cls.__dict__:
+            _REGISTRY[cls.distance_name] = cls
+
+    def __init__(self, use_suffix_pruning: bool = True, **params) -> None:
         self.use_suffix_pruning = use_suffix_pruning
+        #: the exact distance (parameters validated by its constructor)
+        self.dist: TrajectoryDistance = get_distance(self.distance_name, **params)
 
     # -------------------------------------------------------------- #
     # trie descent
@@ -92,6 +100,40 @@ class IndexAdapter:
         per (query-state, child-node) pair; ``keep`` is False where the
         child is pruned.  Same float operations in the same per-row order
         as the scalar walk (``tests/oracles/scalar_filter.py``)."""
+        raise NotImplementedError
+
+    # -------------------------------------------------------------- #
+    # verification
+    # -------------------------------------------------------------- #
+
+    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
+        """The distance when ``<= tau``, else ``inf``."""
+        return self.dist.compute_threshold(t, q, tau)
+
+    def exact_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        """:meth:`exact` of every ``(ts[i], qs[i], taus[i])``, bit for bit
+        — the seam the verifier hands a whole task's surviving pairs to."""
+        return self.dist.compute_threshold_batch(ts, qs, taus)
+
+    def distance(self) -> TrajectoryDistance:
+        """The underlying exact distance object (for brute-force checks)."""
+        return self.dist
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.dist!r})"
+
+
+class DTWAdapter(IndexAdapter):
+    """Default adapter: threshold-subtracting additive accumulation with
+    suffix pruning."""
+
+    distance_name = "dtw"
+    endpoint_bound = "sum"
+    cell_bound = "sum"
+
+    def visit_batch(self, req: BatchVisit) -> BatchStep:
         batch = req.batch
         rem = req.remaining.copy()
         qs = req.q_start.copy()
@@ -139,40 +181,6 @@ class IndexAdapter:
             rem[b] = req.remaining[b] - d
         return BatchStep(keep, rem, qs, t1)
 
-    # -------------------------------------------------------------- #
-    # verification
-    # -------------------------------------------------------------- #
-
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        return dtw_double_direction(t, q, tau)
-
-    def exact_batch(
-        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
-    ) -> List[float]:
-        """:meth:`exact` of every ``(ts[i], qs[i], taus[i])``, bit for bit
-        — the seam the verifier hands a whole task's surviving pairs to.
-        The default is the per-pair loop; DTW and Fréchet run the pairs
-        through shared kernel sweeps (:mod:`repro.kernels.pairbatch`)."""
-        return [self.exact(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
-
-    def distance(self) -> TrajectoryDistance:
-        """The underlying exact distance object (for brute-force checks)."""
-        return get_distance(self.distance_name)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class DTWAdapter(IndexAdapter):
-    """Default adapter: additive accumulation with suffix pruning."""
-
-    def exact_batch(
-        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
-    ) -> List[float]:
-        if len(ts) < MIN_BATCH_PAIRS:
-            return super().exact_batch(ts, qs, taus)
-        return dtw_double_direction_batch(ts, qs, taus).tolist()
-
 
 class FrechetAdapter(IndexAdapter):
     """Fréchet (Appendix A): max-accumulation, so the threshold is *not*
@@ -181,7 +189,7 @@ class FrechetAdapter(IndexAdapter):
     along a Fréchet alignment is within the Fréchet distance."""
 
     distance_name = "frechet"
-    subtracts = False
+    endpoint_bound = "max"
     cell_bound = "max"
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
@@ -212,16 +220,6 @@ class FrechetAdapter(IndexAdapter):
             keep[ne] = d <= req.remaining[ne]
         return BatchStep(keep, rem, qs, t1)
 
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        return frechet_threshold(t, q, tau)
-
-    def exact_batch(
-        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
-    ) -> List[float]:
-        if len(ts) < MIN_BATCH_PAIRS:
-            return super().exact_batch(ts, qs, taus)
-        return frechet_threshold_batch(ts, qs, taus).tolist()
-
 
 class HausdorffAdapter(IndexAdapter):
     """Hausdorff (the DFT baseline's metric): no ordering and no endpoint
@@ -232,7 +230,6 @@ class HausdorffAdapter(IndexAdapter):
     nearest-distance arguments)."""
 
     distance_name = "hausdorff"
-    subtracts = False
     cell_bound = "max"
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
@@ -244,9 +241,6 @@ class HausdorffAdapter(IndexAdapter):
             d <= req.remaining, req.remaining.copy(), req.q_start.copy(), req.tau1.copy()
         )
 
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        return hausdorff_threshold(t, q, tau)
-
 
 class EDRAdapter(IndexAdapter):
     """EDR (Appendix A): each indexing point of T farther than ``epsilon``
@@ -255,12 +249,6 @@ class EDRAdapter(IndexAdapter):
     and cell bounds are unsound for edit distances and are disabled."""
 
     distance_name = "edr"
-    subtracts = True
-    cell_bound = None
-
-    def __init__(self, epsilon: float = 0.001, use_suffix_pruning: bool = True) -> None:
-        super().__init__(use_suffix_pruning=use_suffix_pruning)
-        self.epsilon = epsilon
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         # EDR's alignment need not pin first/last points, so every level —
@@ -269,19 +257,10 @@ class EDRAdapter(IndexAdapter):
         d = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
         )
-        costly = d > self.epsilon
+        costly = d > self.dist.epsilon
         rem = np.where(costly, req.remaining - 1, req.remaining)
         keep = ~costly | (rem >= 0)
         return BatchStep(keep, rem, req.q_start.copy(), req.tau1.copy())
-
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        return edr_threshold(t, q, self.epsilon, tau)
-
-    def distance(self) -> TrajectoryDistance:
-        return get_distance("edr", epsilon=self.epsilon)
-
-    def __repr__(self) -> str:
-        return f"EDRAdapter(epsilon={self.epsilon})"
 
 
 class LCSSAdapter(IndexAdapter):
@@ -292,33 +271,16 @@ class LCSSAdapter(IndexAdapter):
     level passes through and verification decides."""
 
     distance_name = "lcss"
-    subtracts = True
-    cell_bound = None
-
-    def __init__(self, epsilon: float = 0.001, delta: int = 3, use_suffix_pruning: bool = True) -> None:
-        super().__init__(use_suffix_pruning=use_suffix_pruning)
-        self.epsilon = epsilon
-        self.delta = delta
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         d = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
         )
         # the budget is consumed only when the whole subtree is short enough
-        costly = (d > self.epsilon) & (req.node_max_len <= req.batch.lens[req.q_idx])
+        costly = (d > self.dist.epsilon) & (req.node_max_len <= req.batch.lens[req.q_idx])
         rem = np.where(costly, req.remaining - 1, req.remaining)
         keep = ~costly | (rem >= 0)
         return BatchStep(keep, rem, req.q_start.copy(), req.tau1.copy())
-
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        d = float(lcss_dissimilarity(t, q, self.epsilon, self.delta))
-        return d if d <= tau else _INF
-
-    def distance(self) -> TrajectoryDistance:
-        return get_distance("lcss", epsilon=self.epsilon, delta=self.delta)
-
-    def __repr__(self) -> str:
-        return f"LCSSAdapter(epsilon={self.epsilon}, delta={self.delta})"
 
 
 class ERPAdapter(IndexAdapter):
@@ -327,44 +289,31 @@ class ERPAdapter(IndexAdapter):
     trie level consumes ``min(MinDist(Q, MBR), MinDist(g, MBR))``."""
 
     distance_name = "erp"
-    subtracts = True
-    cell_bound = None
 
-    def __init__(self, gap=None, ndim: int = 2, use_suffix_pruning: bool = False) -> None:
-        super().__init__(use_suffix_pruning=False)  # gaps break the ordering argument
-        self.gap = np.zeros(ndim) if gap is None else np.asarray(gap, dtype=np.float64)
+    def __init__(self, use_suffix_pruning: bool = False, **params) -> None:
+        super().__init__(use_suffix_pruning=False, **params)  # gaps break the ordering argument
 
     def visit_batch(self, req: BatchVisit) -> BatchStep:
         d_traj = span_min_dist(
             req.low, req.high, req.q_idx, np.zeros_like(req.q_start), req.batch
         )
-        gap_rows = np.broadcast_to(self.gap, req.low.shape)
+        gap_rows = np.broadcast_to(self.dist.gap, req.low.shape)
         d_gap = rows_point_box_dist(gap_rows, req.low, req.high)
         d = np.minimum(d_traj, d_gap)
         keep = d <= req.remaining
         return BatchStep(keep, req.remaining - d, req.q_start.copy(), req.tau1.copy())
 
-    def exact(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        return erp_threshold(t, q, self.gap, tau)
-
-    def distance(self) -> TrajectoryDistance:
-        return get_distance("erp", gap=self.gap)
-
-
-_ADAPTERS = {
-    "dtw": DTWAdapter,
-    "frechet": FrechetAdapter,
-    "hausdorff": HausdorffAdapter,
-    "edr": EDRAdapter,
-    "lcss": LCSSAdapter,
-    "erp": ERPAdapter,
-}
-
 
 def get_adapter(name: str, **kwargs) -> IndexAdapter:
-    """Adapter factory, e.g. ``get_adapter("edr", epsilon=0.001)``."""
+    """Adapter factory, e.g. ``get_adapter("edr", epsilon=0.001)``; the
+    keywords beyond ``use_suffix_pruning`` are the distance's parameters."""
     try:
-        cls = _ADAPTERS[name.lower()]
+        cls = _REGISTRY[name.lower()]
     except KeyError:
-        raise KeyError(f"unknown adapter {name!r}; available: {sorted(_ADAPTERS)}") from None
+        raise KeyError(f"unknown adapter {name!r}; available: {available_adapters()}") from None
     return cls(**kwargs)
+
+
+def available_adapters() -> List[str]:
+    """Sorted registry keys: the similarity functions the index serves."""
+    return sorted(_REGISTRY)

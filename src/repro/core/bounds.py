@@ -1,4 +1,4 @@
-"""DTW lower bounds (Lemmas 4.1, 4.3 and 5.1).
+"""DTW lower bounds (Lemmas 4.1, 4.3 and 5.1) and the endpoint bound.
 
 All three bounds exploit the same structure of DTW: every row ``i`` of the
 cost matrix is crossed by the warping path at least once, contributing at
@@ -10,6 +10,10 @@ always on the path.
 * **OPAMD** additionally exploits DTW's ordering constraint: once the first
   ``s`` points of ``Q`` are provably unmatchable to pivot ``P1`` they can be
   dropped for all later pivots (Lemma 5.1's suffix optimization).
+
+:func:`endpoint_bound` is the corner argument alone, for every distance
+that pins first and last points — what the global index, the join planner
+and the baselines' filters prune with before any trie is touched.
 """
 
 from __future__ import annotations
@@ -21,6 +25,27 @@ import numpy as np
 
 from ..geometry.mbr import MBR
 from ..geometry.point import euclidean, pairwise_distances
+
+
+def endpoint_bound(kind: str, df, dl, single_point=False):
+    """The lower bound that the gap between first points (``df``) and the
+    gap between last points (``dl``) put on a distance whose adapter
+    declares ``endpoint_bound = kind``; gaps to an MBR bound every
+    trajectory inside it.  Scalars, or aligned sequences for many rows at
+    once.
+
+    ``"max"``: an alignment matches first with first and last with last and
+    costs at least the larger gap.  ``"sum"``: it pays both — except where
+    ``single_point`` holds (both sides may be one point long), when the two
+    corners are the same DP cell and only the larger gap is owed.
+    """
+    df, dl = np.asarray(df), np.asarray(dl)
+    larger = np.maximum(df, dl)
+    if kind == "max":
+        return larger
+    if kind == "sum":
+        return np.where(single_point, larger, df + dl)
+    raise ValueError(f"unknown endpoint bound {kind!r}")
 
 
 def amd(t: np.ndarray, q: np.ndarray) -> float:

@@ -61,28 +61,23 @@ from .trie import TrieIndex
 from .verify import VerificationData, Verifier
 
 
-def _resolve_adapter(distance: "str | IndexAdapter", config: DITAConfig) -> IndexAdapter:
-    if isinstance(distance, str):
-        if distance in ("dtw", "frechet"):
-            return get_adapter(distance, use_suffix_pruning=config.use_suffix_pruning)
-        return get_adapter(distance)
-    return distance
-
-
 @dataclass
 class _EngineTask:
     """One schedulable unit: the backend-neutral :class:`TaskSpec` plus
     the simulator routing and accounting the engine has always used.
 
-    ``cluster_pid`` routes through ``Cluster.run_local`` (partition-homed
-    tasks); ``exec_worker`` routes through ``Cluster.run_on_worker``
-    (join division replicas, which target an explicit worker)."""
+    The task runs where ``cluster_pid`` lives (``Cluster.run_local``) —
+    or, for a join's division replicas, ``replica`` workers past that home
+    (``Cluster.run_on_worker``), the home being read when the task is
+    submitted.  ``ship`` is a ``Cluster.ship(src, dst, nbytes)`` charged
+    just before it: a join edge's transfer rides its first chunk."""
 
     spec: TaskSpec
     work: float
     tag: str
-    cluster_pid: Optional[int] = None
-    exec_worker: Optional[int] = None
+    cluster_pid: int
+    replica: Optional[int] = None
+    ship: Optional[Tuple[int, int, int]] = None
 
 
 class _LocalResolver:
@@ -99,18 +94,12 @@ class _LocalResolver:
     def __init__(self, left: "DITAEngine", right: Optional["DITAEngine"] = None) -> None:
         self._engines: Dict[str, "DITAEngine"] = {"L": left, "R": right if right is not None else left}
         self._qdata: Dict[int, VerificationData] = {}
-        self._distances: Dict[str, Any] = {}
 
     def engine(self, side: str) -> "DITAEngine":
         return self._engines[side]
 
     def dataset(self, side: str, pid: int) -> ColumnarDataset:
         return self._engines[side].partition(pid)
-
-    def distance(self, side: str):
-        if side not in self._distances:
-            self._distances[side] = self._engines[side].adapter.distance()
-        return self._distances[side]
 
     def seed_query_data(self, points, q_data: VerificationData) -> None:
         self._qdata[id(points)] = q_data
@@ -144,7 +133,7 @@ class DITAEngine:
         Index and planner parameters (defaults are sensible for ~10^3-10^4
         trajectories; scale ``num_global_partitions`` with data size).
     distance:
-        Distance name ("dtw", "frechet", "edr", "lcss", "erp") or an
+        Name of a registered adapter (``available_adapters()``) or an
         :class:`IndexAdapter` instance for parameterized distances.
     cluster:
         The simulated cluster; defaults to one worker per partition group
@@ -246,7 +235,9 @@ class DITAEngine:
         bulk-indexed here) and ``store`` (blocks mapped on demand, or all
         up front with ``lazy=False``) come from."""
         self.config = config
-        self.adapter = _resolve_adapter(distance, config)
+        if isinstance(distance, str):
+            distance = get_adapter(distance, use_suffix_pruning=config.use_suffix_pruning)
+        self.adapter = distance
         self.verifier = Verifier(self.adapter, config.use_mbr_coverage, config.use_cell_filter)
         partitions = {pid: part for pid, part in sorted(partitions.items()) if len(part)}
         for part in partitions.values():
@@ -895,13 +886,14 @@ class DITAEngine:
         resolver: _LocalResolver,
         on_result: Callable[[_EngineTask, Any], None],
     ) -> None:
-        """Run a task batch through the configured backend.
+        """Run a task batch through the configured backend — the one
+        place a body is chosen between inline and a pooled outcome.
 
         The simulated cluster sees the identical schedule either way:
-        every task passes through ``run_local``/``run_on_worker`` in
-        submission order with its declared work, so traces, fault
-        injection and the execution report are byte-identical across
-        backends.  Under ``backend="process"`` the bodies have already
+        every task (its ``ship`` first, if it carries one) passes through
+        ``run_local``/``run_on_worker`` in submission order with its
+        declared work, so traces, fault injection and the execution
+        report are byte-identical across backends.  Under ``backend="process"`` the bodies have already
         run on the pool and the closure handed to the simulator just
         returns the pooled outcome (the default unit-cost measure prices
         declared work, not body runtime, so the accounting matches).
@@ -909,15 +901,25 @@ class DITAEngine:
         — span-adjacent, so stage subdivision keeps working."""
         outcomes = self._process_outcomes(tasks, resolver)
         for t in tasks:
+            if t.ship is not None:
+                self.cluster.ship(*t.ship)
             if outcomes is None:
                 body = lambda s=t.spec, r=resolver: run_task_body(s, r)  # noqa: E731
             else:
                 body = lambda v=outcomes[t.spec.task_id]: v  # noqa: E731
-            if t.exec_worker is None:
+            if t.replica is None:
                 result = self.cluster.run_local(t.cluster_pid, body, work=t.work, tag=t.tag)
             else:
-                result = self.cluster.run_on_worker(t.exec_worker, body, work=t.work, tag=t.tag)
+                result = self.cluster.run_on_worker(
+                    self._worker_for(t), body, work=t.work, tag=t.tag
+                )
             on_result(t, result)
+
+    def _worker_for(self, t: _EngineTask) -> int:
+        """The simulated worker ``t`` targets: its partition's current home
+        (a ship's fault recovery may have moved it), ``t.replica`` places
+        further on for a join's division replica."""
+        return (self.cluster.worker_of(t.cluster_pid) + (t.replica or 0)) % self.cluster.n_workers
 
     def _process_outcomes(
         self, tasks: List[_EngineTask], resolver: _LocalResolver
@@ -932,10 +934,7 @@ class DITAEngine:
         if self.config.backend != "process" or not tasks:
             return None
         pool = self._ensure_pool(resolver)
-        affinity = []
-        for t in tasks:
-            w = t.exec_worker if t.exec_worker is not None else self.cluster.worker_of(t.cluster_pid)
-            affinity.append(w % pool.num_workers)
+        affinity = [self._worker_for(t) % pool.num_workers for t in tasks]
         try:
             results = pool.run([t.spec for t in tasks], affinity=affinity)
         except ExecutorError:

@@ -12,10 +12,10 @@ over each partition's first-point MBR (``MBR_f``) and last-point MBR
 
 ``MinDist(q1, MBR_f) + MinDist(qn, MBR_l) <= tau``
 
-(for additive distances; for Fréchet both terms are compared to ``tau``
-individually, and for EDR/LCSS a partition survives unless both align MBRs
-are farther than epsilon while the budget is exhausted — we conservatively
-keep partitions whose combined unmatched count exceeds the edit budget).
+(for additive distances; for Fréchet the larger term is compared to
+``tau``, and a distance that pins neither endpoint keeps every partition —
+the adapter's ``endpoint_bound`` trait says which, and
+:func:`repro.core.bounds.endpoint_bound` evaluates it).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from ..geometry.mbr import MBR
 from ..spatial.rtree import RTree
 from ..storage.columnar import ColumnarDataset
 from .adapters import IndexAdapter
+from .bounds import endpoint_bound
 from .config import DITAConfig
 from .numerics import slack
 
@@ -129,37 +130,28 @@ class GlobalIndex:
     ) -> List[int]:
         """Partition ids that may hold trajectories similar to query ``q``
         (Section 5.2 global pruning)."""
-        if adapter is not None and adapter.distance_name in ("edr", "lcss", "erp", "hausdorff"):
-            # edit distances and ERP do not force endpoint alignment, so the
-            # first/last-point global pruning is unsound for them; the local
-            # trie does the pruning instead
+        kind = "sum" if adapter is None else adapter.endpoint_bound
+        if kind is None:
+            # the distance pins neither endpoint, so first/last-point
+            # pruning is unsound for it; the local trie does the pruning
             return [m.partition_id for m in self.partitions_meta]
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         q1, qn = q[0], q[-1]
-        additive = adapter is None or adapter.subtracts
         # Cf: partitions whose first-point MBR is within tau of q1
         tau_s = slack(tau)
         cf = {pid: mbr.min_dist_point(q1) for mbr, pid in self.rtree_first.search_min_dist(q1, tau_s)}
         if not cf:
             return []
         cl = {pid: mbr.min_dist_point(qn) for mbr, pid in self.rtree_last.search_min_dist(qn, tau_s)}
-        query_is_point = q.shape[0] == 1
-        out: List[int] = []
-        for pid, df in cf.items():
-            if pid not in cl:
-                continue
-            if not additive:
-                out.append(pid)
-                continue
-            # length-1 x length-1 pairs share one DTW cell: fall back to max
-            bound = (
-                max(df, cl[pid])
-                if query_is_point and self._meta_by_id[pid].min_len == 1
-                else df + cl[pid]
-            )
-            if bound <= tau_s:
-                out.append(pid)
-        return sorted(out)
+        pids = [pid for pid in cf if pid in cl]
+        bound = endpoint_bound(
+            kind,
+            [cf[pid] for pid in pids],
+            [cl[pid] for pid in pids],
+            # a one-point query may meet one-point trajectories
+            [q.shape[0] == 1 and self._meta_by_id[pid].min_len == 1 for pid in pids],
+        )
+        return sorted(pid for pid, b in zip(pids, bound.tolist()) if b <= tau_s)
 
     def size_bytes(self) -> int:
         """Approximate global-index footprint (two R-trees of partition MBRs)."""

@@ -24,6 +24,7 @@ import numpy as np
 from ..cluster.simulator import Cluster
 from ..storage.columnar import ColumnarDataset
 from .adapters import IndexAdapter
+from .bounds import endpoint_bound
 from .config import DITAConfig
 from .costmodel import BiEdge, Node, OrientationPlan, plan_join
 from .numerics import slack
@@ -72,35 +73,28 @@ def _relevant_rows(
 ) -> np.ndarray:
     """Trajectory-to-partition relevance, vectorized: the subset of ``rows``
     (order preserved) that may have matches in the partition described by
-    ``meta``.  Sound for the additive (DTW-family) and max-accumulating
-    (Fréchet) adapters; edit distances skip it."""
-    if adapter.distance_name in ("edr", "lcss", "erp", "hausdorff"):
+    ``meta`` — those the adapter's endpoint bound does not rule out."""
+    if adapter.endpoint_bound is None or rows.shape[0] == 0:
         return rows
-    if rows.shape[0] == 0:
-        return rows
-    tau_s = slack(tau)
-    df = meta.mbr_first.min_dist_points(part.firsts[rows])
-    dl = meta.mbr_last.min_dist_points(part.lasts[rows])
-    if adapter.subtracts:
-        bound = df + dl
-        if getattr(meta, "min_len", 2) == 1:
-            # the endpoint sum double-counts when both sides are single points
-            bound = np.where(part.lengths[rows] == 1, np.maximum(df, dl), bound)
-        return rows[bound <= tau_s]
-    return rows[(df <= tau_s) & (dl <= tau_s)]
+    bound = endpoint_bound(
+        adapter.endpoint_bound,
+        meta.mbr_first.min_dist_points(part.firsts[rows]),
+        meta.mbr_last.min_dist_points(part.lasts[rows]),
+        (part.lengths[rows] == 1) & (meta.min_len == 1),
+    )
+    return rows[bound <= slack(tau)]
 
 
 def _partition_pair_relevant(meta_t, meta_q, tau: float, adapter: IndexAdapter) -> bool:
-    if adapter.distance_name in ("edr", "lcss", "erp", "hausdorff"):
+    if adapter.endpoint_bound is None:
         return True
-    tau_s = slack(tau)
-    df = meta_t.mbr_first.min_dist_mbr(meta_q.mbr_first)
-    dl = meta_t.mbr_last.min_dist_mbr(meta_q.mbr_last)
-    if adapter.subtracts:
-        if getattr(meta_t, "min_len", 2) == 1 and getattr(meta_q, "min_len", 2) == 1:
-            return max(df, dl) <= tau_s
-        return df + dl <= tau_s
-    return df <= tau_s and dl <= tau_s
+    bound = endpoint_bound(
+        adapter.endpoint_bound,
+        meta_t.mbr_first.min_dist_mbr(meta_q.mbr_first),
+        meta_t.mbr_last.min_dist_mbr(meta_q.mbr_last),
+        meta_t.min_len == 1 and meta_q.min_len == 1,
+    )
+    return bool(bound <= slack(tau))
 
 
 class JoinExecutor:
@@ -211,7 +205,7 @@ class JoinExecutor:
         division balancing, a replicated partition's incoming tasks rotate
         across its replica workers.
         """
-        from ..cluster.tasks import TaskSpec, run_task_body
+        from ..cluster.tasks import TaskSpec
         from .engine import _EngineTask, _LocalResolver
 
         tracer = self.cluster.tracer
@@ -222,55 +216,52 @@ class JoinExecutor:
         js.plan = plan
         js.partition_pairs = len(plan.edges)
         results: List[JoinPair] = []
-        resolver = _LocalResolver(self.left, self.right)
-        # pass 1 — drive-side planning only (no cluster charges): per edge,
-        # select the shipped rows and describe each division chunk as a
+        # drive-side planning only (no cluster charges): per edge, select
+        # the shipped rows and describe each division chunk as a
         # backend-neutral task (a shipped row's verification artifacts are
         # read out of its partition's block where the chunk runs)
-        edge_batches: List[dict] = []
-        n_tasks = 0
+        tasks: List[_EngineTask] = []
+        #: per task: (sending block, receiving engine, result order flipped)
+        edge_of: List[Tuple[ColumnarDataset, object, bool]] = []
         for edge in plan.edges:
             if edge.direction == "tq":
                 senders = self.left.partition(edge.t_part)
                 send_node: Node = ("T", edge.t_part)
                 recv_node: Node = ("Q", edge.q_part)
                 recv_engine = self.right
-                recv_meta = self.right.global_index.meta(edge.q_part)
                 send_side, recv_side = "L", "R"
-                flip = False
             else:
                 senders = self.right.partition(edge.q_part)
                 send_node = ("Q", edge.q_part)
                 recv_node = ("T", edge.t_part)
                 recv_engine = self.left
-                recv_meta = self.left.global_index.meta(edge.t_part)
                 send_side, recv_side = "R", "L"
-                flip = True
+            recv_meta = recv_engine.global_index.meta(recv_node[1])
             shipped = _relevant_rows(
                 senders, senders.alive_rows(), recv_meta, tau, self.adapter
             )
             if shipped.shape[0] == 0:
                 continue
             nbytes = int(senders.lengths[shipped].sum()) * senders.ndim * 8
-            src_pid = self._cluster_pid(send_node)
-            dst_pid = self._cluster_pid(recv_node)
+            js.trajectories_shipped += int(shipped.shape[0])
+            js.bytes_shipped += nbytes
+            # the edge's one transfer is charged just before its first chunk
+            ship: Optional[Tuple[int, int, int]] = (
+                self._cluster_pid(send_node), self._cluster_pid(recv_node), nbytes
+            )
             # division (Section 6.3): a replicated partition's workload is
-            # split into n_replicas pieces executed on distinct workers
+            # split into n_replicas pieces executed on distinct workers,
+            # counted from the receiver's home as it stands after the ship
+            # (whose fault recovery may re-place partitions)
             n_replicas = max(1, plan.replica_count(recv_node))
-            # affinity hint only — the authoritative exec worker is read in
-            # pass 2 (after the edge's ship, whose fault recovery may have
-            # re-placed partitions, exactly as the sequential executor saw)
-            hint_worker = self.cluster.worker_of(dst_pid)
-            chunks = [shipped[i::n_replicas] for i in range(n_replicas)]
-            tasks: List[_EngineTask] = []
-            slots: List[int] = []
-            for slot, chunk in enumerate(chunks):
+            for slot in range(n_replicas):
+                chunk = shipped[slot::n_replicas]
                 if chunk.shape[0] == 0:
                     continue
                 tasks.append(
                     _EngineTask(
                         spec=TaskSpec(
-                            task_id=n_tasks,
+                            task_id=len(tasks),
                             kind="join.chunk",
                             side=recv_side,
                             partition_id=recv_meta.partition_id,
@@ -283,66 +274,37 @@ class JoinExecutor:
                         ),
                         work=int(chunk.shape[0]),
                         tag="join.chunk",
-                        exec_worker=(hint_worker + slot) % self.cluster.n_workers,
+                        cluster_pid=self._cluster_pid(recv_node),
+                        replica=slot,
+                        ship=ship,
                     )
                 )
-                slots.append(slot)
-                n_tasks += 1
-            edge_batches.append(
-                {
-                    "src_pid": src_pid,
-                    "dst_pid": dst_pid,
-                    "nbytes": nbytes,
-                    "n_shipped": int(shipped.shape[0]),
-                    "senders": senders,
-                    "recv_engine": recv_engine,
-                    "recv_pid": recv_meta.partition_id,
-                    "flip": flip,
-                    "tasks": tasks,
-                    "slots": slots,
-                }
-            )
-        # process backend: every chunk body runs on the pool in one batch,
-        # so replicas really execute in parallel across edges
-        all_tasks = [t for eb in edge_batches for t in eb["tasks"]]
-        outcomes = self.left._process_outcomes(all_tasks, resolver)
-        # pass 2 — replay the exact sequential schedule: per edge one ship,
-        # then its chunk tasks through the simulator in submission order
-        for eb in edge_batches:
-            self.cluster.ship(eb["src_pid"], eb["dst_pid"], eb["nbytes"])
-            js.trajectories_shipped += eb["n_shipped"]
-            js.bytes_shipped += eb["nbytes"]
-            senders = eb["senders"]
-            recv_ids = eb["recv_engine"].partition(eb["recv_pid"]).traj_ids
-            flip = eb["flip"]
-            home_worker = self.cluster.worker_of(eb["dst_pid"])
-            for t, slot in zip(eb["tasks"], eb["slots"]):
-                exec_worker = (home_worker + slot) % self.cluster.n_workers
-                if outcomes is None:
-                    body = lambda s=t.spec, r=resolver: run_task_body(s, r)  # noqa: E731
-                else:
-                    body = lambda v=outcomes[t.spec.task_id]: v  # noqa: E731
-                match_lists, chunk_stats = self.cluster.run_on_worker(
-                    exec_worker, body, work=t.work, tag=t.tag
-                )
-                # rows in, rows out: map the receiver-side match rows and
-                # the shipped sender rows to ids off the id columns
-                rows = t.spec.payload[2]
-                for r, matches in zip(rows, match_lists):
-                    sid = int(senders.traj_ids[r])
-                    for recv_row, dist in matches:
-                        rid = int(recv_ids[recv_row])
-                        if flip:
-                            results.append((rid, sid, dist))
-                        else:
-                            results.append((sid, rid, dist))
-                merged = SearchStats()
-                for s in chunk_stats:
-                    merged.merge(s)
-                js.candidate_pairs += merged.filter.candidates
-                js.verified_pairs += merged.verify.pairs
-                if tracer is not None:
-                    self.left._subdivide_task(tracer, merged)
+                ship = None
+                edge_of.append((senders, recv_engine, send_side == "R"))
+
+        def on_result(t: _EngineTask, result) -> None:
+            # rows in, rows out: map the receiver-side match rows and the
+            # shipped sender rows to ids off the id columns
+            match_lists, chunk_stats = result
+            senders, recv_engine, flip = edge_of[t.spec.task_id]
+            recv_ids = recv_engine.partition(t.spec.partition_id).traj_ids
+            for r, matches in zip(t.spec.payload[2], match_lists):
+                sid = int(senders.traj_ids[r])
+                for recv_row, dist in matches:
+                    rid = int(recv_ids[recv_row])
+                    results.append((rid, sid, dist) if flip else (sid, rid, dist))
+            merged = SearchStats()
+            for s in chunk_stats:
+                merged.merge(s)
+            js.candidate_pairs += merged.filter.candidates
+            js.verified_pairs += merged.verify.pairs
+            if tracer is not None:
+                self.left._subdivide_task(tracer, merged)
+
+        # one batch: under the process backend every chunk body of every
+        # edge runs on the pool together, then the simulator sees the
+        # sequential schedule — per edge one ship, then its chunks in order
+        self.left._run_tasks(tasks, _LocalResolver(self.left, self.right), on_result)
         # one (T, Q) pair may be found via several partition-pair edges is
         # impossible: partitions tile the data, so each (T, Q) pair meets on
         # exactly one edge — but a pair appears twice when both directions

@@ -41,9 +41,6 @@ class TrajectoryDistance(ABC):
     name: str = "abstract"
     #: True for metric functions (triangle inequality holds), e.g. Fréchet.
     is_metric: bool = False
-    #: True when the trie can subtract accumulated per-level distance from
-    #: the threshold (DTW-style additive accumulation).
-    accumulates: bool = False
     #: set to a one-line justification to opt out of the lower-bound
     #: contract (see class docstring)
     lower_bound_exempt: Optional[str] = None
@@ -55,7 +52,7 @@ class TrajectoryDistance(ABC):
     def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
         """:meth:`compute` of every ``(ts[i], qs[i])``, bit for bit.  The
         default loops; DTW and Fréchet run the pairs through shared kernel
-        sweeps (:mod:`repro.kernels.pairbatch`)."""
+        sweeps (:func:`repro.kernels.pairbatch.pair_batched`)."""
         return [self.compute(t, q) for t, q in zip(ts, qs)]
 
     def lower_bound(self, t: np.ndarray, q: np.ndarray) -> float:
@@ -71,6 +68,14 @@ class TrajectoryDistance(ABC):
         """Distance if ``<= tau`` else ``math.inf``; default has no pruning."""
         d = self.compute(t, q)
         return d if d <= tau else math.inf
+
+    def compute_threshold_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        """:meth:`compute_threshold` of every ``(ts[i], qs[i], taus[i])``,
+        bit for bit — what the verifier hands a whole task's surviving
+        pairs to.  Loops by default, like :meth:`compute_batch`."""
+        return [self.compute_threshold(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
 
     def similar(self, t: np.ndarray, q: np.ndarray, tau: float) -> bool:
         """Definition 2.3: ``f(T, Q) <= tau``."""

@@ -28,7 +28,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..geometry.point import pairwise_distances
-from ..kernels.pairbatch import MIN_BATCH_PAIRS, dtw_batch
+from ..kernels.pairbatch import dtw_batch, dtw_double_direction_batch, pair_batched
 from ..kernels.wavefront import (
     dtw_wavefront,
     dtw_wavefront_last_row,
@@ -141,18 +141,20 @@ class DTWDistance(TrajectoryDistance):
     """Dynamic Time Warping, the paper's default distance function."""
 
     is_metric = False
-    accumulates = True
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return dtw(t, q)
 
     def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
-        if len(ts) < MIN_BATCH_PAIRS:
-            return super().compute_batch(ts, qs)
-        return dtw_batch(ts, qs).tolist()
+        return pair_batched(dtw_batch, dtw, ts, qs)
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return dtw_double_direction(t, q, tau)
+
+    def compute_threshold_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        return pair_batched(dtw_double_direction_batch, dtw_double_direction, ts, qs, taus)
 
     def lower_bound(self, t: np.ndarray, q: np.ndarray) -> float:
         """Kim's first/last-point bound (any warping path pays both cells)."""

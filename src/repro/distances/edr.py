@@ -37,7 +37,6 @@ class EDRDistance(TrajectoryDistance):
     """EDR with a fixed matching threshold ``epsilon``."""
 
     is_metric = False
-    accumulates = False
 
     def __init__(self, epsilon: float = 0.001) -> None:
         if epsilon < 0:

@@ -40,7 +40,6 @@ class ERPDistance(TrajectoryDistance):
     """ERP with configurable gap point (defaults to the 2-d origin)."""
 
     is_metric = True
-    accumulates = False
 
     def __init__(self, gap=None, ndim: int = 2) -> None:
         self.gap = np.zeros(ndim) if gap is None else np.asarray(gap, dtype=np.float64)

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..kernels.pairbatch import MIN_BATCH_PAIRS, frechet_batch
+from ..kernels.pairbatch import frechet_batch, frechet_threshold_batch, pair_batched
 from ..kernels.wavefront import frechet_wavefront, frechet_wavefront_threshold
 from .base import TrajectoryDistance, register_distance
 
@@ -48,18 +48,20 @@ class FrechetDistance(TrajectoryDistance):
     """Discrete Fréchet distance — the metric function the paper supports."""
 
     is_metric = True
-    accumulates = False
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return frechet(t, q)
 
     def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
-        if len(ts) < MIN_BATCH_PAIRS:
-            return super().compute_batch(ts, qs)
-        return frechet_batch(ts, qs).tolist()
+        return pair_batched(frechet_batch, frechet, ts, qs)
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return frechet_threshold(t, q, tau)
+
+    def compute_threshold_batch(
+        self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
+    ) -> List[float]:
+        return pair_batched(frechet_threshold_batch, frechet_threshold, ts, qs, taus)
 
     def lower_bound(self, t: np.ndarray, q: np.ndarray) -> float:
         """Every coupling matches first-with-first and last-with-last, so

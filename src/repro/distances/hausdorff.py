@@ -51,7 +51,6 @@ class HausdorffDistance(TrajectoryDistance):
     """Symmetric Hausdorff — a metric, order-insensitive."""
 
     is_metric = True
-    accumulates = False
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return hausdorff(t, q)

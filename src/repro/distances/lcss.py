@@ -12,14 +12,10 @@ subsequence length remains available via :func:`lcss`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..geometry.point import pairwise_distances
 from .base import TrajectoryDistance, register_distance
-
-_INF = math.inf
 
 
 def lcss(t: np.ndarray, q: np.ndarray, epsilon: float, delta: int) -> int:
@@ -55,7 +51,6 @@ class LCSSDistance(TrajectoryDistance):
     """LCSS dissimilarity ``min(m, n) - LCSS`` under ``epsilon``/``delta``."""
 
     is_metric = False
-    accumulates = False
     #: DIT005 opt-out: ``min(m, n) - LCSS`` is always >= 0, and any bound
     #: sharper than the trivial 0 needs an O(mn) epsilon-matching scan —
     #: candidates go straight to the banded exact DP instead.
@@ -69,10 +64,6 @@ class LCSSDistance(TrajectoryDistance):
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return float(lcss_dissimilarity(t, q, self.epsilon, self.delta))
-
-    def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
-        d = self.compute(t, q)
-        return d if d <= tau else _INF
 
     def __repr__(self) -> str:
         return f"LCSSDistance(epsilon={self.epsilon}, delta={self.delta})"

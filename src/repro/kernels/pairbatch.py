@@ -70,6 +70,17 @@ DIAGONAL_OVERHEAD_CELLS = 1024
 MIN_BATCH_PAIRS = 2
 
 
+def pair_batched(
+    kernel: Callable[..., np.ndarray], per_pair: Callable[..., float], *columns: Sequence
+) -> List[float]:
+    """``per_pair(*row)`` for every row of the aligned ``columns``, through
+    the batched ``kernel(*columns)`` once there are enough pairs for a
+    shared sweep to win (the one :data:`MIN_BATCH_PAIRS` test)."""
+    if len(columns[0]) < MIN_BATCH_PAIRS:
+        return [per_pair(*row) for row in zip(*columns)]
+    return kernel(*columns).tolist()
+
+
 def _sweep(
     tables: Sequence[np.ndarray],
     taus: Optional[np.ndarray],

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.adapters import available_adapters
 from ..trajectory.trajectory import Trajectory
 from .ast import (
     BinaryOp,
@@ -32,10 +33,6 @@ from .ast import (
     TrajectoryLiteral,
 )
 from .tokens import SQLError
-
-#: distance-function names accepted in similarity predicates
-SIMILARITY_FUNCTIONS = {"dtw", "frechet", "hausdorff", "edr", "lcss", "erp"}
-
 
 # --------------------------------------------------------------------- #
 # constant folding
@@ -158,7 +155,7 @@ def extract_search_predicate(
     tau = _resolve_number(conjunct.right, params)
     if not isinstance(call, FunctionCall) or tau is None:
         return None
-    if call.name not in SIMILARITY_FUNCTIONS or len(call.args) != 2:
+    if call.name not in available_adapters() or len(call.args) != 2:
         return None
     a, b = call.args
     table_arg: Optional[Expr] = None
@@ -187,7 +184,7 @@ def extract_knn_order(
     if not item.ascending:
         return None
     call = item.expr
-    if not isinstance(call, FunctionCall) or call.name not in SIMILARITY_FUNCTIONS:
+    if not isinstance(call, FunctionCall) or call.name not in available_adapters():
         return None
     if len(call.args) != 2:
         return None
@@ -215,7 +212,7 @@ def extract_join_predicate(
     tau = _resolve_number(conjunct.right, params)
     if not isinstance(call, FunctionCall) or tau is None:
         return None
-    if call.name not in SIMILARITY_FUNCTIONS or len(call.args) != 2:
+    if call.name not in available_adapters() or len(call.args) != 2:
         return None
     a, b = call.args
     if not (isinstance(a, ColumnRef) and isinstance(b, ColumnRef)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..cluster.faults import TaskAbandonedError
+from ..core.adapters import available_adapters
 from ..core.engine import DITAEngine
 from ..distances.base import get_distance
 from ..trajectory.trajectory import Trajectory
@@ -100,9 +101,7 @@ def eval_expr(expr: Expr, row: Row, params: Dict[str, object]) -> object:
 
 def _eval_function(name: str, args: List[object]) -> object:
     """Scalar functions usable in residual predicates and projections."""
-    from .optimizer import SIMILARITY_FUNCTIONS
-
-    if name in SIMILARITY_FUNCTIONS:
+    if name in available_adapters():
         if len(args) != 2:
             raise SQLError(f"{name} takes two trajectories")
         t, q = args

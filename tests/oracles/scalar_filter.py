@@ -45,8 +45,8 @@ def visit(
 ) -> Optional[FilterState]:
     """Descend one trie level; return the child state or ``None`` to prune.
 
-    Dispatches on the adapter's class; this base case is ``IndexAdapter``'s
-    (DTW's) policy: threshold-subtracting additive accumulation with suffix
+    Dispatches on the adapter's class; this base case is ``DTWAdapter``'s
+    policy: threshold-subtracting additive accumulation with suffix
     pruning."""
     if kind == FIRST:
         d = mbr.min_dist_point(q[0])
@@ -119,7 +119,7 @@ def _(
     # align or pivot — uses the same "this indexing point must match
     # within epsilon somewhere in Q, else it costs one edit" argument.
     d = mbr.min_dist_trajectory(q)
-    if d > a.epsilon:
+    if d > a.dist.epsilon:
         remaining = state.remaining - 1
         if remaining < 0:
             return None
@@ -132,7 +132,7 @@ def _(
     a: LCSSAdapter, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None
 ) -> Optional[FilterState]:
     d = mbr.min_dist_trajectory(q)
-    if d > a.epsilon:
+    if d > a.dist.epsilon:
         if node_max_len is not None and node_max_len <= q.shape[0]:
             remaining = state.remaining - 1
             if remaining < 0:
@@ -145,7 +145,7 @@ def _(
 def _(
     a: ERPAdapter, state: FilterState, kind: str, mbr: MBR, q: np.ndarray, node_max_len: Optional[int] = None
 ) -> Optional[FilterState]:
-    d = min(mbr.min_dist_trajectory(q), mbr.min_dist_point(a.gap))
+    d = min(mbr.min_dist_trajectory(q), mbr.min_dist_point(a.dist.gap))
     if d > state.remaining:
         return None
     return replace(state, remaining=state.remaining - d)

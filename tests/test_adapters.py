@@ -2,9 +2,15 @@
 level policy, through ``visit_batch`` on a one-row frontier and checked
 against the scalar oracle (``tests/oracles/scalar_filter.py``)."""
 
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import brute_force_join, brute_force_search
+from repro import DITAConfig, DITAEngine
+from repro.core import adapters as adapters_module
 from repro.core.adapters import (
     DTWAdapter,
     EDRAdapter,
@@ -15,10 +21,15 @@ from repro.core.adapters import (
     FilterState,
     FrechetAdapter,
     LCSSAdapter,
+    available_adapters,
     get_adapter,
 )
 from oracles.scalar_filter import visit as scalar_visit
+from repro.core.knn import knn_search
 from repro.core.verify import Verifier
+from repro.datagen import beijing_like, citywide_dataset, sample_queries
+from repro.distances import TrajectoryDistance, base as distances_base, dtw, get_distance
+from repro.distances import register_distance
 from repro.geometry.mbr import MBR
 from repro.kernels.frontier import BatchVisit, QueryBatch
 
@@ -71,9 +82,9 @@ class TestFactory:
 
     def test_parameters_forwarded(self):
         a = get_adapter("edr", epsilon=0.5)
-        assert a.epsilon == 0.5
+        assert a.distance().epsilon == 0.5
         b = get_adapter("lcss", epsilon=0.2, delta=7)
-        assert b.delta == 7
+        assert b.distance().delta == 7
 
 
 class TestDTWAdapter:
@@ -192,3 +203,123 @@ class TestERPAdapter:
 
     def test_suffix_pruning_forced_off(self):
         assert not ERPAdapter(use_suffix_pruning=True).use_suffix_pruning
+
+
+# --------------------------------------------------------------------- #
+# the declaration contract: one adapter class + one distance class
+# --------------------------------------------------------------------- #
+
+#: name -> (endpoint_bound, cell_bound): what each function pins and admits
+TRAITS = {
+    "dtw": ("sum", "sum"),
+    "frechet": ("max", "max"),
+    "hausdorff": (None, "max"),
+    "edr": (None, None),
+    "lcss": (None, None),
+    "erp": (None, None),
+}
+
+
+class TestDeclaration:
+    def test_traits_of_the_six(self):
+        assert available_adapters() == sorted(TRAITS)
+        for name, traits in TRAITS.items():
+            adapter = get_adapter(name)
+            assert (adapter.endpoint_bound, adapter.cell_bound) == traits, name
+            # one distance object, built once, under the adapter's own name
+            assert adapter.distance() is adapter.distance()
+            assert adapter.distance().name == name
+
+    @pytest.mark.parametrize(
+        "name,cls,params", [("edr", EDRAdapter, {"epsilon": -1.0}), ("lcss", LCSSAdapter, {"delta": -2})]
+    )
+    def test_bad_parameters_rejected_before_any_index(self, name, cls, params, monkeypatch):
+        """The distance's own validation guards the adapter: a negative
+        epsilon used to surface inside a task body on the first query, and
+        a negative delta was accepted outright."""
+        import repro.core.engine as engine_module
+
+        built = []
+
+        class CountingTrie(engine_module.TrieIndex):
+            def __init__(self, part, config):
+                built.append(part)
+                super().__init__(part, config)
+
+        monkeypatch.setattr(engine_module, "TrieIndex", CountingTrie)
+        data = citywide_dataset(12, seed=3)
+        with pytest.raises(ValueError):
+            get_adapter(name, **params)
+        with pytest.raises(ValueError):
+            DITAEngine(data, distance=cls(**params))
+        assert not built
+
+    @pytest.mark.parametrize("name", sorted(TRAITS))
+    def test_pickled_adapter_computes_the_same(self, name):
+        """An adapter rides ``SideInit`` to spawned workers: the copy must
+        carry its distance, and its ``exact_batch`` must equal looping the
+        original's ``exact`` bit for bit on a ragged batch."""
+        adapter = get_adapter(name, epsilon=0.0005) if name in ("edr", "lcss") else get_adapter(name)
+        clone = pickle.loads(pickle.dumps(adapter))
+        assert repr(clone) == repr(adapter)
+        data = list(citywide_dataset(12, seed=71))
+        ts = [t.points for t in data]
+        near = [q.points for q in sample_queries(data, len(data), seed=5, perturb=0.0002)]
+        qs = near[5:] + near[:5]
+        assert any(t.shape[0] != q.shape[0] for t, q in zip(ts, qs))
+        taus = [(2.0 if name in ("edr", "lcss") else 0.01) * (1 + i % 3) for i in range(len(ts))]
+        got = np.asarray(clone.exact_batch(ts, qs, taus), dtype=np.float64)
+        want = np.asarray([adapter.exact(t, q, x) for t, q, x in zip(ts, qs, taus)], dtype=np.float64)
+        assert np.isfinite(want).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture
+def dtw2x():
+    """A seventh similarity function declared here and nowhere under
+    ``src/``: twice DTW, on DTW's descent and traits (whatever bounds DTW
+    from below bounds its double).  Two classes; the fixture unregisters
+    them again."""
+
+    @register_distance("dtw2x")
+    class DTW2XDistance(TrajectoryDistance):
+        lower_bound_exempt = "test-only distance"
+
+        def compute(self, t, q):
+            return 2.0 * dtw(t, q)
+
+    class DTW2XAdapter(DTWAdapter):
+        distance_name = "dtw2x"
+
+    yield get_distance("dtw2x")
+    del adapters_module._REGISTRY["dtw2x"], distances_base._REGISTRY["dtw2x"]
+
+
+class TestSeventhDistance:
+    def test_answers_match_brute_force_with_no_edit_under_src(self, dtw2x):
+        from repro.sql import DITASession
+
+        src = Path(adapters_module.__file__).resolve().parents[2]
+        assert not [p for p in src.rglob("*.py") if "dtw2x" in p.read_text().lower()]
+        data = beijing_like(120, seed=11)
+        queries = sample_queries(data, 3, seed=2)
+        tau, join_tau = 0.002, 0.004
+        config = DITAConfig(num_global_partitions=3)
+        engine = DITAEngine(data, config, distance="dtw2x")
+        assert type(engine.adapter).__name__ == "DTW2XAdapter"
+        session = DITASession(config)
+        session.register("trips", data)
+        halved = False
+        for q in queries:
+            want = brute_force_search(data, dtw2x, q, tau)
+            halved |= want != brute_force_search(data, get_distance("dtw"), q, tau)
+            assert sorted(t.traj_id for t, _ in engine.search(q, tau)) == want
+            rows = session.sql(
+                "SELECT * FROM trips t WHERE DTW2X(t, :q) <= :tau", params={"q": q, "tau": tau}
+            )
+            assert sorted(r["t.traj_id"] for r in rows) == want
+            ranked = sorted((dtw2x.compute(t.points, q.points), t.traj_id) for t in data)[:5]
+            assert [(d, t.traj_id) for t, d in knn_search(engine, q, 5)] == ranked
+        assert halved  # the doubling decided at least one answer
+        pairs = [(a, b) for a, b in brute_force_join(data, data, dtw2x, join_tau) if a < b]
+        assert sorted((a, b) for a, b, _ in engine.self_join(join_tau)) == pairs and pairs

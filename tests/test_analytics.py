@@ -16,6 +16,7 @@ from repro.analytics import (
 )
 from repro.datagen import citywide_dataset
 from repro.distances import get_distance
+from repro.storage.store import build_store
 from repro.trajectory import Trajectory
 
 
@@ -146,3 +147,25 @@ class TestOutliers:
             detect_outliers(lonely_engine, TAU, min_neighbours=0)
         with pytest.raises(ValueError):
             knn_outlier_scores(lonely_engine, k=0)
+
+
+class TestReadContract:
+    """Analytics see the engine's logical rows — pending writes and store
+    blocks no query has loaded yet — not just the loaded blocks."""
+
+    def test_appended_loner_is_reported(self):
+        data = citywide_dataset(40, seed=82, duplication=4)
+        cfg = DITAConfig(num_global_partitions=2, trie_fanout=4, num_pivots=3)
+        engine = DITAEngine(data, cfg)
+        engine.append_trajectory(1000, np.random.default_rng(3).uniform(10, 11, size=(15, 2)))
+        report = detect_outliers(engine, TAU, min_neighbours=1)
+        assert report.neighbour_counts[1000] == 0 and report.is_outlier(1000)
+        assert len(report.neighbour_counts) == len(data) + 1
+
+    def test_lazy_store_engine_is_scored_whole(self, tmp_path):
+        data = citywide_dataset(120, seed=82, duplication=4)
+        store = build_store(data, tmp_path / "trips.store", n_groups=2)
+        engine = DITAEngine.from_store(store, DITAConfig(trie_fanout=4, num_pivots=3))
+        assert not engine.tries  # nothing loaded yet
+        scores = knn_outlier_scores(engine, k=1)
+        assert sorted(scores) == sorted(int(i) for i in data.traj_ids)

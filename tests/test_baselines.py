@@ -119,6 +119,49 @@ class TestDFT:
         assert local > simba_local
 
 
+class TestSoundnessTraits:
+    """A baseline's filter runs only where the adapter's traits say it is
+    sound: DFT and Simba *are* the endpoint test (``endpoint_bound``), MBE
+    is the per-point argument of the cell bound (``cell_bound``)."""
+
+    @pytest.fixture(scope="class")
+    def town(self):
+        data = beijing_like(300, seed=5)
+        return data, sample_queries(data, 20, seed=1)
+
+    @pytest.mark.parametrize("baseline", [DFTEngine, SimbaEngine])
+    @pytest.mark.parametrize("name", ["hausdorff", "edr", "lcss", "erp"])
+    def test_endpoint_filters_refuse_unpinned_distances(self, town, baseline, name):
+        """Hausdorff aligns no endpoints: over these 20 queries at tau =
+        0.01 the endpoint filter used to drop 8 (DFT) and 12 (Simba) of its
+        104 answers.  Refused at construction, like MBE's edit distances."""
+        with pytest.raises(ValueError, match="does not pin"):
+            baseline(town[0], n_partitions=4, distance=name)
+
+    @pytest.mark.parametrize("name", ["dtw", "frechet"])
+    def test_endpoint_filters_agree_with_naive(self, town, name):
+        data, queries = town
+        naive = NaiveEngine(data, n_partitions=4, distance=name)
+        filtered = [
+            DFTEngine(data, n_partitions=4, distance=name),
+            SimbaEngine(data, n_partitions=4, distance=name),
+        ]
+        for q in queries:
+            want = naive.search_ids(q, 0.01)
+            assert all(engine.search_ids(q, 0.01) == want for engine in filtered)
+
+    def test_mbe_serves_what_the_cell_bound_licenses(self, town):
+        data, queries = town
+        naive = NaiveEngine(data, n_partitions=4, distance="hausdorff")
+        idx = MBEIndex(data, "hausdorff")
+        answers = 0
+        for q in queries:
+            want = naive.search_ids(q, 0.01)
+            assert idx.search_ids(q, 0.01) == want
+            answers += len(want)
+        assert answers > len(queries)  # more than each query's own source
+
+
 class TestVPTree:
     def test_search_matches_brute_force(self, city, queries):
         tree = VPTree(city)

@@ -148,7 +148,6 @@ class TestDTWDistanceClass:
         d = DTWDistance()
         assert d.name == "dtw"
         assert not d.is_metric
-        assert d.accumulates
         assert d.compute(T1, T3) == pytest.approx(5.41, abs=0.01)
         assert d.similar(T1, T3, 6.0)
         assert not d.similar(T1, T3, 5.0)

@@ -59,7 +59,6 @@ class TestHausdorff:
     def test_registry(self):
         d = get_distance("hausdorff")
         assert d.is_metric
-        assert not d.accumulates
 
 
 class TestHausdorffEngine:
