@@ -1,9 +1,9 @@
 """Extension benchmark: kNN search (the paper's future work, implemented).
 
 Not a paper figure — DITA's conclusion lists kNN search/join as future
-work.  This bench measures the bound-refinement kNN (seed an upper bound
-from the nearest partition, threshold-search, double until k results)
-against a brute-force top-k scan, across k.
+work.  This bench measures the best-first distributed top-k (partitions
+and their candidates visited in lower-bound order, stopping at the k-th
+distance) against a brute-force top-k scan, across k.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def index_knn_ms(engine, queries, k) -> float:
 def main() -> None:
     print_header(
         "Extension: kNN",
-        "kNN search via threshold refinement vs brute force (Beijing, DTW)",
+        "kNN search as best-first top-k vs brute force (Beijing, DTW)",
         "(future work of the paper, implemented here; exactness tested in "
         "tests/test_knn.py)",
     )

@@ -4,10 +4,12 @@ Times the four vectorized distance kernels (DTW, discrete Fréchet, EDR,
 ERP) against their per-cell Python loops (``tests/oracles/dp_reference.py``)
 across trajectory lengths, the threshold/early-abandon variants, the batched
 filter-verification stages (Lemma 5.4 + Lemma 5.6 as matrix ops) against
-the per-pair loop, and — at the 24 and 40 points Beijing and Chengdu trips
-average, where the workloads actually run them — the pair-batched
-verification sweeps (:mod:`repro.kernels.pairbatch`) against the per-pair
-kernels.  Emits ``BENCH_kernels.json``; every time in it is wall clock.
+the per-pair loop, the Lemma 5.6 cell bound alone against the 3-D form it
+replaced (``tests/oracles/cell_bounds_reference.py``), and — at the 24 and
+40 points Beijing and Chengdu trips average, where the workloads actually
+run them — the pair-batched verification sweeps
+(:mod:`repro.kernels.pairbatch`) against the per-pair kernels.  Emits
+``BENCH_kernels.json``; every time in it is wall clock.
 
 Run::
 
@@ -34,6 +36,7 @@ import numpy as np
 # the loops the kernels are timed against are the test suite's oracles
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from oracles.cell_bounds_reference import batch_cell_bounds_reference  # noqa: E402
 from oracles.dp_reference import (  # noqa: E402
     dtw_reference,
     dtw_threshold_reference,
@@ -75,6 +78,10 @@ SMOKE_LENGTHS = [32, 64]
 #: round's (6, 48), to a join chunk's (256)
 PAIR_LENGTHS = [24, 40]
 PAIR_COUNTS = [1, 2, 6, 48, 256]
+#: the cell-bound series: candidate rows per call, from one kNN chunk's
+#: survivors of the endpoint bound (16), through a chunk or a search's
+#: candidates (256), to a join chunk's (2048)
+CELL_BOUND_ROWS = [16, 256, 2048]
 EDR_EPS = 0.002
 CELL_SIZE = 0.004
 
@@ -195,6 +202,39 @@ def bench_batch_filter(n_trajs: int, reps: int) -> Dict[str, float]:
     return row
 
 
+def bench_cell_bounds(reps: int) -> Dict[str, object]:
+    """The Lemma 5.6 bound of ``rows`` Beijing-length trips against one
+    query, microseconds per row: the kernel (one coordinate axis at a time,
+    square root after the minima) against the ``(cells, nq, d)`` form.
+    Every float is checked identical before anything is timed."""
+    dataset = beijing_like(max(CELL_BOUND_ROWS), seed=7)
+    block = TrajectoryBlock.from_columnar(dataset, CELL_SIZE)
+    queries = [VerificationData.of(dataset[i], CELL_SIZE).cells for i in range(0, 80, 10)]
+    series: Dict[str, list] = {"sum": [], "max": []}
+    for kind in series:
+        for n in CELL_BOUND_ROWS:
+            rows = np.arange(n, dtype=np.int64)
+            for q in queries:
+                got = batch_cell_bounds(block, rows, q, kind)
+                want = batch_cell_bounds_reference(block, rows, q, kind)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    "cell bound is not bit-identical to the 3-D reference"
+                )
+            per_row = 1e6 / (n * len(queries))
+            ref_us = per_row * best_of(
+                lambda: [batch_cell_bounds_reference(block, rows, q, kind) for q in queries], reps
+            )
+            us = per_row * best_of(
+                lambda: [batch_cell_bounds(block, rows, q, kind) for q in queries], reps
+            )
+            series[kind].append(
+                {"rows": n, "reference_us_per_row": ref_us, "us_per_row": us, "speedup": ref_us / us}
+            )
+            print(f"  {kind:>3} bound over {n:5d} rows: 3-D form {ref_us:7.2f} us/row   "
+                  f"kernel {us:7.2f} us/row   {ref_us / us:5.2f}x")
+    return {"rows": CELL_BOUND_ROWS, "queries": len(queries), "clock": "wall", **series}
+
+
 def bench_pair_batch(reps: int, rng: np.random.Generator) -> Dict[str, object]:
     """Verification's exact stage over ``pairs`` surviving pairs of
     ``n``-point trajectories: the per-pair kernel in a loop against one
@@ -274,6 +314,8 @@ def main() -> None:
     threshold = bench_threshold(lengths, reps, rng)
     print("== batched filter-verification stages ==")
     batch_filter = bench_batch_filter(64 if args.smoke else 300, reps)
+    print("== Lemma 5.6 cell bound (3-D reference form vs the axis-at-a-time kernel) ==")
+    cell_bounds = bench_cell_bounds(reps)
     print("== pair-batched verification sweeps (per-pair kernel vs one batched call) ==")
     pair_batch = bench_pair_batch(3 * reps, rng)
 
@@ -290,6 +332,7 @@ def main() -> None:
         "kernels": kernels,
         "threshold": threshold,
         "batch_filter": batch_filter,
+        "cell_bounds": cell_bounds,
         "pair_batch": pair_batch,
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)

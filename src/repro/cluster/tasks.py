@@ -1,7 +1,7 @@
 """The task-description layer shared by both execution backends.
 
 Every per-partition unit of work the engine schedules — a partition's
-share of a search, one replica chunk of a join, a kNN seeding batch — is
+share of a search, one replica chunk of a join, its share of a kNN — is
 described by a picklable :class:`TaskSpec` and executed by
 :func:`run_task_body` against a *resolver*: an object that turns the
 spec's ``(side, partition id, row ids)`` references into live engines,
@@ -25,9 +25,9 @@ only *where* the body runs differs.
 
 The payload discipline is the backbone of the zero-copy guarantee: a
 spec may carry query point arrays (queries originate at the coordinator
-and must cross), but never dataset coordinates — join and kNN-seed specs
-reference sender trajectories as ``(side, partition id, row ids)`` and
-the worker reads the points out of its own mapped block.
+and must cross), but never dataset coordinates — join specs reference
+sender trajectories as ``(side, partition id, row ids)`` and the worker
+reads the points out of its own mapped block.
 :func:`pickle_budget` turns that discipline into an enforceable bound:
 the process pool refuses any spec whose pickle exceeds its kind's
 budget, so a regression that starts shipping coordinates fails loudly.
@@ -151,20 +151,26 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     return match_lists, stats
 
 
-def _knn_seed_body(spec: TaskSpec, res: Any) -> Any:
-    """Exact seed distances for kNN bound seeding.
+def _knn_topk_body(spec: TaskSpec, res: Any) -> Any:
+    """One partition's best-first share of a kNN search.
 
-    Payload: ``(q_points, row_ids)``.  Returns ``(distance, trajectory
-    id)`` pairs in row order — ids are read off the resolver's own id
-    column, never shipped.  The distances are one ``compute_batch``, so
-    DTW and Fréchet seeds share kernel sweeps.
+    Payload: ``(q_points, k, tau, track)`` — ``tau`` is the k-th distance
+    the coordinator knew when the task's wave started (``inf`` at first).
+    Returns ``(nearest, stats)``: at most ``k`` sorted ``(distance,
+    trajectory id, row)`` triples within ``tau`` and the pass's
+    VerifyStats (``None`` when ``track`` is off).
     """
-    q_pts, rows = spec.payload
-    part = res.dataset(spec.side, spec.partition_id)
-    dists = res.engine(spec.side).adapter.distance().compute_batch(
-        [part.points(r) for r in rows], [q_pts] * len(rows)
+    from ..core.search import topk_rows
+    from ..core.verify import VerifyStats
+
+    q_pts, k, tau, track = spec.payload
+    eng = res.engine(spec.side)
+    stats = VerifyStats() if track else None
+    nearest = topk_rows(
+        eng.trie(spec.partition_id), eng.adapter, eng.verifier, q_pts, k, tau,
+        res.query_data(q_pts), stats,
     )
-    return [(d, int(part.traj_ids[r])) for d, r in zip(dists, rows)]
+    return nearest, stats
 
 
 def _debug_echo_body(spec: TaskSpec, res: Any) -> Any:
@@ -196,7 +202,7 @@ def _debug_unpicklable_body(spec: TaskSpec, res: Any) -> Any:
 
 register_task_kind("search", _search_body)
 register_task_kind("join.chunk", _join_chunk_body)
-register_task_kind("knn.seed", _knn_seed_body)
+register_task_kind("knn.topk", _knn_topk_body)
 register_task_kind("debug.echo", _debug_echo_body)
 register_task_kind("debug.spin", _debug_spin_body)
 register_task_kind("debug.crash", _debug_crash_body)
@@ -224,7 +230,6 @@ def pickle_budget(spec: TaskSpec) -> int:
     if spec.kind == "join.chunk":
         _, _, rows, _ = spec.payload
         return _BASE_BUDGET + _PER_ROW_BUDGET * len(rows)
-    if spec.kind == "knn.seed":
-        q_pts, rows = spec.payload
-        return _BASE_BUDGET + int(q_pts.nbytes) + _PER_ROW_BUDGET * len(rows)
+    if spec.kind == "knn.topk":
+        return _BASE_BUDGET + int(spec.payload[0].nbytes) + _PER_QUERY_BUDGET
     return _BASE_BUDGET

@@ -21,7 +21,7 @@ the adapter's ``endpoint_bound`` trait says which, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +152,24 @@ class GlobalIndex:
             [q.shape[0] == 1 and self._meta_by_id[pid].min_len == 1 for pid in pids],
         )
         return sorted(pid for pid, b in zip(pids, bound.tolist()) if b <= tau_s)
+
+    def nearest_partitions(
+        self, q: np.ndarray, adapter: IndexAdapter
+    ) -> List[Tuple[float, int]]:
+        """Every partition as ``(endpoint bound to query q, partition id)``,
+        nearest first: the order a best-first kNN visits them in.  The
+        bound is 0 where the distance pins neither endpoint."""
+        metas = self.partitions_meta
+        if adapter.endpoint_bound is None:
+            return [(0.0, m.partition_id) for m in metas]
+        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        bound = endpoint_bound(
+            adapter.endpoint_bound,
+            [m.mbr_first.min_dist_point(q[0]) for m in metas],
+            [m.mbr_last.min_dist_point(q[-1]) for m in metas],
+            [q.shape[0] == 1 and m.min_len == 1 for m in metas],
+        )
+        return sorted(zip(bound.tolist(), (m.partition_id for m in metas)))
 
     def size_bytes(self) -> int:
         """Approximate global-index footprint (two R-trees of partition MBRs)."""

@@ -186,7 +186,6 @@ def batch_cell_bounds(
     q_cells,
     kind: str,
     max_elems: int = 1 << 20,
-    q_counts_total: float = 0.0,
 ) -> np.ndarray:
     """Lemma 5.6 lower bounds for all selected rows at once.
 
@@ -194,24 +193,31 @@ def batch_cell_bounds(
     (``max(Cell(T, Q), Cell(Q, T))``) or ``"max"`` for the Fréchet bound
     (largest cell-to-nearest-cell gap in either direction).  ``q_cells``
     is the query's :class:`~repro.geometry.cell.CellSet`.  The candidate
-    cell-to-query cell distance matrix is computed in chunks of whole
-    candidates so no intermediate exceeds ``max_elems`` entries.
+    cell-to-query cell matrix is computed in chunks of whole candidates so
+    no intermediate exceeds ``max_elems`` entries, and it is built one
+    coordinate axis at a time on 2-D arrays, squared: the square root is
+    taken of the row and column minima only (``sqrt`` is monotone and
+    correctly rounded, so this is the root-then-minimum value to the last
+    bit — ``tests/oracles/cell_bounds_reference.py`` is that form).
     """
     if kind not in ("sum", "max"):
         raise ValueError(f"unknown cell bound kind {kind!r}")
     k = int(rows.shape[0])
     if k == 0:
-        return np.empty(0)
+        return np.empty(0, dtype=np.float64)
     pos, seg_starts, lens = block.gather_cells(rows)
     centers = block.cell_centers[pos]
     halves = block.cell_halves[pos]
     counts = block.cell_counts[pos]
+    # one contiguous row per coordinate axis
+    low = np.ascontiguousarray((centers - halves[:, None]).T, dtype=np.float64)
+    high = np.ascontiguousarray((centers + halves[:, None]).T, dtype=np.float64)
     q_half = q_cells.side / 2.0
-    q_low = q_cells.centers - q_half
-    q_high = q_cells.centers + q_half
+    q_low = np.ascontiguousarray((q_cells.centers - q_half).T, dtype=np.float64)
+    q_high = np.ascontiguousarray((q_cells.centers + q_half).T, dtype=np.float64)
     q_counts = q_cells.counts.astype(np.float64)
-    nq = q_low.shape[0]
-    bounds = np.empty(k)
+    nq = q_low.shape[1]
+    bounds = np.empty(k, dtype=np.float64)
     lead = 0
     while lead < k:
         tail = lead + 1
@@ -221,16 +227,16 @@ def batch_cell_bounds(
             tail += 1
         c_lo = int(seg_starts[lead])
         c_hi = c_lo + cells
-        low = centers[c_lo:c_hi] - halves[c_lo:c_hi, None]
-        high = centers[c_lo:c_hi] + halves[c_lo:c_hi, None]
-        gap = np.maximum(
-            low[:, None, :] - q_high[None, :, :], q_low[None, :, :] - high[:, None, :]
-        )
-        np.maximum(gap, 0.0, out=gap)
-        dist = np.sqrt(np.sum(gap * gap, axis=2))
+        sq = None
+        for axis in range(low.shape[0]):
+            gap = low[axis, c_lo:c_hi, None] - q_high[axis]
+            np.maximum(gap, q_low[axis] - high[axis, c_lo:c_hi, None], out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.multiply(gap, gap, out=gap)
+            sq = gap if sq is None else np.add(sq, gap, out=sq)
         local_starts = (seg_starts[lead:tail] - c_lo).astype(np.int64)
-        row_min = dist.min(axis=1)
-        col_min = np.minimum.reduceat(dist, local_starts, axis=0)
+        row_min = np.sqrt(sq.min(axis=1))
+        col_min = np.sqrt(np.minimum.reduceat(sq, local_starts, axis=0))
         if kind == "sum":
             forward = np.add.reduceat(row_min * counts[c_lo:c_hi], local_starts)
             backward = col_min @ q_counts

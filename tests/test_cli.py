@@ -116,7 +116,7 @@ class TestTrace:
                   "--query-id", str(qid), "--k", "3"])
             == 0
         )
-        assert "knn.seed" in capsys.readouterr().out
+        assert "knn.topk" in capsys.readouterr().out
 
 
 class TestStore:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.cell_bounds_reference import batch_cell_bounds_reference
 from oracles.dp_reference import (
     _forward_rows,
     dtw_reference,
@@ -35,7 +36,9 @@ from repro.distances import (
     frechet,
     frechet_threshold,
 )
-from repro.kernels import dtw_wavefront_last_row, pairbatch
+from repro.geometry.cell import CellSet
+from repro.kernels import TrajectoryBlock, batch_cell_bounds, dtw_wavefront_last_row, pairbatch
+from repro.storage import ColumnarDataset
 
 EDR_EPS = 0.002
 
@@ -316,3 +319,49 @@ class TestPairBatchBitIdentity:
                 batch([ok, ok], [ok, np.zeros((3, 3))])
         with pytest.raises(ValueError):
             pairbatch.dtw_double_direction_batch([np.zeros((0, 2))], [ok], [1.0])
+
+
+class TestCellBoundsBitIdentity:
+    """The axis-at-a-time cell bound against the 3-D form it replaced
+    (``tests/oracles/cell_bounds_reference.py``): every float identical,
+    for both kinds, chunked or not."""
+
+    CELL = 2e-3
+
+    @staticmethod
+    def _trip(rng, d):
+        """1-47 points in a 0.05-wide town, stepping about a cell at a time."""
+        steps = rng.normal(scale=1.5e-3, size=(int(rng.integers(1, 48)), d))
+        return rng.uniform(0.0, 0.05, size=d) + np.cumsum(steps, axis=0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_matches_the_3d_form(self, n, d):
+        rng = np.random.default_rng(100 * d + n)
+        walks = [self._trip(rng, d) for _ in range(n)]
+        block = TrajectoryBlock.from_columnar(
+            ColumnarDataset.from_point_arrays(list(range(n)), walks), self.CELL
+        )
+        for _ in range(4):
+            q_cells = CellSet.from_points(self._trip(rng, d), self.CELL)
+            picks = (
+                np.arange(n, dtype=np.int64),
+                rng.permutation(n)[: n // 2 + 1].astype(np.int64),
+                np.empty(0, dtype=np.int64),
+            )
+            for rows in picks:
+                for kind in ("sum", "max"):
+                    # 1 << 20 is the default (one chunk here); 40 and 1 force
+                    # a few rows, then one row, per chunk
+                    for max_elems in (1 << 20, 40, 1):
+                        got = batch_cell_bounds(block, rows, q_cells, kind, max_elems)
+                        want = batch_cell_bounds_reference(block, rows, q_cells, kind, max_elems)
+                        assert got.dtype == np.float64 and got.shape == rows.shape
+                        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_rejects_an_unknown_kind(self):
+        block = TrajectoryBlock.from_columnar(
+            ColumnarDataset.from_point_arrays([0], [np.zeros((2, 2))]), self.CELL
+        )
+        with pytest.raises(ValueError):
+            batch_cell_bounds(block, np.zeros(1, dtype=np.int64), CellSet.from_points(np.zeros((1, 2)), self.CELL), "min")

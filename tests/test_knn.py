@@ -1,12 +1,19 @@
 """Tests for the KNN extension (the paper's future work, implemented)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
+from repro.core.adapters import available_adapters
 from repro.core.knn import knn_join, knn_search
 from repro.datagen import beijing_like, sample_queries
 from repro.distances import get_distance
+from repro.storage import ColumnarDataset
+from repro.storage.store import build_store
 from repro.trajectory import Trajectory
 
 
@@ -55,6 +62,27 @@ class TestKNNSearch:
         q = sample_queries(city, 1, seed=2)[0]
         with pytest.raises(ValueError):
             knn_search(engine, q, -1)
+
+    @pytest.mark.parametrize("k", [2.0, "3", True, None])
+    def test_non_int_k_is_a_value_error_naming_k(self, engine, city, k):
+        """Regression: ``k=2.0`` died with ``TypeError: list indices must
+        be integers`` and ``k="3"`` on a ``str < int`` comparison, both
+        deep inside the sweep."""
+        q = sample_queries(city, 1, seed=2)[0]
+        with pytest.raises(ValueError, match="k must be"):
+            knn_search(engine, q, k)
+        with pytest.raises(ValueError, match="k must be"):
+            knn_join(engine, engine, k)
+
+    def test_engine_emptied_by_remove(self, city):
+        """Regression: with every row removed, seeding raised ``ValueError:
+        need at least one array to concatenate``."""
+        rows = list(city)[:5]
+        eng = DITAEngine(rows, DITAConfig(num_global_partitions=2))
+        for t in rows:
+            assert eng.remove(t.traj_id)
+        assert knn_search(eng, rows[0], 3) == []
+        assert knn_join(eng, DITAEngine(rows, DITAConfig(num_global_partitions=1)), 2) == []
 
     def test_k_zero(self, engine, city):
         """k == 0 is a valid (empty) request at the serving boundary."""
@@ -158,28 +186,29 @@ class TestTieAtThreshold:
         assert not math.isfinite(dtw_double_direction(self.T, self.Q, d))
 
     def test_exact_top_k_keeps_exact_ties(self):
-        """Two trajectories at exactly the k-th distance: the smaller id
-        must win regardless of pool order, matching brute force."""
-        from repro.core.knn import _exact_top_k
-
+        """Two trajectories at exactly the k-th distance, in different
+        partitions: the smaller id must win although the larger one's
+        partition answers first, matching brute force."""
         query = Trajectory(0, self.Q)
         # identical geometry, distinct ids: an exact distance tie
         a = Trajectory(2, self.T.copy())
         b = Trajectory(10, self.T.copy())
         filler = Trajectory(5, self.Q.copy() + 1.0)  # far away
         data = [a, b, filler]
-        engine = DITAEngine(
-            data, DITAConfig(num_global_partitions=1, trie_fanout=2, num_pivots=2)
+        # both partitions' endpoint bounds tie, so pid 0 (holding b) makes
+        # the first wave and pid 1 is asked for rows within b's distance:
+        # a ties it exactly and must displace b on the id tie-break
+        pack = ColumnarDataset.from_trajectories
+        engine = DITAEngine.from_partitions(
+            {0: pack([b]), 1: pack([a, filler])},
+            DITAConfig(num_global_partitions=1, trie_fanout=2, num_pivots=2),
         )
-        # b fills the heap first; a then ties b's distance exactly and must
-        # displace it on the id tie-break
-        pid = engine.partition_pids()[0]
-        part = engine.partition(pid)
-        pool = [(part, part.row_of(b.traj_id)), (part, part.row_of(a.traj_id))]
-        got = [(t.traj_id, d) for t, d in _exact_top_k(engine, query, 1, pool)]
-        want = brute_force_knn(data, query, 1)
-        assert [g[0] for g in got] == [w[0] for w in want] == [2]
-        assert got[0][1] == want[0][1]
+        got = [(t.traj_id, d) for t, d in knn_search(engine, query, 1)]
+        assert [g[0] for g in got] == [2]
+        both = [t.traj_id for t, _ in knn_search(engine, query, 2)]
+        assert both == [2, 10]
+        # the distance is the threshold kernel's, the one search reports
+        assert got[0][1] == engine.adapter.exact(self.T, self.Q, math.inf)
 
     def test_knn_search_matches_brute_force_on_ties(self):
         """End-to-end kNN over a dataset containing exact duplicates."""
@@ -201,8 +230,8 @@ class TestSeedingCost:
     def test_seed_tasks_do_real_work(self, city):
         """Regression: tau-seeding used to run `lambda: None` tasks with a
         side-channel `work=` charge — free under a measure hook that prices
-        the body's real execution.  Every simulated task body must now
-        return its computation's result."""
+        the body's real execution.  Every simulated task body (now the
+        ``knn.topk`` passes) must return its computation's result."""
         from repro.cluster import Cluster
         from repro.cluster.clock import DEFAULT_UNIT_COST_S
 
@@ -222,3 +251,149 @@ class TestSeedingCost:
         knn_search(engine, q, 5)
         assert captured
         assert all(r is not None for r in captured)
+
+
+# --------------------------------------------------------------------- #
+# the best-first pass against a brute-force ranking, all six adapters
+# --------------------------------------------------------------------- #
+
+ADAPTERS = sorted(available_adapters())
+
+
+def ranked(adapter, data, query, k):
+    """The brute-force answer: every row's ``exact_batch`` value (the one
+    ``search`` reports), ranked by ``(distance, id)``."""
+    trajs = list(data)
+    dists = adapter.exact_batch(
+        [t.points for t in trajs], [query.points] * len(trajs), [math.inf] * len(trajs)
+    )
+    return sorted((d, t.traj_id) for d, t in zip(dists, trajs))[:k]
+
+
+def answer(engine, query, k):
+    return [(d, t.traj_id) for t, d in knn_search(engine, query, k)]
+
+
+@pytest.fixture(scope="module")
+def spread():
+    return beijing_like(60, seed=8)
+
+
+@pytest.mark.parametrize("name", ADAPTERS)
+class TestBestFirstTopK:
+    CFG = dict(num_global_partitions=3, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4)
+
+    def test_every_k_boundary(self, spread, name):
+        engine = DITAEngine(spread, DITAConfig(**self.CFG), distance=name)
+        n = len(spread)
+        for q in sample_queries(spread, 2, seed=4, perturb=0.0004):
+            for k in (0, 1, n - 1, n, n + 3):
+                assert answer(engine, q, k) == ranked(engine.adapter, spread, q, k)
+
+    def test_kth_tie_straddling_partitions_goes_to_the_smaller_id(self, spread, name):
+        """Three copies of one trip: the largest id sits in the partition
+        that answers first, the smaller two in the last one scheduled."""
+        rows = list(spread)
+        src = rows[0]
+        parts = {
+            0: [Trajectory(900, src.points.copy())] + rows[1:20],
+            1: rows[20:40],
+            2: rows[40:] + [Trajectory(7, src.points.copy()), Trajectory(-3, src.points.copy())],
+        }
+        engine = DITAEngine.from_partitions(
+            {pid: ColumnarDataset.from_trajectories(p) for pid, p in parts.items()},
+            DITAConfig(**self.CFG),
+            distance=name,
+        )
+        data = [t for p in parts.values() for t in p]
+        query = Trajectory(10_000, src.points + 1e-5)
+        for k in (1, 2, 3, 5):
+            assert answer(engine, query, k) == ranked(engine.adapter, data, query, k)
+
+    def test_one_point_query_over_one_point_rows(self, name):
+        """Both sides one point long: the endpoint bound's ``single_point``
+        branch (the two corners are one DP cell, so only the larger gap is
+        owed, never their sum)."""
+        rng = np.random.default_rng(11)
+        data = [Trajectory(i, rng.uniform(0, 0.02, (1, 2))) for i in range(30)]
+        data += [Trajectory(100 + i, rng.uniform(0, 0.02, (3, 2))) for i in range(6)]
+        engine = DITAEngine(data, DITAConfig(**self.CFG), distance=name)
+        for i in range(3):
+            query = Trajectory(1000 + i, rng.uniform(0, 0.02, (1, 2)))
+            for k in (1, 4, len(data)):
+                assert answer(engine, query, k) == ranked(engine.adapter, data, query, k)
+
+    def test_after_insert_and_remove_without_a_merge(self, spread, name):
+        rows = list(spread)
+        engine = DITAEngine(
+            rows[:40], DITAConfig(delta_max_rows=10_000, **self.CFG), distance=name
+        )
+        for t in rows[40:]:
+            engine.insert(t)
+        for t in rows[5:25:3]:
+            assert engine.remove(t.traj_id)
+        gone = {t.traj_id for t in rows[5:25:3]}
+        live = [t for t in rows if t.traj_id not in gone]
+        q = sample_queries(spread, 1, seed=6, perturb=0.0004)[0]
+        for k in (1, 6, len(live) + 1):
+            assert answer(engine, q, k) == ranked(engine.adapter, live, q, k)
+
+    def test_without_the_cell_filter(self, spread, name):
+        engine = DITAEngine(
+            spread, DITAConfig(use_cell_filter=False, **self.CFG), distance=name
+        )
+        q = sample_queries(spread, 1, seed=9, perturb=0.0004)[0]
+        for k in (1, 7):
+            assert answer(engine, q, k) == ranked(engine.adapter, spread, q, k)
+
+
+_points = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6
+).map(lambda pts: np.asarray(pts, dtype=np.float64) * 5e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(_points, min_size=1, max_size=18),
+    query=_points,
+    k=st.integers(0, 21),
+    name=st.sampled_from(ADAPTERS),
+)
+def test_answer_is_the_sorted_brute_force(rows, query, k, name):
+    """Coordinates on a coarse grid, so exact distance ties (and exact
+    duplicates) are common."""
+    data = [Trajectory(i, pts) for i, pts in enumerate(rows)]
+    engine = DITAEngine(
+        data, DITAConfig(num_global_partitions=2, trie_fanout=2, num_pivots=2, trie_leaf_capacity=2),
+        distance=name,
+    )
+    q = Trajectory(len(data), query)
+    assert answer(engine, q, k) == ranked(engine.adapter, data, q, k)
+
+
+class TestUnscheduledPartitions:
+    def test_lazy_store_engine_never_loads_them(self, tmp_path):
+        """Four well-separated towns, a query inside one: the waves stop
+        at the first partition whose bound exceeds the k-th distance, and a
+        lazily opened store keeps the rest on disk (the τ-doubling sweep
+        loaded every block to seed its radius)."""
+        rng = np.random.default_rng(2)
+        towns = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
+        data = [
+            Trajectory(40 * c + i, np.asarray(town) + np.cumsum(rng.normal(0, 1e-3, (8, 2)), axis=0))
+            for c, town in enumerate(towns)
+            for i in range(40)
+        ]
+        store = build_store(ColumnarDataset.from_trajectories(data), tmp_path / "s", n_groups=2)
+        engine = DITAEngine.from_store(store, DITAConfig(num_global_partitions=2), lazy=True)
+        engine.enable_tracing()
+        query = Trajectory(999, data[3].points + 1e-4)
+        assert answer(engine, query, 5) == ranked(engine.adapter, data, query, 5)
+        assert engine._unloaded
+        m = engine.metrics
+        assert m.value("knn.partitions_skipped") == len(engine._unloaded)
+        assert m.value("knn.tasks") + m.value("knn.partitions_skipped") == engine.n_partitions
+        assert 1 <= m.value("knn.waves") <= m.value("knn.tasks")
+        # DPs per result can be read from the registry
+        assert m.value("knn.verify.exact_computed") >= m.value("knn.verify.accepted") >= 5
+        assert not m.counters("knn.rounds") and not m.counters("knn.brute_force_fallbacks")
