@@ -44,7 +44,6 @@ def random_partition_join(data, tau: float, n_partitions: int = 16) -> float:
         # ship the whole partition to every other partition
         for dst in range(len(parts)):
             if src != dst:
-                # ditalint: disable=DIT010 -- deliberately-naive baseline; measures cost, never recovers
                 cluster.ship(src, dst, part_bytes[src])
     for dst, trie in enumerate(tries):
         start = time.perf_counter()

@@ -55,11 +55,6 @@ def segment_trajectory(t: Trajectory, max_segment_points: int = 8) -> List[MBR]:
 class DFTEngine:
     """Segment R-tree index with bitmap-based filtering."""
 
-    #: comparison baseline measured makespan-only (Figs. 13-15); it keeps
-    #: all state driver-side, so there is nothing worker-resident for
-    #: PR 4's lineage recovery to rebuild (DIT010)
-    lineage_exempt = "driver-side baseline; no worker-resident partition state"
-
     def __init__(
         self,
         dataset: Iterable[Trajectory],

@@ -22,11 +22,6 @@ Match = Tuple[Trajectory, float]
 class NaiveEngine:
     """Brute-force scan over randomly partitioned data."""
 
-    #: comparison baseline measured makespan-only (Figs. 13-15); it keeps
-    #: all state driver-side, so there is nothing worker-resident for
-    #: PR 4's lineage recovery to rebuild (DIT010)
-    lineage_exempt = "driver-side baseline; no worker-resident partition state"
-
     def __init__(
         self,
         dataset: Iterable[Trajectory],

@@ -33,11 +33,6 @@ Match = Tuple[Trajectory, float]
 class SimbaEngine:
     """First-point R-tree index over STR partitions (by first point only)."""
 
-    #: comparison baseline measured makespan-only (Figs. 13-15); it keeps
-    #: all state driver-side, so there is nothing worker-resident for
-    #: PR 4's lineage recovery to rebuild (DIT010)
-    lineage_exempt = "driver-side baseline; no worker-resident partition state"
-
     def __init__(
         self,
         dataset: Iterable[Trajectory],

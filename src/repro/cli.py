@@ -15,7 +15,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli store merge trips.gens --dataset trips.jsonl --groups 8
     python -m repro.cli ingest trips.jsonl --n 500 --root trips.gens
     python -m repro.cli bench --kind citywide --n 2000 --mode join --tau 0.002
-    python -m repro.cli lint src/
 
 Datasets are JSON-lines files (see :mod:`repro.trajectory.io`).
 """
@@ -345,12 +344,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from .devtools.lint.cli import run_lint
-
-    return run_lint(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -466,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", default=None, help="generational store root to merge into")
     _add_engine_args(p)
     p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("lint", help="run the ditalint static-analysis suite")
-    from .devtools.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p)
-    p.set_defaults(fn=cmd_lint)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Injectable time sources for the simulator (the DIT001 fix).
+"""Injectable time sources for the simulator.
 
 DITA's reproduction claims require simulated metrics — makespan, bytes
 shipped, load ratios — to be functions of the algorithm alone.  The
@@ -15,7 +15,7 @@ come from a *measure hook* ``measure(fn, work) -> (result, seconds)``.
 
 :func:`wall_clock` is the single sanctioned raw wall-clock read in the
 package; index build times and benchmarks go through it (or a clock
-injected in its place) so the linter can prove nothing else does.
+injected in its place).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ DEFAULT_UNIT_COST_S = 1e-3
 
 def wall_clock() -> float:
     """The process monotonic clock — the explicit opt-in real-time source."""
-    # ditalint: disable=DIT001 -- the one sanctioned wall-clock read
     return time.perf_counter()
 
 

@@ -556,9 +556,8 @@ class Cluster:
         the serving makespan (max worker clock) reflects the placement
         quality.  Like :meth:`charge_compute_worker` it bypasses fault
         injection (the query machinery does its own retries), but it is a
-        distinct, greppable site: ditalint's DIT008 requires every caller
-        to also reach a metrics/tracer write, so scheduler decisions can
-        never silently stop being observable.
+        distinct, greppable site whose caller also writes the scheduler
+        metrics, so scheduler decisions stay observable.
         """
         if seconds < 0:
             raise ValueError("seconds must be non-negative")

@@ -32,8 +32,7 @@ reads the points out of its own mapped block.
 the process pool refuses any spec whose pickle exceeds its kind's
 budget, so a regression that starts shipping coordinates fails loudly.
 
-Task kinds are registered with :func:`register_task_kind`, which
-ditalint's DIT007 treats as a task-body submission site: worker entry
+Task kinds are registered with :func:`register_task_kind`; worker entry
 points obey the same wall-clock/entropy purity rules as simulated task
 closures.
 """
@@ -76,8 +75,8 @@ class TaskSpec:
 def register_task_kind(kind: str, fn: Callable[[TaskSpec, Any], Any]) -> None:
     """Register ``fn`` as the body executed for ``kind`` tasks.
 
-    The registration is a submission site for ditalint's DIT007: ``fn``
-    is a task body and must not reach the wall clock or OS entropy."""
+    ``fn`` is a task body and must not reach the wall clock or OS
+    entropy."""
     if kind in _TASK_KINDS:
         raise ValueError(f"task kind {kind!r} already registered")
     _TASK_KINDS[kind] = fn

@@ -28,13 +28,14 @@ import numpy as np
 class TrajectoryDistance(ABC):
     """Interface shared by every trajectory similarity function.
 
-    **Lower-bound contract (lint rule DIT005).**  Every concrete subclass
-    must either implement :meth:`lower_bound` — a cheap admissible bound
-    with ``lower_bound(t, q) <= compute(t, q)`` for all inputs, which the
+    **Lower-bound contract.**  Every concrete subclass must either
+    implement :meth:`lower_bound` — a cheap admissible bound with
+    ``lower_bound(t, q) <= compute(t, q)`` for all inputs, which the
     pruning layers may rely on for exactness — or explicitly opt out by
     setting the class attribute ``lower_bound_exempt`` to a one-line
-    justification string.  ``tests/test_lower_bounds.py`` pins the
-    admissibility property on random data.
+    justification string; the base method raises for a class that does
+    neither.  ``tests/test_lower_bounds.py`` pins the admissibility
+    property on random data.
     """
 
     #: registry key, e.g. ``"dtw"``
@@ -61,7 +62,7 @@ class TrajectoryDistance(ABC):
             return 0.0
         raise NotImplementedError(
             f"{type(self).__name__} must implement lower_bound or set "
-            "lower_bound_exempt (DIT005)"
+            "lower_bound_exempt"
         )
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:

@@ -51,7 +51,7 @@ class LCSSDistance(TrajectoryDistance):
     """LCSS dissimilarity ``min(m, n) - LCSS`` under ``epsilon``/``delta``."""
 
     is_metric = False
-    #: DIT005 opt-out: ``min(m, n) - LCSS`` is always >= 0, and any bound
+    #: lower-bound opt-out: ``min(m, n) - LCSS`` is always >= 0, and any bound
     #: sharper than the trivial 0 needs an O(mn) epsilon-matching scan —
     #: candidates go straight to the banded exact DP instead.
     lower_bound_exempt = "no sub-quadratic nontrivial bound exists for LCSS dissimilarity"

@@ -125,7 +125,6 @@ class Tracer:
 
     def job(self, name: str, **args: object) -> "Tracer._JobContext":
         """``with tracer.job("search"): ...`` — a driver envelope span."""
-        # ditalint: disable=DIT009 -- this IS the sanctioned pattern: the span is ended by _JobContext.__exit__, which runs on every path of the caller's with-block
         return Tracer._JobContext(self, self.begin(name, "job", **args))
 
     def record(

@@ -118,9 +118,8 @@ class CostScheduler:
     ) -> float:
         """Account a dispatched request: advance the worker's serving
         clock, charge the simulated cluster (makespan accounting), and
-        write the scheduler metrics (the DIT008-checked pair — a charge
-        site must always reach a metrics write).  Returns the completion
-        time."""
+        write the scheduler metrics (a charge must always reach a
+        metrics write).  Returns the completion time."""
         end = start + cost_s
         self.worker_free[wid] = end
         a = {"tenant": tenant, "kind": kind}

@@ -4,7 +4,7 @@ Rows are plain dicts.  A search over table ``t`` yields rows with keys
 ``{binding}.traj_id``, ``{binding}.trajectory``, ``distance``; a TRA-JOIN
 yields both sides' keys plus ``distance``.  Expression evaluation resolves
 ``ColumnRef`` against those keys (``t.traj_id`` or bare ``traj_id`` when
-unambiguous).
+unambiguous; a bare binding ``t`` is ``t.trajectory``).
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ def eval_expr(expr: Expr, row: Row, params: Dict[str, object]) -> object:
         if key in row:
             return row[key]
         if expr.table is None:
+            # a bare table binding (``DTW(t, :q)``) denotes its trajectory
+            binding = f"{expr.name}.trajectory"
+            if binding in row:
+                return row[binding]
             # bare column: unique suffix match
             hits = [k for k in row if k == expr.name or k.endswith("." + expr.name)]
             if len(hits) == 1:

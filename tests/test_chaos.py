@@ -280,6 +280,24 @@ class TestStreamingChaos:
         got = [_ids(engine.search(q, search_tau)) for q in queries]
         assert got == want, f"adapter={name}"
 
+    def test_migration_recovery_rebuilds_every_recovered_partition(self, city):
+        """A crash during the ship phase recovers destination partitions
+        too, and each recovered partition re-runs its registered rebuild:
+        one ``recover.rebuild`` span per recovery, destinations included."""
+        engine = self._streamed(city)
+        engine.flush_deltas()
+        first_destination = max(engine.partition_pids()) + 1
+        engine.enable_tracing()
+        engine.cluster.install_faults(
+            FaultPlan(seed=0, worker_crash_rate=1.0, crash_after_tasks_max=1), PATIENT
+        )
+        assert engine.repartition()
+        rebuilt = [
+            s.args["partition"] for s in engine.tracer.spans if s.name == "recover.rebuild"
+        ]
+        assert len(rebuilt) == engine.fault_report().recovered_partitions
+        assert any(pid >= first_destination for pid in rebuilt)
+
     def test_abandoned_migration_leaves_layout_intact(self, city, queries):
         engine = self._streamed(city)
         engine.flush_deltas()

@@ -7,6 +7,10 @@ pure function of the dataset seed and the configuration.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro import DITAConfig, DITAEngine
 from repro.cluster import Cluster, make_fixed_cost_measure, unit_cost_measure
@@ -112,6 +116,24 @@ def _run_traced(seed):
     return observables, trace
 
 
+def _traced_bytes_in_subprocess(hash_seed):
+    """``_run_traced(7)``'s observables and exports from a fresh
+    interpreter started with ``PYTHONHASHSEED=hash_seed``."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = (
+        "import sys\n"
+        "from test_determinism import _run_traced\n"
+        "sys.stdout.buffer.write(b''.join(_run_traced(7)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=300, check=True
+    )
+    return proc.stdout
+
+
 class TestTracedByteIdenticalRuns:
     def test_same_seed_same_trace_bytes(self):
         """Trace + metrics exports of two same-seed runs are byte-identical."""
@@ -119,6 +141,13 @@ class TestTracedByteIdenticalRuns:
         b_obs, b_trace = _run_traced(7)
         assert a_obs == b_obs
         assert a_trace == b_trace
+
+    def test_exports_do_not_depend_on_string_hashing(self):
+        """The traced job in two interpreters with different string-hash
+        salts: no iteration order of a set of strings may reach the exports."""
+        # salts 0 and 3 iterate {"filter", "verify"} in opposite orders
+        runs = [_traced_bytes_in_subprocess(hash_seed) for hash_seed in (0, 3)]
+        assert runs[0] and runs[0] == runs[1]
 
     def test_tracing_is_observation_only(self):
         """Turning tracing on must not perturb any simulated observable:

@@ -1,7 +1,7 @@
-"""DIT005's runtime half: every registered bound really is a lower bound.
+"""The lower-bound contract: every registered bound really is a lower bound.
 
-The static rule guarantees each distance class *declares* a bound (or opts
-out with a justification); this suite pins admissibility —
+Each distance class must *declare* a bound or opt out with a justification
+(the base ``lower_bound`` raises otherwise); this suite pins admissibility —
 ``lower_bound(t, q) <= compute(t, q)`` — on random data and on a
 ULP-adversarial pair, because the trie's pruning is only exact when that
 inequality holds.
@@ -75,5 +75,5 @@ class TestExemption:
             def compute(self, t, q):
                 return 0.0
 
-        with pytest.raises(NotImplementedError, match="DIT005"):
+        with pytest.raises(NotImplementedError, match="must implement lower_bound"):
             Incomplete().lower_bound(np.zeros((2, 2)), np.zeros((2, 2)))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import DITAConfig, DITAEngine, FaultPlan, RecoveryPolicy
+from repro.cluster.faults import TaskAbandonedError
 from repro.cluster.simulator import Cluster
 from repro.core.join import JoinStats
 from repro.core.knn import knn_search
@@ -308,6 +309,23 @@ class TestTraceDeterminism:
         engine.search(query, tau=0.01)
         assert engine.cluster.tracer is None
         assert engine.metrics is None
+
+    def test_abandoned_job_closes_its_span(self, city, query):
+        """A job that dies mid-flight still ends its driver span: the open
+        stack is empty afterwards and the next job is a root span again."""
+        engine = traced_engine(city)
+        engine.cluster.install_faults(
+            FaultPlan(seed=0, task_failure_rate=1.0), RecoveryPolicy(max_retries=0)
+        )
+        with pytest.raises(TaskAbandonedError):
+            engine.search(query, tau=0.01)
+        tracer = engine.cluster.tracer
+        assert tracer._open == []
+        engine.cluster.clear_faults()
+        first = len(tracer.spans)
+        engine.search(query, tau=0.01)
+        jobs = [s for s in tracer.spans[first:] if s.cat == "job"]
+        assert jobs and jobs[0].parent_id is None
 
     def test_reset_clocks_clears_trace(self, city, query):
         engine = traced_engine(city)
