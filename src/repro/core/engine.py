@@ -46,7 +46,6 @@ from ..cluster.parallel import ExecutorError, ParallelExecutor, SideInit, Worker
 from ..cluster.simulator import Cluster
 from ..cluster.tasks import TaskSpec, run_task_body
 from ..obs import MetricsRegistry
-from ..geometry.mbr import MBR
 from ..storage.columnar import ColumnarDataset, check_finite, concat_datasets
 from ..storage.delta import DeltaPartition
 from ..storage.generations import GenerationalStore
@@ -245,6 +244,8 @@ class DITAEngine:
         unloaded = set(store.metas) if store is not None else set()
         if not partitions and not unloaded:
             raise ValueError("cannot index an empty dataset")
+        #: point dimensionality, kept when removals empty every partition
+        self.ndim = next(iter(partitions.values())).ndim if partitions else store.ndim
         if cluster is None:
             cluster = Cluster(n_workers=min(16, max(1, len(partitions) + len(unloaded))))
         self.cluster = cluster
@@ -299,8 +300,8 @@ class DITAEngine:
         partition ids, and ``mutated`` says the loaded blocks are no
         longer the store's, so process workers need a spilled snapshot and
         not the store itself.  Everything derived from the layout follows:
-        master-side metadata (cheap: two R-trees over at most NG^2
-        partition MBRs), placement, lineage, and the invalidation of
+        master-side metadata (cheap: one table row per partition, at most
+        NG^2 of them), placement, lineage, and the invalidation of
         whatever mirrored the old layout (worker pool, spill, id map)."""
         self.tries = tries
         self._store, self._unloaded, self._mutated = store, unloaded, mutated
@@ -345,6 +346,10 @@ class DITAEngine:
     def partition(self, pid: int) -> ColumnarDataset:
         """The partition's columnar block (loads a store block on demand)."""
         return self.trie(pid).dataset
+
+    def _block(self, pid: int) -> ColumnarDataset:
+        """The partition's rows, an unloaded store block mapped but not indexed."""
+        return self._store.partition(pid) if pid in self._unloaded else self.tries[pid].dataset
 
     @property
     def partitions(self) -> Dict[int, ColumnarDataset]:
@@ -504,28 +509,19 @@ class DITAEngine:
     # ------------------------------------------------------------------ #
 
     def _delta(self, pid: int) -> DeltaPartition:
-        d = self._deltas.get(pid)
-        if d is None:
-            ndim = None
-            if pid in self.tries:
-                ndim = self.tries[pid].dataset.ndim
-            elif self._store is not None and pid in self._unloaded:
-                ndim = int(self._store.catalog["ndim"])
-            d = DeltaPartition(ndim)
-            self._deltas[pid] = d
-        return d
+        return self._deltas.setdefault(pid, DeltaPartition(self.ndim))
 
     def _id_map(self) -> Dict[int, int]:
         """``trajectory id -> partition id`` over base and pending rows.
 
         Built lazily and invalidated by any index refresh; building it
-        forces a store-backed engine to load every block (updates need
-        the full id set).
+        reads every block's id column (updates need the full id set) but
+        indexes no unloaded partition.
         """
         if self._stream_ids is None:
             ids: Dict[int, int] = {}
             for pid in self.partition_pids():
-                ids.update(dict.fromkeys(self.partition(pid).traj_ids.tolist(), pid))
+                ids.update(dict.fromkeys(self._block(pid).traj_ids.tolist(), pid))
             for pid, delta in self._deltas.items():
                 for tid in delta.removed:
                     ids.pop(tid, None)
@@ -543,11 +539,9 @@ class DITAEngine:
         rejected here with ``ValueError``: no points, a dimensionality
         other than the engine's, NaN or infinite coordinates."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        metas = self.global_index.partitions_meta
-        ndim = metas[0].mbr_first.low.shape[0] if metas else pts.shape[-1]
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != ndim:
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != self.ndim:
             raise ValueError(
-                f"points must be a non-empty (n, {ndim}) array, got shape {pts.shape}"
+                f"points must be a non-empty (n, {self.ndim}) array, got shape {pts.shape}"
             )
         check_finite(pts)
         return pts
@@ -569,9 +563,9 @@ class DITAEngine:
         """Buffer a new trajectory in its home partition's delta; returns
         the partition id it was routed to.
 
-        Routing picks the partition whose first/last-point MBR pair needs
-        the least enlargement, and the write is O(1): no block, trie or
-        global-index bytes move until the delta is applied (at
+        Routing (:meth:`GlobalIndex.route`) picks the partition whose MBR
+        pair needs the least enlargement, and the write is O(1): no block,
+        trie or global-index bytes move until the delta is applied (at
         ``delta_max_rows``, or lazily by the next query).  Queries between
         now and then still see the trajectory — the read path folds
         pending deltas in first — with results and stats byte-identical to
@@ -581,19 +575,7 @@ class DITAEngine:
         if traj_id in self._id_map():
             raise ValueError(f"trajectory id {traj_id} already present")
         pts = self._checked_points(points)
-        first, last = MBR.of_point(pts[0]), MBR.of_point(pts[-1])
-
-        def enlargement(meta) -> float:
-            grown_f = meta.mbr_first.union(first)
-            grown_l = meta.mbr_last.union(last)
-            return (grown_f.area() - meta.mbr_first.area()) + (
-                grown_l.area() - meta.mbr_last.area()
-            )
-
-        meta = min(
-            self.global_index.partitions_meta, key=lambda m: (enlargement(m), m.partition_id)
-        )
-        pid = meta.partition_id
+        pid = self.global_index.route(pts[0], pts[-1])
         self._delta(pid).append(traj_id, pts)
         self._stream_ids[traj_id] = pid
         self._note_write(pid)
@@ -612,7 +594,7 @@ class DITAEngine:
         if traj_id in delta.appended:
             delta.extend_pending(traj_id, pts)
         else:
-            part = self.partition(pid)
+            part = self._block(pid)
             full = np.concatenate([part.points(part.row_of(traj_id)), pts], axis=0)
             delta.replace(traj_id, full)
         self._note_write(pid)
@@ -682,10 +664,8 @@ class DITAEngine:
         try:
             for pid, delta in items:
                 applied += delta.n_pending
-                base = None
-                if pid in self.tries or pid in self._unloaded:
-                    base = self.partition(pid)
-                part = delta.apply(base)
+                known = pid in self.tries or pid in self._unloaded
+                part = delta.apply(self._block(pid) if known else None)
                 staged.append((pid, self._build_index(part) if len(part) else None))
         except BaseException:
             # nothing was adopted; put every popped delta back so a retry
@@ -754,7 +734,7 @@ class DITAEngine:
         try:
             metas = []
             for pid in pids:
-                part = self.partition(pid).compact()
+                part = self._block(pid).compact()
                 meta = self.cluster.run_local(
                     pid,
                     lambda p=part, i=pid: write_partition_block(staging, i, p),
@@ -762,8 +742,7 @@ class DITAEngine:
                     tag="merge.partition",
                 )
                 metas.append(meta)
-            ndim = self.partition(pids[0]).ndim
-            write_catalog(staging, metas, ndim, self.config.num_global_partitions)
+            write_catalog(staging, metas, self.ndim, self.config.num_global_partitions)
             gens.commit(gen)
         except BaseException:
             gens.abort(gen)
@@ -978,9 +957,8 @@ class DITAEngine:
         if self._spill_dir is None:
             parts = {pid: self.partition(pid) for pid in self.partition_pids()}
             spill = tempfile.mkdtemp(prefix="repro-spill-")
-            ndim = next(iter(parts.values())).ndim
             snapshot_partitions(
-                parts, Path(spill) / "store", ndim, self.config.num_global_partitions
+                parts, Path(spill) / "store", self.ndim, self.config.num_global_partitions
             )
             self._spill_dir = spill
         return str(Path(self._spill_dir) / "store")

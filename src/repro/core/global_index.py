@@ -6,9 +6,11 @@ partition (so similar trajectories land together and partitions hold
 roughly equal counts).  Partitioning and the per-partition metadata are
 computed straight from the columnar summary arrays
 (:class:`~repro.storage.columnar.ColumnarDataset`) — no trajectory objects
-are iterated anywhere on this path.  The global index is a pair of R-trees
-over each partition's first-point MBR (``MBR_f``) and last-point MBR
-(``MBR_l``); pruning keeps partitions with
+are iterated anywhere on this path.  The global index is a table of each
+partition's first-point MBR (``MBR_f``) and last-point MBR (``MBR_l``), in
+pid order, and every master-side decision is an array expression over it
+(the paper's two R-trees pay off at thousands of partitions, a scan at the
+``NG^2`` of a few hundred here).  Pruning keeps partitions with
 
 ``MinDist(q1, MBR_f) + MinDist(qn, MBR_l) <= tau``
 
@@ -26,15 +28,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.mbr import MBR
-from ..spatial.rtree import RTree
 from ..storage.columnar import ColumnarDataset
 from .adapters import IndexAdapter
 from .bounds import endpoint_bound
 from .config import DITAConfig
 from .numerics import slack
-
-#: R-tree node capacity of the two partition-MBR trees
-RTREE_FANOUT = 16
 
 
 @dataclass
@@ -82,16 +80,27 @@ def partition_trajectories(dataset, n_groups: int) -> List[ColumnarDataset]:
     return [data.subset(rows) for rows in partition_rows(data, n_groups)]
 
 
+def min_dist_rows(p: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """:meth:`MBR.min_dist_point` from ``p`` to every row's box, bit for
+    bit (numpy adds fewer than 8 terms along an axis in order)."""
+    return np.sqrt(np.sum((p - np.clip(p, low, high)) ** 2, axis=1))
+
+
+def min_dist_boxes(low_a, high_a, low_b, high_b) -> np.ndarray:
+    """:meth:`MBR.min_dist_mbr` from every row box of table ``a`` to every
+    row box of table ``b``, bit for bit: ``(len(a), len(b))``."""
+    gap = np.maximum(
+        0.0, np.maximum(low_a[:, None] - high_b[None], low_b[None] - high_a[:, None])
+    )
+    return np.sqrt(np.sum(gap * gap, axis=2))
+
+
 class GlobalIndex:
-    """The master-side index over partition MBRs."""
+    """The master-side index: the partition table."""
 
     def __init__(self, partitions: Sequence, config: Optional[DITAConfig] = None) -> None:
-        infos = []
-        for pid, part in enumerate(partitions):
-            part = ColumnarDataset.from_trajectories(part)
-            if len(part) == 0:
-                continue
-            infos.append(partition_info(pid, part))
+        parts = (ColumnarDataset.from_trajectories(part) for part in partitions)
+        infos = [partition_info(pid, part) for pid, part in enumerate(parts) if len(part)]
         self._init_from_infos(infos, config)
 
     @classmethod
@@ -108,14 +117,14 @@ class GlobalIndex:
         self, infos: List[PartitionInfo], config: Optional[DITAConfig]
     ) -> None:
         self.config = config or DITAConfig()
-        self.partitions_meta = infos
-        self.rtree_first = RTree(
-            [(m.mbr_first, m.partition_id) for m in infos], max_entries=RTREE_FANOUT
-        )
-        self.rtree_last = RTree(
-            [(m.mbr_last, m.partition_id) for m in infos], max_entries=RTREE_FANOUT
-        )
-        self._meta_by_id = {m.partition_id: m for m in self.partitions_meta}
+        self.partitions_meta = metas = sorted(infos, key=lambda m: m.partition_id)
+        self._meta_by_id = {m.partition_id: m for m in metas}
+        # an empty table's corners are (0, 1): they broadcast against any point
+        corners = [(m.mbr_first.low, m.mbr_first.high, m.mbr_last.low, m.mbr_last.high) for m in metas]
+        boxes = np.array(corners) if corners else np.empty((0, 4, 1))
+        self.first_low, self.first_high, self.last_low, self.last_high = boxes.transpose(1, 0, 2)
+        self.pids = np.array([m.partition_id for m in metas], dtype=np.int64)
+        self.one_point = np.array([m.min_len == 1 for m in metas], dtype=bool)
 
     # ------------------------------------------------------------------ #
 
@@ -125,33 +134,29 @@ class GlobalIndex:
     def meta(self, partition_id: int) -> PartitionInfo:
         return self._meta_by_id[partition_id]
 
+    def _endpoint_gaps(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: ``MinDist(q1, MBR_f)``, ``MinDist(qn, MBR_l)``, and
+        whether a one-point query may meet a one-point member."""
+        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        return (
+            min_dist_rows(q[0], self.first_low, self.first_high),
+            min_dist_rows(q[-1], self.last_low, self.last_high),
+            self.one_point & (q.shape[0] == 1),
+        )
+
     def relevant_partitions(
         self, q: np.ndarray, tau: float, adapter: Optional[IndexAdapter] = None
     ) -> List[int]:
-        """Partition ids that may hold trajectories similar to query ``q``
-        (Section 5.2 global pruning)."""
+        """Partition ids, ascending, that may hold trajectories similar to
+        query ``q`` (Section 5.2 global pruning)."""
         kind = "sum" if adapter is None else adapter.endpoint_bound
         if kind is None:
             # the distance pins neither endpoint, so first/last-point
             # pruning is unsound for it; the local trie does the pruning
-            return [m.partition_id for m in self.partitions_meta]
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        q1, qn = q[0], q[-1]
-        # Cf: partitions whose first-point MBR is within tau of q1
-        tau_s = slack(tau)
-        cf = {pid: mbr.min_dist_point(q1) for mbr, pid in self.rtree_first.search_min_dist(q1, tau_s)}
-        if not cf:
-            return []
-        cl = {pid: mbr.min_dist_point(qn) for mbr, pid in self.rtree_last.search_min_dist(qn, tau_s)}
-        pids = [pid for pid in cf if pid in cl]
-        bound = endpoint_bound(
-            kind,
-            [cf[pid] for pid in pids],
-            [cl[pid] for pid in pids],
-            # a one-point query may meet one-point trajectories
-            [q.shape[0] == 1 and self._meta_by_id[pid].min_len == 1 for pid in pids],
-        )
-        return sorted(pid for pid, b in zip(pids, bound.tolist()) if b <= tau_s)
+            return self.pids.tolist()
+        # the bound is at least each gap: both MBRs are within tau if it is
+        bound = endpoint_bound(kind, *self._endpoint_gaps(q))
+        return self.pids[bound <= slack(tau)].tolist()
 
     def nearest_partitions(
         self, q: np.ndarray, adapter: IndexAdapter
@@ -159,19 +164,30 @@ class GlobalIndex:
         """Every partition as ``(endpoint bound to query q, partition id)``,
         nearest first: the order a best-first kNN visits them in.  The
         bound is 0 where the distance pins neither endpoint."""
-        metas = self.partitions_meta
         if adapter.endpoint_bound is None:
-            return [(0.0, m.partition_id) for m in metas]
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        bound = endpoint_bound(
-            adapter.endpoint_bound,
-            [m.mbr_first.min_dist_point(q[0]) for m in metas],
-            [m.mbr_last.min_dist_point(q[-1]) for m in metas],
-            [q.shape[0] == 1 and m.min_len == 1 for m in metas],
+            return [(0.0, pid) for pid in self.pids.tolist()]
+        bound = endpoint_bound(adapter.endpoint_bound, *self._endpoint_gaps(q))
+        return sorted(zip(bound.tolist(), self.pids.tolist()))
+
+    def route(self, first: np.ndarray, last: np.ndarray) -> int:
+        """Where a new trajectory with endpoints ``first``/``last`` goes: the
+        partition whose MBRs need the least enlargement (:meth:`MBR.area` per
+        row), ties to the lowest pid; partition 0 when the table is empty."""
+        if not self.pids.size:
+            return 0
+
+        def growth(low, high, p) -> np.ndarray:
+            grown = np.prod(np.maximum(high, p) - np.minimum(low, p), axis=1)
+            return grown - np.prod(high - low, axis=1)
+
+        enlargement = growth(self.first_low, self.first_high, first) + growth(
+            self.last_low, self.last_high, last
         )
-        return sorted(zip(bound.tolist(), (m.partition_id for m in metas)))
+        return int(self.pids[np.argmin(enlargement)])
 
     def size_bytes(self) -> int:
-        """Approximate global-index footprint (two R-trees of partition MBRs)."""
+        """The Table 5 global-index size: what the paper's two R-trees over
+        2-d partition MBRs hold, kept (the table is smaller) so Table 5
+        stays comparable across versions."""
         per_entry = 2 * 16 * 2 + 16  # two MBRs (low/high, 2 doubles each) + ids
         return len(self.partitions_meta) * per_entry * 2

@@ -27,6 +27,7 @@ from .adapters import IndexAdapter
 from .bounds import endpoint_bound
 from .config import DITAConfig
 from .costmodel import BiEdge, Node, OrientationPlan, plan_join
+from .global_index import GlobalIndex, min_dist_boxes
 from .numerics import slack
 from .search import SearchStats
 
@@ -85,16 +86,20 @@ def _relevant_rows(
     return rows[bound <= slack(tau)]
 
 
-def _partition_pair_relevant(meta_t, meta_q, tau: float, adapter: IndexAdapter) -> bool:
+def relevant_pairs(
+    left: GlobalIndex, right: GlobalIndex, tau: float, adapter: IndexAdapter
+) -> np.ndarray:
+    """The ``(len(left), len(right))`` mask of partition pairs whose MBRs
+    the adapter's endpoint bound does not rule out."""
     if adapter.endpoint_bound is None:
-        return True
+        return np.ones((len(left), len(right)), dtype=bool)
     bound = endpoint_bound(
         adapter.endpoint_bound,
-        meta_t.mbr_first.min_dist_mbr(meta_q.mbr_first),
-        meta_t.mbr_last.min_dist_mbr(meta_q.mbr_last),
-        meta_t.min_len == 1 and meta_q.min_len == 1,
+        min_dist_boxes(left.first_low, left.first_high, right.first_low, right.first_high),
+        min_dist_boxes(left.last_low, left.last_high, right.last_low, right.last_high),
+        left.one_point[:, None] & right.one_point[None],
     )
-    return bool(bound <= slack(tau))
+    return bound <= slack(tau)
 
 
 class JoinExecutor:
@@ -126,25 +131,25 @@ class JoinExecutor:
         so a store-backed engine never loads partitions the planner prunes
         for every counterpart."""
         rng = rng or np.random.default_rng(self.config.seed)
+        left, right = self.left.global_index, self.right.global_index
         edges: List[BiEdge] = []
-        for mt in self.left.global_index.partitions_meta:
-            for mq in self.right.global_index.partitions_meta:
-                if not _partition_pair_relevant(mt, mq, tau, self.adapter):
-                    continue
-                t_part = self.left.partition(mt.partition_id)
-                q_part = self.right.partition(mq.partition_id)
-                trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng)
-                trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, rng)
-                edges.append(
-                    BiEdge(
-                        t_part=mt.partition_id,
-                        q_part=mq.partition_id,
-                        trans_tq=trans_tq,
-                        comp_tq=comp_tq,
-                        trans_qt=trans_qt,
-                        comp_qt=comp_qt,
-                    )
+        # row-major: the nested left-then-right order the sampling RNG sees
+        for i, j in np.argwhere(relevant_pairs(left, right, tau, self.adapter)).tolist():
+            mt, mq = left.partitions_meta[i], right.partitions_meta[j]
+            t_part = self.left.partition(mt.partition_id)
+            q_part = self.right.partition(mq.partition_id)
+            trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng)
+            trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, rng)
+            edges.append(
+                BiEdge(
+                    t_part=mt.partition_id,
+                    q_part=mq.partition_id,
+                    trans_tq=trans_tq,
+                    comp_tq=comp_tq,
+                    trans_qt=trans_qt,
+                    comp_qt=comp_qt,
                 )
+            )
         return edges
 
     def _estimate(

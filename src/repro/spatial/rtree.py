@@ -1,9 +1,9 @@
 """A bulk-loaded R-tree over MBRs.
 
-The global index of DITA (Section 4.2.2) builds one R-tree over the
-first-point MBRs of all partitions and one over the last-point MBRs, and
-queries them with ``MinDist(q, MBR) <= tau`` predicates.  The Simba and MBE
-baselines also use this structure.
+The paper's global index (Section 4.2.2) is one such tree over the
+partitions' first-point MBRs and one over their last-point MBRs; here the
+Simba and DFT baselines use it (DITA's own global index scans a partition
+table, :mod:`repro.core.global_index`).
 
 The tree is packed bottom-up with STR, which is exactly how Simba and most
 analytic systems bulk-load: sort entries by center-x, slice, sort slices by

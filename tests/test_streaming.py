@@ -260,6 +260,22 @@ class TestDeltaMechanics:
         assert small_engine.flush_deltas() == 0
         assert small_engine.global_index is index  # no layout was installed
 
+    def test_engine_emptied_by_removals_takes_writes(self):
+        line = [[0.01, 0.01], [0.02, 0.02]]
+        eng = DITAEngine(
+            [Trajectory(1, line), Trajectory(2, [[0.05, 0.05], [0.06, 0.06]])],
+            CFG.with_options(num_global_partitions=1),
+            "dtw",
+        )
+        assert eng.remove(1) and eng.remove(2)
+        q = Trajectory(-1, line)
+        assert eng.search(q, 0.01) == []  # folds the removals, drops the partition
+        assert eng.n_partitions == 0
+        assert eng.append_trajectory(3, line) == 0
+        assert eng.search_ids(q, 0.01) == [3]
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            eng.append_trajectory(4, [[0.0, 0.0, 0.0]])
+
     def test_scripted_writes_match_bulk_twin(self, small_engine):
         rng = np.random.default_rng(11)
         _scripted_writes(small_engine, rng)
@@ -293,6 +309,29 @@ class TestGenerations:
         reopened = DITAEngine.from_generations(root, distance="dtw", config=CFG)
         q = sample_queries(list(citywide_dataset(20, seed=7)), 1, seed=5)[0]
         assert reopened.search_ids(q, 0.004) == small_engine.search_ids(q, 0.004)
+
+    def test_store_backed_writes_index_no_partition(self, tmp_path):
+        cfg = CFG.with_options(num_global_partitions=3)
+        base = list(citywide_dataset(60, seed=7))
+        built = DITAEngine(base, cfg, "dtw")
+        built.attach_generations(tmp_path / "gens")
+        built.merge()
+        eng = DITAEngine.from_generations(tmp_path / "gens", distance="dtw", config=cfg)
+        eng.append_trajectory(9_000, [[0.01, 0.01], [0.02, 0.02]])
+        eng.extend_trajectory(base[0].traj_id, [[0.03, 0.03]])
+        assert eng.remove_trajectory(base[1].traj_id)
+        # routing and the id map read the catalog and the id columns only
+        assert eng.tries == {}
+        dirty = set(eng._deltas)
+        q, tau = sample_queries(base, 1, seed=5)[0], 0.004
+        s_live, s_twin = SearchStats(), SearchStats()
+        live = eng.search_batch_rows([q], [tau], [s_live])
+        touched = set(eng.global_index.relevant_partitions(q.points, tau, eng.adapter))
+        assert set(eng.tries) == dirty | touched
+        assert len(eng.tries) < eng.n_partitions
+        twin = bulk_twin(eng, lambda: get_adapter("dtw"))
+        assert live == twin.search_batch_rows([q], [tau], [s_twin])
+        assert stats_tuple(s_live) == stats_tuple(s_twin)
 
     def test_merge_requires_attached_generations(self, small_engine):
         with pytest.raises(ValueError, match="attach_generations"):
