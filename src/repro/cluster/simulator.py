@@ -525,21 +525,6 @@ class Cluster:
                 {"partition": partition_id},
             )
 
-    def charge_compute_worker(
-        self, worker_id: int, seconds: float, tag: Optional[str] = None
-    ) -> None:
-        """Charge pre-measured compute time to a specific worker (used when
-        load balancing routes a task away from the partition's home)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        if not 0 <= worker_id < self.n_workers:
-            raise ValueError(f"no worker {worker_id}")
-        interval = self.workers[worker_id].charge_compute(seconds)
-        self._report.total_compute_s += seconds
-        self._report.tasks += 1
-        if self.tracer is not None:
-            self._trace_compute(tag or "task", "task", worker_id, interval, seconds)
-
     def charge_query(
         self,
         worker_id: int,
@@ -554,7 +539,7 @@ class Cluster:
         (:mod:`repro.serving.scheduler`): the placement decision picked
         ``worker_id``, and the query's whole simulated cost lands there so
         the serving makespan (max worker clock) reflects the placement
-        quality.  Like :meth:`charge_compute_worker` it bypasses fault
+        quality.  Like :meth:`charge_compute` it bypasses fault
         injection (the query machinery does its own retries), but it is a
         distinct, greppable site whose caller also writes the scheduler
         metrics, so scheduler decisions stay observable.
@@ -569,13 +554,6 @@ class Cluster:
         if self.tracer is not None:
             self._trace_compute(tag, "serve", worker_id, interval, seconds, args)
         return interval[2]
-
-    def worker_clock(self, worker_id: int) -> float:
-        """The worker's current busy time (its least-loaded core's clock is
-        ``min``; scheduling uses the earliest-availability view)."""
-        if not 0 <= worker_id < self.n_workers:
-            raise ValueError(f"no worker {worker_id}")
-        return min(self.workers[worker_id].core_clocks)
 
     def ship(self, src_partition: int, dst_partition: int, nbytes: int) -> float:
         """Account a data transfer between two partitions' workers.

@@ -1,7 +1,7 @@
 """The task-description layer shared by both execution backends.
 
 Every per-partition unit of work the engine schedules — a partition's
-share of a search, one replica chunk of a join, its share of a kNN — is
+share of a threshold search or of a kNN, one replica chunk of a join — is
 described by a picklable :class:`TaskSpec` and executed by
 :func:`run_task_body` against a *resolver*: an object that turns the
 spec's ``(side, partition id, row ids)`` references into live engines,
@@ -98,22 +98,30 @@ def run_task_body(spec: TaskSpec, resolver: Any) -> Any:
 
 
 def _search_body(spec: TaskSpec, res: Any) -> Any:
-    """One partition's share of a (batched) threshold search.
+    """One partition's share of a (batched) threshold search or of a kNN.
 
-    Payload: ``(q_points_tuple, taus_tuple, track)`` where each entry of
-    ``q_points_tuple`` is one query's raw point array.  Returns
-    ``(match_lists, stats_list)``: accepted ``(row, distance)`` pairs and
-    a fresh SearchStats per query (``None`` when ``track`` is off).
+    Payload: ``(q_points_tuple, taus_tuple, k, track)`` where each entry of
+    ``q_points_tuple`` is one query's raw point array and ``k`` is
+    ``None`` for a threshold search.  Returns ``(match_lists,
+    stats_list)``: per query, accepted ``(row, distance)`` pairs — with
+    ``k`` set, its at most ``k`` nearest as ``(row, distance, trajectory
+    id)``, so the coordinator merges by ``(distance, id)`` without the
+    partition — and a fresh SearchStats per query (``None`` when
+    ``track`` is off).
     """
     from ..core.search import SearchStats, search_rows
 
-    q_points_list, taus, track = spec.payload
+    q_points_list, taus, k, track = spec.payload
     eng = res.engine(spec.side)
+    trie = eng.trie(spec.partition_id)
     q_datas = [res.query_data(pts) for pts in q_points_list]
     stats = [SearchStats() for _ in q_points_list] if track else None
     match_lists = search_rows(
-        eng.trie(spec.partition_id), eng.adapter, eng.verifier, q_points_list, taus, q_datas, stats
+        trie, eng.adapter, eng.verifier, q_points_list, taus, q_datas, stats, k
     )
+    if k is not None:
+        ids = trie.dataset.traj_ids
+        match_lists = [[(r, d, int(ids[r])) for r, d in m] for m in match_lists]
     return match_lists, stats
 
 
@@ -150,28 +158,6 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     return match_lists, stats
 
 
-def _knn_topk_body(spec: TaskSpec, res: Any) -> Any:
-    """One partition's best-first share of a kNN search.
-
-    Payload: ``(q_points, k, tau, track)`` — ``tau`` is the k-th distance
-    the coordinator knew when the task's wave started (``inf`` at first).
-    Returns ``(nearest, stats)``: at most ``k`` sorted ``(distance,
-    trajectory id, row)`` triples within ``tau`` and the pass's
-    VerifyStats (``None`` when ``track`` is off).
-    """
-    from ..core.search import topk_rows
-    from ..core.verify import VerifyStats
-
-    q_pts, k, tau, track = spec.payload
-    eng = res.engine(spec.side)
-    stats = VerifyStats() if track else None
-    nearest = topk_rows(
-        eng.trie(spec.partition_id), eng.adapter, eng.verifier, q_pts, k, tau,
-        res.query_data(q_pts), stats,
-    )
-    return nearest, stats
-
-
 def _debug_echo_body(spec: TaskSpec, res: Any) -> Any:
     """Scheduler-test body: returns the payload unchanged."""
     return spec.payload
@@ -201,7 +187,6 @@ def _debug_unpicklable_body(spec: TaskSpec, res: Any) -> Any:
 
 register_task_kind("search", _search_body)
 register_task_kind("join.chunk", _join_chunk_body)
-register_task_kind("knn.topk", _knn_topk_body)
 register_task_kind("debug.echo", _debug_echo_body)
 register_task_kind("debug.spin", _debug_spin_body)
 register_task_kind("debug.crash", _debug_crash_body)
@@ -217,18 +202,16 @@ def pickle_budget(spec: TaskSpec) -> int:
     """The maximum pickled size allowed for ``spec``.
 
     The budget prices exactly what each kind is *allowed* to carry:
-    query coordinates for search/kNN specs (queries originate at the
+    query coordinates for search specs (queries originate at the
     coordinator), a fixed handful of bytes per referenced row otherwise.
     Dataset coordinates have no line item, so a spec that smuggles them
     blows its budget and the pool rejects it before anything is sent.
     """
     if spec.kind == "search":
-        q_points_list, taus, _ = spec.payload
+        q_points_list = spec.payload[0]
         coord_bytes = sum(int(p.nbytes) for p in q_points_list)
         return _BASE_BUDGET + coord_bytes + _PER_QUERY_BUDGET * len(q_points_list)
     if spec.kind == "join.chunk":
         _, _, rows, _ = spec.payload
         return _BASE_BUDGET + _PER_ROW_BUDGET * len(rows)
-    if spec.kind == "knn.topk":
-        return _BASE_BUDGET + int(spec.payload[0].nbytes) + _PER_QUERY_BUDGET
     return _BASE_BUDGET

@@ -1117,6 +1117,7 @@ class DITAEngine:
                             payload=(
                                 tuple(queries[i].points for i in idxs),
                                 tuple(taus[i] for i in idxs),
+                                None,
                                 track,
                             ),
                         ),

@@ -6,12 +6,13 @@ machinery's own bounds:
 
 1. the coordinator **orders the partitions** by the global index's
    endpoint bound to the query and runs them in waves of 1, 2, 4, 8 ...
-   ``knn.topk`` tasks, each carrying the k-th distance known when its
-   wave started (``inf`` at first);
+   ``search`` tasks asking for ``k`` rows, each carrying the k-th
+   distance known when its wave started (the caller's ``tau`` at first,
+   ``inf`` unless capped);
 2. a partition answers with its **local top-k** within that distance
-   (:func:`repro.core.search.topk_rows`: candidates in lower-bound order
-   through the staged verifier, stopping at the first bound beyond the
-   tightening k-th distance);
+   (:func:`repro.core.search.search_rows` with ``k`` set: candidates in
+   lower-bound order through the staged verifier, stopping at the first
+   bound beyond the tightening k-th distance);
 3. the coordinator **merges** the answers by ``(distance, id)`` and stops
    at the first partition whose bound exceeds the k-th distance — that
    partition and every later one is never scheduled, so a lazily opened
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, List, Tuple
 
 from ..trajectory.trajectory import Trajectory
 from .numerics import slack
-from .verify import VerifyStats
+from .search import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import DITAEngine
@@ -44,9 +45,14 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be a non-negative int, got {k!r}")
 
 
-def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbour]:
+def knn_search(
+    engine: "DITAEngine", query: Trajectory, k: int, tau: float = math.inf
+) -> List[Neighbour]:
     """The ``k`` trajectories nearest to ``query`` under the engine's
-    distance, sorted by (distance, id).  Exact.
+    distance among those within ``tau``, sorted by (distance, id).  Exact.
+    A finite ``tau`` is the capped select's ``WHERE f(t, q) <= tau ORDER
+    BY distance LIMIT k``: partitions whose bound exceeds it are never
+    scheduled.
 
     Boundary semantics (the serving-layer contract):
 
@@ -68,7 +74,7 @@ def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbou
     from .engine import _EngineTask, _LocalResolver
 
     _check_k(k)
-    engine._check_query([], [query])
+    engine._check_query([tau], [query])
     engine._sync_streams()
     want = min(k, len(engine))
     if want == 0:
@@ -76,20 +82,20 @@ def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbou
     order = engine.global_index.nearest_partitions(query.points, engine.adapter)
     #: the nearest found so far, sorted, at most ``want`` long
     best: List[Tuple[float, int, int, int]] = []  # (distance, id, pid, row)
-    stats = VerifyStats() if engine.metrics is not None else None
+    stats = SearchStats() if engine.metrics is not None else None
 
     def on_result(task: _EngineTask, result) -> None:
-        nearest, task_stats = result
+        (nearest,), task_stats = result
         pid = task.spec.partition_id
-        best[:] = sorted(best + [(d, tid, pid, row) for d, tid, row in nearest])[:want]
+        best[:] = sorted(best + [(d, tid, pid, row) for row, d, tid in nearest])[:want]
         if task_stats is not None:
-            stats.merge(task_stats)
+            stats.merge(task_stats[0])
 
     resolver = _LocalResolver(engine)
     at = waves = 0
     with engine._job("knn", k=k):
         while at < len(order):
-            kth = best[-1][0] if len(best) == want else math.inf
+            kth = best[-1][0] if len(best) == want else tau
             # sorted by bound, so an empty wave means every later one is too
             wave = [pid for bound, pid in order[at : at + (1 << waves)] if bound <= slack(kth)]
             if not wave:
@@ -98,10 +104,10 @@ def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbou
                 _EngineTask(
                     spec=TaskSpec(
                         task_id=i,
-                        kind="knn.topk",
+                        kind="search",
                         side="L",
                         partition_id=pid,
-                        payload=(query.points, want, kth, stats is not None),
+                        payload=((query.points,), (kth,), want, stats is not None),
                     ),
                     work=engine.global_index.meta(pid).size,
                     tag="knn.topk",
@@ -117,7 +123,8 @@ def knn_search(engine: "DITAEngine", query: Trajectory, k: int) -> List[Neighbou
         engine.metrics.counter("knn.waves", waves)
         engine.metrics.counter("knn.tasks", at)
         engine.metrics.counter("knn.partitions_skipped", len(order) - at)
-        engine.metrics.absorb("knn.verify", stats)
+        engine.metrics.absorb("knn.filter", stats.filter)
+        engine.metrics.absorb("knn.verify", stats.verify)
     return [(engine.partition(pid).view(row), d) for d, _, pid, row in best]
 
 

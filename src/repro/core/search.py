@@ -8,15 +8,15 @@ partition's columnar dataset; ``Trajectory`` objects are materialized only
 for the accepted results, by the engine.  The distributed flow — global
 pruning, dispatch to relevant partitions, collection — lives in
 :class:`repro.core.engine.DITAEngine`, which runs one ``search_rows`` task
-per relevant partition on the simulated cluster.  :func:`topk_rows` is the
-same pipeline asked for a partition's nearest ``k`` rows (the kNN task).
+per relevant partition on the simulated cluster; asked for a finite
+``k``, the same loop is a partition's share of a kNN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,9 @@ class SearchStats:
 #: one match: (trajectory, distance)
 Match = Tuple[Trajectory, float]
 
-#: rows :func:`topk_rows` hands the verifier at a time: enough to amortise
-#: the batched stages, few enough that the k-th distance tightens between
-#: chunks (64, 128 and 256 measure within 3% of each other)
+#: rows a finite-``k`` round hands the verifier per query: enough to
+#: amortise the batched stages, few enough that the k-th distance tightens
+#: between rounds (64, 128 and 256 measure within 3% of each other)
 TOPK_CHUNK = 128
 
 
@@ -64,84 +64,91 @@ def search_rows(
     taus: Sequence[float],
     q_datas: Optional[Sequence[Optional[VerificationData]]] = None,
     stats: Optional[List[Optional[SearchStats]]] = None,
+    k: Optional[int] = None,
 ) -> List[List[Tuple[int, float]]]:
     """The local search of one partition: many queries (as raw point
-    arrays) against ``trie`` in one frontier sweep, one batched filter pass
-    per query, then one exact stage over every surviving ``(row, query)``
-    pair of the whole call — so a task's pairs share their kernel sweeps
-    (:mod:`repro.kernels.pairbatch`).  Returns accepted ``(dataset row,
-    distance)`` pairs per query — no ``Trajectory`` is materialized
-    anywhere on this path.
-    """
-    fstats = None if stats is None else [
-        s.filter if s is not None else None for s in stats
-    ]
-    cand_rows = trie.filter_candidates_batch(list(q_points_list), list(taus), adapter, fstats)
-    block = trie.batch_block()
-    vstats = None if stats is None else [
-        s.verify if s is not None else None for s in stats
-    ]
-    survivors: List[np.ndarray] = []
-    for i, (q_pts, tau, rows) in enumerate(zip(q_points_list, taus, cand_rows)):
-        q_data = q_datas[i] if q_datas is not None else None
-        if q_data is None:
-            q_data = VerificationData.from_points(q_pts, trie.config.cell_size)
-        survivors.append(
-            verifier.filter_rows(block, rows, tau, q_data, None if vstats is None else vstats[i])
-        )
-    return verifier.exact_rows(trie.dataset, survivors, q_points_list, taus, vstats)
+    arrays) against ``trie`` in one frontier sweep, then rounds of one
+    batched filter pass per live query and one exact stage over every
+    surviving ``(row, query)`` pair of the round — so a task's pairs share
+    their kernel sweeps (:mod:`repro.kernels.pairbatch`).  Returns
+    ``(dataset row, distance)`` pairs per query; no ``Trajectory`` is
+    materialized anywhere on this path.
 
-
-def topk_rows(
-    trie: TrieIndex,
-    adapter: IndexAdapter,
-    verifier: Verifier,
-    q_points: np.ndarray,
-    k: int,
-    tau: float,
-    q_data: VerificationData,
-    stats: Optional[VerifyStats] = None,
-) -> List[Tuple[float, int, int]]:
-    """The local top-k of one partition: its at most ``k`` rows nearest
-    ``q_points`` among those within ``tau``, as ``(distance, trajectory
-    id, row)`` in that order.
-
-    One best-first pass.  The candidates — the trie filter's survivors at
-    ``tau``, every row while ``tau`` is still ``inf`` — are sorted by their
-    exact endpoint bound where the adapter declares one, and consumed a
-    chunk at a time through the verifier's two stages at the k-th distance
-    found so far; the pass stops at the first bound beyond it.  Distances
-    are ``exact_batch`` values, the ones :func:`search_rows` reports.
+    ``k=None`` is the threshold search: one round over every candidate at
+    the query's ``tau``, matches in candidate order.  A finite ``k`` keeps
+    the at most ``k`` rows nearest each query within its ``tau``, sorted
+    by ``(distance, trajectory id, row)``: candidates (every row while
+    ``tau`` is ``inf``, skipping the trie walk) go in endpoint-bound order,
+    ``TOPK_CHUNK`` a round at the k-th distance so far, and a query stops
+    at the first bound beyond it.
     """
     dataset = trie.dataset
-    q_points = np.asarray(q_points, dtype=np.float64)
-    if math.isinf(tau):
-        rows = np.arange(dataset.n_rows, dtype=np.int64)
-    else:
-        rows = trie.filter_candidates(q_points, tau, adapter)
-    bounds = np.zeros(rows.shape[0], dtype=np.float64)
-    if adapter.endpoint_bound is not None:
-        bounds = endpoint_bound(
-            adapter.endpoint_bound,
-            MBR.of_point(q_points[0]).min_dist_points(dataset.firsts[rows]),
-            MBR.of_point(q_points[-1]).min_dist_points(dataset.lasts[rows]),
-            (dataset.lengths[rows] == 1) & (q_points.shape[0] == 1),
+    n = len(q_points_list)
+    stats = stats if stats is not None else [None] * n
+    fstats = [None if s is None else s.filter for s in stats]
+    vstats = [None if s is None else s.verify for s in stats]
+    # a kNN query with no distance to prune by yet skips the trie walk
+    walk = [i for i in range(n) if k is None or math.isfinite(taus[i])]
+    cands = [np.arange(dataset.n_rows, dtype=np.int64)] * n
+    if walk:
+        found = trie.filter_candidates_batch(
+            [q_points_list[i] for i in walk], [taus[i] for i in walk], adapter,
+            [fstats[i] for i in walk],
         )
-        order = np.argsort(bounds, kind="stable")
-        rows, bounds = rows[order], bounds[order]
+        for i, rows in zip(walk, found):
+            cands[i] = rows
+    bounds: List[Optional[np.ndarray]] = [None] * n
+    if k is not None:
+        for i, q_pts in enumerate(q_points_list):
+            cands[i], bounds[i] = _in_bound_order(adapter, dataset, q_pts, cands[i])
+    q_datas = [
+        VerificationData.from_points(q_pts, trie.config.cell_size) if q_data is None else q_data
+        for q_pts, q_data in zip(q_points_list, q_datas or [None] * n)
+    ]
     block = trie.batch_block()
-    best: List[Tuple[float, int, int]] = []
-    at = 0
-    while at < rows.shape[0]:
-        kth = best[-1][0] if len(best) == k else tau
-        # with no distance to prune by yet, verify just the k rows that
-        # establish one
-        end = at + (TOPK_CHUNK if math.isfinite(kth) else k)
-        near = bounds[at:end] <= slack(kth)
-        if not near[0]:
-            break  # sorted by bound: no later row is nearer
-        chunk = verifier.filter_rows(block, rows[at:end][near], kth, q_data, stats)
-        matches = verifier.exact_rows(dataset, [chunk], [q_points], [kth], [stats])[0]
-        best = sorted(best + [(d, int(dataset.traj_ids[r]), r) for r, d in matches])[:k]
-        at = end
-    return best
+    best: List[List[Tuple[float, int, int]]] = [[] for _ in range(n)]  # (distance, id, row)
+    at = [0] * n
+    live = list(range(n))
+    while live:
+        kths: Dict[int, float] = {}
+        chunks: List[np.ndarray] = []
+        for i in live:
+            kth = best[i][-1][0] if k is not None and len(best[i]) == k else taus[i]
+            rows = cands[i]
+            if k is not None:
+                # with no distance to prune by yet, verify just the k rows
+                # that establish one
+                end = at[i] + (TOPK_CHUNK if math.isfinite(kth) else k)
+                near = bounds[i][at[i] : end] <= slack(kth)
+                if not near.shape[0] or not near[0]:
+                    continue  # sorted by bound: no later row is nearer
+                rows, at[i] = rows[at[i] : end][near], end
+            kths[i] = kth
+            chunks.append(verifier.filter_rows(block, rows, kth, q_datas[i], vstats[i]))
+        live = list(kths)
+        matches = verifier.exact_rows(
+            dataset, chunks, [q_points_list[i] for i in live], list(kths.values()),
+            [vstats[i] for i in live],
+        )
+        if k is None:
+            return matches
+        for i, found in zip(live, matches):
+            best[i] = sorted(best[i] + [(d, int(dataset.traj_ids[r]), r) for r, d in found])[:k]
+    return [[(r, d) for d, _, r in nearest] for nearest in best]
+
+
+def _in_bound_order(adapter: IndexAdapter, dataset, q_points, rows: np.ndarray):
+    """``rows`` sorted by their exact endpoint bound to ``q_points``, and
+    the sorted bounds; as they are, with zero bounds, where the adapter
+    declares none."""
+    if adapter.endpoint_bound is None:
+        return rows, np.zeros(rows.shape[0], dtype=np.float64)
+    q_points = np.asarray(q_points, dtype=np.float64)
+    bounds = endpoint_bound(
+        adapter.endpoint_bound,
+        MBR.of_point(q_points[0]).min_dist_points(dataset.firsts[rows]),
+        MBR.of_point(q_points[-1]).min_dist_points(dataset.lasts[rows]),
+        (dataset.lengths[rows] == 1) & (q_points.shape[0] == 1),
+    )
+    order = np.argsort(bounds, kind="stable")
+    return rows[order], bounds[order]

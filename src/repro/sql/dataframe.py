@@ -17,6 +17,7 @@ physical operators the SQL path uses::
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional
 
 from ..trajectory.trajectory import Trajectory
@@ -24,7 +25,6 @@ from .physical import (
     FullScan,
     IndexJoin,
     IndexSearch,
-    KnnScan,
     PhysicalOperator,
     Row,
 )
@@ -123,7 +123,7 @@ class TrajectoryFrame:
         if self._table is None:
             raise SQLError("knn applies to a base table frame")
         engine = self._session.catalog.engine_for(self._table, distance)
-        return self._derive(KnnScan(engine, self._table, query, k))
+        return self._derive(IndexSearch(engine, self._table, query, math.inf, k))
 
     def tra_join(
         self, other: "TrajectoryFrame", tau: float, distance: str = "dtw"

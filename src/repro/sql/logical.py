@@ -42,7 +42,11 @@ class Filter(LogicalPlan):
 
 @dataclass(frozen=True)
 class SimilaritySearch(LogicalPlan):
-    """``f(T, <query>) <= tau`` over one table — the index-accelerated form."""
+    """``f(T, <query>) <= tau`` over one table — the index-accelerated
+    form.  With ``k`` set it is the nearest ``k`` of those rows ranked by
+    ``(distance, id)``: ``ORDER BY f(T, <query>) LIMIT k`` (``tau`` is
+    ``inf``) and the capped select ``... <= tau ORDER BY distance LIMIT
+    k``."""
 
     table: str
     binding: str
@@ -50,23 +54,7 @@ class SimilaritySearch(LogicalPlan):
     query: object            # Trajectory (resolved at planning time)
     tau: float
     residual: Optional[Expr] = None  # remaining non-similarity predicate
-
-    def children(self) -> Tuple[LogicalPlan, ...]:
-        return ()
-
-
-@dataclass(frozen=True)
-class KnnSearch(LogicalPlan):
-    """``ORDER BY f(T, <query>) LIMIT k`` rewritten to an index kNN scan —
-    the cost-based rewrite Spark's Catalyst would express as a physical
-    strategy."""
-
-    table: str
-    binding: str
-    function: str
-    query: object
-    k: int
-    residual: Optional[Expr] = None
+    k: Optional[int] = None
 
     def children(self) -> Tuple[LogicalPlan, ...]:
         return ()
@@ -114,8 +102,8 @@ def explain(plan: LogicalPlan, indent: int = 0) -> str:
         detail = f" table={plan.table} as {plan.binding}"
     elif isinstance(plan, SimilaritySearch):
         detail = f" table={plan.table} f={plan.function} tau={plan.tau}"
-    elif isinstance(plan, KnnSearch):
-        detail = f" table={plan.table} f={plan.function} k={plan.k}"
+        if plan.k is not None:
+            detail += f" k={plan.k}"
     elif isinstance(plan, SimilarityJoin):
         detail = f" f={plan.function} tau={plan.tau}"
     elif isinstance(plan, Filter):

@@ -5,15 +5,18 @@ Three rewrite passes run in order:
 1. **constant folding** — arithmetic over literals collapses, so
    ``DTW(T, :q) <= 0.001 + 0.004`` plans with ``tau = 0.005``;
 2. **similarity extraction** — a WHERE / ON conjunct of the shape
-   ``f(<table>, <trajectory>) <= <literal>`` with a registered similarity
-   function becomes a :class:`SimilaritySearch` / :class:`SimilarityJoin`
-   node; anything else stays as a residual filter;
+   ``f(<table>, <trajectory>) <= <literal>`` (or a strict ``<``) with a
+   registered similarity function becomes a :class:`SimilaritySearch` /
+   :class:`SimilarityJoin` node, which also absorbs an ``ORDER BY`` the
+   distance ``LIMIT k`` over an otherwise unfiltered table; anything else
+   stays as a residual filter;
 3. **predicate pushdown** — residual conjuncts referencing a single side of
    a join are pushed below it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -141,76 +144,89 @@ def _resolve_number(expr: Expr, params: Dict[str, object]) -> Optional[float]:
     return None
 
 
-def extract_search_predicate(
-    conjunct: Expr, binding: str, params: Dict[str, object]
-) -> Optional[Tuple[str, Trajectory, float]]:
-    """Match ``f(<binding>, <traj>) <= tau`` (either argument order).
+def _similarity_call(
+    expr: Expr, binding: str, params: Dict[str, object]
+) -> Optional[Tuple[str, Trajectory]]:
+    """Match ``f(<binding>, <traj>)`` (either argument order) for a
+    registered similarity function; returns ``(function, query)``."""
+    if not isinstance(expr, FunctionCall) or expr.name not in available_adapters():
+        return None
+    if len(expr.args) != 2:
+        return None
+    a, b = expr.args
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, ColumnRef) and x.table is None and x.name == binding:
+            query = _resolve_trajectory(y, params)
+            return None if query is None else (expr.name, query)
+    return None
 
-    Returns ``(function, query, tau)`` or None when the conjunct is not a
-    similarity-search predicate for this table.
-    """
+
+def _bound(conjunct: Expr, params: Dict[str, object]) -> Optional[Tuple[Expr, float, bool]]:
+    """Split ``<expr> <= tau`` or ``<expr> < tau`` into ``(expr, tau,
+    strict)``."""
     if not isinstance(conjunct, Comparison) or conjunct.op not in ("<=", "<"):
         return None
-    call = conjunct.left
     tau = _resolve_number(conjunct.right, params)
-    if not isinstance(call, FunctionCall) or tau is None:
-        return None
-    if call.name not in available_adapters() or len(call.args) != 2:
-        return None
-    a, b = call.args
-    table_arg: Optional[Expr] = None
-    query_arg: Optional[Expr] = None
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, ColumnRef) and x.table is None and x.name == binding:
-            table_arg, query_arg = x, y
-            break
-    if table_arg is None or query_arg is None:
-        return None
-    query = _resolve_trajectory(query_arg, params)
-    if query is None:
-        return None
-    return call.name, query, tau
+    return None if tau is None else (conjunct.left, tau, conjunct.op == "<")
 
 
-def extract_knn_order(
-    order_by, limit, binding: str, params: Dict[str, object]
-) -> Optional[Tuple[str, Trajectory, int]]:
-    """Match ``ORDER BY f(<binding>, <traj>) ASC LIMIT k`` (a single order
-    key).  Returns ``(function, query, k)`` when the whole ORDER BY/LIMIT
-    can be served by an index kNN scan."""
-    if limit is None or limit <= 0 or len(order_by) != 1:
+def strictly_below(tau: float) -> Expr:
+    """``distance < tau`` over a similarity operator's own ``distance``
+    column: a strict predicate runs the index at ``tau`` and this filter
+    drops the rows at exactly ``tau``, recomputing no distance."""
+    return Comparison("<", ColumnRef("distance"), Literal(tau))
+
+
+def extract_similarity_search(
+    conjuncts: List[Expr], order_by, limit, binding: str, params: Dict[str, object]
+) -> Optional[Tuple[str, Trajectory, float, Optional[int], List[Expr]]]:
+    """The index-served part of a single-table SELECT.
+
+    The first conjunct ``f(<binding>, <traj>) <= tau`` (or ``<``) is the
+    search.  With no other conjunct, an ``ORDER BY`` of ``distance`` or
+    that same call ``ASC LIMIT k`` is served by the search too; with no
+    such conjunct, ``ORDER BY f(<binding>, <traj>) ASC LIMIT k`` is the
+    search at ``tau = inf``.  Returns ``(function, query, tau, k,
+    residual)`` — ``k`` None when a sort stays, ``residual`` the other
+    conjuncts plus :func:`strictly_below` for a ``<`` — or None.
+    """
+    search: Optional[Tuple[str, Trajectory, float, bool]] = None
+    call: Optional[Expr] = None  # the expression the search ranks by
+    residual: List[Expr] = []
+    for c in conjuncts:
+        bound = None if search is not None else _bound(c, params)
+        match = None if bound is None else _similarity_call(bound[0], binding, params)
+        if match is None:
+            residual.append(c)
+        else:
+            call, search = bound[0], match + bound[1:]
+    k = None
+    if not residual and limit is not None and limit > 0 and len(order_by) == 1 and order_by[0].ascending:
+        key = order_by[0].expr
+        if search is None:
+            match = _similarity_call(key, binding, params)
+            if match is not None:
+                search, k = match + (math.inf, False), int(limit)
+        elif key in (call, ColumnRef("distance")):
+            k = int(limit)
+    if search is None:
         return None
-    item = order_by[0]
-    if not item.ascending:
-        return None
-    call = item.expr
-    if not isinstance(call, FunctionCall) or call.name not in available_adapters():
-        return None
-    if len(call.args) != 2:
-        return None
-    a, b = call.args
-    table_arg = query_arg = None
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, ColumnRef) and x.table is None and x.name == binding:
-            table_arg, query_arg = x, y
-            break
-    if table_arg is None:
-        return None
-    query = _resolve_trajectory(query_arg, params)
-    if query is None:
-        return None
-    return call.name, query, int(limit)
+    function, query, tau, strict = search
+    if strict:
+        residual.append(strictly_below(tau))
+    return function, query, tau, k, residual
 
 
 def extract_join_predicate(
     conjunct: Expr, left_binding: str, right_binding: str, params: Dict[str, object]
-) -> Optional[Tuple[str, float, bool]]:
-    """Match ``f(left, right) <= tau``; returns (function, tau, swapped)."""
-    if not isinstance(conjunct, Comparison) or conjunct.op not in ("<=", "<"):
+) -> Optional[Tuple[str, float, bool, bool]]:
+    """Match ``f(left, right) <= tau`` (or ``< tau``); returns (function,
+    tau, swapped, strict)."""
+    bound = _bound(conjunct, params)
+    if bound is None:
         return None
-    call = conjunct.left
-    tau = _resolve_number(conjunct.right, params)
-    if not isinstance(call, FunctionCall) or tau is None:
+    call, tau, strict = bound
+    if not isinstance(call, FunctionCall):
         return None
     if call.name not in available_adapters() or len(call.args) != 2:
         return None
@@ -219,7 +235,7 @@ def extract_join_predicate(
         return None
     names = (a.name, b.name)
     if names == (left_binding, right_binding):
-        return call.name, tau, False
+        return call.name, tau, False, strict
     if names == (right_binding, left_binding):
-        return call.name, tau, True
+        return call.name, tau, True, strict
     return None

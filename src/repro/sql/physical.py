@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 from ..cluster.faults import TaskAbandonedError
 from ..core.adapters import available_adapters
 from ..core.engine import DITAEngine
+from ..core.knn import knn_search
 from ..distances.base import get_distance
 from ..trajectory.trajectory import Trajectory
 from .ast import (
@@ -168,42 +169,34 @@ class FullScan(PhysicalOperator):
 
 
 class IndexSearch(PhysicalOperator):
-    """Trie-index-backed similarity search (the DITA fast path)."""
+    """Trie-index-backed similarity search (the DITA fast path): every row
+    within ``tau`` or, with ``k`` set, the nearest ``k`` of them ranked by
+    ``(distance, id)``."""
 
-    def __init__(self, engine: DITAEngine, binding: str, query: Trajectory, tau: float) -> None:
+    def __init__(
+        self,
+        engine: DITAEngine,
+        binding: str,
+        query: Trajectory,
+        tau: float,
+        k: Optional[int] = None,
+    ) -> None:
         self.engine = engine
         self.binding = binding
         self.query = query
         self.tau = tau
-
-    def execute(self, params: Dict[str, object]) -> List[Row]:
-        b = self.binding
-        matches = _distributed(
-            lambda: self.engine.search_batch([self.query], [self.tau])[0]
-        )
-        return [
-            {f"{b}.traj_id": t.traj_id, f"{b}.trajectory": t, "distance": d}
-            for t, d in matches
-        ]
-
-
-class KnnScan(PhysicalOperator):
-    """Index-backed exact kNN (serves ORDER BY f(t, :q) LIMIT k)."""
-
-    def __init__(self, engine: DITAEngine, binding: str, query: Trajectory, k: int) -> None:
-        self.engine = engine
-        self.binding = binding
-        self.query = query
         self.k = k
 
-    def execute(self, params: Dict[str, object]) -> List[Row]:
-        from ..core.knn import knn_search
+    def _matches(self):
+        if self.k is None:
+            return self.engine.search_batch([self.query], [self.tau])[0]
+        return knn_search(self.engine, self.query, self.k, self.tau)
 
+    def execute(self, params: Dict[str, object]) -> List[Row]:
         b = self.binding
-        neighbours = _distributed(lambda: knn_search(self.engine, self.query, self.k))
         return [
             {f"{b}.traj_id": t.traj_id, f"{b}.trajectory": t, "distance": d}
-            for t, d in neighbours
+            for t, d in _distributed(self._matches)
         ]
 
 

@@ -31,7 +31,6 @@ from .ast import CreateIndex, Explain, Expr, Select
 from .catalog import Catalog
 from .logical import (
     Filter,
-    KnnSearch,
     LogicalPlan,
     OrderLimit,
     Project,
@@ -42,12 +41,12 @@ from .logical import (
 )
 from .optimizer import (
     extract_join_predicate,
-    extract_knn_order,
-    extract_search_predicate,
+    extract_similarity_search,
     fold_constants,
     join_conjuncts,
     referenced_tables,
     split_conjuncts,
+    strictly_below,
 )
 from .parser import parse
 from .physical import (
@@ -55,7 +54,6 @@ from .physical import (
     FullScan,
     IndexJoin,
     IndexSearch,
-    KnnScan,
     OrderLimitOp,
     PhysicalOperator,
     ProjectOp,
@@ -70,7 +68,7 @@ def _collect_engines(op: PhysicalOperator) -> List[object]:
     found: List[object] = []
 
     def walk(node: PhysicalOperator) -> None:
-        if isinstance(node, (IndexSearch, KnnScan)):
+        if isinstance(node, IndexSearch):
             found.append(node.engine)
         elif isinstance(node, IndexJoin):
             found.append(node.left_engine)
@@ -245,7 +243,7 @@ class DITASession:
             on = fold_constants(stmt.join_condition)
             on_conjuncts = split_conjuncts(on)
             right_binding = stmt.join_table.binding
-            sim: Optional[Tuple[str, float, bool]] = None
+            sim: Optional[Tuple[str, float, bool, bool]] = None
             residual: List[Expr] = []
             for c in on_conjuncts:
                 if sim is None:
@@ -259,7 +257,9 @@ class DITASession:
                     "TRA-JOIN ON must contain a similarity predicate "
                     "f(left, right) <= tau"
                 )
-            func, tau, swapped = sim
+            func, tau, swapped, strict = sim
+            if strict:
+                residual.append(strictly_below(tau))
             left_scan = Scan(stmt.table.name, binding)
             right_scan = Scan(stmt.join_table.name, right_binding)
             if swapped:
@@ -285,17 +285,11 @@ class DITASession:
             if remaining is not None:
                 plan = Filter(plan, remaining)
         else:
-            sim_search = None
-            residual = []
-            for c in conjuncts:
-                if sim_search is None:
-                    match = extract_search_predicate(c, binding, params)
-                    if match is not None:
-                        sim_search = match
-                        continue
-                residual.append(c)
-            if sim_search is not None:
-                func, query, tau = sim_search
+            search = extract_similarity_search(
+                conjuncts, stmt.order_by, stmt.limit, binding, params
+            )
+            if search is not None:
+                func, query, tau, k, residual = search
                 plan = SimilaritySearch(
                     table=stmt.table.name,
                     binding=binding,
@@ -303,27 +297,15 @@ class DITASession:
                     query=query,
                     tau=tau,
                     residual=join_conjuncts(residual),
+                    k=k,
                 )
+                if k is not None:
+                    # ranked by (distance, id) and cut at k: the index
+                    # serves the ORDER BY/LIMIT too
+                    return Project(plan, stmt.items)
             else:
-                # kNN rewrite: ORDER BY f(t, :q) LIMIT k over a bare scan
-                # (with only residual filters) becomes an index kNN scan
-                knn = extract_knn_order(stmt.order_by, stmt.limit, binding, params)
-                if knn is not None:
-                    func, query, k = knn
-                    remaining = join_conjuncts(residual)
-                    if remaining is None:
-                        return Project(
-                            KnnSearch(
-                                table=stmt.table.name,
-                                binding=binding,
-                                function=func,
-                                query=query,
-                                k=k,
-                            ),
-                            stmt.items,
-                        )
                 plan = Scan(stmt.table.name, binding)
-                remaining = join_conjuncts(residual)
+                remaining = join_conjuncts(conjuncts)
                 if remaining is not None:
                     plan = Filter(plan, remaining)
         if stmt.order_by or stmt.limit is not None:
@@ -343,15 +325,11 @@ class DITASession:
             return FilterOp(self.to_physical(plan.child, params), plan.predicate)
         if isinstance(plan, Scan):
             return FullScan(self.catalog.get(plan.table), plan.binding)
-        if isinstance(plan, KnnSearch):
-            engine = self.catalog.engine_for(plan.table, plan.function)
-            op = KnnScan(engine, plan.binding, plan.query, plan.k)
-            if plan.residual is not None:
-                op = FilterOp(op, plan.residual)
-            return op
         if isinstance(plan, SimilaritySearch):
             engine = self.catalog.engine_for(plan.table, plan.function)
-            op: PhysicalOperator = IndexSearch(engine, plan.binding, plan.query, plan.tau)
+            op: PhysicalOperator = IndexSearch(
+                engine, plan.binding, plan.query, plan.tau, plan.k
+            )
             if plan.residual is not None:
                 op = FilterOp(op, plan.residual)
             return op

@@ -533,8 +533,9 @@ class TestSQLUnderFaults:
             op.execute({})
 
     def test_abandoned_dataframe_knn_becomes_sql_error(self, fault_city, fault_config):
-        """The DataFrame's kNN is the SQL path's ``KnnScan``: an abandoned
-        task surfaces as ``SQLError`` there too, not the cluster exception."""
+        """The DataFrame's kNN is the SQL path's ``IndexSearch`` with ``k``
+        set: an abandoned task surfaces as ``SQLError`` there too, not the
+        cluster exception."""
         from repro.sql import DITASession
         from repro.sql.tokens import SQLError
 

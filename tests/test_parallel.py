@@ -348,7 +348,7 @@ class TestWorkerBootstrap:
         pid = next(p for p in sim.partition_pids() if home.traj_id in sim.partition(p))
         pts = np.asarray(home.points)
         specs = [
-            TaskSpec(i, "search", "L", pid, ((pts if i % 4 == 3 else pts + 1.0 + i,), (0.01,), True))
+            TaskSpec(i, "search", "L", pid, ((pts if i % 4 == 3 else pts + 1.0 + i,), (0.01,), None, True))
             for i in range(48)
         ]
         got = _drive_worker(_worker_init(store_path), specs)

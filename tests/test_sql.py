@@ -314,7 +314,8 @@ class TestKnnSQLRewrite:
             "SELECT traj_id, distance FROM taxi ORDER BY DTW(taxi, :q) LIMIT 3",
             params={"q": q},
         )
-        assert "KnnSearch" in plan
+        assert "SimilaritySearch table=taxi f=dtw tau=inf k=3" in plan
+        assert "OrderLimit" not in plan
 
     def test_knn_sql_matches_knn_search(self, session):
         from repro.core.knn import knn_search
@@ -336,7 +337,7 @@ class TestKnnSQLRewrite:
             "SELECT traj_id FROM taxi ORDER BY DTW(taxi, :q) DESC LIMIT 3",
             params={"q": q},
         )
-        assert "KnnSearch" not in plan
+        assert "k=" not in plan and "OrderLimit" in plan
 
     def test_no_limit_not_rewritten(self, session):
         s, data = session
@@ -344,7 +345,7 @@ class TestKnnSQLRewrite:
         plan = s.explain(
             "SELECT traj_id FROM taxi ORDER BY DTW(taxi, :q)", params={"q": q}
         )
-        assert "KnnSearch" not in plan
+        assert "k=" not in plan and "OrderLimit" in plan
 
     def test_residual_where_blocks_rewrite(self, session):
         """A residual WHERE keeps the fallback plan (kNN after filtering
@@ -356,7 +357,7 @@ class TestKnnSQLRewrite:
             "ORDER BY DTW(taxi, :q) LIMIT 3",
             params={"q": q},
         )
-        assert "KnnSearch" not in plan
+        assert "k=" not in plan and "OrderLimit" in plan
 
 
 class TestCountStar:
@@ -485,3 +486,165 @@ class TestExplainAnalyze:
         )
         text = "\n".join(r["plan"] for r in rows)
         assert "accounted" in text and "report:" in text
+
+
+# --------------------------------------------------------------------- #
+# one similarity operator: strict predicates and the capped select
+# --------------------------------------------------------------------- #
+
+
+def _ranked_within(engine, data, query, tau, k, strict=False):
+    """The brute-force capped select: every row's ``exact_batch`` value
+    (the one the index reports) within ``tau``, ranked by ``(distance,
+    id)``, cut at ``k``."""
+    import math
+
+    trajs = list(data)
+    dists = engine.adapter.exact_batch(
+        [t.points for t in trajs], [query.points] * len(trajs), [math.inf] * len(trajs)
+    )
+    inside = [(d, t.traj_id) for d, t in zip(dists, trajs) if (d < tau if strict else d <= tau)]
+    return [(i, d) for d, i in sorted(inside)[:k]]
+
+
+@pytest.fixture(scope="module")
+def indexed():
+    data = beijing_like(200, seed=3)
+    s = DITASession(DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3))
+    s.register("t", data)
+    s.sql("CREATE INDEX t_idx ON t USE TRIE")
+    return s, data
+
+
+class TestStrictPredicate:
+    """``<`` is strict: the index runs at ``tau`` and the rows at exactly
+    ``tau`` are dropped."""
+
+    def test_search_below_zero_is_empty(self, indexed):
+        s, data = indexed
+        rows = s.sql("SELECT traj_id, distance FROM t WHERE DTW(t, :q) < 0", params={"q": data[5]})
+        assert rows == []
+        rows = s.sql("SELECT traj_id, distance FROM t WHERE DTW(t, :q) <= 0", params={"q": data[5]})
+        assert [r["traj_id"] for r in rows] == [5]
+
+    def test_search_drops_rows_at_exactly_tau(self, indexed):
+        s, data = indexed
+        engine = s.catalog.engine_for("t", "dtw")
+        q = sample_queries(data, 1, seed=12, perturb=0.0003)[0]
+        near = _ranked_within(engine, data, q, float("inf"), 6)
+        tau = near[-1][1]  # the 6th nearest sits at exactly tau
+        rows = s.sql("SELECT traj_id, distance FROM t WHERE DTW(t, :q) < :tau", params={"q": q, "tau": tau})
+        got = sorted((r["traj_id"], r["distance"]) for r in rows)
+        assert got == sorted(_ranked_within(engine, data, q, tau, len(data), strict=True))
+        assert near[-1][0] not in {i for i, _ in got}
+
+    def test_join_below_zero_is_empty(self, indexed):
+        s, _ = indexed
+        assert s.sql("SELECT a.traj_id, b.traj_id FROM t a TRA-JOIN t b ON DTW(a, b) < 0") == []
+        pairs = s.sql("SELECT a.traj_id, b.traj_id FROM t a TRA-JOIN t b ON DTW(a, b) <= 0")
+        assert len(pairs) >= 200  # every self-pair sits at exactly 0
+
+    def test_capped_select_below_tau(self, indexed):
+        s, data = indexed
+        engine = s.catalog.engine_for("t", "dtw")
+        q = sample_queries(data, 1, seed=13, perturb=0.0003)[0]
+        tau = _ranked_within(engine, data, q, float("inf"), 4)[-1][1]
+        text = "SELECT traj_id, distance FROM t WHERE DTW(t, :q) < :tau ORDER BY distance LIMIT {k}"
+        for k in (2, 3, 4, 10):
+            rows = s.sql(text.format(k=k), params={"q": q, "tau": tau})
+            want = _ranked_within(engine, data, q, tau, k, strict=True)
+            assert [(r["traj_id"], r["distance"]) for r in rows] == want, k
+        assert s.sql(text.format(k=5), params={"q": data[5], "tau": 0}) == []
+
+
+CAPPED = "SELECT traj_id, distance FROM t WHERE DTW(t, :q) <= :tau ORDER BY {key} LIMIT {k}"
+
+
+class TestCappedSelect:
+    """``WHERE f(t, :q) <= tau ORDER BY distance LIMIT k`` plans as one
+    ``SimilaritySearch`` carrying ``tau`` and ``k`` and returns the
+    brute-force top ``k`` within ``tau``, ranked by ``(distance, id)``."""
+
+    @pytest.mark.parametrize("key", ["distance", "DTW(t, :q)", "distance ASC"])
+    def test_plans_as_one_operator(self, indexed, key):
+        s, data = indexed
+        plan = s.explain(CAPPED.format(key=key, k=7), params={"q": data[1], "tau": 0.004})
+        assert "SimilaritySearch table=t f=dtw tau=0.004 k=7" in plan
+        assert "OrderLimit" not in plan
+
+    @pytest.mark.parametrize("tau,k", [(0.0008, 50), (0.003, 5), (0.01, 10), (1e9, 1000)])
+    def test_matches_brute_force(self, indexed, tau, k):
+        """Fewer rows than ``k`` within ``tau``, more, and ``k`` past the
+        whole table."""
+        s, data = indexed
+        engine = s.catalog.engine_for("t", "dtw")
+        sizes = []
+        for q in sample_queries(data, 3, seed=14, perturb=0.0003):
+            rows = s.sql(CAPPED.format(key="distance", k=k), params={"q": q, "tau": tau})
+            assert [(r["traj_id"], r["distance"]) for r in rows] == _ranked_within(
+                engine, data, q, tau, k
+            )
+            sizes.append(len(rows))
+        if k == 50:
+            assert max(sizes) < k  # fewer rows within tau than asked for
+        if k == 1000:
+            assert sizes == [len(data)] * 3
+
+    def test_kth_tie_straddling_partitions_goes_to_the_smaller_id(self):
+        """Three copies of one trip, the largest id in the first partition
+        and the two smaller ones in the last: the top 2 are the two
+        smallest ids, wherever they live."""
+        from repro.core.engine import DITAEngine
+        from repro.storage.columnar import ColumnarDataset
+
+        rows = list(beijing_like(60, seed=8))
+        src = rows[0]
+        parts = {
+            0: [Trajectory(900, src.points.copy())] + rows[1:20],
+            1: rows[20:40],
+            2: rows[40:] + [Trajectory(500, src.points.copy()), Trajectory(400, src.points.copy())],
+        }
+        config = DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4)
+        engine = DITAEngine.from_partitions(
+            {pid: ColumnarDataset.from_trajectories(p) for pid, p in parts.items()}, config
+        )
+        data = [t for p in parts.values() for t in p]
+        s = DITASession(config)
+        s.register("t", ColumnarDataset.from_trajectories(data))
+        s.catalog.get("t").engine = engine
+        q = Trajectory(10_000, src.points + 1e-5)
+        for k in (1, 2, 3, 5):
+            rows = s.sql(CAPPED.format(key="distance", k=k), params={"q": q, "tau": 0.01})
+            assert [(r["traj_id"], r["distance"]) for r in rows] == _ranked_within(
+                engine, data, q, 0.01, k
+            ), k
+        rows = s.sql(CAPPED.format(key="distance", k=2), params={"q": q, "tau": 0.01})
+        assert [r["traj_id"] for r in rows] == [400, 500]
+
+    def test_residual_conjunct_blocks_the_rewrite(self, indexed):
+        s, data = indexed
+        engine = s.catalog.engine_for("t", "dtw")
+        q = sample_queries(data, 1, seed=15, perturb=0.0003)[0]
+        text = (
+            "SELECT traj_id, distance FROM t WHERE DTW(t, :q) <= 0.01 AND traj_id >= 50 "
+            "ORDER BY distance LIMIT 4"
+        )
+        plan = s.explain(text, params={"q": q})
+        assert "k=" not in plan and "OrderLimit" in plan
+        rows = s.sql(text, params={"q": q})
+        want = [(i, d) for i, d in _ranked_within(engine, data, q, 0.01, len(data)) if i >= 50][:4]
+        assert [(r["traj_id"], r["distance"]) for r in rows] == want
+
+    @pytest.mark.parametrize("tail", ["ORDER BY distance DESC LIMIT 4", "ORDER BY distance"])
+    def test_desc_and_no_limit_keep_the_sort(self, indexed, tail):
+        s, data = indexed
+        engine = s.catalog.engine_for("t", "dtw")
+        q = sample_queries(data, 1, seed=16, perturb=0.0003)[0]
+        text = f"SELECT traj_id, distance FROM t WHERE DTW(t, :q) <= 0.01 {tail}"
+        plan = s.explain(text, params={"q": q})
+        assert "k=" not in plan and "OrderLimit" in plan
+        dists = [r["distance"] for r in s.sql(text, params={"q": q})]
+        want = [d for _, d in _ranked_within(engine, data, q, 0.01, len(data))]
+        if "DESC" in tail:
+            want = sorted(want, reverse=True)[:4]
+        assert dists == want
