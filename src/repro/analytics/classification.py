@@ -3,8 +3,8 @@
 The paper cites nearest-neighbour trajectory classification [35] among the
 analytics DITA accelerates: label a new trip (commute / delivery / cruising
 ...) by the labels of its most similar historical trips.  The classifier
-wraps :func:`repro.core.knn.knn_search`, so every prediction is one
-index-accelerated kNN query.
+wraps :func:`repro.core.knn.knn_search_batch`, so a batch of predictions
+is one index-accelerated kNN pass.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from ..core.config import DITAConfig
 from ..core.engine import DITAEngine
-from ..core.knn import knn_search
+from ..core.knn import Neighbour, check_k, knn_search, knn_search_batch
 from ..trajectory.trajectory import Trajectory
 
 
@@ -26,9 +26,7 @@ class KNNTrajectoryClassifier:
     """
 
     def __init__(self, k: int = 5, config: Optional[DITAConfig] = None, distance: str = "dtw") -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
+        self.k = check_k(k, least=1)
         self.config = config
         self.distance = distance
         self._engine: Optional[DITAEngine] = None
@@ -57,8 +55,14 @@ class KNNTrajectoryClassifier:
 
     def predict(self, query: Trajectory) -> Hashable:
         """The majority label among the query's k nearest training trips."""
-        engine = self._check_fitted()
-        neighbours = knn_search(engine, query, self.k)
+        return self.predict_many([query])[0]
+
+    def predict_many(self, queries: Iterable[Trajectory]) -> List[Hashable]:
+        """:meth:`predict` for every query, from one batched kNN."""
+        batch = knn_search_batch(self._check_fitted(), list(queries), self.k)
+        return [self._vote(neighbours) for neighbours in batch]
+
+    def _vote(self, neighbours: List[Neighbour]) -> Hashable:
         votes = Counter(self._labels[t.traj_id] for t, _ in neighbours)
         top = votes.most_common()
         best_count = top[0][1]
@@ -70,9 +74,6 @@ class KNNTrajectoryClassifier:
             if self._labels[t.traj_id] in tied:
                 return self._labels[t.traj_id]
         return top[0][0]  # unreachable
-
-    def predict_many(self, queries: Iterable[Trajectory]) -> List[Hashable]:
-        return [self.predict(q) for q in queries]
 
     def predict_proba(self, query: Trajectory) -> Dict[Hashable, float]:
         """Vote fractions per label for the query's neighbourhood."""
@@ -88,5 +89,5 @@ class KNNTrajectoryClassifier:
             raise ValueError("queries and labels must align")
         if not queries:
             raise ValueError("empty test set")
-        hits = sum(1 for q, y in zip(queries, labels) if self.predict(q) == y)
+        hits = sum(1 for p, y in zip(self.predict_many(queries), labels) if p == y)
         return hits / len(queries)

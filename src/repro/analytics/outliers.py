@@ -10,12 +10,13 @@ neighbour) is provided for ranked output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.engine import DITAEngine
-from ..core.knn import knn_search
-from .clustering import similarity_graph, trajectories
+from ..core.knn import check_k, knn_join
+from .clustering import similarity_graph
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,16 @@ def detect_outliers(
 
 def knn_outlier_scores(engine: DITAEngine, k: int = 3) -> Dict[int, float]:
     """The k-NN outlier score of every trajectory: its distance to its k-th
-    nearest *other* trajectory (bigger = more anomalous)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores: Dict[int, float] = {}
-    for t in trajectories(engine):
-        # k+1 because the trajectory itself is its own 0-distance NN
-        neighbours = knn_search(engine, t, k + 1)
-        others = [d for nbr, d in neighbours if nbr.traj_id != t.traj_id]
-        scores[t.traj_id] = others[k - 1] if len(others) >= k else float("inf")
-    return scores
+    nearest *other* trajectory (bigger = more anomalous) — one self kNN
+    join."""
+    k = check_k(k, least=1)
+    others: Dict[int, List[float]] = {}
+    # k+1 because the trajectory itself is its own 0-distance NN
+    for left, right, d in knn_join(engine, engine, k + 1):
+        nearest = others.setdefault(right, [])
+        if left != right:
+            nearest.append(d)
+    return {tid: ds[k - 1] if len(ds) >= k else math.inf for tid, ds in others.items()}
 
 
 def top_outliers(engine: DITAEngine, k: int = 3, top: int = 10) -> List[int]:

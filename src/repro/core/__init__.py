@@ -16,7 +16,7 @@ from .costmodel import BiEdge, OrientationPlan, divide_partitions, orient_edges,
 from .engine import DITAEngine
 from .global_index import GlobalIndex, PartitionInfo, partition_info, partition_trajectories
 from .join import JoinExecutor, JoinPair, JoinStats
-from .knn import knn_join, knn_search
+from .knn import knn_join, knn_search, knn_search_batch
 from .pivots import available_strategies, indexing_points, pivot_indices
 from .search import SearchStats, search_rows
 from .trie import FilterStats, TrieIndex
@@ -52,6 +52,7 @@ __all__ = [
     "indexing_points",
     "knn_join",
     "knn_search",
+    "knn_search_batch",
     "mbr_accumulated_min_dist",
     "opamd",
     "orient_edges",

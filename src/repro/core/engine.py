@@ -55,6 +55,7 @@ from .adapters import IndexAdapter, get_adapter
 from .config import DITAConfig
 from .global_index import GlobalIndex, PartitionInfo, partition_info, partition_trajectories
 from .join import JoinExecutor, JoinPair, JoinStats
+from .numerics import slack
 from .search import Match, SearchStats
 from .trie import TrieIndex
 from .verify import VerificationData, Verifier
@@ -84,10 +85,8 @@ class _LocalResolver:
     against the partitions, tries and verifier of one engine per join side
     (see :mod:`repro.cluster.tasks` for the protocol) — the coordinator's
     own engines inline, a worker's store-backed ones
-    (:func:`repro.cluster.parallel.open_sides`) on the pool.
-
-    Query verification artifacts can be *seeded* so the body reuses the
-    exact objects the engine built on the driver.
+    (:func:`repro.cluster.parallel.open_sides`) on the pool.  A query's
+    verification artifacts are built once, by the first task that asks.
     """
 
     def __init__(self, left: "DITAEngine", right: Optional["DITAEngine"] = None) -> None:
@@ -99,9 +98,6 @@ class _LocalResolver:
 
     def dataset(self, side: str, pid: int) -> ColumnarDataset:
         return self._engines[side].partition(pid)
-
-    def seed_query_data(self, points, q_data: VerificationData) -> None:
-        self._qdata[id(points)] = q_data
 
     def query_data(self, points) -> VerificationData:
         q = self._qdata.get(id(points))
@@ -488,13 +484,11 @@ class DITAEngine:
 
     def trajectory(self, traj_id: int) -> Trajectory:
         """Materialize one trajectory by id (KeyError when absent) — the
-        boundary accessor result rendering uses; hot paths never call it."""
+        boundary accessor result rendering uses; hot paths never call it.
+        The id routes through :meth:`_id_map`, so no partition is indexed
+        by a lookup."""
         self._sync_streams()
-        for pid in self.partition_pids():
-            part = self.partition(pid)
-            if traj_id in part:
-                return part.by_id(traj_id)
-        raise KeyError(traj_id)
+        return self._block(self._id_map()[traj_id]).by_id(traj_id)
 
     def index_size_bytes(self) -> Tuple[int, int]:
         """(global index bytes, total local index bytes) — Table 5 metric.
@@ -1074,40 +1068,72 @@ class DITAEngine:
         taus: List[float],
         stats: Optional[List[Optional[SearchStats]]],
         job: str,
+        k: Optional[int] = None,
         **job_args: object,
     ) -> List[List[Tuple[int, int, float]]]:
-        """:meth:`search_batch_rows` under the caller's job span
-        (:meth:`search` is its one-query case and keeps its own)."""
+        """The one coordinator of ``search`` tasks, under the caller's job
+        span: ``(pid, dataset row, distance)`` triples per query.
+
+        ``k=None`` is the threshold search: one round over each query's
+        relevant partitions.  A finite ``k`` is a best-first kNN within
+        each query's ``tau``: a query asks for its partitions in
+        endpoint-bound order in waves of 1, 2, 4 ..., each cut at its k-th
+        distance so far, and gets its ``k`` nearest by ``(distance, id)``.
+        A round ships one task per partition, in pid order, carrying every
+        query that asks for it with that query's ``tau`` or k-th distance.
+        """
         if len(queries) != len(taus):
             raise ValueError("queries and taus must have equal length")
         if stats is not None and len(stats) != len(queries):
             raise ValueError("stats must have one (possibly None) entry per query")
         self._check_query(taus, queries)
         self._sync_streams()
+        want = None if k is None else min(k, len(self))
+        if want == 0:
+            return [[] for _ in queries]
         tracer = self.cluster.tracer
         track = stats is not None or tracer is not None or self.metrics is not None
         internal = [SearchStats() for _ in queries] if track else None
-        with self._job(job, **job_args):
-            by_pid: Dict[int, List[int]] = {}
-            q_datas: List[VerificationData] = []
-            for i, (query, tau) in enumerate(zip(queries, taus)):
-                relevant = self.global_index.relevant_partitions(query.points, tau, self.adapter)
-                if internal is not None:
-                    internal[i].relevant_partitions += len(relevant)
-                q_datas.append(VerificationData.of(query, self.config.cell_size))
-                for pid in relevant:
-                    by_pid.setdefault(pid, []).append(i)
-            results: List[List[Tuple[int, int, float]]] = [[] for _ in queries]
-            resolver = _LocalResolver(self)
-            for i, query in enumerate(queries):
-                resolver.seed_query_data(query.points, q_datas[i])
-            tasks: List[_EngineTask] = []
-            idx_of: Dict[int, List[int]] = {}
-            for pid in sorted(by_pid):
-                idxs = by_pid[pid]
-                tid = len(tasks)
-                idx_of[tid] = idxs
-                tasks.append(
+        resolver = _LocalResolver(self)
+        results: List[List[Tuple[int, int, float]]] = [[] for _ in queries]
+        #: per kNN query: its nearest so far, sorted, at most ``want`` long
+        best: List[List[Tuple[float, int, int, int]]] = [[] for _ in queries]  # (d, id, pid, row)
+        orders = [] if k is None else [
+            self.global_index.nearest_partitions(q.points, self.adapter) for q in queries
+        ]
+        at = [0] * len(queries)  # per kNN query: partitions of its order asked so far
+
+        def ask(i: int, wave: int) -> Tuple[float, List[int]]:
+            # query i's distance bound and the partitions it asks this round
+            if k is None:
+                return taus[i], self.global_index.relevant_partitions(
+                    queries[i].points, taus[i], self.adapter
+                )
+            kth = best[i][-1][0] if len(best[i]) == want else taus[i]
+            # sorted by bound, so the cut keeps a prefix and an empty wave
+            # means every later one is empty too
+            order = orders[i][at[i] : at[i] + (1 << wave)]
+            pids = [pid for bound, pid in order if bound <= slack(kth)]
+            at[i] += len(pids)
+            return kth, pids
+
+        live = list(range(len(queries)))
+        waves = n_tasks = 0
+        with self._job(job, **job_args, **({} if k is None else {"k": k})):
+            while live:
+                asks = {i: ask(i, waves) for i in live}
+                # a threshold search is one round; a kNN query that asks
+                # for no partition is answered
+                live = [i for i in live if k is not None and asks[i][1]]
+                by_pid: Dict[int, List[int]] = {}
+                for i, (_, pids) in asks.items():
+                    if internal is not None:
+                        internal[i].relevant_partitions += len(pids)
+                    for pid in pids:
+                        by_pid.setdefault(pid, []).append(i)
+                if not by_pid:
+                    break
+                tasks = [
                     _EngineTask(
                         spec=TaskSpec(
                             task_id=tid,
@@ -1115,46 +1141,65 @@ class DITAEngine:
                             side="L",
                             partition_id=pid,
                             payload=(
-                                tuple(queries[i].points for i in idxs),
-                                tuple(taus[i] for i in idxs),
-                                None,
+                                tuple(queries[i].points for i in by_pid[pid]),
+                                tuple(asks[i][0] for i in by_pid[pid]),
+                                want,
                                 track,
                             ),
                         ),
-                        work=self.global_index.meta(pid).size * len(idxs),
-                        tag="search.partition",
+                        work=self.global_index.meta(pid).size * len(by_pid[pid]),
+                        tag="search.partition" if k is None else "knn.topk",
                         cluster_pid=pid,
                     )
-                )
+                    for tid, pid in enumerate(sorted(by_pid))
+                ]
 
-            def on_result(task: _EngineTask, result: Any) -> None:
-                match_lists, stats_list = result
-                idxs = idx_of[task.spec.task_id]
-                if stats_list is not None:
-                    if tracer is not None:
-                        merged = SearchStats()
-                        for ts in stats_list:
-                            merged.merge(ts)
-                        self._subdivide_task(tracer, merged)
-                    for i, ts in zip(idxs, stats_list):
-                        internal[i].merge(ts)
-                pid = task.spec.partition_id
-                for i, matches in zip(idxs, match_lists):
-                    results[i].extend((pid, row, d) for row, d in matches)
+                def on_result(task: _EngineTask, result: Any) -> None:
+                    match_lists, stats_list = result
+                    pid = task.spec.partition_id
+                    idxs = by_pid[pid]
+                    if stats_list is not None:
+                        # a kNN task interleaves filter and verify rounds:
+                        # one span, not subdivided
+                        if tracer is not None and k is None:
+                            merged = SearchStats()
+                            for ts in stats_list:
+                                merged.merge(ts)
+                            self._subdivide_task(tracer, merged)
+                        for i, ts in zip(idxs, stats_list):
+                            internal[i].merge(ts)
+                    for i, matches in zip(idxs, match_lists):
+                        if k is None:
+                            results[i].extend((pid, row, d) for row, d in matches)
+                        else:
+                            found = [(d, traj, pid, row) for row, d, traj in matches]
+                            best[i] = sorted(best[i] + found)[:want]
 
-            self._run_tasks(tasks, resolver, on_result)
+                self._run_tasks(tasks, resolver, on_result)
+                waves += 1
+                n_tasks += len(tasks)
         if internal is not None:
             if stats is not None:
                 for i, s in enumerate(stats):
                     if s is not None:
                         s.merge(internal[i])
             if self.metrics is not None:
-                self.metrics.counter("search.jobs")
                 job_stats = SearchStats()
                 for s in internal:
                     job_stats.merge(s)
-                self.metrics.absorb("search", job_stats)
-        return results
+                if k is None:
+                    self.metrics.counter("search.jobs")
+                    self.metrics.absorb("search", job_stats)
+                else:
+                    self.metrics.counter("knn.jobs", len(queries))
+                    self.metrics.counter("knn.waves", waves)
+                    self.metrics.counter("knn.tasks", n_tasks)
+                    self.metrics.counter("knn.partitions_skipped", sum(map(len, orders)) - sum(at))
+                    self.metrics.absorb("knn.filter", job_stats.filter)
+                    self.metrics.absorb("knn.verify", job_stats.verify)
+        if k is None:
+            return results
+        return [[(pid, row, d) for d, _, pid, row in nearest] for nearest in best]
 
     def search_ids(self, query: Trajectory, tau: float) -> List[int]:
         """Sorted ids of matching trajectories (brute-force-comparable)."""

@@ -1,37 +1,23 @@
 """KNN trajectory search and join (the paper's stated future work).
 
-The conclusion of the paper plans "KNN-based search and join in DITA"; this
-module delivers them as a best-first distributed top-k over the threshold
-machinery's own bounds:
-
-1. the coordinator **orders the partitions** by the global index's
-   endpoint bound to the query and runs them in waves of 1, 2, 4, 8 ...
-   ``search`` tasks asking for ``k`` rows, each carrying the k-th
-   distance known when its wave started (the caller's ``tau`` at first,
-   ``inf`` unless capped);
-2. a partition answers with its **local top-k** within that distance
-   (:func:`repro.core.search.search_rows` with ``k`` set: candidates in
-   lower-bound order through the staged verifier, stopping at the first
-   bound beyond the tightening k-th distance);
-3. the coordinator **merges** the answers by ``(distance, id)`` and stops
-   at the first partition whose bound exceeds the k-th distance — that
-   partition and every later one is never scheduled, so a lazily opened
-   store never loads them.
-
-The result is exact: identical to brute-force top-k under the engine's
-distance function (ties broken by trajectory id).  Rows flow as
-``(distance, id, partition, row)``; only the final ``k`` winners are
-materialized as ``Trajectory`` views.
+The conclusion of the paper plans "KNN-based search and join in DITA";
+here they are a best-first distributed top-k, run by the engine's one
+``search`` coordinator (:meth:`repro.core.engine.DITAEngine._search_rows`
+with ``k`` set, which describes the waves) over the threshold search's own
+local scan (:func:`repro.core.search.search_rows` with ``k`` set).  This
+module validates ``k``, batches queries and materializes the winners as
+``Trajectory`` views.  Answers are exact — brute-force top-k under the
+engine's distance, ties broken by trajectory id — and the same whether a
+query runs alone or in a batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Tuple
+import numbers
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..trajectory.trajectory import Trajectory
-from .numerics import slack
-from .search import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import DITAEngine
@@ -40,9 +26,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Neighbour = Tuple[Trajectory, float]
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a non-negative int, got {k!r}")
+def check_k(k: int, least: int = 0) -> int:
+    """``k`` as an ``int``: any integral number (numpy's included, a
+    ``bool`` not) of at least ``least``; anything else raises
+    ``ValueError`` naming it."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < least:
+        raise ValueError(f"k must be an int >= {least}, got {k!r}")
+    return int(k)
+
+
+def knn_search_batch(
+    engine: "DITAEngine", queries: Sequence[Trajectory], k: int, tau: float = math.inf
+) -> List[List[Neighbour]]:
+    """:func:`knn_search` for many queries at once: one answer per query,
+    each identical to the query's own :func:`knn_search`.  The queries
+    share one best-first pass, so a partition two queries ask for in the
+    same round runs one task for both."""
+    k = check_k(k)
+    queries = list(queries)
+    rows = engine._search_rows(queries, [tau] * len(queries), None, "knn", k=k)
+    return [[(engine.partition(pid).view(row), d) for pid, row, d in nearest] for nearest in rows]
 
 
 def knn_search(
@@ -56,7 +59,7 @@ def knn_search(
 
     Boundary semantics (the serving-layer contract):
 
-    * ``k == 0`` returns ``[]`` (a negative or non-``int`` ``k`` raises
+    * ``k == 0`` returns ``[]`` (a negative or non-integral ``k`` raises
       ``ValueError``), and so does an engine with no rows left;
     * ``k >= len(engine)`` returns the whole dataset, ranked;
     * ties — including many trajectories exactly at the k-th distance —
@@ -70,83 +73,27 @@ def knn_search(
     buffered ``append_trajectory``/``extend_trajectory``/
     ``remove_trajectory`` — not the stale base image.
     """
-    from ..cluster.tasks import TaskSpec
-    from .engine import _EngineTask, _LocalResolver
-
-    _check_k(k)
-    engine._check_query([tau], [query])
-    engine._sync_streams()
-    want = min(k, len(engine))
-    if want == 0:
-        return []
-    order = engine.global_index.nearest_partitions(query.points, engine.adapter)
-    #: the nearest found so far, sorted, at most ``want`` long
-    best: List[Tuple[float, int, int, int]] = []  # (distance, id, pid, row)
-    stats = SearchStats() if engine.metrics is not None else None
-
-    def on_result(task: _EngineTask, result) -> None:
-        (nearest,), task_stats = result
-        pid = task.spec.partition_id
-        best[:] = sorted(best + [(d, tid, pid, row) for row, d, tid in nearest])[:want]
-        if task_stats is not None:
-            stats.merge(task_stats[0])
-
-    resolver = _LocalResolver(engine)
-    at = waves = 0
-    with engine._job("knn", k=k):
-        while at < len(order):
-            kth = best[-1][0] if len(best) == want else tau
-            # sorted by bound, so an empty wave means every later one is too
-            wave = [pid for bound, pid in order[at : at + (1 << waves)] if bound <= slack(kth)]
-            if not wave:
-                break
-            tasks = [
-                _EngineTask(
-                    spec=TaskSpec(
-                        task_id=i,
-                        kind="search",
-                        side="L",
-                        partition_id=pid,
-                        payload=((query.points,), (kth,), want, stats is not None),
-                    ),
-                    work=engine.global_index.meta(pid).size,
-                    tag="knn.topk",
-                    cluster_pid=pid,
-                )
-                for i, pid in enumerate(wave)
-            ]
-            engine._run_tasks(tasks, resolver, on_result)
-            at += len(wave)
-            waves += 1
-    if engine.metrics is not None:
-        engine.metrics.counter("knn.jobs")
-        engine.metrics.counter("knn.waves", waves)
-        engine.metrics.counter("knn.tasks", at)
-        engine.metrics.counter("knn.partitions_skipped", len(order) - at)
-        engine.metrics.absorb("knn.filter", stats.filter)
-        engine.metrics.absorb("knn.verify", stats.verify)
-    return [(engine.partition(pid).view(row), d) for d, _, pid, row in best]
+    return knn_search_batch(engine, [query], k, tau)[0]
 
 
 def knn_join(left_engine, right_engine, k: int) -> List[Tuple[int, int, float]]:
     """For every trajectory of ``right_engine``'s dataset, its ``k`` nearest
-    neighbours in ``left_engine``.  Returns (left id, right id, distance)
-    triples sorted by (right id, distance, left id).
+    neighbours in ``left_engine``: one :func:`knn_search_batch` over the
+    right side's rows.  Returns (left id, right id, distance) triples
+    sorted by (right id, distance, left id).
 
-    ``k == 0`` returns ``[]``; a negative or non-``int`` ``k`` raises
-    ``ValueError``.  Both sides fold their pending streamed writes in first
-    (the right side's partitions are iterated directly below, and the left
-    side is synced by the per-query :func:`knn_search` calls).
+    ``k == 0`` returns ``[]``; a negative or non-integral ``k`` raises
+    ``ValueError``.  Both sides fold their pending streamed writes in first.
     """
-    _check_k(k)
+    k = check_k(k)
     if k == 0:
         return []
     right_engine._sync_streams()
-    out: List[Tuple[int, int, float]] = []
-    for pid in right_engine.partition_pids():
-        part = right_engine.partition(pid)
-        for q in part:
-            for t, d in knn_search(left_engine, q, k):
-                out.append((t.traj_id, q.traj_id, d))
+    queries = [q for pid in right_engine.partition_pids() for q in right_engine.partition(pid)]
+    out = [
+        (t.traj_id, q.traj_id, d)
+        for q, nearest in zip(queries, knn_search_batch(left_engine, queries, k))
+        for t, d in nearest
+    ]
     out.sort(key=lambda r: (r[1], r[2], r[0]))
     return out

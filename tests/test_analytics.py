@@ -6,6 +6,7 @@ import pytest
 from repro import DITAConfig, DITAEngine
 from repro.analytics import (
     NOISE,
+    KNNTrajectoryClassifier,
     TrajectoryDBSCAN,
     detect_outliers,
     knn_outlier_scores,
@@ -147,6 +148,39 @@ class TestOutliers:
             detect_outliers(lonely_engine, TAU, min_neighbours=0)
         with pytest.raises(ValueError):
             knn_outlier_scores(lonely_engine, k=0)
+
+
+class TestKValidation:
+    """Regression: a bad ``k`` was accepted by the classifier until its
+    first ``predict``, and ``knn_outlier_scores(engine, k=1.5)`` failed
+    naming ``k=2.5`` (the ``k + 1`` it asked the kNN for)."""
+
+    @pytest.mark.parametrize("k", [2.5, True, "3", None, 0, -1])
+    def test_classifier_rejects_at_construction(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            KNNTrajectoryClassifier(k=k)
+
+    @pytest.mark.parametrize("k", [1.5, True, "3", None, 0])
+    def test_outlier_scores_name_the_callers_k(self, lonely_engine, k):
+        with pytest.raises(ValueError, match=f"got {k!r}$"):
+            knn_outlier_scores(lonely_engine, k=k)
+
+    def test_numpy_integer_k_accepted_by_both(self, lonely_engine):
+        assert KNNTrajectoryClassifier(k=np.int64(3)).k == 3
+        assert knn_outlier_scores(lonely_engine, k=np.int64(1)) == knn_outlier_scores(
+            lonely_engine, k=1
+        )
+
+
+class TestClassifierBatch:
+    def test_predict_many_is_predict_per_query(self, engine):
+        trips = list(citywide_dataset(60, seed=81, duplication=5))
+        labels = [t.traj_id % 3 for t in trips]
+        clf = KNNTrajectoryClassifier(k=3).fit(trips[:45], labels[:45])
+        queries = trips[45:]
+        assert clf.predict_many(queries) == [clf.predict(q) for q in queries]
+        hits = sum(clf.predict(q) == y for q, y in zip(queries, labels[45:]))
+        assert clf.score(queries, labels[45:]) == hits / len(queries)
 
 
 class TestReadContract:

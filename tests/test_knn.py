@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
 from repro.core.adapters import available_adapters
-from repro.core.knn import knn_join, knn_search
+from repro.analytics import knn_outlier_scores
+from repro.core.knn import knn_join, knn_search, knn_search_batch
 from repro.datagen import beijing_like, sample_queries
 from repro.distances import get_distance
 from repro.storage import ColumnarDataset
@@ -73,6 +74,14 @@ class TestKNNSearch:
             knn_search(engine, q, k)
         with pytest.raises(ValueError, match="k must be"):
             knn_join(engine, engine, k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_k_is_an_int(self, engine, city, k):
+        """Regression: ``np.int64(3)`` raised ``ValueError: k must be a
+        non-negative int``."""
+        q = sample_queries(city, 1, seed=2)[0]
+        assert knn_search(engine, q, k) == knn_search(engine, q, 3)
+        assert knn_join(engine, engine, k) == knn_join(engine, engine, 3)
 
     def test_engine_emptied_by_remove(self, city):
         """Regression: with every row removed, seeding raised ``ValueError:
@@ -397,3 +406,97 @@ class TestUnscheduledPartitions:
         # DPs per result can be read from the registry
         assert m.value("knn.verify.exact_computed") >= m.value("knn.verify.accepted") >= 5
         assert not m.counters("knn.rounds") and not m.counters("knn.brute_force_fallbacks")
+
+
+# --------------------------------------------------------------------- #
+# the batched coordinator: many queries, one best-first pass
+# --------------------------------------------------------------------- #
+
+
+def _hexed(answers):
+    return [[(t.traj_id, d.hex()) for t, d in nearest] for nearest in answers]
+
+
+@pytest.fixture(scope="module")
+def batch_queries(spread):
+    """Noisy copies, a one-point query, and one query twice (the same
+    object and an equal copy)."""
+    qs = sample_queries(spread, 3, seed=12, perturb=0.0004)
+    one_point = Trajectory(20_000, qs[0].points[:1].copy())
+    return qs + [one_point, qs[1], Trajectory(20_001, qs[1].points.copy())]
+
+
+class TestBatchedCoordinator:
+    CFG = dict(num_global_partitions=3, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4)
+
+    @pytest.mark.parametrize("backend", ["simulated", "process"])
+    @pytest.mark.parametrize("name", ADAPTERS)
+    def test_batch_equals_one_query_calls(self, spread, batch_queries, name, backend):
+        engine = DITAEngine(
+            spread, DITAConfig(backend=backend, num_processes=2, **self.CFG), distance=name
+        )
+        tau = 5.0 if name in ("edr", "lcss") else 0.004
+        try:
+            for k, cap in [(1, math.inf), (5, math.inf), (len(spread) + 3, math.inf), (5, tau)]:
+                loop = [knn_search(engine, q, k, cap) for q in batch_queries]
+                batch = knn_search_batch(engine, batch_queries, k, cap)
+                assert _hexed(batch) == _hexed(loop)
+        finally:
+            engine.shutdown()
+
+    def test_empty_batch(self, spread):
+        engine = DITAEngine(spread, DITAConfig(**self.CFG))
+        assert knn_search_batch(engine, [], 5) == []
+
+    def test_a_partition_runs_once_a_round_for_the_whole_batch(self, spread):
+        """Two copies of a query ask for the same partitions every round,
+        so the batch ships exactly the tasks one of them ships alone."""
+        q = sample_queries(spread, 1, seed=3, perturb=0.0004)[0]
+        alone, both = (DITAEngine(spread, DITAConfig(use_tracing=True, **self.CFG)) for _ in "ab")
+        knn_search(alone, q, 5)
+        knn_search_batch(both, [q, q], 5)
+        for counter in ("knn.waves", "knn.tasks"):
+            assert both.metrics.value(counter) == alone.metrics.value(counter)
+        assert both.metrics.value("knn.jobs") == 2
+        assert both.metrics.value("knn.partitions_skipped") == 2 * alone.metrics.value(
+            "knn.partitions_skipped"
+        )
+
+    def test_single_query_counters_are_the_wave_schedule(self):
+        """A pinned single-query case: one query's waves, tasks and
+        skipped partitions (16 partitions, Fréchet, k = 5)."""
+        data = beijing_like(120, seed=3)
+        cfg = DITAConfig(
+            num_global_partitions=4, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4,
+            use_tracing=True,
+        )
+        engine = DITAEngine(data, cfg, distance="frechet")
+        knn_search(engine, sample_queries(data, 1, seed=7, perturb=0.0004)[0], 5)
+        m = engine.metrics
+        assert engine.n_partitions == 16
+        assert [m.value(c) for c in ("knn.jobs", "knn.waves", "knn.tasks")] == [1, 3, 7]
+        assert m.value("knn.partitions_skipped") == 9
+        assert m.value("knn.verify.exact_computed") == 12
+
+    @pytest.mark.parametrize("name", ADAPTERS)
+    def test_knn_join_matches_brute_force(self, spread, name):
+        engine = DITAEngine(spread, DITAConfig(**self.CFG), distance=name)
+        queries = sample_queries(spread, 8, seed=14, perturb=0.0004)
+        right = DITAEngine(queries, DITAConfig(num_global_partitions=2))
+        got = knn_join(engine, right, 4)
+        want = [
+            (tid, q.traj_id, d)
+            for q in sorted(queries, key=lambda t: t.traj_id)
+            for d, tid in ranked(engine.adapter, spread, q, 4)
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("name", ADAPTERS)
+    def test_outlier_scores_match_brute_force(self, spread, name):
+        engine = DITAEngine(spread, DITAConfig(**self.CFG), distance=name)
+        k = 3
+        want = {}
+        for t in spread:
+            others = [d for d, tid in ranked(engine.adapter, spread, t, k + 1) if tid != t.traj_id]
+            want[t.traj_id] = others[k - 1]
+        assert knn_outlier_scores(engine, k) == want

@@ -153,6 +153,31 @@ class TestPruning:
                     assert pid in keep
 
 
+class TestTrajectoryLookup:
+    def test_lookup_indexes_no_partition(self, data, store):
+        """Regression: ``engine.trajectory(id)`` on a lazy store engine
+        indexed partition after partition until it found the id."""
+        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        unloaded = set(engine._unloaded)
+        for tid in data.ids[::9]:
+            got = engine.trajectory(tid)
+            assert got.traj_id == tid
+            assert np.array_equal(got.points, data.points(data.row_of(tid)))
+        assert engine._unloaded == unloaded and not engine.tries
+
+    def test_absent_removed_and_pending_ids(self, data, store):
+        engine = DITAEngine.from_store(store, DITAConfig(delta_max_rows=10_000), lazy=True)
+        with pytest.raises(KeyError):
+            engine.trajectory(10**9)
+        gone = data.ids[5]
+        assert engine.remove(gone)
+        with pytest.raises(KeyError):
+            engine.trajectory(gone)
+        pts = data.points(0) + 0.5
+        engine.append_trajectory(10**6, pts)
+        assert np.array_equal(engine.trajectory(10**6).points, pts)
+
+
 # --------------------------------------------------------------------- #
 # engine parity: store-backed (lazy and eager) vs. built-from-objects
 # --------------------------------------------------------------------- #
