@@ -34,17 +34,17 @@ def trajectories(engine: DITAEngine) -> Iterator[Trajectory]:
 
 
 def similarity_graph(engine: DITAEngine, tau: float) -> Dict[int, Set[int]]:
-    """Adjacency sets of the tau-similarity graph (self-pairs dropped).
+    """Adjacency sets of the tau-similarity graph (no self-loops).
 
-    One distributed self-join produces every edge; the graph is symmetric.
+    One distributed self-join produces every edge once; both ends record
+    it, so the graph is symmetric.
     """
     adj: Dict[int, Set[int]] = defaultdict(set)
     for traj in trajectories(engine):
         adj[traj.traj_id]  # ensure isolated vertices exist
-    for a, b, _ in engine.join(engine, tau):
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
+    for a, b, _ in engine.self_join(tau):
+        adj[a].add(b)
+        adj[b].add(a)
     return dict(adj)
 
 

@@ -43,6 +43,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
+import numpy as np
+
 #: registered task bodies: kind -> fn(spec, resolver) -> result
 _TASK_KINDS: Dict[str, Callable[["TaskSpec", Any], Any]] = {}
 
@@ -128,16 +130,20 @@ def _search_body(spec: TaskSpec, res: Any) -> Any:
 def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     """One division-replica chunk of a join edge, run on the receiver.
 
-    Payload: ``(send_side, send_pid, row_ids, tau)`` — the senders are
-    referenced by row id only; their points and verification artifacts
-    come out of the resolver's own view of the sending partition, so no
-    coordinate bytes ever ride the spec.  Returns ``(match_lists,
+    Payload: ``(send_side, send_pid, row_ids, tau, self_join)`` — the
+    senders are referenced by row id only; their points and verification
+    artifacts come out of the resolver's own view of the sending
+    partition, so no coordinate bytes ever ride the spec.  Every pair is
+    evaluated as ``exact(first, second)`` in its reported order: the left
+    side's row first in a join, the smaller id first in a self-join, whose
+    diagonal edge also drops every candidate whose id does not exceed its
+    sender's (identity pairs and mirrors).  Returns ``(match_lists,
     stats_list)`` aligned with ``row_ids``; matches are receiver-side
     ``(row, distance)`` pairs.
     """
     from ..core.search import SearchStats, search_rows
 
-    send_side, send_pid, rows, tau = spec.payload
+    send_side, send_pid, rows, tau, self_join = spec.payload
     # the left engine's adapter drives the join; the receiving side
     # supplies trie and verifier
     recv = res.engine(spec.side)
@@ -145,6 +151,10 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     row_list = list(rows)
     datas = [res.sender_data(send_side, send_pid, r) for r in row_list]
     q_pts = [part.points(r) for r in row_list]
+    if self_join:
+        keys = part.traj_ids[row_list].astype(np.float64)
+    else:
+        keys = np.full(len(row_list), np.inf if spec.side == "L" else -np.inf)
     stats = [SearchStats() for _ in row_list]
     match_lists = search_rows(
         recv.trie(spec.partition_id),
@@ -154,6 +164,8 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
         [tau] * len(row_list),
         datas,
         stats,
+        pair_keys=keys,
+        floor=self_join and send_pid == spec.partition_id,
     )
     return match_lists, stats
 
@@ -212,6 +224,5 @@ def pickle_budget(spec: TaskSpec) -> int:
         coord_bytes = sum(int(p.nbytes) for p in q_points_list)
         return _BASE_BUDGET + coord_bytes + _PER_QUERY_BUDGET * len(q_points_list)
     if spec.kind == "join.chunk":
-        _, _, rows, _ = spec.payload
-        return _BASE_BUDGET + _PER_ROW_BUDGET * len(rows)
+        return _BASE_BUDGET + _PER_ROW_BUDGET * len(spec.payload[2])
     return _BASE_BUDGET

@@ -1229,9 +1229,34 @@ class DITAEngine:
         """Distributed threshold similarity join (Definition 2.5).
 
         Returns (this id, other id, distance) for every cross pair within
-        ``tau``.  ``use_orientation``/``use_division`` toggle the Section 6
+        ``tau``, the distance evaluated as ``exact(this row, other row)``.
+        ``use_orientation``/``use_division`` toggle the Section 6
         load-balancing mechanisms (for the Figure 16 ablation).
         """
+        return self._join(other, tau, False, use_orientation, use_division, stats)
+
+    def self_join(
+        self,
+        tau: float,
+        use_orientation: bool = True,
+        use_division: bool = True,
+        stats: Optional[JoinStats] = None,
+    ) -> List[JoinPair]:
+        """Join of the dataset with itself: (smaller id, greater id,
+        distance) for each unordered pair of distinct trajectories within
+        ``tau``, once — the pairs of ``join(self)`` with ``a < b``, bit for
+        bit, with each pair verified once instead of twice."""
+        return self._join(self, tau, True, use_orientation, use_division, stats)
+
+    def _join(
+        self,
+        other: "DITAEngine",
+        tau: float,
+        self_join: bool,
+        use_orientation: bool,
+        use_division: bool,
+        stats: Optional[JoinStats],
+    ) -> List[JoinPair]:
         self._check_query([tau])
         self._sync_streams()
         if other is not self:
@@ -1244,7 +1269,7 @@ class DITAEngine:
         cluster.place_partitions(left_pids + right_pids)
         self._register_rebuilds(cluster)
         other._register_rebuilds(cluster, offset=self.n_partitions)
-        executor = JoinExecutor(self, other, self.adapter, cluster, self.config)
+        executor = JoinExecutor(self, other, self.adapter, cluster, self.config, self_join)
         js = stats
         if js is None and self.metrics is not None:
             js = JoinStats()
@@ -1254,21 +1279,6 @@ class DITAEngine:
             self.metrics.counter("join.jobs")
             self.metrics.absorb("join", js)
         return pairs
-
-    def self_join(self, tau: float, **kwargs) -> List[JoinPair]:
-        """Join of the dataset with itself, keeping each unordered pair once
-        (and dropping the trivial self-pairs)."""
-        pairs = self.join(self, tau, **kwargs)
-        out: List[JoinPair] = []
-        seen = set()
-        for a, b, d in pairs:
-            if a == b:
-                continue
-            key = (min(a, b), max(a, b))
-            if key not in seen:
-                seen.add(key)
-                out.append((key[0], key[1], d))
-        return out
 
 
 def _info_from_store_meta(meta) -> PartitionInfo:

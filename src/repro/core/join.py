@@ -43,9 +43,11 @@ JOIN_SAMPLE_FRACTION = 0.1
 class JoinStats:
     """Planner and executor instrumentation for one join run.
 
+    ``candidate_pairs`` counts the receivers' trie candidates;
     ``verified_pairs`` counts verifier invocations (candidate pairs the
-    staged verifier examined, from :class:`~repro.core.verify.VerifyStats`);
-    ``result_pairs`` counts output pairs after deduplication.  All counts
+    staged verifier examined, from :class:`~repro.core.verify.VerifyStats`),
+    which on a self-join's diagonal edges leaves out the candidates below a
+    sender's id floor; ``result_pairs`` counts output pairs.  All counts
     are accumulated unconditionally by the executor, so they are identical
     whether or not the caller asked for stats.
     """
@@ -104,7 +106,13 @@ def relevant_pairs(
 
 class JoinExecutor:
     """Plans and executes a distributed similarity join between two indexed
-    engines (see :class:`repro.core.engine.DITAEngine`)."""
+    engines (see :class:`repro.core.engine.DITAEngine`).
+
+    With ``self_join`` (one engine on both sides) every unordered pair of
+    distinct trajectories is verified once: the bi-graph keeps the
+    partition pairs ``i <= j`` only, and on a diagonal edge ``(i, i)`` a
+    sender is verified against the candidates with a greater id only.
+    """
 
     def __init__(
         self,
@@ -113,12 +121,16 @@ class JoinExecutor:
         adapter: IndexAdapter,
         cluster: Cluster,
         config: Optional[DITAConfig] = None,
+        self_join: bool = False,
     ) -> None:
+        if self_join and left_engine is not right_engine:
+            raise ValueError("a self-join runs one engine on both sides")
         self.left = left_engine
         self.right = right_engine
         self.adapter = adapter
         self.cluster = cluster
         self.config = config or left_engine.config
+        self.self_join = self_join
 
     # ------------------------------------------------------------------ #
     # planning
@@ -132,14 +144,23 @@ class JoinExecutor:
         for every counterpart."""
         rng = rng or np.random.default_rng(self.config.seed)
         left, right = self.left.global_index, self.right.global_index
+        relevant = relevant_pairs(left, right, tau, self.adapter)
+        if self.self_join:
+            # the upper triangle: a pair of partitions meets on one edge
+            relevant = np.triu(relevant | relevant.T)
         edges: List[BiEdge] = []
         # row-major: the nested left-then-right order the sampling RNG sees
-        for i, j in np.argwhere(relevant_pairs(left, right, tau, self.adapter)).tolist():
+        for i, j in np.argwhere(relevant).tolist():
             mt, mq = left.partitions_meta[i], right.partitions_meta[j]
             t_part = self.left.partition(mt.partition_id)
             q_part = self.right.partition(mq.partition_id)
-            trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng)
-            trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, rng)
+            if self.self_join and i == j:
+                # both directions of a diagonal edge are the same work
+                trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng, floor=True)
+                trans_qt, comp_qt = trans_tq, comp_tq
+            else:
+                trans_tq, comp_tq = self._estimate(t_part, mq, self.right, tau, rng)
+                trans_qt, comp_qt = self._estimate(q_part, mt, self.left, tau, rng)
             edges.append(
                 BiEdge(
                     t_part=mt.partition_id,
@@ -159,9 +180,11 @@ class JoinExecutor:
         receiver_engine,
         tau: float,
         rng: np.random.Generator,
+        floor: bool = False,
     ) -> Tuple[float, float]:
         """Estimate (bytes shipped, candidate pairs) for one direction by
-        sampling the sending partition."""
+        sampling the sending partition; with ``floor`` a sender counts only
+        the candidates with a greater id (a self-join's diagonal edge)."""
         n = senders.n_rows
         if n == 0:
             return 0.0, 0.0
@@ -178,6 +201,9 @@ class JoinExecutor:
                 [tau] * int(kept.shape[0]),
                 self.adapter,
             )
+            if floor:
+                ids = trie.dataset.traj_ids
+                cand_lists = [c[ids[c] > sid] for c, sid in zip(cand_lists, senders.traj_ids[kept])]
             comp = float(sum(int(c.shape[0]) for c in cand_lists))
         return trans * scale, comp * scale
 
@@ -201,7 +227,10 @@ class JoinExecutor:
         use_division: bool = True,
         stats: Optional[JoinStats] = None,
     ) -> List[JoinPair]:
-        """Run the join; results are (left id, right id, distance) triples.
+        """Run the join; results are (left id, right id, distance) triples,
+        for a self-join (smaller id, greater id, distance), each pair once.
+        A pair's distance is ``exact(first, second)`` in that order,
+        whichever side the plan shipped.
 
         Each local-join task runs for real and its cost — priced by the
         cluster's measure hook, proportional to the task's trajectory count
@@ -275,6 +304,7 @@ class JoinExecutor:
                                 send_node[1],
                                 tuple(int(r) for r in chunk.tolist()),
                                 tau,
+                                self.self_join,
                             ),
                         ),
                         work=int(chunk.shape[0]),
@@ -297,7 +327,10 @@ class JoinExecutor:
                 sid = int(senders.traj_ids[r])
                 for recv_row, dist in matches:
                     rid = int(recv_ids[recv_row])
-                    results.append((rid, sid, dist) if flip else (sid, rid, dist))
+                    if self.self_join:
+                        results.append((min(sid, rid), max(sid, rid), dist))
+                    else:
+                        results.append((rid, sid, dist) if flip else (sid, rid, dist))
             merged = SearchStats()
             for s in chunk_stats:
                 merged.merge(s)
@@ -310,22 +343,12 @@ class JoinExecutor:
         # edge runs on the pool together, then the simulator sees the
         # sequential schedule — per edge one ship, then its chunks in order
         self.left._run_tasks(tasks, _LocalResolver(self.left, self.right), on_result)
-        # one (T, Q) pair may be found via several partition-pair edges is
-        # impossible: partitions tile the data, so each (T, Q) pair meets on
-        # exactly one edge — but a pair appears twice when both directions
-        # of the same edge shipped it, which cannot happen since each edge
-        # has exactly one direction.  Deduplicate anyway for safety.
-        seen = set()
-        deduped: List[JoinPair] = []
-        for p in results:
-            key = (p[0], p[1])
-            if key not in seen:
-                seen.add(key)
-                deduped.append(p)
-        js.result_pairs = len(deduped)
+        # partitions tile the data and each edge has one direction, so a
+        # pair is found once
+        js.result_pairs = len(results)
         if stats is not None:
             stats.merge_counts(js)
-        return deduped
+        return results
 
     def _cluster_pid(self, node: Node) -> int:
         """Map a bi-graph node to the cluster's partition-id namespace: the

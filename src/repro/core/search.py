@@ -65,6 +65,8 @@ def search_rows(
     q_datas: Optional[Sequence[Optional[VerificationData]]] = None,
     stats: Optional[List[Optional[SearchStats]]] = None,
     k: Optional[int] = None,
+    pair_keys: Optional[np.ndarray] = None,
+    floor: bool = False,
 ) -> List[List[Tuple[int, float]]]:
     """The local search of one partition: many queries (as raw point
     arrays) against ``trie`` in one frontier sweep, then rounds of one
@@ -81,6 +83,13 @@ def search_rows(
     ``tau`` is ``inf``, skipping the trie walk) go in endpoint-bound order,
     ``TOPK_CHUNK`` a round at the k-th distance so far, and a query stops
     at the first bound beyond it.
+
+    A join chunk's queries are shipped rows, and ``pair_keys`` (one per
+    query) fixes which member of a pair is the exact stage's first:
+    ``exact(query, row)`` for a candidate whose trajectory id exceeds the
+    query's key, ``exact(row, query)`` otherwise — so a pair's distance
+    does not depend on which side was shipped.  With ``floor`` a candidate
+    whose id does not exceed the key is dropped before any filter runs.
     """
     dataset = trie.dataset
     n = len(q_points_list)
@@ -97,6 +106,9 @@ def search_rows(
         )
         for i, rows in zip(walk, found):
             cands[i] = rows
+    ids = dataset.traj_ids
+    if floor:
+        cands = [rows[ids[rows] > key] for rows, key in zip(cands, pair_keys)]
     bounds: List[Optional[np.ndarray]] = [None] * n
     if k is not None:
         for i, q_pts in enumerate(q_points_list):
@@ -129,11 +141,12 @@ def search_rows(
         matches = verifier.exact_rows(
             dataset, chunks, [q_points_list[i] for i in live], list(kths.values()),
             [vstats[i] for i in live],
+            None if pair_keys is None else [ids[rows] > pair_keys[i] for i, rows in zip(live, chunks)],
         )
         if k is None:
             return matches
         for i, found in zip(live, matches):
-            best[i] = sorted(best[i] + [(d, int(dataset.traj_ids[r]), r) for r, d in found])[:k]
+            best[i] = sorted(best[i] + [(d, int(ids[r]), r) for r, d in found])[:k]
     return [[(r, d) for d, _, r in nearest] for nearest in best]
 
 

@@ -153,6 +153,7 @@ class Verifier:
         q_points_list: Sequence[np.ndarray],
         taus: Sequence[float],
         stats: Optional[Sequence[Optional[VerifyStats]]] = None,
+        query_first: Optional[Sequence[np.ndarray]] = None,
     ) -> List[List[Tuple[int, float]]]:
         """The exact stage for every surviving pair of a task at once.
 
@@ -161,16 +162,25 @@ class Verifier:
         ``exact_batch`` together — fed zero-copy point views straight out
         of the columnar dataset, never a materialized ``Trajectory`` — and
         come back per query as accepted ``(row, distance)`` pairs in
-        candidate order, counted as computed and accepted.
+        candidate order, counted as computed and accepted.  A pair is
+        evaluated as ``exact(row, query)``, or as ``exact(query, row)``
+        where ``query_first[i]`` (a mask aligned with query ``i``'s rows)
+        is set.
         """
         row_lists = [rows.tolist() for rows in rows_per_query]
         ts: List[np.ndarray] = []
         qs: List[np.ndarray] = []
         pair_taus: List[float] = []
-        for rows, q_points, tau in zip(row_lists, q_points_list, taus):
+        for i, (rows, q_points, tau) in enumerate(zip(row_lists, q_points_list, taus)):
             q_points = np.asarray(q_points, dtype=np.float64)
-            ts.extend(dataset.points(r) for r in rows)
-            qs.extend([q_points] * len(rows))
+            if query_first is None:
+                ts.extend(dataset.points(r) for r in rows)
+                qs.extend([q_points] * len(rows))
+            else:
+                for r, swap in zip(rows, query_first[i].tolist()):
+                    t = dataset.points(r)
+                    ts.append(q_points if swap else t)
+                    qs.append(t if swap else q_points)
             pair_taus.extend([tau] * len(rows))
         dists = self.exact_batch(ts, qs, pair_taus) if ts else []
         out: List[List[Tuple[int, float]]] = []

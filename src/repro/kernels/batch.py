@@ -79,14 +79,12 @@ class TrajectoryBlock:
         return int(self.ids.shape[0])
 
     @classmethod
-    def from_columnar(cls, dataset, cell_size: float, rows=None) -> "TrajectoryBlock":
+    def from_columnar(cls, dataset, cell_size: float) -> "TrajectoryBlock":
         """Build the block straight from a columnar dataset's arrays.
 
         MBR corners come from the dataset's vectorized per-row summaries
         (no object iteration); cells run the paper's greedy compression per
-        row over zero-copy point views.  ``rows`` restricts the cell
-        computation (other rows get empty cell runs and undefined-but-
-        allocated MBRs).
+        row over zero-copy point views.
         """
         from ..geometry.cell import CellSet
 
@@ -103,23 +101,18 @@ class TrajectoryBlock:
                 np.zeros(1, dtype=np.int64),
                 cell_size,
             )
-        live = range(n) if rows is None else np.asarray(rows, dtype=np.int64).tolist()
         centers: List[np.ndarray] = []
         counts: List[np.ndarray] = []
         lens = np.zeros(n, dtype=np.int64)
-        for r in live:
+        for r in range(n):
             cs = CellSet.from_points(dataset.points(r), cell_size)
             centers.append(cs.centers)
             counts.append(cs.counts)
             lens[r] = cs.centers.shape[0]
         cell_starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=cell_starts[1:])
-        if centers:
-            cell_centers = np.concatenate(centers)
-            cell_counts = np.concatenate(counts).astype(np.float64)
-        else:
-            cell_centers = np.empty((0, d))
-            cell_counts = np.empty(0)
+        cell_centers = np.concatenate(centers)
+        cell_counts = np.concatenate(counts).astype(np.float64)
         cell_halves = np.full(cell_centers.shape[0], cell_size / 2.0)
         return cls(
             dataset.traj_ids,

@@ -60,6 +60,20 @@ class TestSimilarityGraph:
         adj = similarity_graph(engine, 1e-9)
         assert len(adj) == len(engine)
 
+    @pytest.mark.parametrize("fixture", ["engine", "lonely_engine"])
+    def test_equals_the_full_join_graph(self, fixture, request):
+        """The graph built from the self-join, each pair once with both
+        ends recording it, is the one the full join minus identity pairs
+        gives."""
+        eng = request.getfixturevalue(fixture)
+        full = {tid: set() for tid in similarity_graph(eng, 1e-9)}
+        for a, b, _ in eng.join(eng, TAU):
+            if a != b:
+                full[a].add(b)
+        adj = similarity_graph(eng, TAU)
+        assert adj == full
+        assert sum(len(n) for n in adj.values()) > 0
+
 
 class TestDBSCAN:
     def test_recovers_route_families(self, engine):

@@ -5,7 +5,7 @@ import pytest
 from conftest import brute_force_join
 from repro import DITAConfig, DITAEngine
 from repro.core.join import JoinStats
-from repro.datagen import beijing_like, citywide_dataset
+from repro.datagen import beijing_like, citywide_dataset, random_walk_dataset
 from repro.distances import get_distance
 
 
@@ -219,7 +219,7 @@ class TestSenderCells:
         for send in pids:
             rows = tuple(int(r) for r in engine.partition(send).alive_rows())
             for recv in pids:
-                spec = TaskSpec(0, "join.chunk", "L", recv, ("L", send, rows, 0.003))
+                spec = TaskSpec(0, "join.chunk", "L", recv, ("L", send, rows, 0.003, False))
                 got, got_stats = run_task_body(spec, _LocalResolver(sides["L"], sides["R"]))
                 want, want_stats = run_task_body(spec, _LocalResolver(engine))
                 assert got == want and got_stats == want_stats
@@ -269,3 +269,81 @@ class TestSenderCells:
         before = len(compressions)
         engine.self_join(0.003)
         assert len(compressions) == before
+
+
+class TestPlanIndependentAnswers:
+    """A pair's distance is ``exact(first, second)`` in its reported order —
+    the left row first in a join, the smaller id first in a self-join —
+    whichever side the plan ships.  The double-direction DTW splits the
+    receiver's rows, so evaluated in shipping order the last bit of some
+    join distances would follow the planner's seed; a self-join verifies
+    each unordered pair once, so no answer repeats a pair."""
+
+    TAU = 0.5
+    SEEDS = range(6)
+    VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
+
+    @staticmethod
+    def _config(seed, **kw):
+        return DITAConfig(num_global_partitions=3, seed=seed, **kw)
+
+    @pytest.fixture(scope="class")
+    def answers(self, tmp_path_factory):
+        """``(backend, seed, orientation, division) -> (join, self_join)``
+        answers as ``(a, b, distance.hex())`` lists in output order."""
+        from repro import TrajectoryStore, build_store
+
+        walks = random_walk_dataset(300, seed=5)
+
+        def run(engine, orientation, division):
+            kw = dict(use_orientation=orientation, use_division=division)
+            return tuple(
+                [(a, b, d.hex()) for a, b, d in pairs]
+                for pairs in (engine.join(engine, self.TAU, **kw), engine.self_join(self.TAU, **kw))
+            )
+
+        # every seed, every variant, each backend; not their product
+        out = {}
+        for seed in self.SEEDS:
+            engine = DITAEngine(walks, self._config(seed))
+            for variant in {self.VARIANTS[0], self.VARIANTS[seed % 4]}:
+                out[("simulated", seed) + variant] = run(engine, *variant)
+        store = tmp_path_factory.mktemp("walks") / "store"
+        build_store(walks, store, n_groups=3)
+        for seed in (0, 3):
+            engine = DITAEngine.from_store(
+                TrajectoryStore.open(store), self._config(seed, backend="process", num_processes=2)
+            )
+            try:
+                for variant in self.VARIANTS[seed % 2 :: 2]:
+                    out[("process", seed) + variant] = run(engine, *variant)
+            finally:
+                engine.shutdown()
+        return out
+
+    def test_bit_identical_across_plans_and_backends(self, answers):
+        join0, self0 = (sorted(a) for a in answers[("simulated", 0, True, True)])
+        for key, (join, self_join) in answers.items():
+            assert sorted(join) == join0, key
+            assert sorted(self_join) == self0, key
+        # the self-join is the full join's a < b half, bit for bit
+        assert self0 and len(join0) > 2 * len(self0)
+        assert self0 == [p for p in join0 if p[0] < p[1]]
+
+    def test_no_pair_repeats(self, answers):
+        for key, (join, self_join) in answers.items():
+            assert len({(a, b) for a, b, _ in join}) == len(join), key
+            assert len({(a, b) for a, b, _ in self_join}) == len(self_join), key
+            assert all(a < b for a, b, _ in self_join), key
+
+    def test_self_join_verifies_each_pair_once(self):
+        """Upper-triangle partition pairs and the id floor: the self-join
+        verifies fewer pairs than half the full join's and finds the
+        same pairs."""
+        engine = DITAEngine(random_walk_dataset(300, seed=5), self._config(0))
+        full, half = JoinStats(), JoinStats()
+        engine.join(engine, self.TAU, stats=full)
+        pairs = engine.self_join(self.TAU, stats=half)
+        assert half.result_pairs == len(pairs) == (full.result_pairs - len(engine)) // 2
+        assert half.partition_pairs < full.partition_pairs
+        assert 2 * half.verified_pairs < full.verified_pairs
