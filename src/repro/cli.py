@@ -223,16 +223,13 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
 def cmd_store_merge(args: argparse.Namespace) -> int:
     import json
 
-    from .storage.generations import GenerationalStore
     from .storage.store import StorageError
 
     try:
         if args.dataset:
             # seed (or advance) the root from a flat dataset file
-            gens = GenerationalStore.open_or_init(args.root)
-            data = load_jsonl(args.dataset)
-            engine = _engine(data, args)
-            engine._generations = gens
+            engine = _engine(load_jsonl(args.dataset), args)
+            engine.attach_generations(args.root)
         else:
             engine = DITAEngine.from_generations(
                 args.root, distance=args.distance
@@ -275,7 +272,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             repartitions += 1
         if engine.maybe_merge(prune=True):
             merges += 1
-    if engine.generations is not None and (engine.n_pending or engine._rows_since_merge):
+    if engine.generations is not None and (engine.n_pending or engine.runtime.rows_since_merge):
         # a final merge so the durable root holds everything just ingested
         engine.merge(prune=True)
         merges += 1

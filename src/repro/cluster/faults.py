@@ -38,7 +38,7 @@ _STREAM_SHIP_DROP = 0x5
 _STREAM_STRAGGLER = 0x6
 
 
-def _mix64(x: int) -> int:
+def mix64(x: int) -> int:
     """One splitmix64 output step — the deterministic decision primitive."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     z = x
@@ -50,9 +50,9 @@ def _mix64(x: int) -> int:
 def _uniform(seed: int, *parts: int) -> float:
     """A uniform [0, 1) draw keyed by ``(seed, parts)`` — stateless, so the
     decision for event ``k`` never depends on how many events preceded it."""
-    h = _mix64(seed & _MASK)
+    h = mix64(seed & _MASK)
     for p in parts:
-        h = _mix64(h ^ (p & _MASK))
+        h = mix64(h ^ (p & _MASK))
     return h / float(1 << 64)
 
 

@@ -13,12 +13,10 @@ executor fleet would attach to DITA's storage tier:
   that with :func:`~repro.cluster.tasks.pickle_budget` before anything
   is sent;
 * **a worker is a store-backed engine** — :func:`open_sides` gives each
-  worker one lazy ``DITAEngine.from_store`` per distinct engine side, and
-  tasks resolve through the coordinator's own resolver class, so a
-  partition's block is mapped and its
-  :class:`~repro.core.trie.TrieIndex` built the first time a task
-  touches it, by the code path the coordinator plans against, and kept
-  for the pool's lifetime (LocationSpark's executor-side local indexing);
+  worker lazy ``DITAEngine.from_store`` engines and tasks resolve through
+  the coordinator's own resolver class, so a partition's trie is built
+  the first time a task touches it and kept for the pool's lifetime
+  (LocationSpark's executor-side local indexing);
 * **deque-based work stealing** — the coordinator keeps one task deque
   per worker, seeded by partition affinity; an idle worker steals *half*
   of the most-loaded peer's deque (from the tail, so the victim keeps
@@ -53,7 +51,7 @@ from queue import Empty
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .clock import wall_clock
-from .faults import _mix64
+from .faults import mix64
 from .tasks import TaskSpec, pickle_budget, run_task_body
 
 #: how long the coordinator waits on the result queue before polling
@@ -133,8 +131,6 @@ def _worker_main(worker_id: int, init: WorkerInit, task_q, result_q) -> None:
     ``mp.Queue``'s feeder thread would otherwise swallow silently — comes
     back as a typed ``("unpicklable", ...)`` record instead.
     """
-    from ..core.engine import _LocalResolver
-
     engines: Optional[Dict[str, Any]] = None
     while True:
         item = task_q.get()
@@ -145,7 +141,7 @@ def _worker_main(worker_id: int, init: WorkerInit, task_q, result_q) -> None:
             if engines is None:
                 engines = open_sides(init)
             t0 = wall_clock()
-            value = run_task_body(spec, _LocalResolver(engines["L"], engines["R"]))
+            value = run_task_body(spec, engines["L"].resolver(engines["R"]))
             t1 = wall_clock()
             payload = (spec.task_id, worker_id, t0, t1, value)
         except BaseException as exc:  # noqa: BLE001 — every failure must cross the pipe typed
@@ -232,7 +228,7 @@ class ParallelExecutor:
         for i, spec in enumerate(specs):
             w = (affinity[i] if affinity is not None else i) % n
             if schedule_seed is not None:
-                w = (w + _mix64(schedule_seed ^ i)) % n
+                w = (w + mix64(schedule_seed ^ i)) % n
             queues[w].append(spec.task_id)
         inflight: List[Optional[int]] = [None] * n
         results: Dict[int, TaskResult] = {}

@@ -7,17 +7,13 @@ described by a picklable :class:`TaskSpec` and executed by
 spec's ``(side, partition id, row ids)`` references into live engines,
 datasets and verification artifacts.
 
-One resolver class exists — the engine's ``_LocalResolver``, over one
-engine per join side — and both backends use it:
-
-* under ``backend="simulated"`` it resolves against the coordinator's
-  own partitions and tries, so the body runs inline exactly as it always
-  has;
-* under ``backend="process"`` each worker resolves against its *own*
-  store-backed engines (:func:`repro.cluster.parallel.open_sides`): its
-  own memory-mapped view of the same
-  :class:`~repro.storage.store.TrajectoryStore` blocks and its own lazily
-  built tries.
+One resolver class exists, :class:`repro.core.execution.LocalResolver`
+over one engine per join side, and both backends use it: inline it
+resolves against the coordinator's own partitions and tries; on the
+process pool each worker resolves against its *own* store-backed engines
+(:func:`repro.cluster.parallel.open_sides`), which map the same
+:class:`~repro.storage.store.TrajectoryStore` blocks and build their own
+tries lazily.
 
 Because both backends run the same body through the same resolver over
 bit-identical block bytes, their results and stats are bit-identical;
@@ -147,7 +143,7 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     # the left engine's adapter drives the join; the receiving side
     # supplies trie and verifier
     recv = res.engine(spec.side)
-    part = res.dataset(send_side, send_pid)
+    part = res.engine(send_side).partition(send_pid)
     row_list = list(rows)
     datas = [res.sender_data(send_side, send_pid, r) for r in row_list]
     q_pts = [part.points(r) for r in row_list]

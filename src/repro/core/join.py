@@ -22,11 +22,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..cluster.simulator import Cluster
+from ..cluster.tasks import TaskSpec
 from ..storage.columnar import ColumnarDataset
 from .adapters import IndexAdapter
 from .bounds import endpoint_bound
 from .config import DITAConfig
 from .costmodel import BiEdge, Node, OrientationPlan, plan_join
+from .execution import EngineTask, subdivide_task
 from .global_index import GlobalIndex, min_dist_boxes
 from .numerics import slack
 from .search import SearchStats
@@ -239,9 +241,12 @@ class JoinExecutor:
         division balancing, a replicated partition's incoming tasks rotate
         across its replica workers.
         """
-        from ..cluster.tasks import TaskSpec
-        from .engine import _EngineTask, _LocalResolver
-
+        # the joint cluster namespace of _cluster_pid: placement, lineage
+        offset = self.left.n_partitions
+        right_pids = [offset + pid for pid in self.right.partition_pids()]
+        self.cluster.place_partitions(self.left.partition_pids() + right_pids)
+        self.left.runtime.register_rebuilds(self.cluster)
+        self.right.runtime.register_rebuilds(self.cluster, offset=offset)
         tracer = self.cluster.tracer
         # accumulate unconditionally: the executor's counts must not depend
         # on whether the caller passed a stats object
@@ -254,7 +259,7 @@ class JoinExecutor:
         # the shipped rows and describe each division chunk as a
         # backend-neutral task (a shipped row's verification artifacts are
         # read out of its partition's block where the chunk runs)
-        tasks: List[_EngineTask] = []
+        tasks: List[EngineTask] = []
         #: per task: (sending block, receiving engine, result order flipped)
         edge_of: List[Tuple[ColumnarDataset, object, bool]] = []
         for edge in plan.edges:
@@ -293,7 +298,7 @@ class JoinExecutor:
                 if chunk.shape[0] == 0:
                     continue
                 tasks.append(
-                    _EngineTask(
+                    EngineTask(
                         spec=TaskSpec(
                             task_id=len(tasks),
                             kind="join.chunk",
@@ -317,7 +322,7 @@ class JoinExecutor:
                 ship = None
                 edge_of.append((senders, recv_engine, send_side == "R"))
 
-        def on_result(t: _EngineTask, result) -> None:
+        def on_result(t: EngineTask, result) -> None:
             # rows in, rows out: map the receiver-side match rows and the
             # shipped sender rows to ids off the id columns
             match_lists, chunk_stats = result
@@ -331,18 +336,16 @@ class JoinExecutor:
                         results.append((min(sid, rid), max(sid, rid), dist))
                     else:
                         results.append((rid, sid, dist) if flip else (sid, rid, dist))
-            merged = SearchStats()
-            for s in chunk_stats:
-                merged.merge(s)
+            merged = SearchStats.total(chunk_stats)
             js.candidate_pairs += merged.filter.candidates
             js.verified_pairs += merged.verify.pairs
             if tracer is not None:
-                self.left._subdivide_task(tracer, merged)
+                subdivide_task(tracer, merged)
 
         # one batch: under the process backend every chunk body of every
         # edge runs on the pool together, then the simulator sees the
         # sequential schedule — per edge one ship, then its chunks in order
-        self.left._run_tasks(tasks, _LocalResolver(self.left, self.right), on_result)
+        self.left.executor.run(tasks, self.left.resolver(self.right), on_result)
         # partitions tile the data and each edge has one direction, so a
         # pair is found once
         js.result_pairs = len(results)

@@ -2,7 +2,7 @@
 
 The conclusion of the paper plans "KNN-based search and join in DITA";
 here they are a best-first distributed top-k, run by the engine's one
-``search`` coordinator (:meth:`repro.core.engine.DITAEngine._search_rows`
+``search`` coordinator (:meth:`repro.core.engine.DITAEngine.scan_rows`
 with ``k`` set, which describes the waves) over the threshold search's own
 local scan (:func:`repro.core.search.search_rows` with ``k`` set).  This
 module validates ``k``, batches queries and materializes the winners as
@@ -44,7 +44,7 @@ def knn_search_batch(
     same round runs one task for both."""
     k = check_k(k)
     queries = list(queries)
-    rows = engine._search_rows(queries, [tau] * len(queries), None, "knn", k=k)
+    rows = engine.scan_rows(queries, [tau] * len(queries), None, "knn", k=k)
     return [[(engine.partition(pid).view(row), d) for pid, row, d in nearest] for nearest in rows]
 
 
@@ -88,7 +88,7 @@ def knn_join(left_engine, right_engine, k: int) -> List[Tuple[int, int, float]]:
     k = check_k(k)
     if k == 0:
         return []
-    right_engine._sync_streams()
+    right_engine.sync_for_read()
     queries = [q for pid in right_engine.partition_pids() for q in right_engine.partition(pid)]
     out = [
         (t.traj_id, q.traj_id, d)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,14 @@ class SearchStats:
         self.relevant_partitions += other.relevant_partitions
         self.filter.merge(other.filter)
         self.verify.merge(other.verify)
+
+    @classmethod
+    def total(cls, parts: Iterable["SearchStats"]) -> "SearchStats":
+        """A fresh SearchStats summing ``parts``."""
+        out = cls()
+        for part in parts:
+            out.merge(part)
+        return out
 
 
 #: one match: (trajectory, distance)

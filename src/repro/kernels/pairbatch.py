@@ -42,7 +42,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.point import pairwise_distances
-from .wavefront import _as_matrix_pair
+from .wavefront import as_matrix_pair
 
 _INF = math.inf
 
@@ -188,7 +188,7 @@ def _checked_pairs(
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
     """Every pair validated as the per-pair kernels validate it, with the
     two length vectors (the shape of each pair's cost matrix)."""
-    pairs = [_as_matrix_pair(t, q, name) for t, q in zip(ts, qs)]
+    pairs = [as_matrix_pair(t, q, name) for t, q in zip(ts, qs)]
     n_t = np.asarray([t.shape[0] for t, _ in pairs], dtype=np.int64)
     n_q = np.asarray([q.shape[0] for _, q in pairs], dtype=np.int64)
     return pairs, n_t, n_q

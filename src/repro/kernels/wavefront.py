@@ -37,7 +37,9 @@ _INF = math.inf
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _as_matrix_pair(t: np.ndarray, q: np.ndarray, name: str) -> Tuple[np.ndarray, np.ndarray]:
+def as_matrix_pair(t: np.ndarray, q: np.ndarray, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Both operands as float64 point matrices of one dimensionality;
+    ``ValueError`` naming the distance ``name`` otherwise."""
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     if t.shape[0] == 0 or q.shape[0] == 0:
@@ -123,14 +125,14 @@ def _min_plus_sweep(
 
 def dtw_wavefront(t: np.ndarray, q: np.ndarray) -> float:
     """Exact DTW via the anti-diagonal wavefront sweep."""
-    t, q = _as_matrix_pair(t, q, "DTW")
+    t, q = as_matrix_pair(t, q, "DTW")
     value, _ = _min_plus_sweep(pairwise_distances(t, q), tau=None)
     return value
 
 
 def dtw_wavefront_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """Exact DTW when ``<= tau``, else ``inf`` (early-abandoning sweep)."""
-    t, q = _as_matrix_pair(t, q, "DTW")
+    t, q = as_matrix_pair(t, q, "DTW")
     value, _ = _min_plus_sweep(pairwise_distances(t, q), tau=tau)
     return value if value <= tau else _INF
 
@@ -193,13 +195,13 @@ def _max_min_sweep(w: np.ndarray, tau: Optional[float]) -> float:
 
 def frechet_wavefront(t: np.ndarray, q: np.ndarray) -> float:
     """Exact discrete Fréchet distance via the wavefront sweep."""
-    t, q = _as_matrix_pair(t, q, "Frechet")
+    t, q = as_matrix_pair(t, q, "Frechet")
     return _max_min_sweep(pairwise_distances(t, q), tau=None)
 
 
 def frechet_wavefront_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """Exact Fréchet when ``<= tau``, else ``inf``."""
-    t, q = _as_matrix_pair(t, q, "Frechet")
+    t, q = as_matrix_pair(t, q, "Frechet")
     value = _max_min_sweep(pairwise_distances(t, q), tau=tau)
     return value if value <= tau else _INF
 
@@ -252,7 +254,7 @@ def _edr_sweep(cost: np.ndarray, tau: Optional[float]) -> float:
 
 def edr_wavefront(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
     """Exact EDR via the wavefront sweep (integer edit count)."""
-    t, q = _as_matrix_pair(t, q, "EDR")
+    t, q = as_matrix_pair(t, q, "EDR")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     cost = (pairwise_distances(t, q) > epsilon).astype(np.float64)
@@ -263,7 +265,7 @@ def edr_wavefront_threshold(t: np.ndarray, q: np.ndarray, epsilon: float, tau: f
     """EDR when ``<= tau``, else ``inf``.  The threshold prune subsumes the
     classic ``|m - n| <= tau`` length filter and the banded DP: any cell
     with ``|i - j| > tau`` carries at least that many indels and dies."""
-    t, q = _as_matrix_pair(t, q, "EDR")
+    t, q = as_matrix_pair(t, q, "EDR")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if abs(t.shape[0] - q.shape[0]) > tau:
@@ -331,7 +333,7 @@ def _erp_sweep(
 
 
 def _erp_inputs(t: np.ndarray, q: np.ndarray, gap: np.ndarray):
-    t, q = _as_matrix_pair(t, q, "ERP")
+    t, q = as_matrix_pair(t, q, "ERP")
     g = np.asarray(gap, dtype=np.float64)
     if g.shape != (t.shape[1],):
         raise ValueError("gap point must match trajectory dimensionality")

@@ -237,16 +237,16 @@ class TestDeclaration:
         """The distance's own validation guards the adapter: a negative
         epsilon used to surface inside a task body on the first query, and
         a negative delta was accepted outright."""
-        import repro.core.engine as engine_module
+        import repro.core.runtime as runtime_module
 
         built = []
 
-        class CountingTrie(engine_module.TrieIndex):
+        class CountingTrie(runtime_module.TrieIndex):
             def __init__(self, part, config):
                 built.append(part)
                 super().__init__(part, config)
 
-        monkeypatch.setattr(engine_module, "TrieIndex", CountingTrie)
+        monkeypatch.setattr(runtime_module, "TrieIndex", CountingTrie)
         data = citywide_dataset(12, seed=3)
         with pytest.raises(ValueError):
             get_adapter(name, **params)

@@ -47,7 +47,7 @@ class TestSimilarityGraph:
     def test_symmetric_and_matches_brute_force(self, engine):
         adj = similarity_graph(engine, TAU)
         d = get_distance("dtw")
-        trajs = [t for p in engine.partitions.values() for t in p]
+        trajs = [t for pid in engine.partition_pids() for t in engine.partition(pid)]
         for a in trajs[:10]:
             for b in trajs:
                 if a.traj_id == b.traj_id:
@@ -102,7 +102,7 @@ class TestDBSCAN:
     def test_labels_cover_everything(self, engine):
         result = TrajectoryDBSCAN(eps=TAU, min_pts=3).fit(engine)
         assert set(result.labels) == {
-            t.traj_id for p in engine.partitions.values() for t in p
+            t.traj_id for pid in engine.partition_pids() for t in engine.partition(pid)
         }
 
 
@@ -214,6 +214,6 @@ class TestReadContract:
         data = citywide_dataset(120, seed=82, duplication=4)
         store = build_store(data, tmp_path / "trips.store", n_groups=2)
         engine = DITAEngine.from_store(store, DITAConfig(trie_fanout=4, num_pivots=3))
-        assert not engine.tries  # nothing loaded yet
+        assert not engine.runtime.loaded()  # nothing loaded yet
         scores = knn_outlier_scores(engine, k=1)
         assert sorted(scores) == sorted(int(i) for i in data.traj_ids)

@@ -303,7 +303,7 @@ class TestStreamingChaos:
         engine.flush_deltas()
         pids_before = engine.partition_pids()
         parts_before = {pid: engine.partition(pid) for pid in pids_before}
-        tries_before = dict(engine.tries)
+        tries_before = engine.runtime.loaded()
         engine.cluster.install_faults(
             FaultPlan(seed=1, message_drop_rate=1.0), RecoveryPolicy(max_retries=2)
         )
@@ -313,7 +313,7 @@ class TestStreamingChaos:
         # the old layout is still live, object-for-object
         assert engine.partition_pids() == pids_before
         assert all(engine.partition(pid) is parts_before[pid] for pid in pids_before)
-        assert all(engine.tries[pid] is tries_before[pid] for pid in pids_before)
+        assert all(engine.runtime.loaded()[pid] is tries_before[pid] for pid in pids_before)
         engine.cluster.clear_faults()
         want = self._streamed(city)
         want.flush_deltas()

@@ -163,3 +163,36 @@ class TestStore:
         victim.write_bytes(bytes(raw))
         assert main(["store", "verify", str(store_dir)]) == 1
         assert "CRC32" in capsys.readouterr().err
+
+
+class TestGenerations:
+    """The two commands that write a generational store root: each commits
+    a generation, and the root reopens holding exactly what went in."""
+
+    def test_store_merge_seeds_root_from_dataset(self, dataset_file, tmp_path, capsys):
+        from repro import DITAEngine
+
+        root = tmp_path / "gens"
+        args = ["store", "merge", str(root), "--dataset", str(dataset_file), "--partitions", "2"]
+        assert main(args) == 0
+        assert "committed generation 1" in capsys.readouterr().out
+        assert main(args) == 0  # a second merge advances the same root
+        assert "committed generation 2" in capsys.readouterr().out
+        reopened = DITAEngine.from_generations(root)
+        assert reopened.generations.generation == 2
+        assert len(reopened) == len(load_jsonl(dataset_file))
+
+    def test_ingest_merges_everything_into_root(self, dataset_file, tmp_path, capsys):
+        from repro import DITAEngine
+
+        root = tmp_path / "gens"
+        code = main(
+            ["ingest", str(dataset_file), "--n", "12", "--query-every", "5",
+             "--root", str(root), "--partitions", "2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        reopened = DITAEngine.from_generations(root)
+        assert f"generation: {reopened.generations.generation}" in out
+        assert reopened.generations.generation >= 1
+        assert len(reopened) == len(load_jsonl(dataset_file)) + 12

@@ -465,10 +465,10 @@ class TestEngineUnderFaults:
             FaultPlan(seed=0, worker_crash_rate=1.0, crash_after_tasks_max=1),
             PATIENT,
         )
-        before = {pid: id(t) for pid, t in engine.tries.items()}
+        before = {pid: id(t) for pid, t in engine.runtime.loaded().items()}
         query = sample_queries(fault_city, 1, seed=5)[0]
         engine.search(query, 0.01)
-        after = {pid: id(t) for pid, t in engine.tries.items()}
+        after = {pid: id(t) for pid, t in engine.runtime.loaded().items()}
         swapped = [pid for pid in before if before[pid] != after[pid]]
         assert swapped  # at least one partition was rebuilt via lineage
         assert engine.fault_report().recovered_partitions >= len(swapped)

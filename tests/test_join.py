@@ -203,7 +203,7 @@ class TestSenderCells:
         from repro import build_store
         from repro.cluster.parallel import SideInit, WorkerInit, open_sides
         from repro.cluster.tasks import TaskSpec, run_task_body
-        from repro.core.engine import _LocalResolver
+        from repro.core.execution import LocalResolver
         from repro.storage import TrajectoryStore
 
         build_store(left, tmp_path / "store", n_groups=cfg.num_global_partitions)
@@ -220,8 +220,8 @@ class TestSenderCells:
             rows = tuple(int(r) for r in engine.partition(send).alive_rows())
             for recv in pids:
                 spec = TaskSpec(0, "join.chunk", "L", recv, ("L", send, rows, 0.003, False))
-                got, got_stats = run_task_body(spec, _LocalResolver(sides["L"], sides["R"]))
-                want, want_stats = run_task_body(spec, _LocalResolver(engine))
+                got, got_stats = run_task_body(spec, LocalResolver(sides["L"], sides["R"]))
+                want, want_stats = run_task_body(spec, LocalResolver(engine))
                 assert got == want and got_stats == want_stats
                 shipped += len(rows)
         assert shipped and len(compressions) == built

@@ -398,9 +398,10 @@ class TestUnscheduledPartitions:
         engine.enable_tracing()
         query = Trajectory(999, data[3].points + 1e-4)
         assert answer(engine, query, 5) == ranked(engine.adapter, data, query, 5)
-        assert engine._unloaded
+        unloaded = set(engine.partition_pids()) - set(engine.runtime.loaded())
+        assert unloaded
         m = engine.metrics
-        assert m.value("knn.partitions_skipped") == len(engine._unloaded)
+        assert m.value("knn.partitions_skipped") == len(unloaded)
         assert m.value("knn.tasks") + m.value("knn.partitions_skipped") == engine.n_partitions
         assert 1 <= m.value("knn.waves") <= m.value("knn.tasks")
         # DPs per result can be read from the registry

@@ -29,7 +29,7 @@ from repro.cluster.parallel import (
 )
 from repro.cluster.tasks import TaskSpec, pickle_budget, run_task_body
 from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
-from repro.core.engine import _LocalResolver
+from repro.core.execution import LocalResolver
 from repro.core.join import JoinStats
 from repro.core.knn import knn_search
 from repro.core.search import SearchStats
@@ -178,10 +178,10 @@ class TestBackendParity:
     def test_pool_reused_across_calls(self, engine_pairs, queries):
         _, proc = engine_pairs("dtw")
         proc.search(queries[0], 0.01)
-        pool = proc._pool
+        pool = proc.executor.pool
         assert pool is not None
         proc.search(queries[1], 0.01)
-        assert proc._pool is pool  # same spawned workers, warm caches
+        assert proc.executor.pool is pool  # same spawned workers, warm caches
 
 
 class TestMutationParity:
@@ -310,28 +310,28 @@ class TestWorkerBootstrap:
         assert engines["L"] is not engines["R"]
 
     def test_self_join_builds_each_trie_once(self, store_path, engines_by_workers, monkeypatch):
-        import repro.core.engine as engine_module
+        import repro.core.runtime as runtime_module
 
         sim = engines_by_workers[0]
         specs = []
         # the join hands every chunk of every edge to this seam in one batch
         monkeypatch.setattr(
-            sim, "_process_outcomes", lambda tasks, resolver: specs.extend(t.spec for t in tasks)
+            sim.executor, "outcomes", lambda tasks, resolver: specs.extend(t.spec for t in tasks)
         )
         sim.self_join(0.002)
         assert specs and {s.kind for s in specs} == {"join.chunk"}
         built = []
 
-        class CountingTrie(engine_module.TrieIndex):
+        class CountingTrie(runtime_module.TrieIndex):
             def __init__(self, part, config):
                 built.append(part)
                 super().__init__(part, config)
 
-        monkeypatch.setattr(engine_module, "TrieIndex", CountingTrie)
+        monkeypatch.setattr(runtime_module, "TrieIndex", CountingTrie)
         got = _drive_worker(_worker_init(store_path), specs)
         touched = {s.partition_id for s in specs} | {s.payload[1] for s in specs}
         assert len(built) == len(touched)  # receivers and senders, once each
-        inline = _LocalResolver(sim)
+        inline = LocalResolver(sim)
         for spec in specs:  # chunk matches *and* SearchStats
             assert got[spec.task_id] == run_task_body(spec, inline)
 
@@ -353,7 +353,7 @@ class TestWorkerBootstrap:
         ]
         got = _drive_worker(_worker_init(store_path), specs)
         for spec in specs:  # matches *and* SearchStats, per task
-            assert got[spec.task_id] == run_task_body(spec, _LocalResolver(sim))
+            assert got[spec.task_id] == run_task_body(spec, LocalResolver(sim))
         self_match = (sim.partition(pid).row_of(home.traj_id), 0.0)
         assert all(self_match in got[i][0][0] for i in range(3, 48, 4))
 
@@ -405,7 +405,7 @@ class TestFailurePaths:
         """The regression this PR fixes: a dead worker used to escape as a
         raw BrokenProcessPool traceback; now it is an ExecutorError, the
         FaultReport counts it, and the pool respawns on the next call."""
-        from repro.core.engine import _EngineTask, _LocalResolver
+        from repro.core.execution import EngineTask, LocalResolver
 
         engine = DITAEngine.from_store(
             TrajectoryStore.open(store_path), _config("process"), "dtw"
@@ -413,14 +413,14 @@ class TestFailurePaths:
         try:
             baseline = _ids_and_dists(engine.search(queries[0], 0.01))
             pid = engine.partition_pids()[0]
-            crash = _EngineTask(
+            crash = EngineTask(
                 spec=TaskSpec(0, "debug.crash", "L", pid, (3,)),
                 work=1.0,
                 tag="debug.crash",
                 cluster_pid=pid,
             )
             with pytest.raises(ExecutorError) as exc:
-                engine._process_outcomes([crash], _LocalResolver(engine))
+                engine.executor.outcomes([crash], LocalResolver(engine))
             assert "died with exit code" in str(exc.value)
             assert engine.cluster.fault_report().executor_failures == 1
             # the next call respawns the pool and works

@@ -94,7 +94,7 @@ class TestIndexStructure:
         engine = DITAEngine(trajs, _cfg(ng, k))
         stored = sorted(
             int(i)
-            for trie in engine.tries.values()
+            for trie in engine.runtime.loaded().values()
             for i in trie.dataset.ids_of(np.asarray(trie.all_rows(), dtype=np.int64))
         )
         assert stored == sorted(t.traj_id for t in trajs)
@@ -103,8 +103,8 @@ class TestIndexStructure:
     @given(datasets(), st.integers(1, 3))
     def test_partition_meta_covers(self, trajs, ng):
         engine = DITAEngine(trajs, _cfg(ng, 2))
-        for pid, part in engine.partitions.items():
+        for pid in engine.partition_pids():
             meta = engine.global_index.meta(pid)
-            for t in part:
+            for t in engine.partition(pid):
                 assert meta.mbr_first.contains_point(t.first)
                 assert meta.mbr_last.contains_point(t.last)

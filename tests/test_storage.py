@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import DITAConfig
 from repro.core.engine import DITAEngine
-from repro.core.knn import knn_search
+from repro.core.knn import knn_join, knn_search
 from repro.core.search import SearchStats
 from repro.datagen import beijing_like, sample_queries
 from repro.storage.columnar import ColumnarDataset, partition_rows
@@ -153,17 +153,64 @@ class TestPruning:
                     assert pid in keep
 
 
+class TestRowReadsIndexNothing:
+    """Reading a partition's rows never builds its trie: a row scan over a
+    lazy engine — every ``partition(pid)``, a SQL table scan, a mirror for
+    another distance family, a kNN join's right side — leaves every
+    partition unindexed."""
+
+    def _read_everything(self, engine):
+        from repro.sql import DITASession
+
+        rows = sorted(
+            (int(i), engine.partition(pid).points(r).tobytes())
+            for pid in engine.partition_pids()
+            for r, i in enumerate(engine.partition(pid).traj_ids)
+        )
+        session = DITASession(DITAConfig(num_global_partitions=N_GROUPS))
+        session.register("trips", ColumnarDataset.empty(2))
+        session.catalog.get("trips").engine = engine
+        engine.append_trajectory(10**6, [(0.5, 0.5), (0.6, 0.6)])
+        assert engine.remove_trajectory(10**6)  # written to: scans read the engine
+        scanned = sorted(t.traj_id for t in session.catalog.get("trips").scan())
+        mirror = session.catalog.engine_for("trips", "frechet")
+        nearest = knn_join(DITAEngine(engine.partition(0), _cfg()), engine, 1)
+        assert len(nearest) == len(engine)
+        return rows, scanned, mirror
+
+    def _check(self, engine, data):
+        rows, scanned, mirror = self._read_everything(engine)
+        assert not engine.runtime.loaded()
+        want = sorted((int(i), data.points(data.row_of(i)).tobytes()) for i in data.traj_ids)
+        assert rows == want
+        assert scanned == sorted(int(i) for i in data.traj_ids)
+        q = list(data)[2]
+        brute = DITAEngine(data, _cfg(), "frechet")
+        assert sorted(mirror.search_ids(q, 0.01)) == sorted(brute.search_ids(q, 0.01))
+
+    def test_lazy_store_engine(self, data, store):
+        self._check(DITAEngine.from_store(store, _cfg(), lazy=True), data)
+
+    def test_just_merged_engine(self, data, tmp_path):
+        engine = DITAEngine(data, _cfg())
+        engine.attach_generations(tmp_path / "gens")
+        engine.merge()
+        assert not engine.runtime.loaded()
+        self._check(engine, data)
+
+
 class TestTrajectoryLookup:
     def test_lookup_indexes_no_partition(self, data, store):
         """Regression: ``engine.trajectory(id)`` on a lazy store engine
         indexed partition after partition until it found the id."""
         engine = DITAEngine.from_store(store, _cfg(), lazy=True)
-        unloaded = set(engine._unloaded)
+        unloaded = set(engine.partition_pids()) - set(engine.runtime.loaded())
         for tid in data.ids[::9]:
             got = engine.trajectory(tid)
             assert got.traj_id == tid
             assert np.array_equal(got.points, data.points(data.row_of(tid)))
-        assert engine._unloaded == unloaded and not engine.tries
+        assert set(engine.partition_pids()) - set(engine.runtime.loaded()) == unloaded
+        assert not engine.runtime.loaded()
 
     def test_absent_removed_and_pending_ids(self, data, store):
         engine = DITAEngine.from_store(store, DITAConfig(delta_max_rows=10_000), lazy=True)
@@ -240,13 +287,13 @@ class TestEngineParity:
 
     def test_globally_pruned_partitions_never_load(self, data, store):
         engine = DITAEngine.from_store(store, _cfg(), distance="dtw", lazy=True)
-        assert engine.partitions == {}
+        assert engine.runtime.loaded() == {}
         q = list(data)[0]
         relevant = engine.global_index.relevant_partitions(
             q.points, 1e-9, engine.adapter
         )
         engine.search(q, 1e-9)
-        assert set(engine.partitions) == set(relevant)
+        assert set(engine.runtime.loaded()) == set(relevant)
         assert set(store._parts) == set(relevant)
         if len(store.metas) > len(relevant):
             untouched = set(store.metas) - set(relevant)
@@ -286,7 +333,7 @@ class TestEngineParity:
 
 
 def _total_materializations(engine):
-    return sum(part.materializations for part in engine.partitions.values())
+    return sum(trie.dataset.materializations for trie in engine.runtime.loaded().values())
 
 
 class TestZeroCopy:

@@ -67,7 +67,7 @@ def stats_tuple(s: SearchStats):
 def bulk_twin(engine: DITAEngine, make_adapter) -> DITAEngine:
     """A freshly bulk-built engine adopting the streamed engine's live
     partition assignment (compacted, so row numbering lines up)."""
-    engine._sync_streams()
+    engine.sync_for_read()
     return DITAEngine.from_partitions(
         {pid: engine.partition(pid).compact() for pid in engine.partition_pids()},
         engine.config,
@@ -213,7 +213,7 @@ def _scripted_writes(engine, rng):
         engine.append_trajectory(5_000 + k, pts)
         new_ids.append(5_000 + k)
     engine.extend_trajectory(new_ids[0], rng.random((2, 2)) * 0.05)  # pending extend
-    base_ids = sorted(engine._id_map())[:3]
+    base_ids = sorted(engine.runtime.id_map())[:3]
     engine.extend_trajectory(base_ids[0], rng.random((3, 2)) * 0.05)  # base shadow
     assert engine.remove_trajectory(base_ids[1])  # base removal
     assert engine.remove_trajectory(new_ids[1])  # pending removal
@@ -321,14 +321,14 @@ class TestGenerations:
         eng.extend_trajectory(base[0].traj_id, [[0.03, 0.03]])
         assert eng.remove_trajectory(base[1].traj_id)
         # routing and the id map read the catalog and the id columns only
-        assert eng.tries == {}
-        dirty = set(eng._deltas)
+        assert eng.runtime.loaded() == {}
+        dirty = set(eng.runtime.pending_pids())
         q, tau = sample_queries(base, 1, seed=5)[0], 0.004
         s_live, s_twin = SearchStats(), SearchStats()
         live = eng.search_batch_rows([q], [tau], [s_live])
         touched = set(eng.global_index.relevant_partitions(q.points, tau, eng.adapter))
-        assert set(eng.tries) == dirty | touched
-        assert len(eng.tries) < eng.n_partitions
+        assert set(eng.runtime.loaded()) == dirty | touched
+        assert len(eng.runtime.loaded()) < eng.n_partitions
         twin = bulk_twin(eng, lambda: get_adapter("dtw"))
         assert live == twin.search_batch_rows([q], [tau], [s_twin])
         assert stats_tuple(s_live) == stats_tuple(s_twin)
@@ -343,9 +343,9 @@ class TestGenerations:
         small_engine.merge()
         # post-merge the engine is store-backed and unmutated: process
         # workers would map the generation blocks directly (no spill)
-        assert small_engine._store is not None
-        assert not small_engine._mutated
-        assert "gen-00001" in small_engine._ensure_snapshot()
+        assert small_engine.runtime.store is not None
+        assert not small_engine.runtime.mutated
+        assert "gen-00001" in small_engine.executor.snapshot()
 
     def test_maybe_merge_trips_on_write_fraction(self, tmp_path):
         eng = DITAEngine(
@@ -387,7 +387,7 @@ class TestRepartition:
 
     def test_repartition_reduces_skew_and_preserves_answers(self):
         eng = self._skewed()
-        eng._sync_streams()
+        eng.sync_for_read()
         before = eng.skew_ratio()
         logical = [eng.trajectory(t) for pid in eng.partition_pids() for t in eng.partition(pid).ids]
         assert eng.repartition()

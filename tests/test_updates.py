@@ -294,6 +294,20 @@ class TestGenerationCounter:
         engine.merge()
         assert engine.generation > g0
 
+    def test_flush_bumps_versions_of_flushed_pids_only(self):
+        """A flush keeps the logical rows: the generation stays, and only
+        the flushed partitions' versions move (the rule the serving cache
+        relies on)."""
+        engine, _ = self._engine()
+        pid = engine.append_trajectory(9006, [(0.04, 0.04), (0.05, 0.05)])
+        g = engine.generation
+        before = {p: engine.partition_version(p) for p in engine.partition_pids()}
+        assert engine.flush_deltas() == 1
+        assert engine.generation == g
+        after = {p: engine.partition_version(p) for p in engine.partition_pids()}
+        assert {p for p in after if after[p] != before[p]} == {pid}
+        assert after[pid] == before[pid] + 1
+
     def test_sync_for_read_folds_and_stamps(self):
         engine, base = self._engine()
         engine.append_trajectory(9005, [(0.07, 0.07)])
@@ -303,7 +317,8 @@ class TestGenerationCounter:
 
 
 class TestFlushReentrancy:
-    """`_sync_streams` must be idempotent under interleaved reads."""
+    """The flush-on-read (`sync_for_read`) must be idempotent under
+    interleaved reads."""
 
     def _engine(self):
         cfg = DITAConfig(
@@ -320,24 +335,24 @@ class TestFlushReentrancy:
         """A read issued from inside the flush machinery (the serving
         layer's interleavings) must not double-flush or observe a
         half-compacted partition set."""
-        from repro.core import engine as engine_mod
+        from repro.core import runtime as runtime_mod
 
         engine, base = self._engine()
         engine.append_trajectory(9100, base[0].points + 0.0001)
         engine.append_trajectory(9101, base[1].points + 0.0001)
 
-        real_trie = engine_mod.TrieIndex
+        real_trie = runtime_mod.TrieIndex
         reentered = []
 
         class ReentrantTrie(real_trie):
             def __init__(self, part, config, *a, **kw):
                 # simulate an interleaved read mid-flush: must be a no-op
                 pending_before = engine.n_pending
-                engine._sync_streams()
+                engine.sync_for_read()
                 reentered.append(engine.n_pending == pending_before)
                 super().__init__(part, config, *a, **kw)
 
-        monkeypatch.setattr(engine_mod, "TrieIndex", ReentrantTrie)
+        monkeypatch.setattr(runtime_mod, "TrieIndex", ReentrantTrie)
         applied = engine.flush_deltas()
         monkeypatch.undo()
         assert applied > 0
@@ -351,25 +366,25 @@ class TestFlushReentrancy:
         assert engine.search_ids(q, 0.003) == _brute(expect, q, 0.003)
 
     def test_failed_flush_restores_deltas(self, monkeypatch):
-        from repro.core import engine as engine_mod
+        from repro.core import runtime as runtime_mod
 
         engine, base = self._engine()
         engine.append_trajectory(9102, base[0].points + 0.0001)
         pending = engine.n_pending
 
-        real_trie = engine_mod.TrieIndex
+        real_trie = runtime_mod.TrieIndex
 
         class ExplodingTrie(real_trie):
             def __init__(self, *a, **kw):
                 raise RuntimeError("simulated mid-flush failure")
 
-        monkeypatch.setattr(engine_mod, "TrieIndex", ExplodingTrie)
+        monkeypatch.setattr(runtime_mod, "TrieIndex", ExplodingTrie)
         with pytest.raises(RuntimeError):
             engine.flush_deltas()
         monkeypatch.undo()
         # nothing adopted, nothing lost: pending writes are all still there
         assert engine.n_pending == pending
-        assert not engine._in_flush
+        assert not engine.runtime.in_flush
         q = base[0]
         expect = list(base) + [Trajectory(9102, base[0].points + 0.0001)]
         assert engine.search_ids(q, 0.003) == _brute(expect, q, 0.003)
