@@ -1,8 +1,10 @@
 """Kernel micro-benchmarks: wavefront DP vs. the reference loops.
 
-Times the four vectorized distance kernels (DTW, discrete Fréchet, EDR,
-ERP) against their per-cell Python loops (``tests/oracles/dp_reference.py``)
-across trajectory lengths, the threshold/early-abandon variants, the batched
+Times the vectorized distance kernels (DTW, discrete Fréchet, EDR, ERP,
+LCSS and Sakoe-Chiba banded DTW) against their per-cell Python loops
+(``tests/oracles/dp_reference.py``) across trajectory lengths, the
+threshold/early-abandon variants (LCSS's against the loop's value cut at
+``tau``), the batched
 filter-verification stages (Lemma 5.4 + Lemma 5.6 as matrix ops) against
 the per-pair loop, the Lemma 5.6 cell bound alone against the 3-D form it
 replaced (``tests/oracles/cell_bounds_reference.py``), and — at the 24 and
@@ -40,12 +42,14 @@ from oracles.cell_bounds_reference import batch_cell_bounds_reference  # noqa: E
 from oracles.dp_reference import (  # noqa: E402
     dtw_reference,
     dtw_threshold_reference,
+    dtw_window_reference,
     edr_reference,
     edr_threshold_reference,
     erp_reference,
     erp_threshold_reference,
     frechet_reference,
     frechet_threshold_reference,
+    lcss_reference,
 )
 from oracles.per_pair import cell_bound_dtw, mbr_coverage_ok  # noqa: E402
 from repro.core.verify import VerificationData
@@ -54,12 +58,16 @@ from repro.distances import (
     dtw,
     dtw_double_direction,
     dtw_threshold,
+    dtw_window,
     edr,
     edr_threshold,
     erp,
     erp_threshold,
     frechet,
     frechet_threshold,
+    lcss,
+    lcss_dissimilarity,
+    lcss_threshold,
 )
 from repro.geometry.point import pairwise_distances
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
@@ -83,6 +91,9 @@ PAIR_COUNTS = [1, 2, 6, 48, 256]
 #: candidates (256), to a join chunk's (2048)
 CELL_BOUND_ROWS = [16, 256, 2048]
 EDR_EPS = 0.002
+#: LCSS's index constraint and the Sakoe-Chiba window, in points
+LCSS_DELTA = 3
+DTW_WINDOW = 8
 CELL_SIZE = 0.004
 
 
@@ -104,6 +115,12 @@ def best_of(fn: Callable[[], object], reps: int) -> float:
     return best
 
 
+def lcss_threshold_loop(a, b, epsilon: float, delta: int, tau: float) -> float:
+    """The reference loop's LCSS dissimilarity, cut at ``tau``."""
+    value = float(min(len(a), len(b)) - lcss_reference(a, b, epsilon, delta))
+    return value if value <= tau else float("inf")
+
+
 def bench_pair(ref: Callable, vec: Callable, a, b, reps: int, *args) -> Dict[str, float]:
     ref_s = best_of(lambda: ref(a, b, *args), reps)
     vec_s = best_of(lambda: vec(a, b, *args), reps)
@@ -121,6 +138,8 @@ def bench_kernels(lengths: List[int], reps: int, rng: np.random.Generator) -> Di
         "frechet": (frechet_reference, frechet, ()),
         "edr": (edr_reference, edr, (EDR_EPS,)),
         "erp": (erp_reference, erp, (erp_gap,)),
+        "lcss": (lcss_reference, lcss, (EDR_EPS, LCSS_DELTA)),
+        "dtw_window": (dtw_window_reference, dtw_window, (DTW_WINDOW,)),
     }
     out: Dict[str, list] = {name: [] for name in kernels}
     for n in lengths:
@@ -128,7 +147,7 @@ def bench_kernels(lengths: List[int], reps: int, rng: np.random.Generator) -> Di
         for name, (ref, vec, args) in kernels.items():
             row = {"n": n, **bench_pair(ref, vec, a, b, reps, *args)}
             out[name].append(row)
-            print(f"  {name:<8} n={n:<5} ref {row['ref_s']*1e3:9.3f} ms   "
+            print(f"  {name:<10} n={n:<5} ref {row['ref_s']*1e3:9.3f} ms   "
                   f"vec {row['vec_s']*1e3:8.3f} ms   {row['speedup']:6.1f}x")
     return out
 
@@ -143,6 +162,9 @@ def bench_threshold(lengths: List[int], reps: int, rng: np.random.Generator) -> 
         "frechet_threshold": (frechet_threshold_reference, frechet_threshold, frechet, ()),
         "edr_threshold": (edr_threshold_reference, edr_threshold, edr, (EDR_EPS,)),
         "erp_threshold": (erp_threshold_reference, erp_threshold, erp, (erp_gap,)),
+        "lcss_threshold": (
+            lcss_threshold_loop, lcss_threshold, lcss_dissimilarity, (EDR_EPS, LCSS_DELTA)
+        ),
     }
     out: Dict[str, list] = {name: [] for name in variants}
     for n in lengths:

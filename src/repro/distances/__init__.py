@@ -1,4 +1,12 @@
-"""Trajectory similarity functions: DTW, Fréchet, EDR, LCSS and ERP.
+"""Trajectory similarity functions: DTW, Fréchet, EDR, LCSS, ERP and
+Hausdorff.
+
+Each module is the one wrapper layer over the kernels: it validates its
+operands once (:func:`repro.kernels.wavefront.as_matrix_pair`), builds the
+cost matrix, and runs one of the three DP sweeps — the per-pair
+min-combine or edit sweep of :mod:`repro.kernels.wavefront`, or the
+batched sweep of :mod:`repro.kernels.pairbatch`.  Hausdorff is no DP: it
+reads the row and column minima of the distance matrix.
 
 Use :func:`get_distance` to obtain one by name, e.g.
 ``get_distance("dtw")`` or ``get_distance("edr", epsilon=0.001)``.
@@ -21,7 +29,7 @@ from .frechet import (
 )
 from .hausdorff import HausdorffDistance, hausdorff, hausdorff_threshold
 from .lb import keogh_envelope, lb_keogh, lb_kim
-from .lcss import LCSSDistance, lcss, lcss_dissimilarity
+from .lcss import LCSSDistance, lcss, lcss_dissimilarity, lcss_threshold
 
 __all__ = [
     "DTWDistance",
@@ -50,5 +58,6 @@ __all__ = [
     "lb_kim",
     "lcss",
     "lcss_dissimilarity",
+    "lcss_threshold",
     "register_distance",
 ]

@@ -50,12 +50,6 @@ class TrajectoryDistance(ABC):
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         """Exact distance between point arrays ``t`` (m, d) and ``q`` (n, d)."""
 
-    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
-        """:meth:`compute` of every ``(ts[i], qs[i])``, bit for bit.  The
-        default loops; DTW and Fréchet run the pairs through shared kernel
-        sweeps (:func:`repro.kernels.pairbatch.pair_batched`)."""
-        return [self.compute(t, q) for t, q in zip(ts, qs)]
-
     def lower_bound(self, t: np.ndarray, q: np.ndarray) -> float:
         """Cheap admissible bound: ``lower_bound(t, q) <= compute(t, q)``."""
         if self.lower_bound_exempt is not None:
@@ -75,7 +69,8 @@ class TrajectoryDistance(ABC):
     ) -> List[float]:
         """:meth:`compute_threshold` of every ``(ts[i], qs[i], taus[i])``,
         bit for bit — what the verifier hands a whole task's surviving
-        pairs to.  Loops by default, like :meth:`compute_batch`."""
+        pairs to.  The default loops; DTW and Fréchet run the pairs through
+        shared kernel sweeps (:func:`repro.kernels.pairbatch.pair_batched`)."""
         return [self.compute_threshold(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
 
     def similar(self, t: np.ndarray, q: np.ndarray, tau: float) -> bool:

@@ -2,9 +2,7 @@
 
 The paper uses DTW as the default distance.  We provide:
 
-* :func:`dtw` — the exact O(mn) dynamic program of Definition 2.2,
-  executed as a vectorized anti-diagonal wavefront
-  (:mod:`repro.kernels.wavefront`);
+* :func:`dtw` — the exact O(mn) dynamic program of Definition 2.2;
 * :func:`dtw_threshold` — ``DTW(T, Q, tau)``, the threshold-constrained
   version used during verification: cells whose accumulated value exceeds
   ``tau`` are pruned and the sweep abandons early;
@@ -16,7 +14,11 @@ The paper uses DTW as the default distance.  We provide:
 * :func:`dtw_window` — a Sakoe-Chiba banded DTW (extension; not used by the
   paper's experiments but standard in the time-series literature it cites).
 
-The per-cell Python loops these replaced are differential oracles under
+All four run the min-plus form of
+:func:`~repro.kernels.wavefront.min_combine_sweep` (the band is ``inf`` cost
+outside it); many threshold pairs at once go through
+:func:`~repro.kernels.pairbatch.dtw_double_direction_batch`.  The per-cell
+Python loops these replaced are differential oracles under
 ``tests/oracles/`` (also the ``benchmarks/bench_kernels.py`` baseline).
 """
 
@@ -28,37 +30,20 @@ from typing import List, Sequence
 import numpy as np
 
 from ..geometry.point import pairwise_distances
-from ..kernels.pairbatch import dtw_batch, dtw_double_direction_batch, pair_batched
-from ..kernels.wavefront import (
-    dtw_wavefront,
-    dtw_wavefront_last_row,
-    dtw_wavefront_threshold,
-)
+from ..kernels.pairbatch import dtw_double_direction_batch, pair_batched
+from ..kernels.wavefront import as_matrix_pair, dtw_wavefront_last_row, min_combine_sweep
 from .base import TrajectoryDistance, register_distance
 
 _INF = math.inf
-
-
-def _check(t: np.ndarray, q: np.ndarray) -> tuple:
-    t = np.asarray(t, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[None, :]
-    if q.ndim == 1:
-        q = q[None, :]
-    if t.shape[0] == 0 or q.shape[0] == 0:
-        raise ValueError("DTW is undefined for empty trajectories")
-    if t.shape[1] != q.shape[1]:
-        raise ValueError(f"dimension mismatch: {t.shape[1]} vs {q.shape[1]}")
-    return t, q
 
 
 def dtw(t: np.ndarray, q: np.ndarray) -> float:
     """Exact DTW: ``v[i, j] = w[i, j] + min(v[i-1, j-1], v[i-1, j],
     v[i, j-1])`` with accumulated first row/column (Definition 2.2),
     evaluated one anti-diagonal at a time."""
-    t, q = _check(t, q)
-    return dtw_wavefront(t, q)
+    t, q = as_matrix_pair(t, q, "DTW")
+    value, _ = min_combine_sweep(pairwise_distances(t, q), None, np.add)
+    return value
 
 
 def dtw_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
@@ -68,8 +53,9 @@ def dtw_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     be on a path of total cost ``<= tau`` (costs are non-negative), so it is
     pruned; when the wavefront goes fully dead the pair is rejected.
     """
-    t, q = _check(t, q)
-    return dtw_wavefront_threshold(t, q, tau)
+    t, q = as_matrix_pair(t, q, "DTW")
+    value, _ = min_combine_sweep(pairwise_distances(t, q), tau, np.add)
+    return value if value <= tau else _INF
 
 
 def dtw_double_direction(t: np.ndarray, q: np.ndarray, tau: float) -> float:
@@ -87,7 +73,7 @@ def dtw_double_direction(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     Returns the exact DTW when ``<= tau``, else ``inf``.  Both half-sweeps
     use the wavefront kernel.
     """
-    t, q = _check(t, q)
+    t, q = as_matrix_pair(t, q, "DTW")
     m, n = t.shape[0], q.shape[0]
     if m == 1:
         total = float(np.sum(pairwise_distances(t, q)))
@@ -114,26 +100,21 @@ def dtw_double_direction(t: np.ndarray, q: np.ndarray, tau: float) -> float:
 
 
 def dtw_window(t: np.ndarray, q: np.ndarray, window: int) -> float:
-    """Sakoe-Chiba banded DTW: cells with ``|i - j| > window`` are skipped.
+    """Sakoe-Chiba banded DTW: cells with ``|i - j| > window`` are skipped
+    (they cost ``inf``), widened to ``|m - n|`` so the band reaches the
+    final cell.
 
     With ``window >= max(m, n)`` this equals exact DTW.
     """
-    t, q = _check(t, q)
+    t, q = as_matrix_pair(t, q, "DTW")
     if window < 0:
         raise ValueError("window must be non-negative")
     w = pairwise_distances(t, q)
     m, n = w.shape
-    window = max(window, abs(m - n))  # band must reach the final cell
-    v = np.full((m + 1, n + 1), _INF)
-    v[0, 0] = 0.0
-    for i in range(1, m + 1):
-        lo = max(1, i - window)
-        hi = min(n, i + window)
-        for j in range(lo, hi + 1):
-            best = min(v[i - 1, j - 1], v[i - 1, j], v[i, j - 1])
-            if np.isfinite(best):
-                v[i, j] = w[i - 1, j - 1] + best
-    return float(v[m, n])
+    i, j = np.ogrid[:m, :n]
+    w[np.abs(i - j) > max(window, abs(m - n))] = _INF
+    value, _ = min_combine_sweep(w, None, np.add)
+    return value
 
 
 @register_distance("dtw")
@@ -144,9 +125,6 @@ class DTWDistance(TrajectoryDistance):
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return dtw(t, q)
-
-    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
-        return pair_batched(dtw_batch, dtw, ts, qs)
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return dtw_double_direction(t, q, tau)

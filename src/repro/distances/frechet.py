@@ -8,39 +8,40 @@ with max-accumulated first row/column.  Because accumulation is ``max``, the
 trie does not subtract distances from the threshold when filtering for
 Fréchet (Appendix A): every level just checks ``MinDist <= tau``.
 
-:func:`frechet`/:func:`frechet_threshold` run the vectorized
-anti-diagonal wavefront (:mod:`repro.kernels.wavefront`); the per-cell
+:func:`frechet`/:func:`frechet_threshold` run the max-min form of
+:func:`~repro.kernels.wavefront.min_combine_sweep`, many threshold pairs at
+once :func:`~repro.kernels.pairbatch.frechet_threshold_batch`; the per-cell
 loops they replaced are differential oracles under ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
 
-from ..kernels.pairbatch import frechet_batch, frechet_threshold_batch, pair_batched
-from ..kernels.wavefront import frechet_wavefront, frechet_wavefront_threshold
+from ..geometry.point import pairwise_distances
+from ..kernels.pairbatch import frechet_threshold_batch, pair_batched
+from ..kernels.wavefront import as_matrix_pair, min_combine_sweep
 from .base import TrajectoryDistance, register_distance
+
+_INF = math.inf
 
 
 def frechet(t: np.ndarray, q: np.ndarray) -> float:
     """Exact discrete Fréchet distance (anti-diagonal wavefront)."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if t.shape[0] == 0 or q.shape[0] == 0:
-        raise ValueError("Frechet is undefined for empty trajectories")
-    return frechet_wavefront(t, q)
+    t, q = as_matrix_pair(t, q, "Frechet")
+    value, _ = min_combine_sweep(pairwise_distances(t, q), None, np.maximum)
+    return value
 
 
 def frechet_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """Fréchet with early abandon: cells above ``tau`` are pruned during the
     wavefront sweep; returns the exact value when ``<= tau``, else ``inf``."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if t.shape[0] == 0 or q.shape[0] == 0:
-        raise ValueError("Frechet is undefined for empty trajectories")
-    return frechet_wavefront_threshold(t, q, tau)
+    t, q = as_matrix_pair(t, q, "Frechet")
+    value, _ = min_combine_sweep(pairwise_distances(t, q), tau, np.maximum)
+    return value if value <= tau else _INF
 
 
 @register_distance("frechet")
@@ -51,9 +52,6 @@ class FrechetDistance(TrajectoryDistance):
 
     def compute(self, t: np.ndarray, q: np.ndarray) -> float:
         return frechet(t, q)
-
-    def compute_batch(self, ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> List[float]:
-        return pair_batched(frechet_batch, frechet, ts, qs)
 
     def compute_threshold(self, t: np.ndarray, q: np.ndarray, tau: float) -> float:
         return frechet_threshold(t, q, tau)

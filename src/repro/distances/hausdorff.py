@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ..geometry.point import pairwise_distances
+from ..kernels.wavefront import as_matrix_pair
 from .base import TrajectoryDistance, register_distance
 
 _INF = math.inf
@@ -21,10 +22,7 @@ _INF = math.inf
 
 def hausdorff(t: np.ndarray, q: np.ndarray) -> float:
     """Exact symmetric Hausdorff distance."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if t.shape[0] == 0 or q.shape[0] == 0:
-        raise ValueError("Hausdorff is undefined for empty trajectories")
+    t, q = as_matrix_pair(t, q, "Hausdorff")
     w = pairwise_distances(t, q)
     forward = float(w.min(axis=1).max())
     backward = float(w.min(axis=0).max())
@@ -35,8 +33,7 @@ def hausdorff_threshold(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """Hausdorff if ``<= tau`` else ``inf`` (with row-wise early abandon:
     the first row of the distance matrix whose minimum exceeds ``tau``
     settles the verdict)."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    t, q = as_matrix_pair(t, q, "Hausdorff")
     w = pairwise_distances(t, q)
     row_mins = w.min(axis=1)
     if float(row_mins.max()) > tau:

@@ -10,8 +10,11 @@ but the classics remain useful — e.g. for equal-rate feeds after
 * :func:`lb_keogh` — the banded envelope bound (requires equal lengths, as
   in the original definition).
 
-Both are true lower bounds of :func:`repro.distances.dtw.dtw`; property
-tests pin that.
+:func:`lb_kim` is a true lower bound of :func:`repro.distances.dtw.dtw`;
+:func:`lb_keogh` bounds the banded :func:`repro.distances.dtw.dtw_window` of
+the same window (the min-plus sweep over a cost matrix that is ``inf``
+outside the band), and exact DTW at the full window.  Property tests pin
+both.
 """
 
 from __future__ import annotations

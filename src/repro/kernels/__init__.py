@@ -6,18 +6,21 @@ O(mn) dynamic program runs, and the dynamic programs that do run must cost
 what the hardware allows, not what a Python interpreter allows.  This
 package delivers both:
 
-* :mod:`repro.kernels.wavefront` — anti-diagonal wavefront sweeps for the
-  four DP distances (DTW, discrete Fréchet, EDR, ERP).  Every DP cell
-  depends only on the previous two anti-diagonals, so each diagonal is one
-  vectorized ``minimum``/``maximum`` plus a shift: O(m + n) array
-  operations instead of O(mn) interpreted iterations.  Threshold variants
-  abandon as soon as two consecutive diagonals exceed ``tau``.
-* :mod:`repro.kernels.pairbatch` — the same DTW and Fréchet sweeps run
-  across *many* pairs at once: every surviving pair of a verification
-  task shares a few padded anti-diagonal sweeps, with the tables stacked
-  along a trailing batch axis.  At real trip lengths (24-40 points) this,
-  not the per-pair vectorisation, is what takes numpy's call overhead out
-  of the DP; answers are bit-identical to the per-pair kernels.
+* :mod:`repro.kernels.wavefront` — the two per-pair anti-diagonal sweeps
+  every DP distance runs on: the min-combine sweep (``np.add`` for DTW and
+  banded DTW, ``np.maximum`` for discrete Fréchet) and the edit sweep
+  (ERP, and EDR and LCSS through their substitution matrices).  Every DP
+  cell depends only on the previous two anti-diagonals, so each diagonal
+  is a few vectorized ``minimum`` calls over shifted views: O(m + n) array
+  operations instead of O(mn) interpreted iterations.  With ``tau`` set a
+  sweep abandons as soon as two consecutive diagonals exceed it.
+* :mod:`repro.kernels.pairbatch` — the min-combine sweep run across
+  *many* pairs at once, the third and last DP sweep: every surviving pair
+  of a verification task shares a few padded anti-diagonal sweeps, with
+  the tables stacked along a trailing batch axis.  At real trip lengths
+  (24-40 points) this, not the per-pair vectorisation, is what takes
+  numpy's call overhead out of threshold DTW and Fréchet; answers are
+  bit-identical to the per-pair sweep.
 * :mod:`repro.kernels.batch` — batched candidate filtering: the MBR
   coverage filter (Lemma 5.4) and the cell-compression lower bound
   (Lemma 5.6) evaluated for a whole candidate list with matrix operations
@@ -45,23 +48,8 @@ from .frontier import (
     span_drop_min,
     span_min_dist,
 )
-from .pairbatch import (
-    dtw_batch,
-    dtw_double_direction_batch,
-    frechet_batch,
-    frechet_threshold_batch,
-)
-from .wavefront import (
-    dtw_wavefront,
-    dtw_wavefront_last_row,
-    dtw_wavefront_threshold,
-    edr_wavefront,
-    edr_wavefront_threshold,
-    erp_wavefront,
-    erp_wavefront_threshold,
-    frechet_wavefront,
-    frechet_wavefront_threshold,
-)
+from .pairbatch import dtw_double_direction_batch, frechet_threshold_batch
+from .wavefront import dtw_wavefront_last_row
 
 __all__ = [
     "BatchStep",
@@ -75,17 +63,7 @@ __all__ = [
     "rows_point_box_dist",
     "span_drop_min",
     "span_min_dist",
-    "dtw_batch",
     "dtw_double_direction_batch",
-    "frechet_batch",
     "frechet_threshold_batch",
-    "dtw_wavefront",
     "dtw_wavefront_last_row",
-    "dtw_wavefront_threshold",
-    "edr_wavefront",
-    "edr_wavefront_threshold",
-    "erp_wavefront",
-    "erp_wavefront_threshold",
-    "frechet_wavefront",
-    "frechet_wavefront_threshold",
 ]

@@ -18,7 +18,7 @@ holds by construction:
   :func:`~repro.geometry.point.pairwise_distances` on that pair alone (a
   batched GEMM may block and round differently);
 * every real cell evaluates ``min(min(left, up), diag)`` combined with its
-  cost in the association :func:`~repro.kernels.wavefront._min_plus_sweep`
+  cost in the association :func:`~repro.kernels.wavefront.min_combine_sweep`
   uses — elementwise float64 operations, which do not depend on what else
   shares the slab;
 * padding is ``inf`` cost, so padded cells hold ``inf``, and a real cell's
@@ -37,7 +37,7 @@ one, not inside a frame that pads sixty short pairs up to their size.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,16 +83,15 @@ def pair_batched(
 
 def _sweep(
     tables: Sequence[np.ndarray],
-    taus: Optional[np.ndarray],
+    taus: np.ndarray,
     combine: Callable[..., np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One padded wavefront over ``tables`` (2-d float64 cost matrices).
 
     Table ``b`` follows ``V[i,j] = combine(min(V[i,j-1], V[i-1,j],
     V[i-1,j-1]), w[i-1,j-1])`` with ``V[0,0] = 0`` and ``inf`` borders —
-    ``np.add`` gives the DTW table, ``np.maximum`` the Fréchet one — and,
-    with ``taus`` (one threshold per table), cells above the table's
-    threshold become ``inf``.
+    ``np.add`` gives the DTW table, ``np.maximum`` the Fréchet one — and
+    cells above the table's threshold ``taus[b]`` become ``inf``.
 
     Returns ``(last, n_rows, n_cols)``: ``last[k, b]`` is the cell of table
     ``b``'s *last row* on diagonal ``k``, ``V_b[n_rows[b], k - n_rows[b]]``,
@@ -108,7 +107,7 @@ def _sweep(
     for b, w in enumerate(tables):
         costs[: w.shape[0], : w.shape[1], b] = w
     flat = costs.reshape(m * n, n_tables)
-    # rolling diagonal buffers indexed by padded row, as in _min_plus_sweep
+    # rolling diagonal buffers indexed by padded row, as in min_combine_sweep
     size = m + 1
     d2 = np.full((size, n_tables), _INF, dtype=np.float64)
     d2[0] = 0.0  # diagonal 0: V[0, 0] of every table
@@ -124,7 +123,7 @@ def _sweep(
         i_lo = k - n if k > n else 1
         i_hi = m if k - 1 > m else k - 1
         # the one cell outside [i_lo, i_hi] a later diagonal reads back is
-        # index 0, which carried V[0, 0] = 0 (see _min_plus_sweep)
+        # index 0, which carried V[0, 0] = 0 (see min_combine_sweep)
         cur[0] = _INF
         if n == 1:
             wd = flat[i_lo - 1 : i_hi]
@@ -135,14 +134,13 @@ def _sweep(
         minimum(d1[i_lo : i_hi + 1], d1[i_lo - 1 : i_hi], out=view)
         minimum(view, d2[i_lo - 1 : i_hi], out=view)
         combine(view, wd, out=view)
-        if taus is not None:
-            over = dead[i_lo : i_hi + 1]
-            np.greater(view, taus, out=over)
-            np.copyto(view, _INF, where=over)
-            alive = not over.all()
-            if not alive and not prev_alive:
-                break  # ``last`` keeps its inf for every diagonal not reached
-            prev_alive = alive
+        over = dead[i_lo : i_hi + 1]
+        np.greater(view, taus, out=over)
+        np.copyto(view, _INF, where=over)
+        alive = not over.all()
+        if not alive and not prev_alive:
+            break  # ``last`` keeps its inf for every diagonal not reached
+        prev_alive = alive
         # where the table's last row is off this diagonal the value taken
         # is junk; the validity range above is exactly [i_lo, i_hi]
         np.take(cur.reshape(-1), last_at, out=last[k], mode="clip")
@@ -194,49 +192,27 @@ def _checked_pairs(
     return pairs, n_t, n_q
 
 
-def _final_cells(
-    ts: Sequence[np.ndarray],
-    qs: Sequence[np.ndarray],
-    taus: Optional[np.ndarray],
-    combine: Callable[..., np.ndarray],
-    name: str,
-) -> np.ndarray:
-    """``V[m, n]`` of every pair's full table: the last element of its
-    last row."""
-    pairs, n_t, n_q = _checked_pairs(ts, qs, name)
-    out = np.empty(len(pairs), dtype=np.float64)
-    for idx in _buckets(n_t, n_q, 1):
-        # the cost matrix stays per pair: a batched GEMM may round differently
-        ws = [pairwise_distances(*pairs[i]) for i in idx.tolist()]
-        last, rows, cols = _sweep(ws, None if taus is None else taus[idx], combine)
-        out[idx] = last[rows + cols, np.arange(idx.shape[0], dtype=np.int64)]
-    return out
-
-
 def _closed_at(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """``value if value <= tau else inf``, elementwise."""
     return np.where(values <= taus, values, _INF)
-
-
-def dtw_batch(ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact DTW of every ``(ts[i], qs[i])``; bit-identical to
-    :func:`~repro.kernels.wavefront.dtw_wavefront` per pair."""
-    return _final_cells(ts, qs, None, np.add, "DTW")
-
-
-def frechet_batch(ts: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact discrete Fréchet of every pair; bit-identical to
-    :func:`~repro.kernels.wavefront.frechet_wavefront` per pair."""
-    return _final_cells(ts, qs, None, np.maximum, "Frechet")
 
 
 def frechet_threshold_batch(
     ts: Sequence[np.ndarray], qs: Sequence[np.ndarray], taus: Sequence[float]
 ) -> np.ndarray:
     """Fréchet when ``<= taus[i]`` else ``inf``; bit-identical to
-    :func:`~repro.kernels.wavefront.frechet_wavefront_threshold` per pair."""
+    :func:`repro.distances.frechet.frechet_threshold` per pair.  Each pair
+    is one full table whose answer is ``V[m, n]``, the last element of its
+    last row."""
     tau = np.asarray(taus, dtype=np.float64)
-    return _closed_at(_final_cells(ts, qs, tau, np.maximum, "Frechet"), tau)
+    pairs, n_t, n_q = _checked_pairs(ts, qs, "Frechet")
+    out = np.empty(len(pairs), dtype=np.float64)
+    for idx in _buckets(n_t, n_q, 1):
+        # the cost matrix stays per pair: a batched GEMM may round differently
+        ws = [pairwise_distances(*pairs[i]) for i in idx.tolist()]
+        last, rows, cols = _sweep(ws, tau[idx], np.maximum)
+        out[idx] = last[rows + cols, np.arange(idx.shape[0], dtype=np.int64)]
+    return _closed_at(out, tau)
 
 
 def dtw_double_direction_batch(

@@ -1,5 +1,5 @@
 """Per-cell Python loops for the DP distances: the differential oracles
-for the wavefront kernels (:mod:`repro.kernels.wavefront`) behind
+for the wavefront sweeps (:mod:`repro.kernels.wavefront`) behind
 :mod:`repro.distances`, and the baseline ``benchmarks/bench_kernels.py``
 times them against.  Moved here verbatim from ``src/repro/distances``.
 """
@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from repro.distances.dtw import _check
+from repro.distances.erp import erp_mass_bound
 from repro.geometry.point import pairwise_distances
-from repro.kernels.wavefront import erp_mass_bound
+from repro.kernels.wavefront import as_matrix_pair
 
 _INF = math.inf
 
@@ -22,7 +22,7 @@ def dtw_reference(t: np.ndarray, q: np.ndarray) -> float:
 
     Kept as the differential-testing oracle for :func:`dtw`.
     """
-    t, q = _check(t, q)
+    t, q = as_matrix_pair(t, q, "DTW")
     w = pairwise_distances(t, q)
     m, n = w.shape
     v = np.empty_like(w)
@@ -44,7 +44,7 @@ def dtw_reference(t: np.ndarray, q: np.ndarray) -> float:
 
 def dtw_threshold_reference(t: np.ndarray, q: np.ndarray, tau: float) -> float:
     """Row-by-row early-abandon DTW loop; oracle for :func:`dtw_threshold`."""
-    t, q = _check(t, q)
+    t, q = as_matrix_pair(t, q, "DTW")
     w = pairwise_distances(t, q)
     m, n = w.shape
     prev = np.cumsum(w[0, :])
@@ -72,6 +72,30 @@ def dtw_threshold_reference(t: np.ndarray, q: np.ndarray, tau: float) -> float:
             return _INF
         prev = cur
     return float(prev[n - 1]) if np.isfinite(prev[n - 1]) else _INF
+
+
+def dtw_window_reference(t: np.ndarray, q: np.ndarray, window: int) -> float:
+    """Sakoe-Chiba banded DTW: cells with ``|i - j| > window`` are skipped.
+
+    With ``window >= max(m, n)`` this equals exact DTW.  Oracle for
+    :func:`dtw_window`.
+    """
+    t, q = as_matrix_pair(t, q, "DTW")
+    if window < 0:
+        raise ValueError("window must be non-negative")
+    w = pairwise_distances(t, q)
+    m, n = w.shape
+    window = max(window, abs(m - n))  # band must reach the final cell
+    v = np.full((m + 1, n + 1), _INF)
+    v[0, 0] = 0.0
+    for i in range(1, m + 1):
+        lo = max(1, i - window)
+        hi = min(n, i + window)
+        for j in range(lo, hi + 1):
+            best = min(v[i - 1, j - 1], v[i - 1, j], v[i, j - 1])
+            if np.isfinite(best):
+                v[i, j] = w[i - 1, j - 1] + best
+    return float(v[m, n])
 
 
 def _forward_rows(w: np.ndarray, rows: int, tau: float):
@@ -230,6 +254,28 @@ def edr_threshold_reference(
     return float(prev[n]) if prev[n] <= tau else _INF
 
 
+def lcss_reference(t: np.ndarray, q: np.ndarray, epsilon: float, delta: int) -> int:
+    """Length of the longest common subsequence under ``epsilon``/``delta``;
+    oracle for :func:`lcss`."""
+    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
+    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    if epsilon < 0 or delta < 0:
+        raise ValueError("epsilon and delta must be non-negative")
+    m, n = t.shape[0], q.shape[0]
+    close = pairwise_distances(t, q) <= epsilon
+    prev = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, m + 1):
+        cur = np.zeros(n + 1, dtype=np.int64)
+        close_row = close[i - 1]
+        for j in range(1, n + 1):
+            if abs(i - j) <= delta and close_row[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
+        prev = cur
+    return int(prev[n])
+
+
 def erp_reference(t: np.ndarray, q: np.ndarray, gap: np.ndarray) -> float:
     """Exact ERP via the per-cell loop; oracle for :func:`erp`."""
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
@@ -266,7 +312,7 @@ def erp_threshold_reference(
     """Mass-bound + full-loop ERP threshold; oracle for
     :func:`erp_threshold`, using the triangle-derived lower bound
     ``|sum dist(t_i, g) - sum dist(q_j, g)| <= ERP(T, Q)`` (rounded down,
-    see :func:`~repro.kernels.wavefront.erp_mass_bound`) to abandon early.
+    see :func:`~repro.distances.erp.erp_mass_bound`) to abandon early.
     """
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))

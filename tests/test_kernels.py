@@ -1,10 +1,11 @@
 """Differential tests: wavefront kernels vs. the reference loops.
 
 The vectorized anti-diagonal sweeps must produce *identical* answers to the
-legacy per-cell Python DPs (to 1e-9) on seeded-random trajectories across
-lengths (including length-1 edge cases) and dimensions, and the threshold
-variants must be sound: never report a value below the exact distance, and
-return the exact distance whenever it is within tau.
+legacy per-cell Python DPs (to 1e-9; bit for bit for LCSS and banded DTW)
+on seeded-random trajectories across lengths (including length-1 edge
+cases) and dimensions, and the threshold variants must be sound: never
+report a value below the exact distance, and return the exact distance
+whenever it is within tau.
 """
 
 from __future__ import annotations
@@ -21,20 +22,27 @@ from oracles.dp_reference import (
     _forward_rows,
     dtw_reference,
     dtw_threshold_reference,
+    dtw_window_reference,
     edr_reference,
     erp_reference,
     frechet_reference,
+    lcss_reference,
 )
 from repro.distances import (
     dtw,
     dtw_double_direction,
     dtw_threshold,
+    dtw_window,
     edr,
     edr_threshold,
     erp,
     erp_threshold,
     frechet,
     frechet_threshold,
+    get_distance,
+    lcss,
+    lcss_dissimilarity,
+    lcss_threshold,
 )
 from repro.geometry.cell import CellSet
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, dtw_wavefront_last_row, pairbatch
@@ -72,6 +80,30 @@ def _pairs():
             yield _walk(rng, m, d), _walk(rng, n, d)
 
 
+def _near_pairs():
+    """``_pairs`` plus each first trajectory against a noisy resampling of
+    itself, so LCSS finds matches off the diagonal and bands cut paths."""
+    rng = np.random.default_rng(43)
+    for a, b in _pairs():
+        yield a, b
+        n = b.shape[0]
+        yield a, a[np.sort(rng.integers(0, a.shape[0], size=n))] + rng.normal(
+            scale=2e-4, size=(n, a.shape[1])
+        )
+
+
+#: (epsilon, delta) for LCSS: epsilon 0 (only coincident points match),
+#: delta 0 (only the diagonal), a middle band, and delta >= max(m, n)
+LCSS_PARAMS = [(0.0, 3), (EDR_EPS, 0), (EDR_EPS, 3), (EDR_EPS, 64), (0.0, 64)]
+
+#: Sakoe-Chiba windows: the diagonal alone, narrow bands, >= max(m, n)
+WINDOWS = [0, 1, 4, 64]
+
+
+def _windows(a, b):
+    return WINDOWS + [max(a.shape[0], b.shape[0])]
+
+
 class TestExactMatchesReference:
     def test_dtw(self):
         for a, b in _pairs():
@@ -90,6 +122,24 @@ class TestExactMatchesReference:
             gap = np.zeros(a.shape[1])
             assert erp(a, b, gap) == pytest.approx(erp_reference(a, b, gap), abs=1e-9)
 
+    def test_lcss(self):
+        for a, b in _near_pairs():
+            for eps, delta in LCSS_PARAMS:
+                want = lcss_reference(a, b, eps, delta)
+                assert lcss(a, b, eps, delta) == want
+                dissimilarity = min(a.shape[0], b.shape[0]) - want
+                assert lcss_dissimilarity(a, b, eps, delta) == dissimilarity
+                got = get_distance("lcss", epsilon=eps, delta=delta).compute(a, b)
+                assert _bits(got) == _bits(float(dissimilarity))
+
+    def test_dtw_window(self):
+        for a, b in _near_pairs():
+            for window in _windows(a, b):
+                want = dtw_window_reference(a, b, window)
+                assert _bits(dtw_window(a, b, window)) == _bits(want), window
+            # a band as wide as the table cuts nothing: exact DTW, bit for bit
+            assert _bits(dtw_window(a, b, max(a.shape[0], b.shape[0]))) == _bits(dtw(a, b))
+
     def test_identical_trajectories_are_exactly_zero(self):
         rng = np.random.default_rng(3)
         t = _walk(rng, 33, 2)
@@ -97,6 +147,8 @@ class TestExactMatchesReference:
         assert frechet(t, t) == 0.0
         assert edr(t, t, EDR_EPS) == 0
         assert erp(t, t, np.zeros(2)) == 0.0
+        assert lcss_dissimilarity(t, t, 0.0, 0) == 0
+        assert dtw_window(t, t, 0) == 0.0
 
 
 class TestThresholdSoundness:
@@ -128,6 +180,33 @@ class TestThresholdSoundness:
         for a, b in _pairs():
             gap = np.zeros(a.shape[1])
             self._check(erp(a, b, gap), erp_threshold, a, b, gap)
+
+    def test_lcss(self):
+        """Bit for bit the closed-threshold form of the reference loop's
+        dissimilarity, at thresholds on, between and around the integer
+        values the dissimilarity takes — including one ULP below it, where
+        the sweep's limit ``2 tau + |m - n|`` rounds up onto the value."""
+        for a, b in _near_pairs():
+            for eps, delta in LCSS_PARAMS:
+                exact = float(min(a.shape[0], b.shape[0]) - lcss_reference(a, b, eps, delta))
+                self._check(exact, lcss_threshold, a, b, eps, delta)
+                f = get_distance("lcss", epsilon=eps, delta=delta)
+                below = np.nextafter(exact, -math.inf)
+                for tau in (0.0, exact - 1, below, exact - 0.5, exact, exact + 0.5, exact + 3, math.inf):
+                    want = exact if exact <= tau else math.inf
+                    assert _bits(lcss_threshold(a, b, eps, delta, tau)) == _bits(want), tau
+                    assert _bits(f.compute_threshold(a, b, tau)) == _bits(want), tau
+
+    def test_dtw_window(self):
+        """A band only removes warping paths, so the banded value is a
+        threshold exact DTW always meets: the threshold kernel returns DTW
+        itself there, bit for bit."""
+        for a, b in _near_pairs():
+            exact = dtw(a, b)
+            for window in _windows(a, b):
+                banded = dtw_window_reference(a, b, window)
+                assert banded >= exact
+                assert _bits(dtw_threshold(a, b, banded)) == _bits(exact), window
 
     def test_dtw_threshold_matches_reference_when_within_tau(self):
         for a, b in _pairs():
@@ -213,12 +292,10 @@ def _ragged_batch(rng, shapes, d):
 
 
 def _assert_batches_bit_equal(ts, qs, tau_kinds):
-    """All four batched entry points against their per-pair kernels, with
+    """Both batched entry points against their per-pair kernels, with
     each pair's thresholds placed relative to its own exact distance."""
     full_dtw = [dtw(t, q) for t, q in zip(ts, qs)]
     full_fre = [frechet(t, q) for t, q in zip(ts, qs)]
-    assert np.array_equal(_bits(pairbatch.dtw_batch(ts, qs)), _bits(full_dtw))
-    assert np.array_equal(_bits(pairbatch.frechet_batch(ts, qs)), _bits(full_fre))
     taus = [_tau(k, d) for k, d in zip(tau_kinds, full_dtw)]
     want = [dtw_double_direction(t, q, tau) for t, q, tau in zip(ts, qs, taus)]
     got = pairbatch.dtw_double_direction_batch(ts, qs, taus)
@@ -312,11 +389,11 @@ class TestPairBatchBitIdentity:
 
     def test_rejects_what_the_per_pair_kernels_reject(self):
         ok = np.zeros((3, 2))
-        for batch in (pairbatch.dtw_batch, pairbatch.frechet_batch):
+        for batch in (pairbatch.frechet_threshold_batch, pairbatch.dtw_double_direction_batch):
             with pytest.raises(ValueError):
-                batch([ok, np.zeros((0, 2))], [ok, ok])
+                batch([ok, np.zeros((0, 2))], [ok, ok], [1.0, 1.0])
             with pytest.raises(ValueError):
-                batch([ok, ok], [ok, np.zeros((3, 3))])
+                batch([ok, ok], [ok, np.zeros((3, 3))], [1.0, 1.0])
         with pytest.raises(ValueError):
             pairbatch.dtw_double_direction_batch([np.zeros((0, 2))], [ok], [1.0])
 

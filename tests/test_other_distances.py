@@ -16,6 +16,7 @@ from repro.distances import (
     frechet,
     frechet_threshold,
     get_distance,
+    hausdorff_threshold,
     lcss,
     lcss_dissimilarity,
 )
@@ -243,3 +244,41 @@ class TestRegistry:
         d = get_distance("lcss", epsilon=1.0, delta=1)
         assert d.compute(T1, T1) == 0.0
         assert d.compute(T1, T3) == min(6, 6) - 4
+
+
+#: the name each distance's error message carries
+DISPLAY_NAMES = {
+    "dtw": "DTW", "frechet": "Frechet", "edr": "EDR",
+    "lcss": "LCSS", "erp": "ERP", "hausdorff": "Hausdorff",
+}
+
+
+class TestEmptyTrajectories:
+    """An empty trajectory matches nothing: every entry point raises a
+    ``ValueError`` naming the distance, whichever side is empty."""
+
+    EMPTY = np.empty((0, 2))
+
+    @pytest.mark.parametrize("name", sorted(DISPLAY_NAMES))
+    def test_every_distance_rejects_an_empty_side(self, name):
+        f = get_distance(name)
+        message = f"{DISPLAY_NAMES[name]} is undefined for empty trajectories"
+        for t, q in ((self.EMPTY, T1), (T1, self.EMPTY)):
+            with pytest.raises(ValueError, match=message):
+                f.compute(t, q)
+            with pytest.raises(ValueError, match=message):
+                f.compute_threshold(t, q, 1.0)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda t, q: lcss(t, q, 1.0, 1),
+            lambda t, q: lcss_dissimilarity(t, q, 1.0, 1),
+            lambda t, q: hausdorff_threshold(t, q, 1.0),
+        ],
+        ids=["lcss", "lcss_dissimilarity", "hausdorff_threshold"],
+    )
+    def test_module_functions_reject_an_empty_side(self, fn):
+        for t, q in ((self.EMPTY, T1), (T1, self.EMPTY)):
+            with pytest.raises(ValueError, match="(LCSS|Hausdorff) is undefined for empty"):
+                fn(t, q)
