@@ -165,13 +165,11 @@ class DFTEngine:
         return matches
 
     def _verify(self, pid: int, ids: Set[int], query: Trajectory, tau: float) -> List[Match]:
-        out: List[Match] = []
-        for tid in ids:
-            t = self._by_id[tid]
-            d = self.adapter.exact(t.points, query.points, tau)
-            if d <= tau:
-                out.append((t, d))
-        return out
+        trajs = [self._by_id[tid] for tid in ids]
+        dists = self.adapter.exact_batch(
+            [t.points for t in trajs], [query.points] * len(trajs), [tau] * len(trajs)
+        )
+        return [(t, d) for t, d in zip(trajs, dists) if d <= tau]
 
     def search_ids(self, query: Trajectory, tau: float) -> List[int]:
         return sorted(t.traj_id for t, _ in self.search(query, tau))

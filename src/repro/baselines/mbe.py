@@ -137,12 +137,11 @@ class MBEIndex:
         return [t for t, lb in zip(self._trajs, bounds) if lb <= tau]
 
     def search(self, query: Trajectory, tau: float) -> List[Match]:
-        matches: List[Match] = []
-        for t in self.candidates(query, tau):
-            d = self.adapter.exact(t.points, query.points, tau)
-            if d <= tau:
-                matches.append((t, d))
-        return matches
+        cands = self.candidates(query, tau)
+        dists = self.adapter.exact_batch(
+            [t.points for t in cands], [query.points] * len(cands), [tau] * len(cands)
+        )
+        return [(t, d) for t, d in zip(cands, dists) if d <= tau]
 
     def search_ids(self, query: Trajectory, tau: float) -> List[int]:
         return sorted(t.traj_id for t, _ in self.search(query, tau))

@@ -47,12 +47,11 @@ class NaiveEngine:
     # ------------------------------------------------------------------ #
 
     def _scan_partition(self, part: List[Trajectory], query: Trajectory, tau: float) -> List[Match]:
-        out: List[Match] = []
-        for t in part:
-            d = self.adapter.exact(t.points, query.points, tau)
-            if d <= tau:
-                out.append((t, d))
-        return out
+        trajs = list(part)
+        dists = self.adapter.exact_batch(
+            [t.points for t in trajs], [query.points] * len(trajs), [tau] * len(trajs)
+        )
+        return [(t, d) for t, d in zip(trajs, dists) if d <= tau]
 
     def search(self, query: Trajectory, tau: float) -> List[Match]:
         """Scan every partition (no global pruning)."""
@@ -82,11 +81,13 @@ class NaiveEngine:
                 self.cluster.ship(qid % self.cluster.n_workers, pid, nbytes)
 
                 def scan_pair(part=part, qpart=qpart):
-                    for q in qpart:
-                        for t in part:
-                            d = self.adapter.exact(t.points, q.points, tau)
-                            if d <= tau:
-                                results.append((t.traj_id, q.traj_id, d))
+                    pairs = [(t, q) for q in qpart for t in part]
+                    dists = self.adapter.exact_batch(
+                        [t.points for t, _ in pairs], [q.points for _, q in pairs], [tau] * len(pairs)
+                    )
+                    results.extend(
+                        (t.traj_id, q.traj_id, d) for (t, q), d in zip(pairs, dists) if d <= tau
+                    )
 
                 self.cluster.run_local(pid, scan_pair, work=len(part) * len(qpart))
         return results

@@ -76,13 +76,11 @@ class SimbaEngine:
     # ------------------------------------------------------------------ #
 
     def _local_search(self, pid: int, query: Trajectory, tau: float) -> List[Match]:
-        hits = self._local_rtrees[pid].search_min_dist(query.first, tau)
-        out: List[Match] = []
-        for _, t in hits:
-            d = self.adapter.exact(t.points, query.points, tau)
-            if d <= tau:
-                out.append((t, d))
-        return out
+        hits = [t for _, t in self._local_rtrees[pid].search_min_dist(query.first, tau)]
+        dists = self.adapter.exact_batch(
+            [t.points for t in hits], [query.points] * len(hits), [tau] * len(hits)
+        )
+        return [(t, d) for t, d in zip(hits, dists) if d <= tau]
 
     def search(self, query: Trajectory, tau: float) -> List[Match]:
         relevant = [pid for _, pid in self.global_rtree.search_min_dist(query.first, tau)]
@@ -127,11 +125,14 @@ class SimbaEngine:
                     r_pid % self.cluster.n_workers, l_pid, nbytes
                 )
                 def scan_pair(r_part=r_part, l_pid=l_pid):
-                    for q in r_part:
-                        for _, t in self._local_rtrees[l_pid].search_min_dist(q.first, tau):
-                            d = self.adapter.exact(t.points, q.points, tau)
-                            if d <= tau:
-                                results.append((t.traj_id, q.traj_id, d))
+                    rtree = self._local_rtrees[l_pid]
+                    pairs = [(t, q) for q in r_part for _, t in rtree.search_min_dist(q.first, tau)]
+                    dists = self.adapter.exact_batch(
+                        [t.points for t, _ in pairs], [q.points for _, q in pairs], [tau] * len(pairs)
+                    )
+                    results.extend(
+                        (t.traj_id, q.traj_id, d) for (t, q), d in zip(pairs, dists) if d <= tau
+                    )
 
                 self.cluster.run_local(l_pid, scan_pair, work=len(r_part))
         return results
