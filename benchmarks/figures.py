@@ -295,17 +295,44 @@ def verify_run(label: str) -> Tuple[Dict[str, int], float]:
     return dict(zip(VERIFY_STAGES, counts + [matches])), elapsed
 
 
+#: ext-knn's series: DITA's kNN under DTW (``dita``) against a DTW scan
+#: (``brute``), and DITA's kNN under the two max-accumulating distances
+KNN_DISTANCES = {"dita": "dtw", "frechet": "frechet", "hausdorff": "hausdorff"}
+#: per kNN query, from the engine's ``knn.*`` counters: rows the verifier
+#: took, rows its MBR stage cut (Lemma 5.4 coverage and the box bound),
+#: rows past that stage (Lemma 5.6's input plus the rows a task verifies
+#: at tau = inf, which no filter sees), DPs, and trie nodes visited
+KNN_STAGES = ("pairs", "mbr-cut", "past-mbr", "dps", "trie-nodes")
+KNN_K = 10
+
+
 def knn_ms(method: str, k: int) -> float:
     """Mean top-k time per query (ms): DITA's best-first kNN or a scan that
-    computes every distance and sorts."""
+    computes every DTW distance and sorts."""
     points = [(t.traj_id, t.points) for t in data("beijing")]
-    eng, dtw = engine("dita", "beijing"), get_distance("dtw")
+    dtw = get_distance("dtw")
 
     def brute(q: Trajectory) -> int:
         return len(sorted(((dtw.compute(p, q.points), tid) for tid, p in points))[:k])
 
-    fn = (lambda q: len(knn_search(eng, q, k))) if method == "dita" else brute
-    return per_query(fn, queries("beijing", 8))[1]
+    if method == "brute":
+        return per_query(brute, queries("beijing", 8))[1]
+    eng = engine("dita", "beijing", distance=KNN_DISTANCES[method])
+    return per_query(lambda q: len(knn_search(eng, q, k)), queries("beijing", 8))[1]
+
+
+@cached
+def knn_counts(distance: str) -> Dict[str, float]:
+    """Per query, where a k = 10 kNN's rows go (``KNN_STAGES``), read from
+    the ``knn.*`` counters of a traced engine."""
+    eng = engine("dita", "beijing", distance=distance, overrides=(("use_tracing", True),))
+    qs = queries("beijing", 8)
+    for q in qs:
+        knn_search(eng, q, KNN_K)
+    m = eng.metrics
+    pairs, cut = m.value("knn.verify.pairs"), m.value("knn.verify.pruned_by_mbr")
+    counts = (pairs, cut, pairs - cut, m.value("knn.verify.exact_computed"), m.value("knn.filter.nodes_visited"))
+    return {stage: c / len(qs) for stage, c in zip(KNN_STAGES, counts)}
 
 
 @dataclass(frozen=True)
@@ -582,10 +609,15 @@ FIGURES: Dict[str, Figure] = {
         ],
     ),
     "ext-knn": Figure(
-        "Extension: kNN search, best-first top-k vs brute force (beijing, DTW)",
+        "Extension: kNN search, best-first top-k vs brute force (beijing; DTW unless named)",
         "(future work of the paper, implemented here; exactness tested in tests/test_knn.py)",
-        [Panel("a", "time per query", "beijing", ("brute", "dita"), knn_ms, "ms", "wall", ("brute",),
-               param="k", xs=(1, 5, 10, 25))],
+        [
+            Panel("a", "time per query (brute, dita: DTW; frechet, hausdorff: DITA's kNN)", "beijing",
+                  ("brute", *KNN_DISTANCES), knn_ms, "ms", "wall", ("brute",), param="k", xs=(1, 5, 10, 25)),
+            Panel("b", f"rows per query at each stage (k = {KNN_K}, engine counters)", "beijing",
+                  tuple(KNN_DISTANCES.values()), lambda d, stage: knn_counts(d)[stage], "count",
+                  param="stage", xs=KNN_STAGES),
+        ],
     ),
 }
 

@@ -87,10 +87,14 @@ def search_rows(
     ``k=None`` is the threshold search: one round over every candidate at
     the query's ``tau``, matches in candidate order.  A finite ``k`` keeps
     the at most ``k`` rows nearest each query within its ``tau``, sorted
-    by ``(distance, trajectory id, row)``: candidates (every row while
-    ``tau`` is ``inf``, skipping the trie walk) go in endpoint-bound order,
-    ``TOPK_CHUNK`` a round at the k-th distance so far, and a query stops
-    at the first bound beyond it.
+    by ``(distance, trajectory id, row)``.  Its candidates are every row
+    in endpoint-bound order where the adapter declares that bound — at
+    kNN radii the trie walk keeps every row the bound keeps, so none runs
+    — and otherwise the trie filter's survivors (every row while ``tau``
+    is ``inf``, skipping the walk).  They go ``TOPK_CHUNK`` a round at the
+    k-th distance so far, a query stopping at the first endpoint bound
+    beyond it; the verifier's MBR stage also cuts each chunk by the box
+    bound (:meth:`Verifier.filter_rows` with ``box``), which ends no scan.
 
     A join chunk's queries are shipped rows, and ``pair_keys`` (one per
     query) fixes which member of a pair is the exact stage's first:
@@ -104,8 +108,12 @@ def search_rows(
     stats = stats if stats is not None else [None] * n
     fstats = [None if s is None else s.filter for s in stats]
     vstats = [None if s is None else s.verify for s in stats]
-    # a kNN query with no distance to prune by yet skips the trie walk
-    walk = [i for i in range(n) if k is None or math.isfinite(taus[i])]
+    # a top-k query walks the trie only where no endpoint bound orders
+    # the rows, and only with a distance to prune by
+    walk = [
+        i for i in range(n)
+        if k is None or (adapter.endpoint_bound is None and math.isfinite(taus[i]))
+    ]
     cands = [np.arange(dataset.n_rows, dtype=np.int64)] * n
     if walk:
         found = trie.filter_candidates_batch(
@@ -144,7 +152,9 @@ def search_rows(
                     continue  # sorted by bound: no later row is nearer
                 rows, at[i] = rows[at[i] : end][near], end
             kths[i] = kth
-            chunks.append(verifier.filter_rows(block, rows, kth, q_datas[i], vstats[i]))
+            chunks.append(
+                verifier.filter_rows(block, rows, kth, q_datas[i], vstats[i], box=k is not None)
+            )
         live = list(kths)
         matches = verifier.exact_rows(
             dataset, chunks, [q_points_list[i] for i in live], list(kths.values()),

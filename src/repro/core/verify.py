@@ -6,7 +6,11 @@ increasing cost:
 1. **MBR coverage filtering** (Lemma 5.4) — O(1): if ``EMBR(T, tau)`` does
    not fully cover ``MBR(Q)`` (or vice versa) some point of one trajectory
    is farther than ``tau`` from *every* point of the other, so the DTW (and
-   Fréchet) distance must exceed ``tau``.
+   Fréchet) distance must exceed ``tau``.  The top-k scan then runs the
+   same argument in quantitative form on the rows coverage keeps — each
+   side's cells against the other's MBR, summed or maxed (the *box
+   bound*) — which is linear in the cells and cuts most of a kNN chunk
+   before stage 2.
 2. **Cell-based compression** (Lemma 5.6) — O(#cells²): the per-cell
    weighted minimum-distance sum lower-bounds DTW.  For Fréchet the same
    cells give a max-based lower bound.
@@ -18,6 +22,7 @@ Cells and MBRs are precomputed at indexing time (``VerificationData``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +30,12 @@ import numpy as np
 
 from ..geometry.cell import CellSet
 from ..geometry.mbr import MBR
-from ..kernels.batch import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
+from ..kernels.batch import (
+    TrajectoryBlock,
+    batch_box_bounds,
+    batch_cell_bounds,
+    batch_mbr_coverage,
+)
 from ..trajectory.trajectory import Trajectory
 from .numerics import slack as _slack
 
@@ -117,13 +127,18 @@ class Verifier:
         tau: float,
         q_data: VerificationData,
         stats: Optional[VerifyStats] = None,
+        box: bool = False,
     ) -> np.ndarray:
         """The two filter stages over a whole candidate row list.
 
         ``rows`` are dataset row indices (the trie filter's output) and
         ``block`` is the partition's stacked verification artifacts in the
         same row space, so no id translation happens anywhere: Lemma 5.4
-        and Lemma 5.6 run as matrix operations over the block.  Returns
+        and Lemma 5.6 run as matrix operations over the block.  With
+        ``box`` the MBR stage also drops the rows Lemma 5.4 keeps whose box
+        bound (:func:`~repro.kernels.batch.batch_box_bounds`) exceeds
+        ``tau``, before Lemma 5.6 sees them; they count as pruned by the
+        MBR.  At ``tau = inf`` no stage can prune, so none runs.  Returns
         the surviving rows in candidate order, having counted the list and
         what each stage pruned.
         """
@@ -133,12 +148,19 @@ class Verifier:
             return rows
         if stats is not None:
             stats.pairs += k
+        if math.isinf(tau):
+            return rows
         slack = _slack(tau)
         if self.use_mbr_coverage:
             mask = batch_mbr_coverage(block, rows, q_data.mbr.low, q_data.mbr.high, slack)
-            if stats is not None:
-                stats.pruned_by_mbr += int(k - int(mask.sum()))
             rows = rows[np.nonzero(mask)[0]]
+            if box and rows.shape[0]:
+                bounds = batch_box_bounds(
+                    block, rows, q_data.cells, q_data.mbr.low, q_data.mbr.high, self.cell_bound
+                )
+                rows = rows[np.nonzero(bounds <= slack)[0]]
+            if stats is not None:
+                stats.pruned_by_mbr += k - int(rows.shape[0])
         if self.use_cell_filter and rows.shape[0]:
             mask = batch_cell_bounds(block, rows, q_data.cells, self.cell_bound) <= slack
             if stats is not None:

@@ -37,7 +37,7 @@ under ``tests/oracles/``; ``benchmarks/bench_kernels.py``
 measures one against the other and emits ``BENCH_kernels.json``.
 """
 
-from .batch import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
+from .batch import TrajectoryBlock, batch_box_bounds, batch_cell_bounds, batch_mbr_coverage
 from .frontier import (
     BatchStep,
     BatchVisit,
@@ -57,6 +57,7 @@ __all__ = [
     "ColumnarTrie",
     "QueryBatch",
     "TrajectoryBlock",
+    "batch_box_bounds",
     "batch_cell_bounds",
     "batch_mbr_coverage",
     "frontier_filter",

@@ -14,6 +14,10 @@ matrix operations:
 * :func:`batch_mbr_coverage` — the Lemma 5.4 coverage test for all
   candidates at once: four broadcast comparisons over ``(k, d)`` corner
   arrays.
+* :func:`batch_box_bounds` — Lemma 5.4's MBR argument in quantitative
+  form, for the top-k scan: each side's cells against the other side's
+  MBR, summed with counts or maxed.  Linear in the cells where Lemma 5.6
+  is quadratic, so it thins a chunk before the cell bound sees it.
 * :func:`batch_cell_bounds` — the Lemma 5.6 lower bound for all
   candidates: one cell-to-cell min-distance matrix over the concatenated
   candidate cells (chunked to bound memory), reduced per candidate with
@@ -173,6 +177,77 @@ def batch_mbr_coverage(
     return np.logical_and(cover_t_of_q, cover_q_of_t)
 
 
+def _box_gaps(low, high, o_low, o_high) -> np.ndarray:
+    """Squared min-distances between broadcast boxes, given one argument
+    per coordinate axis each (``low[axis]`` broadcasts against
+    ``o_high[axis]``): per axis the gap ``max(low - o_high, o_low - high,
+    0)``, squared, added axis by axis in order."""
+    sq = None
+    for axis in range(len(low)):
+        gap = low[axis] - o_high[axis]
+        np.maximum(gap, o_low[axis] - high[axis], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        np.multiply(gap, gap, out=gap)
+        sq = gap if sq is None else np.add(sq, gap, out=sq)
+    return sq
+
+
+def batch_box_bounds(
+    block: TrajectoryBlock,
+    rows: np.ndarray,
+    q_cells,
+    q_low: np.ndarray,
+    q_high: np.ndarray,
+    kind: str,
+) -> np.ndarray:
+    """A lower bound on the distance of every selected row to the query,
+    from boxes alone: the larger of the query's cells against the row's
+    MBR and the row's cells against the query's MBR (``q_low``/``q_high``).
+
+    Every point lies in its cell and in its trajectory's MBR, so a cell's
+    gap to the other side's MBR is at most its points' distance to any
+    point of the other side.  ``kind`` ``"sum"`` (DTW: every point is
+    matched at least once) adds the gaps weighted by the cells' point
+    counts; ``"max"`` (Fréchet, Hausdorff) takes the largest.  Sums run
+    left to right over each side's cells in their stored order
+    (``np.bincount`` accumulates in input order; ``add.reduceat`` would
+    sum pairwise), so a row's value does not depend on which rows share
+    the call: ``tests/oracles/box_bounds_reference.py`` is the per-pair
+    form, bit for bit.  Every array is one coordinate axis at a time, so
+    no operation runs over a trailing axis of two.
+    """
+    if kind not in ("sum", "max"):
+        raise ValueError(f"unknown cell bound kind {kind!r}")
+    k = int(rows.shape[0])
+    if k == 0:
+        return np.empty(0, dtype=np.float64)
+    # the query's cells against each row's MBR: (query cells, k)
+    q_half = q_cells.side / 2.0
+    t_low = np.take(block.mbr_low, rows, axis=0).T
+    t_high = np.take(block.mbr_high, rows, axis=0).T
+    c_low = (q_cells.centers - q_half).T[:, :, None]
+    c_high = (q_cells.centers + q_half).T[:, :, None]
+    sq = _box_gaps(c_low, c_high, t_low, t_high)
+    # the rows' cells against the query's MBR: one entry per gathered cell
+    pos, seg_starts, lens = block.gather_cells(rows)
+    centers = np.take(block.cell_centers, pos, axis=0).T
+    halves = np.take(block.cell_halves, pos)
+    cell_sq = _box_gaps(
+        [c - halves for c in centers], [c + halves for c in centers],
+        np.asarray(q_low, dtype=np.float64).tolist(), np.asarray(q_high, dtype=np.float64).tolist(),
+    )
+    if kind == "max":
+        forward = np.sqrt(sq.max(axis=0))
+        backward = np.sqrt(np.maximum.reduceat(cell_sq, seg_starts))
+    else:
+        ks = np.arange(k, dtype=np.int64)
+        weighted = np.sqrt(sq) * q_cells.counts.astype(np.float64)[:, None]
+        forward = np.bincount(np.tile(ks, sq.shape[0]), weighted.ravel(), minlength=k)
+        cell_w = np.sqrt(cell_sq) * np.take(block.cell_counts, pos)
+        backward = np.bincount(np.repeat(ks, lens), cell_w, minlength=k)
+    return np.maximum(forward, backward)
+
+
 def batch_cell_bounds(
     block: TrajectoryBlock,
     rows: np.ndarray,
@@ -220,13 +295,7 @@ def batch_cell_bounds(
             tail += 1
         c_lo = int(seg_starts[lead])
         c_hi = c_lo + cells
-        sq = None
-        for axis in range(low.shape[0]):
-            gap = low[axis, c_lo:c_hi, None] - q_high[axis]
-            np.maximum(gap, q_low[axis] - high[axis, c_lo:c_hi, None], out=gap)
-            np.maximum(gap, 0.0, out=gap)
-            np.multiply(gap, gap, out=gap)
-            sq = gap if sq is None else np.add(sq, gap, out=sq)
+        sq = _box_gaps(low[:, c_lo:c_hi, None], high[:, c_lo:c_hi, None], q_low, q_high)
         local_starts = (seg_starts[lead:tail] - c_lo).astype(np.int64)
         row_min = np.sqrt(sq.min(axis=1))
         col_min = np.sqrt(np.minimum.reduceat(sq, local_starts, axis=0))

@@ -2,10 +2,14 @@
 oracle for :func:`repro.core.search.search_rows` called with a finite ``k``.
 
 This was ``topk_rows`` in ``src/repro/core/search.py`` until the threshold
-search and the local top-k became one round-based loop; the body is moved
-here verbatim.  ``tests/test_local_scan.py`` pins the merged loop to it:
-the same ``(distance, id, row)`` lists, distances equal to the last bit,
-and the same ``VerifyStats``.
+search and the local top-k became one round-based loop; the body was moved
+here verbatim, and has since followed the contract's two changes: adapters
+with an endpoint bound take every row as candidates (no trie walk), and
+each chunk is cut by the box bound before the verifier's stages — here in
+its per-pair loop form (``oracles.box_bounds_reference``), counted as the
+verifier counts it.  ``tests/test_local_scan.py`` pins the merged loop to
+it: the same ``(distance, id, row)`` lists, distances equal to the last
+bit, and the same ``VerifyStats``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from oracles.box_bounds_reference import box_bound_reference
 from repro.core.adapters import IndexAdapter
 from repro.core.bounds import endpoint_bound
 from repro.core.numerics import slack
@@ -38,16 +43,18 @@ def topk_rows(
     ``q_points`` among those within ``tau``, as ``(distance, trajectory
     id, row)`` in that order.
 
-    One best-first pass.  The candidates — the trie filter's survivors at
-    ``tau``, every row while ``tau`` is still ``inf`` — are sorted by their
-    exact endpoint bound where the adapter declares one, and consumed a
-    chunk at a time through the verifier's two stages at the k-th distance
-    found so far; the pass stops at the first bound beyond it.  Distances
-    are ``exact_batch`` values, the ones :func:`search_rows` reports.
+    One best-first pass.  The candidates — every row sorted by its exact
+    endpoint bound where the adapter declares one; otherwise the trie
+    filter's survivors at ``tau``, every row while ``tau`` is still
+    ``inf`` — are consumed a chunk at a time at the k-th distance found so
+    far: the box cut (where the verifier runs its MBR stage), then the
+    verifier's two stages.  The pass stops at the first endpoint bound
+    beyond the k-th distance.  Distances are ``exact_batch`` values, the
+    ones :func:`search_rows` reports.
     """
     dataset = trie.dataset
     q_points = np.asarray(q_points, dtype=np.float64)
-    if math.isinf(tau):
+    if math.isinf(tau) or adapter.endpoint_bound is not None:
         rows = np.arange(dataset.n_rows, dtype=np.int64)
     else:
         rows = trie.filter_candidates(q_points, tau, adapter)
@@ -72,7 +79,19 @@ def topk_rows(
         near = bounds[at:end] <= slack(kth)
         if not near[0]:
             break  # sorted by bound: no later row is nearer
-        chunk = verifier.filter_rows(block, rows[at:end][near], kth, q_data, stats)
+        chunk = rows[at:end][near]
+        if verifier.use_mbr_coverage and math.isfinite(kth):
+            keep = [
+                box_bound_reference(block, r, q_data.cells, q_data.mbr.low, q_data.mbr.high,
+                                    verifier.cell_bound) <= slack(kth)
+                for r in chunk.tolist()
+            ]
+            cut = chunk.shape[0] - sum(keep)
+            if stats is not None:
+                stats.pairs += cut
+                stats.pruned_by_mbr += cut
+            chunk = chunk[np.asarray(keep, dtype=bool)]
+        chunk = verifier.filter_rows(block, chunk, kth, q_data, stats)
         matches = verifier.exact_rows(dataset, [chunk], [q_points], [kth], [stats])[0]
         best = sorted(best + [(d, int(dataset.traj_ids[r]), r) for r, d in matches])[:k]
         at = end

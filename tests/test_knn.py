@@ -48,6 +48,20 @@ class TestKNNSearch:
             for (gid, gd), (wid, wd) in zip(got, want):
                 assert gd == pytest.approx(wd, abs=1e-9)
 
+    @pytest.mark.parametrize("distance", ["dtw", "frechet", "hausdorff"])
+    def test_matches_brute_force_per_distance(self, city, distance):
+        """The box cut (all three) and the flat candidate source (DTW and
+        Fréchet) change which rows reach the DP, never the answer."""
+        cfg = DITAConfig(num_global_partitions=2, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4)
+        eng = DITAEngine(city, cfg, distance=distance)
+        for q in sample_queries(city, 3, seed=19, perturb=0.0003):
+            for k in (1, 10, len(city)):
+                got = [(t.traj_id, d) for t, d in knn_search(eng, q, k)]
+                want = brute_force_knn(city, q, k, distance)
+                assert [g[0] for g in got] == [w[0] for w in want], (distance, k)
+                for (_, gd), (_, wd) in zip(got, want):
+                    assert gd == pytest.approx(wd, abs=1e-9)
+
     def test_k_larger_than_dataset(self, engine, city):
         q = sample_queries(city, 1, seed=9)[0]
         got = knn_search(engine, q, len(city) + 50)
