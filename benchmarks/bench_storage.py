@@ -6,7 +6,7 @@ engine on seeded city-like datasets:
 * **parse**: flat CSV -> vectorized columnar ingest -> eager
   ``DITAEngine`` build (partitioning, tries, verification blocks);
 * **reload**: ``TrajectoryStore.open`` (catalog only) ->
-  ``DITAEngine.from_store(lazy=True)`` — partition blocks open as
+  ``DITAEngine.from_store`` — partition blocks open as
   ``np.memmap`` and only the partitions a query actually reaches are
   paged in and trie-indexed.
 
@@ -111,7 +111,7 @@ def bench_cold_start(paths: Dict, n: int, reps: int) -> Dict[str, float]:
 
     def reload() -> int:
         store = TrajectoryStore.open(paths["store"])
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         return len(engine.search(query, TAU))
 
     assert parse() == reload(), "cold-start paths must answer identically"

@@ -325,7 +325,9 @@ def knn_ms(method: str, k: int) -> float:
 def knn_counts(distance: str) -> Dict[str, float]:
     """Per query, where a k = 10 kNN's rows go (``KNN_STAGES``), read from
     the ``knn.*`` counters of a traced engine."""
-    eng = engine("dita", "beijing", distance=distance, overrides=(("use_tracing", True),))
+    # an engine of its own: tracing the cached one would trace panel (a)
+    eng = engine.__wrapped__("dita", "beijing", distance=distance)
+    eng.enable_tracing()
     qs = queries("beijing", 8)
     for q in qs:
         knn_search(eng, q, KNN_K)

@@ -39,9 +39,9 @@ def run() -> str:
         trie_fanout=4,
         num_pivots=3,
         trie_leaf_capacity=4,
-        use_tracing=True,
     )
     engine = DITAEngine(dataset, config)
+    engine.enable_tracing()
     query = sample_queries(dataset, 1, seed=SEED)[0]
 
     payload = {}

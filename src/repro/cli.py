@@ -14,7 +14,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli store verify trips.store
     python -m repro.cli store merge trips.gens --dataset trips.jsonl --groups 8
     python -m repro.cli ingest trips.jsonl --n 500 --root trips.gens
-    python -m repro.cli bench --kind citywide --n 2000 --mode join --tau 0.002
 
 Datasets are JSON-lines files (see :mod:`repro.trajectory.io`).
 """
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 from typing import List, Optional
 
 from .core.adapters import available_adapters
@@ -139,15 +137,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import format_breakdown
 
     dataset = load_jsonl(args.dataset)
-    config = DITAConfig(
-        num_global_partitions=args.partitions,
-        trie_fanout=args.fanout,
-        num_pivots=args.pivots,
-        use_tracing=True,
-        backend=args.backend,
-        num_processes=args.workers,
-    )
-    engine = DITAEngine(dataset, config, distance=args.distance)
+    engine = _engine(dataset, args)
+    engine.enable_tracing()
     if args.mode == "search":
         if args.query_id is None:
             print("error: --query-id is required for --mode search", file=sys.stderr)
@@ -296,51 +287,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import os
-    import time
-
-    dataset = _GENERATORS[args.kind](args.n, seed=args.seed)
-    queries = list(islice(dataset, args.queries))
-
-    def measure(backend: str, workers: int = 0) -> float:
-        config = DITAConfig(
-            num_global_partitions=args.partitions,
-            trie_fanout=args.fanout,
-            num_pivots=args.pivots,
-            backend=backend,
-            num_processes=workers,
-        )
-        engine = DITAEngine(dataset, config, distance=args.distance)
-        try:
-            if args.mode == "search":
-                op = lambda: [engine.search(q, args.tau) for q in queries]  # noqa: E731
-            elif args.mode == "join":
-                op = lambda: engine.self_join(args.tau)  # noqa: E731
-            else:
-                op = lambda: [knn_search(engine, q, args.k) for q in queries]  # noqa: E731
-            op()  # warm-up: spawns the pool and builds worker tries
-            best = float("inf")
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                op()
-                best = min(best, time.perf_counter() - t0)
-            return best
-        finally:
-            engine.shutdown()
-
-    base = measure("simulated")
-    print(
-        f"{args.mode} on {args.n} {args.kind} trajectories "
-        f"({args.distance}, {os.cpu_count()} cpus, min of {args.reps} reps)"
-    )
-    print(f"  sequential (simulated backend)   {base:8.3f} s")
-    for w in args.worker_counts:
-        t = measure("process", w)
-        print(f"  process backend, {w:>2} workers     {t:8.3f} s   {base / t:5.2f}x")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,28 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = store_sub.add_parser("verify", help="check every block's CRC32 against the catalog")
     q.add_argument("store")
     q.set_defaults(fn=cmd_store_verify)
-
-    p = sub.add_parser(
-        "bench", help="compare the simulated and process backends on a synthetic workload"
-    )
-    p.add_argument("--kind", choices=sorted(_GENERATORS), default="citywide")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--mode", choices=["search", "join", "knn"], default="join")
-    p.add_argument("--tau", type=float, default=0.002)
-    p.add_argument("--k", type=int, default=5, help="k for --mode knn")
-    p.add_argument("--queries", type=int, default=4, help="queries for search/knn modes")
-    p.add_argument("--reps", type=int, default=2, help="timed repetitions (min is kept)")
-    p.add_argument(
-        "--worker-counts", type=lambda s: [int(x) for x in s.split(",")],
-        default=[1, 2, 4], metavar="N,N,...",
-        help="process-pool sizes to measure (default 1,2,4)",
-    )
-    p.add_argument("--distance", default="dtw", choices=available_adapters())
-    p.add_argument("--partitions", type=int, default=4, help="NG, global partition groups")
-    p.add_argument("--fanout", type=int, default=8, help="NL, trie fanout")
-    p.add_argument("--pivots", type=int, default=4, help="K, pivots per trajectory")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "ingest", help="stream synthetic appends into a live engine (demo of the write path)"

@@ -14,8 +14,7 @@ come from a *measure hook* ``measure(fn, work) -> (result, seconds)``.
   (``Cluster(..., measure=wall_clock_measure)``).
 
 :func:`wall_clock` is the single sanctioned raw wall-clock read in the
-package; index build times and benchmarks go through it (or a clock
-injected in its place).
+package; index build times and benchmarks go through it.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Tuple
 
-#: a zero-argument monotonic time source, seconds
-ClockFn = Callable[[], float]
 #: measure hook: (thunk, work units) -> (thunk result, charged seconds)
 TaskMeasure = Callable[[Callable[[], Any], float], Tuple[Any, float]]
 
@@ -63,11 +60,10 @@ def make_fixed_cost_measure(unit_cost_s: float) -> TaskMeasure:
 
 
 class Stopwatch:
-    """Elapsed-time helper over an injectable clock (build-time metrics)."""
+    """Wall time since construction (build-time metrics)."""
 
-    def __init__(self, clock: ClockFn = wall_clock) -> None:
-        self._clock = clock
-        self._start = clock()
+    def __init__(self) -> None:
+        self._start = wall_clock()
 
     def elapsed(self) -> float:
-        return self._clock() - self._start
+        return wall_clock() - self._start

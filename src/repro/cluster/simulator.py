@@ -20,10 +20,9 @@ real cluster would pay:
 The default measure never reads the host clock, so two runs over the same
 seed yield byte-identical reports (see ``tests/test_determinism.py``).
 
-Workers expose ``cores``: charging divides task time by 1 (tasks are the
-unit of parallelism, as in Spark), but a worker with ``c`` cores runs up to
-``c`` of its queued tasks concurrently, which we model with a longest-
-processing-time greedy packing onto per-core clocks.
+A worker is one executor slot: its tasks run one after another on its
+compute clock (tasks are the unit of parallelism, as in Spark), and its
+transfers on a separate network lane.
 
 Fault tolerance (:mod:`repro.cluster.faults`): installing a
 :class:`~repro.cluster.faults.FaultPlan` makes every task attempt and every
@@ -39,8 +38,7 @@ a stateful RNG, so same seed + same plan ⇒ byte-identical reports.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import TaskMeasure, unit_cost_measure
@@ -61,44 +59,24 @@ if TYPE_CHECKING:  # deferred so untraced clusters never import repro.obs
 
 @dataclass
 class Worker:
-    """One simulated executor with ``cores`` parallel slots."""
+    """One simulated executor: a compute clock and a network lane."""
 
     worker_id: int
-    cores: int = 1
-    #: accumulated per-core busy time within the current job
-    core_clocks: List[float] = field(default_factory=list)
+    #: accumulated compute time within the current job
+    compute_s: float = 0.0
     network_s: float = 0.0
     #: False once the fault layer has crashed this worker (until reset)
     alive: bool = True
     #: task attempts started here — the fault layer's crash-point odometer
     tasks_started: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.core_clocks:
-            self.core_clocks = [0.0] * self.cores
-        self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        # (clock, core index) entries, one per core: popping yields the
-        # least busy core with ties broken by smallest index — the same
-        # core a linear min-scan would pick, so packing (and hence every
-        # report) stays byte-identical while each charge costs O(log c)
-        self._heap: List[Tuple[float, int]] = [
-            (c, i) for i, c in enumerate(self.core_clocks)
-        ]
-        heapq.heapify(self._heap)
-
-    def charge_compute(self, seconds: float) -> Tuple[int, float, float]:
-        """Greedy LPT packing: the task goes to the least busy core.
-
-        Returns ``(core, start, end)`` on that core's simulated clock (the
-        tracer's span interval; other callers ignore it)."""
-        clock, i = heapq.heappop(self._heap)
-        start = clock
-        clock += seconds
-        self.core_clocks[i] = clock
-        heapq.heappush(self._heap, (clock, i))
-        return i, start, clock
+    def charge_compute(self, seconds: float) -> Tuple[float, float]:
+        """Run a task after the worker's previous ones; returns its
+        ``(start, end)`` on the compute clock (the tracer's span interval;
+        other callers ignore it)."""
+        start = self.compute_s
+        self.compute_s += seconds
+        return start, self.compute_s
 
     def charge_network(self, seconds: float) -> Tuple[float, float]:
         """Charge the network lane; returns its ``(start, end)`` interval."""
@@ -108,18 +86,17 @@ class Worker:
 
     @property
     def busy_time(self) -> float:
-        return max(self.core_clocks) + self.network_s
+        return self.compute_s + self.network_s
 
     def reset(self) -> None:
-        """Fresh-job state: clear clocks *and* the compute heap *and* the
-        network counter *and* the fault-layer fields — back-to-back
-        experiments on one cluster must not leak simulated time, crashes
-        or crash-point progress from the previous job."""
-        self.core_clocks = [0.0] * self.cores
+        """Fresh-job state: clear both clocks *and* the fault-layer
+        fields — back-to-back experiments on one cluster must not leak
+        simulated time, crashes or crash-point progress from the previous
+        job."""
+        self.compute_s = 0.0
         self.network_s = 0.0
         self.alive = True
         self.tasks_started = 0
-        self._rebuild_heap()
 
 
 class Cluster:
@@ -127,7 +104,7 @@ class Cluster:
 
     Parameters
     ----------
-    n_workers, cores_per_worker, network, measure:
+    n_workers, network, measure:
         As before (see the module docstring).
     faults:
         Optional :class:`~repro.cluster.faults.FaultPlan` to install at
@@ -140,7 +117,6 @@ class Cluster:
     def __init__(
         self,
         n_workers: int,
-        cores_per_worker: int = 1,
         network: Optional[NetworkModel] = None,
         measure: Optional[TaskMeasure] = None,
         faults: Optional[FaultPlan] = None,
@@ -148,9 +124,7 @@ class Cluster:
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if cores_per_worker < 1:
-            raise ValueError("cores_per_worker must be >= 1")
-        self.workers = [Worker(i, cores_per_worker) for i in range(n_workers)]
+        self.workers = [Worker(i) for i in range(n_workers)]
         self.network = network or NetworkModel()
         #: how executed tasks are priced; deterministic unless the caller
         #: explicitly opts into wall-clock profiling
@@ -187,31 +161,20 @@ class Cluster:
         self.tracer = tracer
         return tracer
 
-    def _trace_compute(
+    def _trace(
         self,
         name: str,
         cat: str,
-        worker_id: int,
-        interval: Tuple[int, float, float],
-        seconds: float,
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        core, t0, t1 = interval
-        a = dict(args) if args else {}
-        a["core"] = core
-        self.tracer.record(name, cat, worker_id, t0, t1, seconds=seconds, args=a)
-
-    def _trace_network(
-        self,
-        name: str,
         worker_id: int,
         interval: Tuple[float, float],
         seconds: float,
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """Record one charge: ``interval`` is the ``(start, end)`` a
+        worker's compute clock or network lane returned for it."""
         t0, t1 = interval
         self.tracer.record(
-            name, "net", worker_id, t0, t1, seconds=seconds, args=dict(args) if args else {}
+            name, cat, worker_id, t0, t1, seconds=seconds, args=dict(args) if args else {}
         )
 
     # ------------------------------------------------------------------ #
@@ -277,10 +240,6 @@ class Cluster:
     def n_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def total_cores(self) -> int:
-        return sum(w.cores for w in self.workers)
-
     def place_partitions(self, partition_ids: List[int]) -> None:
         """Round-robin placement, Spark's default for freshly built RDDs."""
         for i, pid in enumerate(partition_ids):
@@ -341,7 +300,7 @@ class Cluster:
             interval = self.workers[new_wid].charge_compute(cost)
             session.report.rebuild_compute_s += cost
             if self.tracer is not None:
-                self._trace_compute(
+                self._trace(
                     "recover.rebuild", "fault", new_wid, interval, cost,
                     {"partition": partition_id},
                 )
@@ -404,7 +363,7 @@ class Cluster:
                 interval = w.charge_compute(wasted)
                 session.report.wasted_compute_s += wasted
                 if self.tracer is not None:
-                    self._trace_compute(
+                    self._trace(
                         "task.failed", "fault", wid, interval, wasted,
                         {"seq": seq, "attempt": attempt},
                     )
@@ -415,7 +374,7 @@ class Cluster:
                 interval = w.charge_compute(backoff)
                 session.report.backoff_wait_s += backoff
                 if self.tracer is not None:
-                    self._trace_compute(
+                    self._trace(
                         "task.backoff", "fault", wid, interval, backoff,
                         {"seq": seq, "attempt": attempt},
                     )
@@ -439,7 +398,7 @@ class Cluster:
                     if t_cost < slowed:
                         session.report.speculative_wins += 1
                     if self.tracer is not None:
-                        self._trace_compute(
+                        self._trace(
                             "task.speculative", "fault", target, interval, charged,
                             {"seq": seq, "home": wid},
                         )
@@ -452,7 +411,7 @@ class Cluster:
                 args: Dict[str, Any] = {"seq": seq, "work": work}
                 if partition_id is not None:
                     args["partition"] = partition_id
-                self._trace_compute(tag or "task", "task", wid, interval, charged, args)
+                self._trace(tag or "task", "task", wid, interval, charged, args)
             return result
 
     # ------------------------------------------------------------------ #
@@ -477,7 +436,7 @@ class Cluster:
         self._report.total_compute_s += elapsed
         self._report.tasks += 1
         if self.tracer is not None:
-            self._trace_compute(
+            self._trace(
                 tag or "task", "task", wid, interval, elapsed,
                 {"partition": partition_id, "work": work},
             )
@@ -501,7 +460,7 @@ class Cluster:
         self._report.total_compute_s += elapsed
         self._report.tasks += 1
         if self.tracer is not None:
-            self._trace_compute(
+            self._trace(
                 tag or "task", "task", worker_id, interval, elapsed, {"work": work}
             )
         return result
@@ -520,7 +479,7 @@ class Cluster:
         self._report.total_compute_s += seconds
         self._report.tasks += 1
         if self.tracer is not None:
-            self._trace_compute(
+            self._trace(
                 tag or "task", "task", wid, interval, seconds,
                 {"partition": partition_id},
             )
@@ -552,8 +511,8 @@ class Cluster:
         self._report.total_compute_s += seconds
         self._report.tasks += 1
         if self.tracer is not None:
-            self._trace_compute(tag, "serve", worker_id, interval, seconds, args)
-        return interval[2]
+            self._trace(tag, "serve", worker_id, interval, seconds, args)
+        return interval[1]
 
     def ship(self, src_partition: int, dst_partition: int, nbytes: int) -> float:
         """Account a data transfer between two partitions' workers.
@@ -578,8 +537,8 @@ class Cluster:
             self._report.total_network_bytes += nbytes
             if self.tracer is not None:
                 args = {"src": src_partition, "dst": dst_partition, "nbytes": nbytes}
-                self._trace_network("ship.send", src_w, send_iv, t, args)
-                self._trace_network("ship.recv", dst_w, recv_iv, t, args)
+                self._trace("ship.send", "net", src_w, send_iv, t, args)
+                self._trace("ship.recv", "net", dst_w, recv_iv, t, args)
             return t
         src_w = self.worker_of(src_partition)
         if not self._worker_alive(src_w):
@@ -601,8 +560,8 @@ class Cluster:
             session.report.resend_network_s += wasted + t
             if self.tracer is not None:
                 args = {"seq": seq, "attempt": attempt, "nbytes": nbytes}
-                self._trace_network("ship.dropped.send", src_w, send_iv, wasted, args)
-                self._trace_network("ship.dropped.recv", dst_w, recv_iv, t, args)
+                self._trace("ship.dropped.send", "net", src_w, send_iv, wasted, args)
+                self._trace("ship.dropped.recv", "net", dst_w, recv_iv, t, args)
             if attempt >= policy.max_retries:
                 session.report.abandoned_tasks += 1
                 raise TaskAbandonedError(f"message {seq}", attempt + 1)
@@ -610,8 +569,8 @@ class Cluster:
             backoff_iv = self.workers[src_w].charge_network(backoff)
             session.report.backoff_wait_s += backoff
             if self.tracer is not None:
-                self._trace_network(
-                    "ship.backoff", src_w, backoff_iv, backoff,
+                self._trace(
+                    "ship.backoff", "net", src_w, backoff_iv, backoff,
                     {"seq": seq, "attempt": attempt},
                 )
             session.report.message_resends += 1
@@ -622,8 +581,8 @@ class Cluster:
         self._report.total_network_bytes += nbytes
         if self.tracer is not None:
             args = {"src": src_partition, "dst": dst_partition, "nbytes": nbytes}
-            self._trace_network("ship.send", src_w, send_iv, t, args)
-            self._trace_network("ship.recv", dst_w, recv_iv, t, args)
+            self._trace("ship.send", "net", src_w, send_iv, t, args)
+            self._trace("ship.recv", "net", dst_w, recv_iv, t, args)
         return t
 
     # ------------------------------------------------------------------ #

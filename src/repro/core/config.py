@@ -2,7 +2,29 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
+
+#: numeric field -> (lower bound, bound allowed, integer-valued)
+_BOUNDS = {
+    "num_global_partitions": (1, True, True),
+    "trie_fanout": (1, True, True),
+    "num_pivots": (0, True, True),
+    "trie_leaf_capacity": (1, True, True),
+    "cell_size": (0, False, False),
+    "comp_time_per_pair": (0, False, False),
+    "network_bandwidth": (0, False, False),
+    "num_processes": (0, True, True),
+    "delta_max_rows": (1, True, True),
+    "repartition_skew_ratio": (1, True, False),
+    "max_inflight": (1, True, True),
+    "tenant_rate": (0, False, False),
+    "tenant_burst": (1, True, False),
+    "serving_queue_depth": (1, True, True),
+    "result_cache_bytes": (0, True, True),
+    "seed": (0, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -12,7 +34,7 @@ class DITAConfig:
     Defaults follow the paper's Table 3 (scaled where the paper's default
     depends on dataset size): ``num_global_partitions`` is the paper's
     ``NG`` (total partitions = NG * NG), ``trie_fanout`` is ``NL``,
-    ``num_pivots`` is ``K``.
+    ``num_pivots`` is ``K``.  ``docs/TUNING.md`` names who sets each field.
     """
 
     #: NG — first-level and second-level global partition counts.
@@ -26,20 +48,13 @@ class DITAConfig:
     #: minimum trajectories in a trie node before we stop splitting
     #: (the paper stops at 16 by default, Appendix B).
     trie_leaf_capacity: int = 16
-    #: side length for cell-based compression, D of Lemma 5.6.  When None it
-    #: is derived from the expected threshold (2 * tau is a good default).
+    #: side length D of the cells of Lemma 5.6's compression; about the
+    #: query threshold works well (the default suits tau in 0.001..0.005).
     cell_size: float = 0.004
     #: cost-model lambda numerator pieces: average verification time per
     #: candidate pair (Delta, seconds) and network bandwidth (B, bytes/s).
     comp_time_per_pair: float = 2e-5
     network_bandwidth: float = 125e6  # 1 Gbps in bytes/s
-    #: enable the Lemma 5.1 suffix optimization during trie filtering.
-    use_suffix_pruning: bool = True
-    #: install the observability layer (:mod:`repro.obs`): a span tracer on
-    #: the engine's cluster plus a metrics registry on the engine.  Results
-    #: are identical either way; off (the default) costs one attribute
-    #: check per task.
-    use_tracing: bool = False
     #: task execution backend.  ``"simulated"`` (the default) runs every
     #: task body inline on the deterministic cluster simulator — byte-
     #: identical to all prior releases.  ``"process"`` runs the *same*
@@ -57,10 +72,6 @@ class DITAConfig:
     #: base block — and the partition's trie rebuilt — once it holds this
     #: many pending rows, instead of waiting for the next read.
     delta_max_rows: int = 256
-    #: trigger a background merge (compaction into a new catalog
-    #: generation) once rows written since the last merge exceed this
-    #: fraction of the indexed rows; see ``DITAEngine.maybe_merge``.
-    merge_trigger: float = 0.25
     #: trigger online repartitioning once the largest partition exceeds
     #: this multiple of the mean partition size; see
     #: ``DITAEngine.maybe_repartition``.
@@ -80,46 +91,28 @@ class DITAConfig:
     #: serving layer: result-cache capacity in (estimated) bytes; 0
     #: disables the result cache.
     result_cache_bytes: int = 4 * 1024 * 1024
-    #: enable the MBR coverage filter (Lemma 5.4) during verification.
-    use_mbr_coverage: bool = True
-    #: enable the cell-based lower bound (Lemma 5.6) during verification.
-    use_cell_filter: bool = True
-    #: random seed for sampling steps.
+    #: the seed of the run's data, carried with the configuration.
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_global_partitions < 1:
-            raise ValueError("num_global_partitions must be >= 1")
-        if self.trie_fanout < 1:
-            raise ValueError("trie_fanout must be >= 1")
-        if self.num_pivots < 0:
-            raise ValueError("num_pivots must be >= 0")
+        for name, (low, closed, integral) in _BOUNDS.items():
+            value = getattr(self, name)
+            kind = Integral if integral else Real
+            ok = (
+                isinstance(value, kind)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value >= low if closed else value > low)
+            )
+            if not ok:
+                what = "an integer" if integral else "a finite number"
+                raise ValueError(
+                    f"{name} must be {what} {'>=' if closed else '>'} {low}, got {value!r}"
+                )
         if self.pivot_strategy not in ("inflection", "neighbor", "first_last"):
             raise ValueError(f"unknown pivot strategy {self.pivot_strategy!r}")
-        if self.trie_leaf_capacity < 1:
-            raise ValueError("trie_leaf_capacity must be >= 1")
-        if self.cell_size is not None and self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        if self.delta_max_rows < 1:
-            raise ValueError("delta_max_rows must be >= 1")
-        if self.merge_trigger <= 0:
-            raise ValueError("merge_trigger must be positive")
-        if self.repartition_skew_ratio < 1:
-            raise ValueError("repartition_skew_ratio must be >= 1")
         if self.backend not in ("simulated", "process"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.num_processes < 0:
-            raise ValueError("num_processes must be >= 0")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.tenant_rate <= 0:
-            raise ValueError("tenant_rate must be positive")
-        if self.tenant_burst < 1:
-            raise ValueError("tenant_burst must be >= 1")
-        if self.serving_queue_depth < 1:
-            raise ValueError("serving_queue_depth must be >= 1")
-        if self.result_cache_bytes < 0:
-            raise ValueError("result_cache_bytes must be >= 0")
 
     @property
     def cost_lambda(self) -> float:

@@ -28,9 +28,9 @@ prunes are never read at all)::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..cluster.clock import Stopwatch, wall_clock
+from ..cluster.clock import Stopwatch
 from ..cluster.simulator import Cluster
 from ..cluster.tasks import TaskSpec
 from ..obs import MetricsRegistry
@@ -66,10 +66,10 @@ class DITAEngine:
     cluster:
         The simulated cluster; defaults to one worker per partition group
         (capped at 16).
-    clock:
-        Time source for the (real) index-build measurement; defaults to
-        the wall clock.  Simulated metrics never use it — they are priced
-        by the cluster's deterministic measure hook.
+
+    ``build_time_s`` is the construction's wall time; simulated metrics
+    never read it — they are priced by the cluster's deterministic
+    measure hook.
     """
 
     def __init__(
@@ -78,11 +78,10 @@ class DITAEngine:
         config: Optional[DITAConfig] = None,
         distance: "str | IndexAdapter" = "dtw",
         cluster: Optional[Cluster] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         config = config or DITAConfig()
         data = ColumnarDataset.from_trajectories(dataset)
-        watch = Stopwatch(clock or wall_clock)
+        watch = Stopwatch()
         groups = partition_trajectories(data, config.num_global_partitions)
         self._open(config, distance, cluster, watch, dict(enumerate(groups)))
 
@@ -93,20 +92,17 @@ class DITAEngine:
         config: Optional[DITAConfig] = None,
         distance: "str | IndexAdapter" = "dtw",
         cluster: Optional[Cluster] = None,
-        clock: Optional[Callable[[], float]] = None,
-        lazy: bool = True,
     ) -> "DITAEngine":
         """Cold-start an engine from a persisted
         :class:`~repro.storage.store.TrajectoryStore`, adopting its
         partitioning: the global index comes from catalog metadata alone,
-        and with ``lazy=True`` a partition's block and trie are loaded only
-        when a query or write first reaches it — globally pruned partitions
-        are never read.  Results and stats equal ``lazy=False`` and a bulk
-        build with the store's ``n_groups``; blocks are not re-validated.
+        and a partition's block and trie are loaded only when a query or
+        write first reaches it — globally pruned partitions are never read.
+        Results and stats equal a bulk build with the store's
+        ``n_groups``; blocks are not re-validated.
         """
         self = cls.__new__(cls)
-        watch = Stopwatch(clock or wall_clock)
-        self._open(config or DITAConfig(), distance, cluster, watch, {}, store, lazy)
+        self._open(config or DITAConfig(), distance, cluster, Stopwatch(), {}, store)
         return self
 
     @classmethod
@@ -116,7 +112,6 @@ class DITAEngine:
         config: Optional[DITAConfig] = None,
         distance: "str | IndexAdapter" = "dtw",
         cluster: Optional[Cluster] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> "DITAEngine":
         """Bulk-build an engine adopting a *given* partition assignment
         verbatim (``{pid: dataset}``; empty partitions are dropped).
@@ -127,7 +122,7 @@ class DITAEngine:
         numbering and (therefore) byte-identical query results and stats.
         """
         self = cls.__new__(cls)
-        watch = Stopwatch(clock or wall_clock)
+        watch = Stopwatch()
         adopted = {int(pid): part for pid, part in parts.items()}
         self._open(config or DITAConfig(), distance, cluster, watch, adopted)
         return self
@@ -151,22 +146,18 @@ class DITAEngine:
         watch: Stopwatch,
         partitions: Dict[int, ColumnarDataset],
         store=None,
-        lazy: bool = True,
     ) -> None:
         """The construction path every constructor shares; they differ
         only in where the runtime's ``partitions`` and ``store`` come from."""
-        if isinstance(distance, str):
-            distance = get_adapter(distance, use_suffix_pruning=config.use_suffix_pruning)
-        self.adapter = distance
-        self.verifier = Verifier(self.adapter, config.use_mbr_coverage, config.use_cell_filter)
-        #: the observability layer (None until tracing is enabled)
+        self.adapter = get_adapter(distance) if isinstance(distance, str) else distance
+        #: the filter chain; an ablation swaps in ``Verifier(adapter, mbr, cells)``
+        self.verifier = Verifier(self.adapter)
+        #: the observability layer (None until :meth:`enable_tracing`)
         self.metrics: Optional[MetricsRegistry] = None
-        self.runtime = PartitionRuntime(config, cluster, partitions, store, lazy)
+        self.runtime = PartitionRuntime(config, cluster, partitions, store)
         self.cluster = self.runtime.cluster
         self.executor = TaskExecutor(self)
         self.build_time_s = watch.elapsed()
-        if config.use_tracing:
-            self.enable_tracing()
 
     # ------------------------------------------------------------------ #
     # partitions (see PartitionRuntime)
@@ -315,7 +306,7 @@ class DITAEngine:
         return self.runtime.merge(prune)
 
     def maybe_merge(self, prune: bool = False) -> bool:
-        """:meth:`merge` once the writes since the last pass ``merge_trigger``."""
+        """:meth:`merge` once the writes since the last pass ``MERGE_TRIGGER``."""
         return self.runtime.maybe_merge(prune)
 
     def skew_ratio(self) -> float:

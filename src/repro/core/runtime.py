@@ -26,14 +26,17 @@ from .trie import TrieIndex
 #: a partition layout: pid -> its trie, or None for a not yet indexed store block
 Layout = Dict[int, Optional[TrieIndex]]
 
+#: :meth:`PartitionRuntime.maybe_merge` merges once the rows written since
+#: the last merge pass this fraction of the engine's rows
+MERGE_TRIGGER = 0.25
+
 
 class PartitionRuntime:
     """The partitions of one engine: ``parts`` in memory, validated and
     bulk-indexed here (empty ones dropped), and ``store`` blocks, mapped
-    and indexed on demand — or up front with ``lazy=False``.  The
-    ``cluster`` (default: a worker per partition, at most 16) places them,
-    holds their lineage and runs a merge's writes and a repartition's
-    transfers."""
+    and indexed on demand.  The ``cluster`` (default: a worker per
+    partition, at most 16) places them, holds their lineage and runs a
+    merge's writes and a repartition's transfers."""
 
     def __init__(
         self,
@@ -41,7 +44,6 @@ class PartitionRuntime:
         cluster: Optional[Cluster],
         parts: Dict[int, ColumnarDataset],
         store=None,
-        lazy: bool = True,
     ) -> None:
         self.config = config
         parts = {pid: part for pid, part in sorted(parts.items()) if len(part)}
@@ -72,9 +74,6 @@ class PartitionRuntime:
         layout: Layout = {pid: self.build_index(part) for pid, part in parts.items()}
         layout.update(dict.fromkeys(unloaded))
         self.install(layout, store)
-        if not lazy:
-            for pid in unloaded:
-                self.trie(pid)
 
     def build_index(self, part: ColumnarDataset) -> TrieIndex:
         """A partition's trie, its verification artifacts stacked now so
@@ -370,13 +369,13 @@ class PartitionRuntime:
 
     def maybe_merge(self, prune: bool = False) -> bool:
         """Merge once the rows written since the last merge exceed
-        ``merge_trigger`` × the size (False without a generational store)."""
+        :data:`MERGE_TRIGGER` × the size (False without a generational store)."""
         if self.generations is None:
             return False
         total = len(self)
         if total == 0:
             return False
-        if self.rows_since_merge / total < self.config.merge_trigger:
+        if self.rows_since_merge / total < MERGE_TRIGGER:
             return False
         self.merge(prune=prune)
         return True

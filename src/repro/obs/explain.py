@@ -18,9 +18,7 @@ _ACCOUNTING_CATS = ("task", "net", "fault")
 
 #: span args that identify *which* task/transfer a span belongs to; summing
 #: them across a row would be meaningless, so the table drops them
-_IDENTITY_ARGS = frozenset(
-    {"core", "partition", "seq", "attempt", "src", "dst", "home"}
-)
+_IDENTITY_ARGS = frozenset({"partition", "seq", "attempt", "src", "dst", "home"})
 
 
 def accounted_spans(spans: Sequence[Span]) -> List[Span]:

@@ -193,10 +193,10 @@ class CandidateCache:
     logical content must still invalidate them).
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    #: entries kept; the least recently used goes first
+    MAX_ENTRIES = 4096
+
+    def __init__(self) -> None:
         #: key -> list of (pid, version, cost_s)
         self._entries: "OrderedDict[tuple, List[Tuple[int, int, float]]]" = OrderedDict()
         self.stats = CacheStats()
@@ -225,6 +225,6 @@ class CandidateCache:
         ]
         self._entries.move_to_end(key)
         self.stats.stored += 1
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

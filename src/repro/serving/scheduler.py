@@ -37,18 +37,17 @@ class CostModel:
 
     #: bootstrap estimate for a kind never observed (simulated seconds)
     DEFAULT_COST = 1e-3
+    #: EWMA weight of the newest observation
+    ALPHA = 0.3
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._by_kind: Dict[str, float] = {}
         self._by_kind_pid: Dict[Tuple[str, int], float] = {}
 
     def _ewma(self, old: Optional[float], new: float) -> float:
         if old is None:
             return new
-        return (1 - self.alpha) * old + self.alpha * new
+        return (1 - self.ALPHA) * old + self.ALPHA * new
 
     def observe_total(self, kind: str, cost_s: float) -> None:
         self._by_kind[kind] = self._ewma(self._by_kind.get(kind), float(cost_s))
@@ -78,7 +77,7 @@ class CostScheduler:
     """Earliest-availability placement over the cluster's workers.
 
     ``worker_free[w]`` is worker ``w``'s clock on the *serving* timeline
-    (independent of the engine-internal per-query task packing).  A
+    (independent of the engine-internal per-query task clocks).  A
     ``serial=True`` scheduler models the no-concurrency baseline: every
     request lands on worker 0 — the denominator of the bench's speedup
     gate.
@@ -88,12 +87,11 @@ class CostScheduler:
         self,
         cluster: Cluster,
         metrics: MetricsRegistry,
-        model: Optional[CostModel] = None,
         serial: bool = False,
     ) -> None:
         self.cluster = cluster
         self.metrics = metrics
-        self.model = model or CostModel()
+        self.model = CostModel()
         self.serial = serial
         self.n_slots = 1 if serial else cluster.n_workers
         self.worker_free: List[float] = [0.0] * self.n_slots

@@ -37,7 +37,7 @@ from ..obs import LatencyRecorder, MetricsRegistry
 from ..trajectory.trajectory import Trajectory
 from .admission import AdmissionController, AdmissionError
 from .cache import CandidateCache, ResultCache, snapshot_footprint
-from .scheduler import CostModel, CostScheduler, FairQueue
+from .scheduler import CostScheduler, FairQueue
 
 #: request kinds that mutate the engine (never cached, always invalidating)
 MUTATION_KINDS = ("append", "extend", "remove", "merge", "repartition")
@@ -170,9 +170,7 @@ class ServingLayer:
         self.metrics = MetricsRegistry()
         self.latency = LatencyRecorder()
         self.admission = AdmissionController(self.config)
-        self.scheduler = CostScheduler(
-            engine.cluster, self.metrics, CostModel(), serial=serial
-        )
+        self.scheduler = CostScheduler(engine.cluster, self.metrics, serial=serial)
         self.queue = FairQueue()
         self.result_cache = ResultCache(self.config.result_cache_bytes)
         self.candidate_cache = CandidateCache()

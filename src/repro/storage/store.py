@@ -20,8 +20,9 @@ nothing is paged in until a consumer touches it).  The catalog carries
 every partition's first/last/coverage MBRs, counts, dtypes and CRC32
 checksums, so
 
-* **partition pruning on read** compares a query MBR against catalog MBRs
-  before any block bytes are touched (:meth:`TrajectoryStore.partition_ids`);
+* **global pruning** needs only the catalog: an engine opened on the
+  store builds its global index from the first/last MBRs and never reads
+  a pruned partition's block;
 * **cold start** skips parsing, partitioning and summary computation
   entirely — a partition opens as ready-made
   :class:`~repro.storage.columnar.ColumnarDataset` arrays;
@@ -255,14 +256,12 @@ class TrajectoryStore:
     """A read view over a persisted store directory.
 
     Opening parses only ``catalog.json``; partition blocks load lazily as
-    memory-mapped arrays the first time :meth:`partition` is called, and
-    pruning decisions (:meth:`partition_ids`) never touch block bytes.
+    memory-mapped arrays the first time :meth:`partition` is called.
     """
 
-    def __init__(self, path: Path, catalog: dict, mmap: bool) -> None:
+    def __init__(self, path: Path, catalog: dict) -> None:
         self.path = path
         self.catalog = catalog
-        self.mmap = mmap
         self.metas: Dict[int, PartitionMeta] = {
             m["partition_id"]: PartitionMeta.from_json(m) for m in catalog["partitions"]
         }
@@ -271,7 +270,7 @@ class TrajectoryStore:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def open(cls, path: PathLike, *, mmap: bool = True, verify: bool = False) -> "TrajectoryStore":
+    def open(cls, path: PathLike, *, verify: bool = False) -> "TrajectoryStore":
         """Open a store; ``verify=True`` additionally checks every block's
         CRC32 up front (reads all bytes — defeats laziness, catches rot)."""
         path = Path(path)
@@ -294,7 +293,7 @@ class TrajectoryStore:
                 raise SchemaVersionError(
                     f"catalog pins dtype {dtypes.get(name)!r} for {name}, expected {dt!r}"
                 )
-        store = cls(path, catalog, mmap)
+        store = cls(path, catalog)
         if verify:
             store.verify()
         return store
@@ -319,18 +318,12 @@ class TrajectoryStore:
         return len(self.metas)
 
     # ------------------------------------------------------------------ #
-    # pruning and loading
+    # loading
     # ------------------------------------------------------------------ #
 
-    def partition_ids(self, query_mbr: Optional[MBR] = None, expand: float = 0.0) -> List[int]:
-        """Partition ids, optionally pruned to those whose coverage MBR
-        intersects ``query_mbr`` expanded by ``expand`` — decided entirely
-        from the catalog, before any block bytes are touched."""
-        pids = sorted(self.metas)
-        if query_mbr is None:
-            return pids
-        probe = query_mbr.expand(expand) if expand > 0 else query_mbr
-        return [pid for pid in pids if self.metas[pid].mbr.intersects(probe)]
+    def partition_ids(self) -> List[int]:
+        """Every partition id, ascending (from the catalog alone)."""
+        return sorted(self.metas)
 
     def partition(self, pid: int) -> ColumnarDataset:
         """The partition's block as a (cached) lazy memory-mapped dataset."""
@@ -341,10 +334,7 @@ class TrajectoryStore:
             for name, dt in BLOCK_ARRAYS.items():
                 target = part_dir / name
                 try:
-                    if self.mmap:
-                        arr = np.lib.format.open_memmap(target, mode="r")
-                    else:
-                        arr = np.load(target, allow_pickle=False)
+                    arr = np.lib.format.open_memmap(target, mode="r")
                 except (OSError, ValueError) as exc:
                     raise CorruptBlockError(
                         f"partition {pid}: cannot read {target}: {exc}"
@@ -374,10 +364,6 @@ class TrajectoryStore:
                 mbr_highs=arrays["mbr_high.npy"],
             )
         return self._parts[pid]
-
-    def partitions(self, query_mbr: Optional[MBR] = None) -> Dict[int, ColumnarDataset]:
-        """Load (pruned) partitions as ``{pid: dataset}``."""
-        return {pid: self.partition(pid) for pid in self.partition_ids(query_mbr)}
 
     def to_columnar(self) -> ColumnarDataset:
         """Concatenate every partition into one in-memory dataset."""

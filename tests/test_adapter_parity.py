@@ -208,7 +208,7 @@ class TestVerifySeamParity:
 
         trie, queries = trie_and_queries
         adapter = make_adapter()
-        verifier = Verifier(adapter, trie.config.use_mbr_coverage, trie.config.use_cell_filter)
+        verifier = Verifier(adapter)
         # every query at every threshold — and once far above it, so many
         # pairs survive the filters — in ONE call: pairs of different
         # queries and thresholds share their sweeps

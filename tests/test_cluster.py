@@ -31,14 +31,6 @@ class TestNetworkModel:
 
 
 class TestWorker:
-    def test_lpt_packing(self):
-        w = Worker(0, cores=2)
-        w.charge_compute(3.0)
-        w.charge_compute(1.0)
-        w.charge_compute(1.0)
-        # 3 on core A; 1+1 on core B -> busy time 3
-        assert w.busy_time == pytest.approx(3.0)
-
     def test_network_adds(self):
         w = Worker(0)
         w.charge_compute(1.0)
@@ -46,7 +38,7 @@ class TestWorker:
         assert w.busy_time == pytest.approx(1.5)
 
     def test_reset(self):
-        w = Worker(0, cores=2)
+        w = Worker(0)
         w.charge_compute(5.0)
         w.reset()
         assert w.busy_time == 0.0
@@ -111,16 +103,11 @@ class TestCluster:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             Cluster(0)
-        with pytest.raises(ValueError):
-            Cluster(1, cores_per_worker=0)
-
-    def test_total_cores(self):
-        assert Cluster(4, cores_per_worker=8).total_cores == 32
 
 
 class TestResetLeaks:
     """Back-to-back experiments on one cluster must start from zero:
-    ``reset_clocks`` has to clear the per-core heap state, the network
+    ``reset_clocks`` has to clear the compute clocks, the network
     counters and the report counters, or the second job's simulated times
     silently include the first job's (the leak these tests pin down)."""
 
@@ -135,12 +122,12 @@ class TestResetLeaks:
     def test_back_to_back_jobs_byte_identical(self):
         import json
 
-        c = Cluster(n_workers=3, cores_per_worker=2)
+        c = Cluster(n_workers=3)
         c.place_partitions([0, 1, 2])
         first = json.dumps(self._job(c), sort_keys=True)
         c.reset_clocks()
         second = json.dumps(self._job(c), sort_keys=True)
-        fresh = Cluster(n_workers=3, cores_per_worker=2)
+        fresh = Cluster(n_workers=3)
         fresh.place_partitions([0, 1, 2])
         fresh_run = json.dumps(self._job(fresh), sort_keys=True)
         assert second == first == fresh_run
@@ -160,14 +147,14 @@ class TestResetLeaks:
         assert all(w.network_s == 0.0 for w in c.workers)
 
     def test_reset_clears_core_heap_state(self):
-        # an unbalanced first job must not skew the second job's packing
-        c = Cluster(n_workers=1, cores_per_worker=2)
+        # a long first job must not delay the second job's tasks
+        c = Cluster(n_workers=1)
         c.place_partitions([0])
         c.charge_compute(0, 10.0)
         c.reset_clocks()
         c.charge_compute(0, 1.0)
         c.charge_compute(0, 2.0)
-        assert c.workers[0].core_clocks == [1.0, 2.0]
+        assert c.workers[0].compute_s == 3.0
 
 
 class TestExecutionReport:
@@ -219,39 +206,3 @@ class TestPartitioners:
             partition_trajectories(random_walk_dataset(5, seed=9), 0)
         with pytest.raises(ValueError):
             RandomPartitioner(0)
-
-
-class TestWorkerHeapPacking:
-    """charge_compute uses a heap of core clocks; packing must stay
-    byte-identical to the linear min-scan it replaced (ties to the
-    smallest core index, same float additions in the same order)."""
-
-    def test_matches_min_scan_reference(self):
-        import numpy as np
-
-        rng = np.random.default_rng(41)
-        w = Worker(0, cores=7)
-        ref = [0.0] * 7
-        for _ in range(400):
-            s = float(rng.uniform(0.0, 2.0))
-            w.charge_compute(s)
-            i = min(range(7), key=lambda k: ref[k])
-            ref[i] += s
-        assert w.core_clocks == ref  # exact float equality, not approx
-
-    def test_ties_go_to_lowest_core_index(self):
-        w = Worker(0, cores=3)
-        for _ in range(3):
-            w.charge_compute(1.0)
-        assert w.core_clocks == [1.0, 1.0, 1.0]
-        w.charge_compute(0.5)
-        assert w.core_clocks == [1.5, 1.0, 1.0]
-
-    def test_reset_rebuilds_heap(self):
-        w = Worker(0, cores=2)
-        w.charge_compute(4.0)
-        w.reset()
-        w.charge_compute(1.0)
-        w.charge_compute(2.0)
-        assert w.core_clocks == [1.0, 2.0]
-        assert w.busy_time == 2.0

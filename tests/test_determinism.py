@@ -91,10 +91,9 @@ class TestMeasureHook:
 def _run_traced(seed):
     """The _run_once job with tracing on; returns (observables, trace bytes)."""
     dataset = beijing_like(60, seed=seed)
-    config = DITAConfig(
-        num_global_partitions=3, trie_fanout=4, num_pivots=3, use_tracing=True
-    )
+    config = DITAConfig(num_global_partitions=3, trie_fanout=4, num_pivots=3)
     engine = DITAEngine(dataset, config)
+    engine.enable_tracing()
 
     query = dataset.by_id(sorted(dataset.ids)[0])
     matches = engine.search(query, 0.003)

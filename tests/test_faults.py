@@ -253,7 +253,7 @@ class TestClusterCrashRecovery:
         c.run_on_worker(1, lambda: None)
         rep = c.fault_report()
         assert rep.rerouted_tasks == 1
-        assert c.workers[1].core_clocks == [0.0]  # dead worker charged nothing
+        assert c.workers[1].compute_s == 0.0  # dead worker charged nothing
 
     def test_crash_of_only_replica_recovers_to_sole_survivor(self):
         # 4 workers all doomed but worker 0 (survivor guarantee); every
@@ -375,7 +375,7 @@ class TestSpeculation:
         c.run_local(slow_wid, lambda: None, work=1.0)
         nominal = c._price_work(1.0)
         # winner finishes in healthy time; both copies charged that much
-        assert c.workers[slow_wid].core_clocks[0] == pytest.approx(nominal)
+        assert c.workers[slow_wid].compute_s == pytest.approx(nominal)
         rep = c.fault_report()
         assert rep.speculative_compute_s == pytest.approx(nominal)
         assert rep.straggler_excess_s == 0.0

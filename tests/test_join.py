@@ -130,9 +130,11 @@ class TestJoinStatsSemantics:
             trie_fanout=4,
             num_pivots=3,
             trie_leaf_capacity=4,
-            use_tracing=tracing,
         )
-        return DITAEngine(data, cfg)
+        engine = DITAEngine(data, cfg)
+        if tracing:
+            engine.enable_tracing()
+        return engine
 
     def test_verified_counts_verifier_invocations(self):
         engine = self._fresh(120, seed=7)
@@ -207,7 +209,7 @@ class TestSenderCells:
         from repro.storage import TrajectoryStore
 
         build_store(left, tmp_path / "store", n_groups=cfg.num_global_partitions)
-        engine = DITAEngine.from_store(TrajectoryStore.open(tmp_path / "store"), cfg, lazy=False)
+        engine = DITAEngine.from_store(TrajectoryStore.open(tmp_path / "store"), cfg)
         side = SideInit(store_path=str(tmp_path / "store"), config=cfg, adapter=engine.adapter)
         sides = open_sides(WorkerInit(sides=(("L", side), ("R", side))))
         pids = engine.partition_pids()

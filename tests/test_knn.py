@@ -11,6 +11,7 @@ from repro import DITAConfig, DITAEngine
 from repro.core.adapters import available_adapters
 from repro.analytics import knn_outlier_scores
 from repro.core.knn import knn_join, knn_search, knn_search_batch
+from repro.core.verify import Verifier
 from repro.datagen import beijing_like, sample_queries
 from repro.distances import get_distance
 from repro.storage import ColumnarDataset
@@ -362,9 +363,8 @@ class TestBestFirstTopK:
             assert answer(engine, q, k) == ranked(engine.adapter, live, q, k)
 
     def test_without_the_cell_filter(self, spread, name):
-        engine = DITAEngine(
-            spread, DITAConfig(use_cell_filter=False, **self.CFG), distance=name
-        )
+        engine = DITAEngine(spread, DITAConfig(**self.CFG), distance=name)
+        engine.verifier = Verifier(engine.adapter, use_cell_filter=False)
         q = sample_queries(spread, 1, seed=9, perturb=0.0004)[0]
         for k in (1, 7):
             assert answer(engine, q, k) == ranked(engine.adapter, spread, q, k)
@@ -408,7 +408,7 @@ class TestUnscheduledPartitions:
             for i in range(40)
         ]
         store = build_store(ColumnarDataset.from_trajectories(data), tmp_path / "s", n_groups=2)
-        engine = DITAEngine.from_store(store, DITAConfig(num_global_partitions=2), lazy=True)
+        engine = DITAEngine.from_store(store, DITAConfig(num_global_partitions=2))
         engine.enable_tracing()
         query = Trajectory(999, data[3].points + 1e-4)
         assert answer(engine, query, 5) == ranked(engine.adapter, data, query, 5)
@@ -467,7 +467,9 @@ class TestBatchedCoordinator:
         """Two copies of a query ask for the same partitions every round,
         so the batch ships exactly the tasks one of them ships alone."""
         q = sample_queries(spread, 1, seed=3, perturb=0.0004)[0]
-        alone, both = (DITAEngine(spread, DITAConfig(use_tracing=True, **self.CFG)) for _ in "ab")
+        alone, both = (DITAEngine(spread, DITAConfig(**self.CFG)) for _ in "ab")
+        alone.enable_tracing()
+        both.enable_tracing()
         knn_search(alone, q, 5)
         knn_search_batch(both, [q, q], 5)
         for counter in ("knn.waves", "knn.tasks"):
@@ -482,10 +484,10 @@ class TestBatchedCoordinator:
         skipped partitions (16 partitions, Fréchet, k = 5)."""
         data = beijing_like(120, seed=3)
         cfg = DITAConfig(
-            num_global_partitions=4, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4,
-            use_tracing=True,
+            num_global_partitions=4, trie_fanout=4, num_pivots=3, trie_leaf_capacity=4
         )
         engine = DITAEngine(data, cfg, distance="frechet")
+        engine.enable_tracing()
         knn_search(engine, sample_queries(data, 1, seed=7, perturb=0.0004)[0], 5)
         m = engine.metrics
         assert engine.n_partitions == 16

@@ -76,7 +76,7 @@ class TestTopkAgainstReference:
     def test_rows_distances_and_stats_identical(self, trie_and_queries, name, make_adapter, tau):
         trie, queries = trie_and_queries
         adapter = make_adapter()
-        verifier = Verifier(adapter, trie.config.use_mbr_coverage, trie.config.use_cell_filter)
+        verifier = Verifier(adapter)
         cell = trie.config.cell_size
         answered = 0
         for qi, q in enumerate(queries):
@@ -105,7 +105,7 @@ class TestTopkAgainstReference:
         three-query call answers, and counts, as three one-query calls."""
         trie, queries = trie_and_queries
         adapter = make_adapter()
-        verifier = Verifier(adapter, trie.config.use_mbr_coverage, trie.config.use_cell_filter)
+        verifier = Verifier(adapter)
         q_list = queries[:3]
         tau_list = [tau, math.inf, 0]
         for k in (1, 5):

@@ -33,8 +33,9 @@ def query(city):
 
 
 def traced_engine(city, **cfg):
-    config = DITAConfig(use_tracing=True, **cfg)
-    return DITAEngine(city, config)
+    engine = DITAEngine(city, DITAConfig(**cfg))
+    engine.enable_tracing()
+    return engine
 
 
 # --------------------------------------------------------------------- #
@@ -233,7 +234,8 @@ class TestAccountingIdentity:
             faults=FaultPlan(seed=3, task_failure_rate=0.4, message_drop_rate=0.15),
             recovery=RecoveryPolicy(max_retries=50),
         )
-        engine = DITAEngine(city, DITAConfig(use_tracing=True), cluster=cluster)
+        engine = DITAEngine(city, DITAConfig(), cluster=cluster)
+        engine.enable_tracing()
         engine.join(engine, tau=0.005)
         spans = engine.cluster.tracer.spans
         assert any(s.cat == "fault" for s in spans)
@@ -286,7 +288,8 @@ class TestTraceDeterminism:
         """Traced and untraced runs of search/knn/join agree bit-for-bit
         on every adapter."""
         plain = DITAEngine(city, DITAConfig(), distance=distance)
-        traced = DITAEngine(city, DITAConfig(use_tracing=True), distance=distance)
+        traced = DITAEngine(city, DITAConfig(), distance=distance)
+        traced.enable_tracing()
         tau = 0.01 if distance not in ("edr", "lcss") else 5.0
 
         def key(matches):

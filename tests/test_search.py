@@ -109,19 +109,23 @@ class TestERPSearch:
 
 class TestEngineConfigVariants:
     def test_search_correct_without_optimizations(self, city):
-        """Every filter disabled must not change answers (only speed)."""
-        cfg = DITAConfig(
-            num_global_partitions=2,
-            trie_fanout=4,
-            num_pivots=2,
-            use_suffix_pruning=False,
-            use_mbr_coverage=False,
-            use_cell_filter=False,
-        )
-        engine = DITAEngine(city, cfg)
-        d = get_distance("dtw")
+        """Every filter disabled must not change answers (only speed): the
+        adapter without Lemma 5.1's suffix pruning, the verifier without
+        Lemma 5.4 and Lemma 5.6 — for each of the six distances."""
+        from repro.core.adapters import get_adapter
+        from repro.core.verify import Verifier
+
+        cfg = DITAConfig(num_global_partitions=2, trie_fanout=4, num_pivots=2)
+        params = {"edr": {"epsilon": 0.0005}, "lcss": {"epsilon": 0.0005, "delta": 3}}
+        taus = {"dtw": 0.003, "frechet": 0.002, "hausdorff": 0.002, "erp": 0.01,
+                "edr": 3, "lcss": 2}
         q = sample_queries(city, 1, seed=29)[0]
-        assert engine.search_ids(q, 0.003) == brute_force_search(city, d, q, 0.003)
+        for name, tau in taus.items():
+            adapter = get_adapter(name, use_suffix_pruning=False, **params.get(name, {}))
+            engine = DITAEngine(city, cfg, distance=adapter)
+            engine.verifier = Verifier(adapter, False, False)
+            d = get_distance(name, **params.get(name, {}))
+            assert engine.search_ids(q, tau) == brute_force_search(city, d, q, tau), name
 
     def test_single_partition(self, city):
         cfg = DITAConfig(num_global_partitions=1, trie_fanout=4, num_pivots=2)
@@ -213,6 +217,27 @@ class TestConstructorValidation:
     """What ``append_trajectory`` refuses, construction refuses too: a
     NaN coordinate poisons every MBR computed over it, so an engine or a
     store built over one would prune wrongly without complaint."""
+
+    #: numeric DITAConfig field -> a value just below its range
+    BELOW_RANGE = {
+        "num_global_partitions": 0, "trie_fanout": 0, "num_pivots": -1,
+        "trie_leaf_capacity": 0, "cell_size": 0.0, "comp_time_per_pair": 0.0,
+        "network_bandwidth": 0.0, "num_processes": -1, "delta_max_rows": 0,
+        "repartition_skew_ratio": 0.5, "max_inflight": 0, "tenant_rate": 0.0,
+        "tenant_burst": 0.5, "serving_queue_depth": 0, "result_cache_bytes": -1,
+        "seed": -1,
+    }
+
+    @pytest.mark.parametrize("field", sorted(BELOW_RANGE))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "below", "none"])
+    def test_config_rejects_hostile_values(self, field, bad):
+        """A NaN cell size once returned empty answers, a zero Δ divided by
+        zero in the join planner and None reached the block build: each is
+        a ``ValueError`` naming the field at construction."""
+        value = {"nan": float("nan"), "inf": float("inf"), "none": None,
+                 "below": self.BELOW_RANGE[field]}[bad]
+        with pytest.raises(ValueError, match=field):
+            DITAConfig(**{field: value})
 
     @pytest.mark.parametrize("entry", ["init", "from_partitions", "build_store"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

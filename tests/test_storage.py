@@ -123,34 +123,14 @@ class TestRoundtrip:
 
 
 # --------------------------------------------------------------------- #
-# catalog pruning and lazy loading
+# the catalog and lazy loading
 # --------------------------------------------------------------------- #
 
 
 class TestPruning:
     def test_no_query_returns_all(self, store):
         assert store.partition_ids() == sorted(store.metas)
-
-    def test_pruned_ids_are_catalog_only(self, store):
-        meta = store.metas[0]
-        hits = store.partition_ids(meta.mbr)
-        assert 0 in hits
-        assert store._parts == {}  # pruning never touched block bytes
-
-    def test_pruning_sound(self, data, store):
-        """Every trajectory whose MBR intersects the probe lives in a
-        partition the pruner kept."""
-        meta = store.metas[0]
-        probe = meta.mbr_first
-        keep = set(store.partition_ids(probe))
-        for pid, m in store.metas.items():
-            part = store.partition(pid)
-            for r in part.alive_rows():
-                from repro.geometry.mbr import MBR
-
-                t_mbr = MBR(part.mbr_lows[int(r)], part.mbr_highs[int(r)])
-                if t_mbr.intersects(probe):
-                    assert pid in keep
+        assert store._parts == {}  # the catalog alone answers
 
 
 class TestRowReadsIndexNothing:
@@ -189,7 +169,7 @@ class TestRowReadsIndexNothing:
         assert sorted(mirror.search_ids(q, 0.01)) == sorted(brute.search_ids(q, 0.01))
 
     def test_lazy_store_engine(self, data, store):
-        self._check(DITAEngine.from_store(store, _cfg(), lazy=True), data)
+        self._check(DITAEngine.from_store(store, _cfg()), data)
 
     def test_just_merged_engine(self, data, tmp_path):
         engine = DITAEngine(data, _cfg())
@@ -203,7 +183,7 @@ class TestTrajectoryLookup:
     def test_lookup_indexes_no_partition(self, data, store):
         """Regression: ``engine.trajectory(id)`` on a lazy store engine
         indexed partition after partition until it found the id."""
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         unloaded = set(engine.partition_pids()) - set(engine.runtime.loaded())
         for tid in data.ids[::9]:
             got = engine.trajectory(tid)
@@ -213,7 +193,7 @@ class TestTrajectoryLookup:
         assert not engine.runtime.loaded()
 
     def test_absent_removed_and_pending_ids(self, data, store):
-        engine = DITAEngine.from_store(store, DITAConfig(delta_max_rows=10_000), lazy=True)
+        engine = DITAEngine.from_store(store, DITAConfig(delta_max_rows=10_000))
         with pytest.raises(KeyError):
             engine.trajectory(10**9)
         gone = data.ids[5]
@@ -226,7 +206,7 @@ class TestTrajectoryLookup:
 
 
 # --------------------------------------------------------------------- #
-# engine parity: store-backed (lazy and eager) vs. built-from-objects
+# engine parity: store-backed vs. built-from-objects
 # --------------------------------------------------------------------- #
 
 
@@ -244,21 +224,17 @@ class TestEngineParity:
     def test_results_and_stats_match_eager_engine(self, data, store, distance):
         cfg = _cfg()
         base = DITAEngine(data, cfg, distance=distance)
-        lazy = DITAEngine.from_store(store, cfg, distance=distance, lazy=True)
-        cold = DITAEngine.from_store(store, cfg, distance=distance, lazy=False)
+        lazy = DITAEngine.from_store(store, cfg, distance=distance)
         queries = sample_queries(list(data), 4, seed=7)
         tau = _tau(distance)
         for q in queries:
-            s0, s1, s2 = SearchStats(), SearchStats(), SearchStats()
+            s0, s1 = SearchStats(), SearchStats()
             want = sorted((t.traj_id, d) for t, d in base.search(q, tau, s0))
             got_lazy = sorted((t.traj_id, d) for t, d in lazy.search(q, tau, s1))
-            got_cold = sorted((t.traj_id, d) for t, d in cold.search(q, tau, s2))
             assert got_lazy == want  # distances compared bit-exactly
-            assert got_cold == want
             assert s1 == s0
-            assert s2 == s0
 
-    @pytest.mark.parametrize("how", ["from_partitions", "from_store_lazy", "from_store_eager"])
+    @pytest.mark.parametrize("how", ["from_partitions", "from_store_lazy"])
     def test_every_constructor_installs_the_same_layout(self, data, store, how):
         """The constructors differ only in where their partitions come
         from: same partition ids, same master-side metadata, same answers
@@ -272,7 +248,7 @@ class TestEngineParity:
                 {pid: base.partition(pid) for pid in base.partition_pids()}, cfg
             )
         else:
-            other = DITAEngine.from_store(store, cfg, lazy=how == "from_store_lazy")
+            other = DITAEngine.from_store(store, cfg)
         assert other.partition_pids() == base.partition_pids()
         assert other.global_index.partitions_meta == base.global_index.partitions_meta
         for q in sample_queries(list(data), 3, seed=7):
@@ -286,7 +262,7 @@ class TestEngineParity:
         assert j1 == j0 and j0.result_pairs > 0
 
     def test_globally_pruned_partitions_never_load(self, data, store):
-        engine = DITAEngine.from_store(store, _cfg(), distance="dtw", lazy=True)
+        engine = DITAEngine.from_store(store, _cfg(), distance="dtw")
         assert engine.runtime.loaded() == {}
         q = list(data)[0]
         relevant = engine.global_index.relevant_partitions(
@@ -302,7 +278,7 @@ class TestEngineParity:
     def test_join_parity(self, data, store):
         cfg = _cfg()
         base = DITAEngine(data, cfg)
-        lazy = DITAEngine.from_store(store, cfg, lazy=True)
+        lazy = DITAEngine.from_store(store, cfg)
         want = sorted(base.self_join(0.005))
         got = sorted(lazy.self_join(0.005))
         assert got == want
@@ -310,7 +286,7 @@ class TestEngineParity:
     def test_knn_parity(self, data, store):
         cfg = _cfg()
         base = DITAEngine(data, cfg)
-        lazy = DITAEngine.from_store(store, cfg, lazy=True)
+        lazy = DITAEngine.from_store(store, cfg)
         q = list(data)[5]
         want = [(t.traj_id, d) for t, d in knn_search(base, q, 7)]
         got = [(t.traj_id, d) for t, d in knn_search(lazy, q, 7)]
@@ -319,7 +295,7 @@ class TestEngineParity:
     def test_updates_on_store_backed_engine(self, data, store):
         from repro.trajectory import Trajectory
 
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         twin = Trajectory(90_000, list(data)[0].points + 1e-5)
         engine.insert(twin)
         assert engine.search_ids(twin, 1e-4) and 90_000 in engine.search_ids(twin, 1e-4)
@@ -338,7 +314,7 @@ def _total_materializations(engine):
 
 class TestZeroCopy:
     def test_batch_search_materializes_only_matches(self, data, store):
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         queries = sample_queries(list(data), 5, seed=1)
         results = engine.search_batch(queries, [0.01] * len(queries))
         n_matches = sum(len(r) for r in results)
@@ -346,13 +322,13 @@ class TestZeroCopy:
         assert _total_materializations(engine) == n_matches
 
     def test_join_materializes_nothing(self, data, store):
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         pairs = engine.self_join(0.005)
         assert pairs  # ids come straight from the id columns
         assert _total_materializations(engine) == 0
 
     def test_knn_materializes_only_winners(self, data, store):
-        engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+        engine = DITAEngine.from_store(store, _cfg())
         k = 6
         out = knn_search(engine, list(data)[3], k)
         assert len(out) == k
@@ -444,7 +420,7 @@ class TestDeterminism:
         outs = []
         for name in ("a", "b"):
             store = build_store(data, tmp_path / name, n_groups=N_GROUPS)
-            engine = DITAEngine.from_store(store, _cfg(), lazy=True)
+            engine = DITAEngine.from_store(store, _cfg())
             q = list(data)[2]
             matches = [(t.traj_id, d) for t, d in engine.search(q, 0.01)]
             pairs = engine.self_join(0.004)

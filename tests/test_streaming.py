@@ -348,15 +348,14 @@ class TestGenerations:
         assert "gen-00001" in small_engine.executor.snapshot()
 
     def test_maybe_merge_trips_on_write_fraction(self, tmp_path):
-        eng = DITAEngine(
-            list(citywide_dataset(20, seed=7)), CFG.with_options(merge_trigger=0.2), "dtw"
-        )
+        eng = DITAEngine(list(citywide_dataset(20, seed=7)), CFG, "dtw")
         assert not eng.maybe_merge()  # no generations attached
         gens = eng.attach_generations(tmp_path / "gens")
         assert not eng.maybe_merge()  # nothing written yet
-        for k in range(5):  # 5 writes / ~25 rows ≥ 0.2
+        for k in range(7):
             eng.append_trajectory(9_200 + k, [[0.01 * k, 0.01], [0.02, 0.02]])
-        assert eng.maybe_merge()
+            # 6 writes / 26 rows < MERGE_TRIGGER = 0.25 <= 7 / 27
+            assert eng.maybe_merge() == (k == 6)
         assert gens.generation == 1
         assert not eng.maybe_merge()  # counter reset by the merge
 

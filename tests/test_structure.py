@@ -6,13 +6,17 @@ public name under a private alias, ``slack as _slack``, is allowed.)  And
 no function imports :mod:`repro.core.engine` to dodge an import cycle —
 except the process pool's worker bootstrap, which must build a
 ``DITAEngine.from_store`` from inside :mod:`repro.cluster`, a layer the
-engine itself imports.
+engine itself imports.  And every ``DITAConfig`` field has a heading in
+``docs/TUNING.md`` that says who sets it.
 """
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import repro
+from repro import DITAConfig
 
 SRC = Path(repro.__file__).parent
 
@@ -99,3 +103,19 @@ def test_the_checks_see_a_violation():
         "sql/probe.py:4 (f) imports repro.core.engine",
         "sql/probe.py:6 (g) imports repro.core.engine",
     ]
+
+
+def _tuning_heading_knobs():
+    """The knobs ``docs/TUNING.md`` documents: each backticked plain name
+    in a ``##`` heading (dotted ``RecoveryPolicy`` attributes are not
+    config fields)."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "TUNING.md").read_text()
+    return {
+        name
+        for line in text.splitlines() if line.startswith("## ")
+        for name in re.findall(r"`([^`]+)`", line) if name.isidentifier()
+    }
+
+
+def test_every_config_field_has_a_tuning_heading():
+    assert _tuning_heading_knobs() == {f.name for f in dataclasses.fields(DITAConfig)}
