@@ -40,14 +40,14 @@ from repro.cluster import Cluster, NetworkModel, RandomPartitioner
 from repro.cluster.clock import wall_clock, wall_clock_measure
 from repro.core.adapters import DTWAdapter, EDRAdapter, LCSSAdapter
 from repro.core.bounds import pamd
-from repro.core.join import JoinStats
 from repro.core.knn import knn_search
 from repro.core.pivots import pivot_indices
-from repro.core.search import SearchStats, search_rows
+from repro.core.search import search_rows
 from repro.core.trie import TrieIndex
 from repro.core.verify import VerificationData, Verifier
 from repro.datagen import beijing_like, chengdu_like, citywide_dataset, osm_like, sample_queries, worldwide_dataset
 from repro.distances import get_distance
+from repro.obs import MetricsRegistry
 from repro.storage import ColumnarDataset
 from repro.trajectory import Trajectory, dataset_stats
 
@@ -202,10 +202,11 @@ def search_ms(method: str, name: str, tau: float, workers: int = 16, distance: s
 def join_run(method: str, name: str, tau: float, workers: int = 16, distance: str = "dtw",
              overrides: Tuple = (), balanced: bool = True):
     """One self-join: ``(report, stats, result pairs)``, cached so that
-    panels reading different metrics of one run share it."""
+    panels reading different metrics of one run share it; ``stats`` holds
+    the join's ``join.*`` counters (none for Simba, which has no planner)."""
     eng = engine(method, name, workers, distance, overrides)
     eng.cluster.reset_clocks()
-    stats = JoinStats()
+    stats = MetricsRegistry()
     if method == "simba":  # partition-to-partition shipping, no planner
         pairs = eng.join(eng, tau)
     else:
@@ -281,18 +282,18 @@ def verify_run(label: str) -> Tuple[Dict[str, int], float]:
     """One verifier configuration over the same candidate stream: where the
     pairs die and the matches, per query, and the mean search time (ms)."""
     use_mbr, use_cells = VERIFY_CONFIGS[label]
-    adapter, trie, stats = DTWAdapter(), beijing_trie(), SearchStats()
+    adapter, trie, counts = DTWAdapter(), beijing_trie(), MetricsRegistry()
     verifier = Verifier(adapter, use_mbr_coverage=use_mbr, use_cell_filter=use_cells)
 
     def search(q: Trajectory) -> int:
         q_data = VerificationData.of(q, config().cell_size)
-        return len(search_rows(trie, adapter, verifier, [q.points], [TAU], [q_data], [stats])[0])
+        return len(search_rows(trie, adapter, verifier, [q.points], [TAU], [q_data], counts)[0])
 
     qs = queries("beijing", 10)
     matches, elapsed = per_query(search, qs)
-    v = stats.verify
-    counts = [c / len(qs) for c in (v.pairs, v.pruned_by_mbr, v.pruned_by_cells, v.exact_computed)]
-    return dict(zip(VERIFY_STAGES, counts + [matches])), elapsed
+    names = ("pairs", "pruned_by_mbr", "pruned_by_cells", "exact_computed")
+    per_stage = [counts.value(f"verify.{name}") / len(qs) for name in names]
+    return dict(zip(VERIFY_STAGES, per_stage + [matches])), elapsed
 
 
 #: ext-knn's series: DITA's kNN under DTW (``dita``) against a DTW scan
@@ -499,7 +500,7 @@ FIGURES: Dict[str, Figure] = {
                   lambda m, tau: join_s(m, "osm_join", tau, distance="frechet"), "s", "sim"),
             Panel("e", "join candidate pairs per trajectory, worldwide vs citywide (dtw)", None,
                   ("osm_join", "chengdu_join"),
-                  lambda name, tau: join_run("dita", name, tau)[1].candidate_pairs / len(data(name)), "count"),
+                  lambda name, tau: join_run("dita", name, tau)[1].value("join.candidate_pairs") / len(data(name)), "count"),
         ],
     ),
     "table4": Figure(
@@ -531,9 +532,9 @@ FIGURES: Dict[str, Figure] = {
             Panel("a", "join time [beijing_join]", "beijing_join", ("dita", "random"),
                   lambda m, tau: join_s(m, "beijing_join", tau), "s", "sim", ("random",)),
             Panel("b", "relevant partition pairs [beijing_join]", "beijing_join", ("dita", "random"),
-                  lambda m, tau: join_run(m, "beijing_join", tau)[1].partition_pairs, "count"),
+                  lambda m, tau: join_run(m, "beijing_join", tau)[1].value("join.partition_pairs"), "count"),
             Panel("c", "shipped [beijing_join]", "beijing_join", ("dita", "random"),
-                  lambda m, tau: join_run(m, "beijing_join", tau)[1].bytes_shipped / 1e6, "MB"),
+                  lambda m, tau: join_run(m, "beijing_join", tau)[1].value("join.bytes_shipped") / 1e6, "MB"),
             Panel("d", "result pairs [beijing_join]", "beijing_join", ("dita", "random"),
                   lambda m, tau: join_run(m, "beijing_join", tau)[2], "count"),
         ],

@@ -15,8 +15,8 @@ Run with::
 from collections import defaultdict
 
 from repro import DITAConfig, DITAEngine
-from repro.core.join import JoinStats
 from repro.datagen import citywide_dataset
+from repro.obs import MetricsRegistry
 
 
 def main() -> None:
@@ -26,14 +26,14 @@ def main() -> None:
     engine = DITAEngine(trips, config)
     tau = 0.002  # ~222 m of accumulated deviation
 
-    stats = JoinStats()
+    stats = MetricsRegistry()  # receives the join's join.* counters
     pairs = engine.self_join(tau, stats=stats)
     print(f"{len(pairs)} poolable rider pairs at tau = {tau}")
     print(
-        f"plan: {stats.partition_pairs} partition pairs, "
-        f"{stats.trajectories_shipped} trajectories shipped "
-        f"({stats.bytes_shipped / 1024:.1f} KB), "
-        f"{stats.candidate_pairs} candidate pairs verified down to "
+        f"plan: {stats.value('join.partition_pairs')} partition pairs, "
+        f"{stats.value('join.trajectories_shipped')} trajectories shipped "
+        f"({stats.value('join.bytes_shipped') / 1024:.1f} KB), "
+        f"{stats.value('join.candidate_pairs')} candidate pairs verified down to "
         f"{len(pairs)} matches"
     )
 

@@ -6,8 +6,8 @@ Run with::
 """
 
 from repro import DITAConfig, DITAEngine
-from repro.core.search import SearchStats
 from repro.datagen import beijing_like, sample_queries
+from repro.obs import MetricsRegistry
 from repro.trajectory import dataset_stats, stats_header
 
 
@@ -31,15 +31,15 @@ def main() -> None:
     # 3. threshold similarity search (tau = 0.003 degrees ~ 333 m of
     #    accumulated DTW deviation)
     query = sample_queries(data, 1, seed=7, perturb=0.00005)[0]
-    stats = SearchStats()
+    stats = MetricsRegistry()  # receives the search's search.* counters
     matches = engine.search(query, tau=0.003, stats=stats)
     print(f"\nsearch: {len(matches)} trajectories within DTW 0.003 of the query")
     print(
-        f"  pruning: {stats.relevant_partitions}/{engine.n_partitions} partitions touched, "
-        f"{stats.candidates} candidates, "
-        f"{stats.verify.pruned_by_mbr} killed by MBR coverage, "
-        f"{stats.verify.pruned_by_cells} by cells, "
-        f"{stats.verify.exact_computed} exact DTWs"
+        f"  pruning: {stats.value('search.relevant_partitions')}/{engine.n_partitions} partitions touched, "
+        f"{stats.value('search.filter.candidates')} candidates, "
+        f"{stats.value('search.verify.pruned_by_mbr')} killed by MBR coverage, "
+        f"{stats.value('search.verify.pruned_by_cells')} by cells, "
+        f"{stats.value('search.verify.exact_computed')} exact DTWs"
     )
     for t, dist in sorted(matches, key=lambda m: m[1])[:5]:
         print(f"  trajectory {t.traj_id:>4}  DTW = {dist:.5f}")

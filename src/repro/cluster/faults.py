@@ -243,7 +243,8 @@ class FaultReport:
     def to_registry(self, registry, prefix: str = "faults") -> None:
         """Fold the fault accounting into a metrics registry: one counter
         per field plus the derived ``overhead_s`` gauge."""
-        registry.absorb(prefix, self)
+        for name, value in asdict(self).items():
+            registry.counter(f"{prefix}.{name}", value)
         registry.gauge(f"{prefix}.overhead_s", self.overhead_s)
 
     def copy(self) -> "FaultReport":

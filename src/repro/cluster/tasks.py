@@ -16,7 +16,7 @@ process pool each worker resolves against its *own* store-backed engines
 tries lazily.
 
 Because both backends run the same body through the same resolver over
-bit-identical block bytes, their results and stats are bit-identical;
+bit-identical block bytes, their results and counts are bit-identical;
 only *where* the body runs differs.
 
 The payload discipline is the backbone of the zero-copy guarantee: a
@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
+
+from ..obs import MetricsRegistry
 
 #: registered task bodies: kind -> fn(spec, resolver) -> result
 _TASK_KINDS: Dict[str, Callable[["TaskSpec", Any], Any]] = {}
@@ -98,29 +100,28 @@ def run_task_body(spec: TaskSpec, resolver: Any) -> Any:
 def _search_body(spec: TaskSpec, res: Any) -> Any:
     """One partition's share of a (batched) threshold search or of a kNN.
 
-    Payload: ``(q_points_tuple, taus_tuple, k, track)`` where each entry of
+    Payload: ``(q_points_tuple, taus_tuple, k)`` where each entry of
     ``q_points_tuple`` is one query's raw point array and ``k`` is
-    ``None`` for a threshold search.  Returns ``(match_lists,
-    stats_list)``: per query, accepted ``(row, distance)`` pairs — with
-    ``k`` set, its at most ``k`` nearest as ``(row, distance, trajectory
-    id)``, so the coordinator merges by ``(distance, id)`` without the
-    partition — and a fresh SearchStats per query (``None`` when
-    ``track`` is off).
+    ``None`` for a threshold search.  Returns ``(match_lists, counts)``:
+    per query, accepted ``(row, distance)`` pairs — with ``k`` set, its at
+    most ``k`` nearest as ``(row, distance, trajectory id)``, so the
+    coordinator merges by ``(distance, id)`` without the partition — and
+    the task's :class:`~repro.obs.MetricsRegistry` of stage counts.
     """
-    from ..core.search import SearchStats, search_rows
+    from ..core.search import search_rows
 
-    q_points_list, taus, k, track = spec.payload
+    q_points_list, taus, k = spec.payload
     eng = res.engine(spec.side)
     trie = eng.trie(spec.partition_id)
     q_datas = [res.query_data(pts) for pts in q_points_list]
-    stats = [SearchStats() for _ in q_points_list] if track else None
+    counts = MetricsRegistry()
     match_lists = search_rows(
-        trie, eng.adapter, eng.verifier, q_points_list, taus, q_datas, stats, k
+        trie, eng.adapter, eng.verifier, q_points_list, taus, q_datas, counts, k
     )
     if k is not None:
         ids = trie.dataset.traj_ids
         match_lists = [[(r, d, int(ids[r])) for r, d in m] for m in match_lists]
-    return match_lists, stats
+    return match_lists, counts
 
 
 def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
@@ -134,10 +135,10 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     side's row first in a join, the smaller id first in a self-join, whose
     diagonal edge also drops every candidate whose id does not exceed its
     sender's (identity pairs and mirrors).  Returns ``(match_lists,
-    stats_list)`` aligned with ``row_ids``; matches are receiver-side
-    ``(row, distance)`` pairs.
+    counts)``: per row of ``row_ids``, receiver-side ``(row, distance)``
+    matches, and the task's registry of stage counts.
     """
-    from ..core.search import SearchStats, search_rows
+    from ..core.search import search_rows
 
     send_side, send_pid, rows, tau, self_join = spec.payload
     # the left engine's adapter drives the join; the receiving side
@@ -151,7 +152,7 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
         keys = part.traj_ids[row_list].astype(np.float64)
     else:
         keys = np.full(len(row_list), np.inf if spec.side == "L" else -np.inf)
-    stats = [SearchStats() for _ in row_list]
+    counts = MetricsRegistry()
     match_lists = search_rows(
         recv.trie(spec.partition_id),
         res.engine("L").adapter,
@@ -159,11 +160,11 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
         q_pts,
         [tau] * len(row_list),
         datas,
-        stats,
+        counts,
         pair_keys=keys,
         floor=self_join and send_pid == spec.partition_id,
     )
-    return match_lists, stats
+    return match_lists, counts
 
 
 def _debug_echo_body(spec: TaskSpec, res: Any) -> Any:

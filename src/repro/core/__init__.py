@@ -15,12 +15,12 @@ from .config import DITAConfig
 from .costmodel import BiEdge, OrientationPlan, divide_partitions, orient_edges, plan_join
 from .engine import DITAEngine
 from .global_index import GlobalIndex, PartitionInfo, partition_info, partition_trajectories
-from .join import JoinExecutor, JoinPair, JoinStats
+from .join import JoinExecutor, JoinPair
 from .knn import knn_join, knn_search, knn_search_batch
 from .pivots import available_strategies, indexing_points, pivot_indices
-from .search import SearchStats, search_rows
+from .search import search_rows
 from .trie import FilterStats, TrieIndex
-from .verify import VerificationData, Verifier, VerifyStats
+from .verify import VerificationData, Verifier
 
 __all__ = [
     "BiEdge",
@@ -36,15 +36,12 @@ __all__ = [
     "IndexAdapter",
     "JoinExecutor",
     "JoinPair",
-    "JoinStats",
     "LCSSAdapter",
     "OrientationPlan",
     "PartitionInfo",
-    "SearchStats",
     "TrieIndex",
     "VerificationData",
     "Verifier",
-    "VerifyStats",
     "amd",
     "available_strategies",
     "divide_partitions",

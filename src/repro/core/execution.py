@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.parallel import ExecutorError, ParallelExecutor, SideInit, WorkerInit
 from ..cluster.tasks import TaskSpec, run_task_body
+from ..obs import MetricsRegistry
 from ..storage.store import snapshot_partitions
-from .search import SearchStats
 from .verify import VerificationData
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -77,21 +77,19 @@ class LocalResolver:
         return VerificationData.from_points(eng.partition(pid).points(int(row)), cell_size)
 
 
-def subdivide_task(tracer, ts: SearchStats) -> None:
+def subdivide_task(tracer, counts: MetricsRegistry) -> None:
     """Split the just-recorded task span into filter/verify stage spans
-    weighted by the task's trie-node visits and verifier pair count."""
+    weighted by the task's trie-node visits and verifier pair count, read
+    off the task's registry."""
     span = tracer.last_span()
     if span is None or span.cat != "task":
         return
-    f, v = ts.filter, ts.verify
+    stages = {"filter": ("nodes_visited", "nodes_pruned", "candidates"),
+              "verify": ("pairs", "exact_computed", "accepted")}
     tracer.subdivide(span, [
-        ("filter", float(f.nodes_visited), {
-            "nodes_visited": f.nodes_visited, "nodes_pruned": f.nodes_pruned,
-            "candidates": f.candidates,
-        }),
-        ("verify", float(v.pairs), {
-            "pairs": v.pairs, "exact_computed": v.exact_computed, "accepted": v.accepted,
-        }),
+        (stage, float(counts.value(f"{stage}.{names[0]}")),
+         {name: counts.value(f"{stage}.{name}") for name in names})
+        for stage, names in stages.items()
     ])
 
 
@@ -216,9 +214,6 @@ class TaskExecutor:
         each task's worker-side run becomes a ``cat="pool"`` span, re-based
         to the batch start and ordered by (pool worker, start) — wall-clock
         diagnostics outside the simulated accounting."""
-        metrics = self.engine.metrics
-        if metrics is not None:
-            metrics.counter("pool.tasks", len(tasks))
         tracer = self.engine.cluster.tracer
         if tracer is not None:
             base = min(r.t0 for r in results.values())

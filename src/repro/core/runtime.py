@@ -10,6 +10,7 @@ only read that indexes; :meth:`~PartitionRuntime.partition` returns rows.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -207,10 +208,13 @@ class PartitionRuntime:
 
     def check_query(self, taus: Iterable[float], queries: Iterable = ()) -> None:
         """The read-side twin of :meth:`checked_points`, first in every
-        query: a negative or NaN ``tau`` (``inf`` is legal) or bad query
-        points raise ``ValueError`` — a NaN would fail every comparison
-        and come back as an empty or arbitrary answer."""
+        query: a ``tau`` that is no real number (a ``bool`` included), a
+        negative or NaN one (``inf`` is legal) or bad query points raise
+        ``ValueError`` — a NaN would fail every comparison and come back
+        as an empty or arbitrary answer, a ``True`` would run at 1."""
         for tau in taus:
+            if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+                raise ValueError(f"tau must be a real number, got {tau!r}")
             if not tau >= 0:
                 raise ValueError(f"tau must be non-negative, got {tau!r}")
         for query in queries:

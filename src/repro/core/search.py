@@ -15,44 +15,18 @@ per relevant partition on the simulated cluster; asked for a finite
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.mbr import MBR
+from ..obs import MetricsRegistry
 from ..trajectory.trajectory import Trajectory
 from .adapters import IndexAdapter
 from .bounds import endpoint_bound
 from .numerics import slack
 from .trie import FilterStats, TrieIndex
-from .verify import VerificationData, Verifier, VerifyStats
-
-
-@dataclass
-class SearchStats:
-    """Instrumentation across the whole search pipeline."""
-
-    relevant_partitions: int = 0
-    filter: FilterStats = field(default_factory=FilterStats)
-    verify: VerifyStats = field(default_factory=VerifyStats)
-
-    @property
-    def candidates(self) -> int:
-        return self.filter.candidates
-
-    def merge(self, other: "SearchStats") -> None:
-        self.relevant_partitions += other.relevant_partitions
-        self.filter.merge(other.filter)
-        self.verify.merge(other.verify)
-
-    @classmethod
-    def total(cls, parts: Iterable["SearchStats"]) -> "SearchStats":
-        """A fresh SearchStats summing ``parts``."""
-        out = cls()
-        for part in parts:
-            out.merge(part)
-        return out
+from .verify import VerificationData, Verifier
 
 
 #: one match: (trajectory, distance)
@@ -70,8 +44,8 @@ def search_rows(
     verifier: Verifier,
     q_points_list: Sequence[np.ndarray],
     taus: Sequence[float],
-    q_datas: Optional[Sequence[Optional[VerificationData]]] = None,
-    stats: Optional[List[Optional[SearchStats]]] = None,
+    q_datas: Optional[Sequence[Optional[VerificationData]]],
+    counts: MetricsRegistry,
     k: Optional[int] = None,
     pair_keys: Optional[np.ndarray] = None,
     floor: bool = False,
@@ -82,7 +56,11 @@ def search_rows(
     surviving ``(row, query)`` pair of the round — so a task's pairs share
     their kernel sweeps (:mod:`repro.kernels.pairbatch`).  Returns
     ``(dataset row, distance)`` pairs per query; no ``Trajectory`` is
-    materialized anywhere on this path.
+    materialized anywhere on this path.  The stages count into
+    ``counts``, the task's registry: the trie filter under ``filter.*``
+    (:class:`~repro.core.trie.FilterStats` summed over the queries), the
+    verifier under ``verify.*``.  ``q_datas`` are the queries' prepared
+    artifacts, or None to build them here.
 
     ``k=None`` is the threshold search: one round over every candidate at
     the query's ``tau``, matches in candidate order.  A finite ``k`` keeps
@@ -105,9 +83,6 @@ def search_rows(
     """
     dataset = trie.dataset
     n = len(q_points_list)
-    stats = stats if stats is not None else [None] * n
-    fstats = [None if s is None else s.filter for s in stats]
-    vstats = [None if s is None else s.verify for s in stats]
     # a top-k query walks the trie only where no endpoint bound orders
     # the rows, and only with a distance to prune by
     walk = [
@@ -115,13 +90,17 @@ def search_rows(
         if k is None or (adapter.endpoint_bound is None and math.isfinite(taus[i]))
     ]
     cands = [np.arange(dataset.n_rows, dtype=np.int64)] * n
+    fs = FilterStats()  # one record the walked queries add up in
     if walk:
         found = trie.filter_candidates_batch(
             [q_points_list[i] for i in walk], [taus[i] for i in walk], adapter,
-            [fstats[i] for i in walk],
+            [fs] * len(walk),
         )
         for i, rows in zip(walk, found):
             cands[i] = rows
+    counts.counter("filter.nodes_visited", fs.nodes_visited)
+    counts.counter("filter.nodes_pruned", fs.nodes_pruned)
+    counts.counter("filter.candidates", fs.candidates)
     ids = dataset.traj_ids
     if floor:
         cands = [rows[ids[rows] > key] for rows, key in zip(cands, pair_keys)]
@@ -153,12 +132,11 @@ def search_rows(
                 rows, at[i] = rows[at[i] : end][near], end
             kths[i] = kth
             chunks.append(
-                verifier.filter_rows(block, rows, kth, q_datas[i], vstats[i], box=k is not None)
+                verifier.filter_rows(block, rows, kth, q_datas[i], counts, box=k is not None)
             )
         live = list(kths)
         matches = verifier.exact_rows(
-            dataset, chunks, [q_points_list[i] for i in live], list(kths.values()),
-            [vstats[i] for i in live],
+            dataset, chunks, [q_points_list[i] for i in live], list(kths.values()), counts,
             None if pair_keys is None else [ids[rows] > pair_keys[i] for i, rows in zip(live, chunks)],
         )
         if k is None:

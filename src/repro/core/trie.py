@@ -55,16 +55,14 @@ from .pivots import indexing_points
 
 @dataclass
 class FilterStats:
-    """Instrumentation of one filtering pass."""
+    """The trie's per-query record of its filtering passes: what
+    :meth:`TrieIndex.filter_candidates_batch` adds up for one query.
+    The engine's searches read it into their task registry as
+    ``filter.*`` counters."""
 
     nodes_visited: int = 0
     nodes_pruned: int = 0
     candidates: int = 0
-
-    def merge(self, other: "FilterStats") -> None:
-        self.nodes_visited += other.nodes_visited
-        self.nodes_pruned += other.nodes_pruned
-        self.candidates += other.candidates
 
 
 class TrieIndex:

@@ -36,6 +36,7 @@ from ..kernels.batch import (
     batch_cell_bounds,
     batch_mbr_coverage,
 )
+from ..obs import MetricsRegistry
 from ..trajectory.trajectory import Trajectory
 from .numerics import slack as _slack
 
@@ -73,29 +74,6 @@ class VerificationData:
         )
 
 
-@dataclass
-class VerifyStats:
-    """Counts of where candidate pairs were resolved (for the ablations)."""
-
-    pairs: int = 0
-    pruned_by_mbr: int = 0
-    pruned_by_cells: int = 0
-    exact_computed: int = 0
-    accepted: int = 0
-
-    def merge(self, other: "VerifyStats") -> None:
-        self.pairs += other.pairs
-        self.pruned_by_mbr += other.pruned_by_mbr
-        self.pruned_by_cells += other.pruned_by_cells
-        self.exact_computed += other.exact_computed
-        self.accepted += other.accepted
-
-    def to_registry(self, registry, prefix: str = "verify") -> None:
-        """Fold these counts into a metrics registry (one counter per
-        field, named ``{prefix}.{field}``)."""
-        registry.absorb(prefix, self)
-
-
 class Verifier:
     """The staged verification pipeline of one adapter, shared by search
     and join.
@@ -126,7 +104,7 @@ class Verifier:
         rows: np.ndarray,
         tau: float,
         q_data: VerificationData,
-        stats: Optional[VerifyStats] = None,
+        counts: MetricsRegistry,
         box: bool = False,
     ) -> np.ndarray:
         """The two filter stages over a whole candidate row list.
@@ -139,33 +117,32 @@ class Verifier:
         bound (:func:`~repro.kernels.batch.batch_box_bounds`) exceeds
         ``tau``, before Lemma 5.6 sees them; they count as pruned by the
         MBR.  At ``tau = inf`` no stage can prune, so none runs.  Returns
-        the surviving rows in candidate order, having counted the list and
-        what each stage pruned.
+        the surviving rows in candidate order, having counted the list
+        (``verify.pairs``) and what each stage pruned
+        (``verify.pruned_by_mbr``, ``verify.pruned_by_cells``) into
+        ``counts``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         k = int(rows.shape[0])
-        if k == 0:
-            return rows
-        if stats is not None:
-            stats.pairs += k
-        if math.isinf(tau):
-            return rows
-        slack = _slack(tau)
-        if self.use_mbr_coverage:
-            mask = batch_mbr_coverage(block, rows, q_data.mbr.low, q_data.mbr.high, slack)
-            rows = rows[np.nonzero(mask)[0]]
-            if box and rows.shape[0]:
-                bounds = batch_box_bounds(
-                    block, rows, q_data.cells, q_data.mbr.low, q_data.mbr.high, self.cell_bound
-                )
-                rows = rows[np.nonzero(bounds <= slack)[0]]
-            if stats is not None:
-                stats.pruned_by_mbr += k - int(rows.shape[0])
-        if self.use_cell_filter and rows.shape[0]:
-            mask = batch_cell_bounds(block, rows, q_data.cells, self.cell_bound) <= slack
-            if stats is not None:
-                stats.pruned_by_cells += int(rows.shape[0] - int(mask.sum()))
-            rows = rows[np.nonzero(mask)[0]]
+        by_mbr = by_cells = 0
+        if k and not math.isinf(tau):
+            slack = _slack(tau)
+            if self.use_mbr_coverage:
+                mask = batch_mbr_coverage(block, rows, q_data.mbr.low, q_data.mbr.high, slack)
+                rows = rows[np.nonzero(mask)[0]]
+                if box and rows.shape[0]:
+                    bounds = batch_box_bounds(
+                        block, rows, q_data.cells, q_data.mbr.low, q_data.mbr.high, self.cell_bound
+                    )
+                    rows = rows[np.nonzero(bounds <= slack)[0]]
+                by_mbr = k - int(rows.shape[0])
+            if self.use_cell_filter and rows.shape[0]:
+                mask = batch_cell_bounds(block, rows, q_data.cells, self.cell_bound) <= slack
+                by_cells = int(rows.shape[0] - int(mask.sum()))
+                rows = rows[np.nonzero(mask)[0]]
+        counts.counter("verify.pairs", k)
+        counts.counter("verify.pruned_by_mbr", by_mbr)
+        counts.counter("verify.pruned_by_cells", by_cells)
         return rows
 
     def exact_rows(
@@ -174,7 +151,7 @@ class Verifier:
         rows_per_query: Sequence[np.ndarray],
         q_points_list: Sequence[np.ndarray],
         taus: Sequence[float],
-        stats: Optional[Sequence[Optional[VerifyStats]]] = None,
+        counts: MetricsRegistry,
         query_first: Optional[Sequence[np.ndarray]] = None,
     ) -> List[List[Tuple[int, float]]]:
         """The exact stage for every surviving pair of a task at once.
@@ -184,7 +161,8 @@ class Verifier:
         ``exact_batch`` together — fed zero-copy point views straight out
         of the columnar dataset, never a materialized ``Trajectory`` — and
         come back per query as accepted ``(row, distance)`` pairs in
-        candidate order, counted as computed and accepted.  A pair is
+        candidate order, counted as ``verify.exact_computed`` and
+        ``verify.accepted`` into ``counts``.  A pair is
         evaluated as ``exact(row, query)``, or as ``exact(query, row)``
         where ``query_first[i]`` (a mask aligned with query ``i``'s rows)
         is set.
@@ -207,12 +185,10 @@ class Verifier:
         dists = self.exact_batch(ts, qs, pair_taus) if ts else []
         out: List[List[Tuple[int, float]]] = []
         at = 0
-        for i, (rows, tau) in enumerate(zip(row_lists, taus)):
+        for rows, tau in zip(row_lists, taus):
             n = len(rows)
-            matches = [(r, d) for r, d in zip(rows, dists[at : at + n]) if d <= tau]
+            out.append([(r, d) for r, d in zip(rows, dists[at : at + n]) if d <= tau])
             at += n
-            if stats is not None and stats[i] is not None:
-                stats[i].exact_computed += n
-                stats[i].accepted += len(matches)
-            out.append(matches)
+        counts.counter("verify.exact_computed", at)
+        counts.counter("verify.accepted", sum(map(len, out)))
         return out

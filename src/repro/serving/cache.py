@@ -10,6 +10,10 @@ Two caches back the serving layer:
   cost-based scheduler to price repeat queries — LocationSpark's sFilter
   role.  Entry-bounded LRU.
 
+Each counts its ``hits``, ``misses``, ``invalidations``, ``evictions``
+and ``stored`` entries into the registry it is given, under its
+``PREFIX`` (``serve.cache``, ``serve.candidate_cache``).
+
 The invalidation contract ("exactly the affected entries"): every entry
 carries a **footprint** — the engine's
 :attr:`~repro.core.engine.DITAEngine.generation` at stamp time plus the
@@ -34,8 +38,9 @@ by generation-bumping buffered writes, and the cheap path stays sound.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+from ..obs import MetricsRegistry
 
 #: ``(generation, ((pid, partition_version), ...))``
 Footprint = Tuple[int, Tuple[Tuple[int, int], ...]]
@@ -78,22 +83,16 @@ def footprint_valid(
     return all(engine.partition_version(pid) == v for pid, v in parts)
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-    stored: int = 0
+class _Counted:
+    """A cache that counts its events into a registry under ``PREFIX``."""
 
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "stored": self.stored,
-        }
+    PREFIX = ""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.metrics = metrics
+
+    def _count(self, name: str) -> None:
+        self.metrics.counter(f"{self.PREFIX}.{name}")
 
 
 class _Entry:
@@ -106,7 +105,7 @@ class _Entry:
         self.nbytes = nbytes
 
 
-class ResultCache:
+class ResultCache(_Counted):
     """Bytes-bounded LRU of finished answers with footprint validity.
 
     Keys are caller-built canonical tuples (the serving layer hashes the
@@ -115,13 +114,15 @@ class ResultCache:
     misses, every ``put`` is dropped).
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    PREFIX = "serve.cache"
+
+    def __init__(self, capacity_bytes: int, metrics: MetricsRegistry) -> None:
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
+        super().__init__(metrics)
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._bytes = 0
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,15 +141,15 @@ class ResultCache:
         miss)."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self._count("misses")
             return None
         if not footprint_valid(engine, entry.footprint, current_pids):
             self._drop(key, entry)
-            self.stats.invalidations += 1
-            self.stats.misses += 1
+            self._count("invalidations")
+            self._count("misses")
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self._count("hits")
         return entry.value, entry.stats
 
     def put(
@@ -166,23 +167,18 @@ class ResultCache:
             self._bytes -= old.nbytes
         self._entries[key] = _Entry(value, stats, footprint, nbytes)
         self._bytes += nbytes
-        self.stats.stored += 1
+        self._count("stored")
         while self._bytes > self.capacity_bytes:
             victim_key, victim = self._entries.popitem(last=False)
             self._bytes -= victim.nbytes
-            self.stats.evictions += 1
-
-    def invalidate_all(self) -> None:
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
-        self._bytes = 0
+            self._count("evictions")
 
     def _drop(self, key: tuple, entry: _Entry) -> None:
         del self._entries[key]
         self._bytes -= entry.nbytes
 
 
-class CandidateCache:
+class CandidateCache(_Counted):
     """Per-query partition footprints for the scheduler's cost model.
 
     Maps a query signature to the partitions it touched and the observed
@@ -195,11 +191,12 @@ class CandidateCache:
 
     #: entries kept; the least recently used goes first
     MAX_ENTRIES = 4096
+    PREFIX = "serve.candidate_cache"
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        super().__init__(metrics)
         #: key -> list of (pid, version, cost_s)
         self._entries: "OrderedDict[tuple, List[Tuple[int, int, float]]]" = OrderedDict()
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -208,15 +205,15 @@ class CandidateCache:
         """``[(pid, cost_s), ...]`` for a still-valid entry, else None."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self._count("misses")
             return None
         if any(engine.partition_version(pid) != v for pid, v, _ in entry):
             del self._entries[key]
-            self.stats.invalidations += 1
-            self.stats.misses += 1
+            self._count("invalidations")
+            self._count("misses")
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self._count("hits")
         return [(pid, cost) for pid, _, cost in entry]
 
     def put(self, key: tuple, engine, costs: Iterable[Tuple[int, float]]) -> None:
@@ -224,7 +221,7 @@ class CandidateCache:
             (pid, engine.partition_version(pid), float(cost)) for pid, cost in costs
         ]
         self._entries.move_to_end(key)
-        self.stats.stored += 1
+        self._count("stored")
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            self._count("evictions")

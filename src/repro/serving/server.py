@@ -30,9 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import DITAConfig
 from ..core.engine import DITAEngine
-from ..core.join import JoinStats
 from ..core.knn import knn_search
-from ..core.search import SearchStats
 from ..obs import LatencyRecorder, MetricsRegistry
 from ..trajectory.trajectory import Trajectory
 from .admission import AdmissionController, AdmissionError
@@ -71,6 +69,7 @@ class Outcome:
     request: Request
     status: str  # "ok" | "shed" | "error"
     result: Any = None
+    #: a search's or join's counters as ``MetricsRegistry.snapshot()``
     stats: Any = None
     start: float = 0.0
     finish: float = 0.0
@@ -172,8 +171,8 @@ class ServingLayer:
         self.admission = AdmissionController(self.config)
         self.scheduler = CostScheduler(engine.cluster, self.metrics, serial=serial)
         self.queue = FairQueue()
-        self.result_cache = ResultCache(self.config.result_cache_bytes)
-        self.candidate_cache = CandidateCache()
+        self.result_cache = ResultCache(self.config.result_cache_bytes, self.metrics)
+        self.candidate_cache = CandidateCache(self.metrics)
         self._tenant_sessions: Dict[str, Any] = {}
         self.outcomes: List[Outcome] = []
         self._clock = 0.0
@@ -319,10 +318,8 @@ class ServingLayer:
         if key is not None:
             hit = self.result_cache.get(key, engine, current_pids)
             if hit is not None:
-                self.metrics.counter("serve.cache.hits")
                 value, stats = hit
                 return value, stats, self.CACHE_HIT_COST_S, True
-            self.metrics.counter("serve.cache.misses")
         cost0 = self._cluster_cost()
         span0 = len(engine.tracer.spans) if engine.tracer is not None else 0
         value, stats = self._run_query(req)
@@ -348,19 +345,21 @@ class ServingLayer:
         return value, stats, cost, False
 
     def _run_query(self, req: Request) -> Tuple[Any, Any]:
+        """``(canonical value, stats)``: a search's or join's stats are the
+        :meth:`~repro.obs.MetricsRegistry.snapshot` of the counters the
+        call added to the engine's registry."""
         engine = self.engine
         p = req.payload
+        stats = MetricsRegistry()
         if req.kind == "search":
-            stats = SearchStats()
             matches = engine.search(p["query"], p["tau"], stats=stats)
-            return canonical_result("search", matches), stats
+            return canonical_result("search", matches), stats.snapshot()
         if req.kind == "knn":
             result = knn_search(engine, p["query"], p["k"])
             return canonical_result("knn", result), None
         if req.kind == "join":
-            stats = JoinStats()
             pairs = engine.join(p.get("other", engine), p["tau"], stats=stats)
-            return canonical_result("join", pairs), stats
+            return canonical_result("join", pairs), stats.snapshot()
         # sql
         session = self._session_for(req.tenant)
         rows = session.sql(p["text"], params=p.get("params"))
@@ -465,9 +464,16 @@ class ServingLayer:
             "errors": int(self.metrics.value("serve.errors")),
             "makespan_s": repr(makespan),
             "throughput_rps": repr(completed / makespan if makespan > 0 else 0.0),
-            "cache": self.result_cache.stats.to_dict(),
-            "candidate_cache": self.candidate_cache.stats.to_dict(),
+            "cache": self._cache_counts(ResultCache.PREFIX),
+            "candidate_cache": self._cache_counts(CandidateCache.PREFIX),
             "tenants": self.latency.summary(),
+        }
+
+    def _cache_counts(self, prefix: str) -> Dict[str, int]:
+        """One cache's five counts, read off the layer's registry."""
+        return {
+            name: int(self.metrics.value(f"{prefix}.{name}"))
+            for name in ("hits", "misses", "invalidations", "evictions", "stored")
         }
 
 

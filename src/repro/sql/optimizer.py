@@ -17,6 +17,7 @@ Three rewrite passes run in order:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -134,13 +135,23 @@ def _resolve_trajectory(expr: Expr, params: Dict[str, object]) -> Optional[Traje
     return None
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _resolve_number(expr: Expr, params: Dict[str, object]) -> Optional[float]:
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
+    """A threshold literal or bound parameter as a float; None for any
+    other expression.  A parameter bound to a ``bool`` or to no real
+    number is an ``SQLError`` naming it."""
+    if isinstance(expr, Literal) and _is_number(expr.value):
         return float(expr.value)
     if isinstance(expr, Param):
-        value = params.get(expr.name)
-        if isinstance(value, (int, float)):
-            return float(value)
+        if expr.name not in params:
+            raise SQLError(f"unbound parameter :{expr.name}")
+        value = params[expr.name]
+        if not _is_number(value):
+            raise SQLError(f"parameter :{expr.name} must be a real number, got {value!r}")
+        return float(value)
     return None
 
 
@@ -162,12 +173,15 @@ def _similarity_call(
 
 
 def _bound(conjunct: Expr, params: Dict[str, object]) -> Optional[Tuple[Expr, float, bool]]:
-    """Split ``<expr> <= tau`` or ``<expr> < tau`` into ``(expr, tau,
-    strict)``."""
+    """Split a similarity predicate ``f(a, b) <= tau`` or ``f(a, b) < tau``
+    (``f`` a registered distance) into ``(call, tau, strict)``."""
     if not isinstance(conjunct, Comparison) or conjunct.op not in ("<=", "<"):
         return None
+    call = conjunct.left
+    if not (isinstance(call, FunctionCall) and call.name in available_adapters()):
+        return None  # not a similarity predicate: its right side is no tau
     tau = _resolve_number(conjunct.right, params)
-    return None if tau is None else (conjunct.left, tau, conjunct.op == "<")
+    return None if tau is None else (call, tau, conjunct.op == "<")
 
 
 def strictly_below(tau: float) -> Expr:

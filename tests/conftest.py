@@ -72,3 +72,10 @@ def brute_force_join(left, right, distance, tau):
         for b in right
         if distance.compute(a.points, b.points) <= tau
     )
+
+
+def nonzero_counts(registry, prefix=""):
+    """A registry's counters under ``prefix`` that are not zero: two runs
+    count the same when these agree, whether or not a stage that never ran
+    wrote its zeros."""
+    return {k: v for k, v in registry.counters(prefix).items() if v}

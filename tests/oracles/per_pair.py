@@ -18,9 +18,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.numerics import slack as _slack
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.verify import VerificationData, Verifier
 from repro.geometry.cell import CellSet
 from repro.geometry.mbr import MBR
+from repro.obs import MetricsRegistry
 from repro.trajectory.trajectory import Trajectory
 
 _INF = math.inf
@@ -59,27 +60,28 @@ def verify(
     tau: float,
     t_data: Optional[VerificationData] = None,
     q_data: Optional[VerificationData] = None,
-    stats: Optional[VerifyStats] = None,
+    stats: Optional[MetricsRegistry] = None,
 ) -> float:
     """Exact distance when ``<= tau`` else ``inf``, using the staged
-    filters whenever precomputed data is available."""
+    filters whenever precomputed data is available, counting each stage
+    into ``stats`` under the verifier's ``verify.*`` names."""
     if stats is not None:
-        stats.pairs += 1
+        stats.counter("verify.pairs")
     if verifier.use_mbr_coverage:
         t_mbr = t_data.mbr if t_data is not None else t.mbr
         q_mbr = q_data.mbr if q_data is not None else q.mbr
         if not mbr_coverage_ok(t_mbr, q_mbr, tau):
             if stats is not None:
-                stats.pruned_by_mbr += 1
+                stats.counter("verify.pruned_by_mbr")
             return _INF
     if verifier.use_cell_filter and t_data is not None and q_data is not None:
         if CELL_BOUNDS[verifier.cell_bound](t_data.cells, q_data.cells) > _slack(tau):
             if stats is not None:
-                stats.pruned_by_cells += 1
+                stats.counter("verify.pruned_by_cells")
             return _INF
     if stats is not None:
-        stats.exact_computed += 1
+        stats.counter("verify.exact_computed")
     d = verifier.exact_fn(t.points, q.points, tau)
     if d <= tau and stats is not None:
-        stats.accepted += 1
+        stats.counter("verify.accepted")
     return d

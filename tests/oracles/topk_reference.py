@@ -9,13 +9,13 @@ each chunk is cut by the box bound before the verifier's stages — here in
 its per-pair loop form (``oracles.box_bounds_reference``), counted as the
 verifier counts it.  ``tests/test_local_scan.py`` pins the merged loop to
 it: the same ``(distance, id, row)`` lists, distances equal to the last
-bit, and the same ``VerifyStats``.
+bit, and the same ``verify.*`` counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from repro.core.bounds import endpoint_bound
 from repro.core.numerics import slack
 from repro.core.search import TOPK_CHUNK
 from repro.core.trie import TrieIndex
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.verify import VerificationData, Verifier
 from repro.geometry.mbr import MBR
+from repro.obs import MetricsRegistry
 
 
 def topk_rows(
@@ -37,7 +38,7 @@ def topk_rows(
     k: int,
     tau: float,
     q_data: VerificationData,
-    stats: Optional[VerifyStats] = None,
+    counts: MetricsRegistry,
 ) -> List[Tuple[float, int, int]]:
     """The local top-k of one partition: its at most ``k`` rows nearest
     ``q_points`` among those within ``tau``, as ``(distance, trajectory
@@ -87,12 +88,11 @@ def topk_rows(
                 for r in chunk.tolist()
             ]
             cut = chunk.shape[0] - sum(keep)
-            if stats is not None:
-                stats.pairs += cut
-                stats.pruned_by_mbr += cut
+            counts.counter("verify.pairs", cut)
+            counts.counter("verify.pruned_by_mbr", cut)
             chunk = chunk[np.asarray(keep, dtype=bool)]
-        chunk = verifier.filter_rows(block, chunk, kth, q_data, stats)
-        matches = verifier.exact_rows(dataset, [chunk], [q_points], [kth], [stats])[0]
+        chunk = verifier.filter_rows(block, chunk, kth, q_data, counts)
+        matches = verifier.exact_rows(dataset, [chunk], [q_points], [kth], counts)[0]
         best = sorted(best + [(d, int(dataset.traj_ids[r]), r) for r, d in matches])[:k]
         at = end
     return best

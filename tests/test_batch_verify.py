@@ -2,7 +2,7 @@
 
 ``Verifier.filter_rows`` then ``exact_rows`` over a :class:`TrajectoryBlock`
 (stacked in the columnar dataset's row space) must return the same
-matches, in the same order, with the same :class:`VerifyStats` counts, as
+matches, in the same order, with the same ``verify.*`` counts, as
 the per-pair oracle (``oracles.per_pair.verify``) called per candidate —
 for every verifier configuration.
 """
@@ -12,13 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import nonzero_counts
 from oracles.per_pair import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok, verify
 from repro.baselines.mbe import MBEIndex, envelope_lower_bound
 from repro.core.adapters import get_adapter
 from repro.core.numerics import slack
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.verify import VerificationData, Verifier
 from repro.datagen import beijing_like
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, batch_mbr_coverage
+from repro.obs import MetricsRegistry
 from repro.storage.columnar import ColumnarDataset
 
 CELL_SIZE = 0.004
@@ -57,8 +59,9 @@ def _per_pair(verifier, candidates, q, tau, verification, stats=None):
 
 def _verify_rows(verifier, block, dataset, rows, q_points, tau, q_data, stats=None):
     """One query's candidate rows through both batched stages."""
+    stats = MetricsRegistry() if stats is None else stats
     rows = verifier.filter_rows(block, rows, tau, q_data, stats)
-    return verifier.exact_rows(dataset, [rows], [q_points], [tau], [stats])[0]
+    return verifier.exact_rows(dataset, [rows], [q_points], [tau], stats)[0]
 
 
 @pytest.mark.parametrize("distance", ["dtw", "frechet"])
@@ -69,13 +72,13 @@ def test_rows_match_per_pair(data, dataset, verification, block, distance, use_m
     rows = dataset.alive_rows()
     for qi in (0, 13, 55):
         q = data[qi]
-        s_loop, s_batch = VerifyStats(), VerifyStats()
+        s_loop, s_batch = MetricsRegistry(), MetricsRegistry()
         expect = _per_pair(verifier, data, q, TAU, verification, s_loop)
         got = _verify_rows(
             verifier, block, dataset, rows, q.points, TAU, verification[q.traj_id], stats=s_batch
         )
         assert [(dataset.id_of(r), d) for r, d in got] == expect
-        assert s_batch == s_loop
+        assert nonzero_counts(s_batch) == nonzero_counts(s_loop)
 
 
 def test_batch_filter_stages_match_scalar_lemmas(data, dataset, verification, block):

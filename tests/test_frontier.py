@@ -150,8 +150,9 @@ class TestBatchVsLoop:
         ]
 
     def test_searcher_batch_equals_loop(self):
-        from repro.core.search import SearchStats, search_rows
+        from repro.core.search import search_rows
         from repro.core.verify import Verifier
+        from repro.obs import MetricsRegistry
 
         data = list(beijing_like(120, seed=9))
         trie = TrieIndex(data, DITAConfig(trie_fanout=4, num_pivots=3))
@@ -159,19 +160,16 @@ class TestBatchVsLoop:
         verifier = Verifier(adapter)
         queries = [t.points for t in data[:6]]
         taus = [0.004] * 6
-        stats_b = [SearchStats() for _ in queries]
-        stats_l = [SearchStats() for _ in queries]
+        stats_b, stats_l = MetricsRegistry(), MetricsRegistry()
         batched = search_rows(trie, adapter, verifier, queries, taus, None, stats_b)
         looped = [
-            search_rows(trie, adapter, verifier, [q], [t], None, [s])[0]
-            for q, t, s in zip(queries, taus, stats_l)
+            search_rows(trie, adapter, verifier, [q], [t], None, stats_l)[0]
+            for q, t in zip(queries, taus)
         ]
         ids = trie.dataset.id_of
-        for got, ref, sb, sl in zip(batched, looped, stats_b, stats_l):
+        for got, ref in zip(batched, looped):
             assert [(ids(r), d) for r, d in got] == [(ids(r), d) for r, d in ref]
-            assert sb.filter.candidates == sl.filter.candidates
-            assert sb.verify.accepted == sl.verify.accepted
-            assert sb.verify.exact_computed == sl.verify.exact_computed
+        assert stats_b.snapshot() == stats_l.snapshot()
 
 
 class TestEndToEnd:

@@ -4,7 +4,7 @@
 share of a kNN (finite ``k``) with one round-based loop.  With ``k`` set it
 must answer exactly as the best-first one-query top-k it absorbed
 (``oracles.topk_reference.topk_rows``): the same ``(distance, id, row)``
-lists, distances equal to the last bit, and the same ``VerifyStats`` —
+lists, distances equal to the last bit, and the same ``verify.*`` counts —
 for every adapter, every ``k`` up to past the partition's size, and an
 incoming ``tau`` of zero, a finite value and ``inf``.  The ``k=None``
 form is pinned to the per-pair oracle by ``test_adapter_parity.py`` and
@@ -13,21 +13,22 @@ coordinator started at a finite ``tau`` (the capped select) is checked
 against a brute-force ranking.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import nonzero_counts
 from oracles.topk_reference import topk_rows
 from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
 from repro.core.config import DITAConfig
 from repro.core.engine import DITAEngine
 from repro.core.knn import knn_search
-from repro.core.search import SearchStats, search_rows
-from repro.core.trie import FilterStats, TrieIndex
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.search import search_rows
+from repro.core.trie import TrieIndex
+from repro.core.verify import VerificationData, Verifier
 from repro.datagen import citywide_dataset, random_walk_dataset, sample_queries
+from repro.obs import MetricsRegistry
 
 # (name, adapter factory, a finite tau) — EDR/LCSS thresholds are edit counts
 ADAPTERS = [
@@ -60,11 +61,11 @@ def trie_and_queries(request):
 
 def _nearest(trie, adapter, verifier, q_list, tau_list, k):
     """``search_rows`` with ``k`` set, as ``(distance, id, row)`` lists,
-    with its per-query ``SearchStats``."""
-    stats = [SearchStats() for _ in q_list]
-    got = search_rows(trie, adapter, verifier, q_list, tau_list, None, stats, k)
+    with the call's counts."""
+    counts = MetricsRegistry()
+    got = search_rows(trie, adapter, verifier, q_list, tau_list, None, counts, k)
     ids = trie.dataset.traj_ids
-    return [[(d, int(ids[r]), r) for r, d in m] for m in got], stats
+    return [[(d, int(ids[r]), r) for r, d in m] for m in got], counts
 
 
 def _bits(triples):
@@ -82,38 +83,41 @@ class TestTopkAgainstReference:
         for qi, q in enumerate(queries):
             for k in (1, 5, len(trie) + 3):
                 for t in (0, tau, math.inf):
-                    want_stats = VerifyStats()
+                    want_counts = MetricsRegistry()
                     want = topk_rows(
                         trie, adapter, verifier, q, k, t,
-                        VerificationData.from_points(q, cell), want_stats,
+                        VerificationData.from_points(q, cell), want_counts,
                     )
-                    (got,), (stats,) = _nearest(trie, adapter, verifier, [q], [t], k)
+                    (got,), counts = _nearest(trie, adapter, verifier, [q], [t], k)
                     case = (name, qi, k, t)
                     assert [(i, r) for _, i, r in got] == [(i, r) for _, i, r in want], case
                     assert _bits(got) == _bits(want), case
-                    assert dataclasses.asdict(stats.verify) == dataclasses.asdict(want_stats), case
+                    assert nonzero_counts(counts, "verify.") == nonzero_counts(want_counts), case
                     # no trie walk with no distance to prune by, nor where
                     # the endpoint bound orders every row
                     if math.isinf(t) or adapter.endpoint_bound is not None:
-                        assert stats.filter == FilterStats(), case
+                        assert nonzero_counts(counts, "filter.") == {}, case
                     answered += len(got)
         assert answered > 0
 
     @pytest.mark.parametrize("name,make_adapter,tau", ADAPTERS, ids=IDS)
     def test_many_queries_equal_one_query_calls(self, trie_and_queries, name, make_adapter, tau):
         """Queries share each round's exact stage but nothing else: a
-        three-query call answers, and counts, as three one-query calls."""
+        three-query call answers as three one-query calls, and counts what
+        the three count together."""
         trie, queries = trie_and_queries
         adapter = make_adapter()
         verifier = Verifier(adapter)
         q_list = queries[:3]
         tau_list = [tau, math.inf, 0]
         for k in (1, 5):
-            got, stats = _nearest(trie, adapter, verifier, q_list, tau_list, k)
-            for q, t, nearest, s in zip(q_list, tau_list, got, stats):
-                (alone,), (alone_stats,) = _nearest(trie, adapter, verifier, [q], [t], k)
+            got, counts = _nearest(trie, adapter, verifier, q_list, tau_list, k)
+            alone_counts = MetricsRegistry()
+            for q, t, nearest in zip(q_list, tau_list, got):
+                (alone,), c = _nearest(trie, adapter, verifier, [q], [t], k)
                 assert nearest == alone and _bits(nearest) == _bits(alone), (name, k, t)
-                assert dataclasses.asdict(s) == dataclasses.asdict(alone_stats), (name, k, t)
+                alone_counts.merge(c)
+            assert nonzero_counts(counts) == nonzero_counts(alone_counts), (name, k)
 
 
 class TestCappedKnn:

@@ -6,9 +6,9 @@ import pytest
 from conftest import brute_force_search
 from repro import DITAConfig, DITAEngine
 from repro.core.adapters import EDRAdapter, LCSSAdapter, ERPAdapter
-from repro.core.search import SearchStats
 from repro.datagen import beijing_like, sample_queries
 from repro.distances import get_distance
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +59,10 @@ class TestDTWSearch:
 
     def test_stats_collected(self, dtw_engine, city):
         q = sample_queries(city, 1, seed=3)[0]
-        stats = SearchStats()
+        stats = MetricsRegistry()
         dtw_engine.search(q, 0.003, stats=stats)
-        assert stats.relevant_partitions >= 1
-        assert stats.verify.pairs == stats.candidates
+        assert stats.value("search.relevant_partitions") >= 1
+        assert stats.value("search.verify.pairs") == stats.value("search.filter.candidates")
 
     def test_count_candidates_superset_of_answers(self, dtw_engine, city):
         d = get_distance("dtw")
@@ -211,6 +211,56 @@ class TestQueryValidation:
 
         q = sample_queries(city, 1, seed=1)[0]
         assert dtw_engine.search_ids(q, math.inf) == sorted(t.traj_id for t in city)
+
+
+TAU_ENTRIES = ["search", "search_batch", "join", "self_join", "knn_search", "sql"]
+#: a tau that is no real number: a bool once ran silently at 1.0, the rest
+#: raised an untyped TypeError from a comparison deep in the call
+BAD_TAUS = {"bool": True, "string": "abc", "none": None, "complex": 1 + 0j}
+
+
+class TestTauType:
+    """Each query entry point takes a real, non-bool number as ``tau``;
+    anything else is a typed error naming it, before any work is done."""
+
+    @staticmethod
+    def _call(entry, engine, city, tau):
+        from repro.core.knn import knn_search
+        from repro.sql import DITASession
+
+        q = sample_queries(city, 1, seed=1)[0]
+        if entry == "search":
+            return engine.search(q, tau)
+        if entry == "search_batch":
+            return engine.search_batch([q, q], [0.003, tau])
+        if entry == "join":
+            return engine.join(engine, tau)
+        if entry == "self_join":
+            return engine.self_join(tau)
+        if entry == "knn_search":
+            return knn_search(engine, q, 3, tau=tau)
+        session = DITASession(engine.config)
+        session.register("taxi", city)
+        session.catalog.get("taxi").engine = engine
+        return session.sql(
+            "SELECT traj_id FROM taxi WHERE DTW(taxi, :q) <= :tau",
+            params={"q": q, "tau": tau},
+        )
+
+    @pytest.mark.parametrize("bad", sorted(BAD_TAUS))
+    @pytest.mark.parametrize("entry", TAU_ENTRIES)
+    def test_rejected_naming_tau(self, dtw_engine, city, entry, bad):
+        from repro.sql.tokens import SQLError
+
+        generation = dtw_engine.generation
+        with pytest.raises(SQLError if entry == "sql" else ValueError, match="tau"):
+            self._call(entry, dtw_engine, city, BAD_TAUS[bad])
+        assert dtw_engine.generation == generation
+
+    @pytest.mark.parametrize("entry", TAU_ENTRIES)
+    def test_numpy_float_accepted(self, dtw_engine, city, entry):
+        want = self._call(entry, dtw_engine, city, 0.003)
+        assert self._call(entry, dtw_engine, city, np.float64(0.003)) == want
 
 
 class TestConstructorValidation:

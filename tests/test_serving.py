@@ -6,11 +6,10 @@ The central contract (ISSUE 10): every request the serving layer admits
 must produce an answer byte-identical — results *and* stats — to a
 serial execution of the same requests in the serving layer's dispatch
 order at the same logical snapshot.  The harness replays each run
-against a twin engine and compares canonical results plus a numeric
-fingerprint of the stats dataclasses.
+against a twin engine and compares canonical results plus the stats
+registry snapshots.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -19,11 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
-from repro.core.join import JoinStats
 from repro.core.knn import knn_search
-from repro.core.search import SearchStats
 from repro.datagen import beijing_like
-from repro.obs import LatencyHistogram
+from repro.obs import LatencyHistogram, MetricsRegistry
 from repro.serving import (
     AdmissionController,
     FairQueue,
@@ -57,36 +54,18 @@ def make_config(**kw):
     return DITAConfig(**base)
 
 
-def stats_fingerprint(stats):
-    """Numeric-field fingerprint of a (possibly nested) stats dataclass —
-    the byte-identity comparison for instrumentation (non-numeric fields
-    like join plans are execution artifacts, not part of the answer)."""
-    if stats is None:
-        return None
-    out = {}
-    for f in dataclasses.fields(stats):
-        v = getattr(stats, f.name)
-        if isinstance(v, bool):
-            continue
-        if isinstance(v, (int, float)):
-            out[f.name] = repr(v) if isinstance(v, float) else v
-        elif dataclasses.is_dataclass(v):
-            out[f.name] = stats_fingerprint(v)
-    return out
-
-
 def serial_execute(twin, req, twin_session=None):
     """Run one request serially against the twin; mirrors the serving
     layer's execution without caches, admission or scheduling."""
     p = req.payload
     if req.kind == "search":
-        stats = SearchStats()
-        return canonical_result("search", twin.search(p["query"], p["tau"], stats=stats)), stats
+        stats = MetricsRegistry()
+        return canonical_result("search", twin.search(p["query"], p["tau"], stats=stats)), stats.snapshot()
     if req.kind == "knn":
         return canonical_result("knn", knn_search(twin, p["query"], p["k"])), None
     if req.kind == "join":
-        stats = JoinStats()
-        return canonical_result("join", twin.join(p.get("other", twin), p["tau"], stats=stats)), stats
+        stats = MetricsRegistry()
+        return canonical_result("join", twin.join(p.get("other", twin), p["tau"], stats=stats)), stats.snapshot()
     if req.kind == "sql":
         rows = twin_session.sql(p["text"], params=p.get("params"))
         return canonical_result("sql", rows), None
@@ -116,7 +95,7 @@ def assert_byte_identical_to_serial(outcomes, twin, twin_session=None):
             f"req {o.request.req_id} ({o.request.kind}, cached={o.cached}) "
             f"diverged from serial execution"
         )
-        assert stats_fingerprint(o.stats) == stats_fingerprint(want_stats), (
+        assert o.stats == want_stats, (
             f"req {o.request.req_id} ({o.request.kind}, cached={o.cached}) "
             f"stats diverged from serial execution"
         )
@@ -228,6 +207,40 @@ class TestByteIdenticalToSerial:
         assert outcomes[1].cached  # identical self-join: second one hits
         assert_byte_identical_to_serial(outcomes, twin)
 
+    def test_cache_lookups_counted_once(self):
+        """One source for the cache counts: ``serve.cache.hits`` plus
+        ``serve.cache.misses`` is the number of cacheable lookups, each
+        counted once, and ``summary()["cache"]`` reads those counters."""
+        data = beijing_like(60, seed=17)
+        cfg = make_config()
+        engine = DITAEngine(data, cfg)
+        session = DITASession(cfg)
+        session.register("taxi", data)
+        session.catalog.get("taxi").engine = engine
+        mix = (("search", 0.45), ("knn", 0.15), ("join", 0.1), ("sql", 0.15), ("append", 0.15))
+        reqs = build_workload(data, seed=3, n_per_tenant=10, mix=mix, sql_table="taxi")
+        reqs += [  # a repeat of each cacheable request, after the rest
+            Request(req_id=1000 + r.req_id, tenant=r.tenant, kind=r.kind, payload=r.payload,
+                    arrival=r.arrival + 100.0)
+            for r in reqs if r.kind in ("search", "knn", "join", "sql")
+        ]
+        layer = ServingLayer(engine, session=session, config=cfg)
+        outcomes = layer.run(reqs)
+
+        def cacheable(req):
+            if req.kind == "sql":
+                return req.payload["text"].lstrip().upper().startswith(("SELECT", "EXPLAIN"))
+            return req.kind in ("search", "knn", "join")
+
+        looked_up = [o for o in outcomes if o.status != "shed" and cacheable(o.request)]
+        hits = layer.metrics.value("serve.cache.hits")
+        assert hits + layer.metrics.value("serve.cache.misses") == len(looked_up)
+        assert hits == sum(o.cached for o in outcomes) > 0
+        cache = layer.summary()["cache"]
+        assert (cache["hits"], cache["misses"]) == (
+            hits, layer.metrics.value("serve.cache.misses")
+        )
+
 
 # --------------------------------------------------------------------- #
 # cache invalidation across every mutation path
@@ -297,7 +310,7 @@ class TestCacheInvalidation:
         o4 = layer.run([self._search_req(3, q, 30.0)])[0]
         assert o4.status == "ok"
         assert not o4.cached
-        assert layer.result_cache.stats.invalidations >= 1
+        assert layer.metrics.value("serve.cache.invalidations") >= 1
         serial_execute(twin, mut)
         assert_byte_identical_to_serial([o4], twin)
 
@@ -342,14 +355,15 @@ class TestCacheInvalidation:
         data = beijing_like(40, seed=43)
         cfg = make_config()
         engine = DITAEngine(data, cfg)
-        cache = ResultCache(1 << 20)
+        metrics = MetricsRegistry()
+        cache = ResultCache(1 << 20, metrics)
         engine.sync_for_read()
         fp = snapshot_footprint(engine)
         cache.put(("k",), "value", None, fp, 100)
         assert cache.get(("k",), engine) == ("value", None)
         engine.append_trajectory(888_001, data[0].points + 1e-5)
         assert cache.get(("k",), engine) is None  # buffered write already kills it
-        assert cache.stats.invalidations == 1
+        assert metrics.value("serve.cache.invalidations") == 1
 
     def test_cache_disabled_by_zero_budget(self):
         data = beijing_like(30, seed=47)

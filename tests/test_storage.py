@@ -15,8 +15,8 @@ import pytest
 from repro.core.config import DITAConfig
 from repro.core.engine import DITAEngine
 from repro.core.knn import knn_join, knn_search
-from repro.core.search import SearchStats
 from repro.datagen import beijing_like, sample_queries
+from repro.obs import MetricsRegistry
 from repro.storage.columnar import ColumnarDataset, partition_rows
 from repro.storage.store import (
     CATALOG_NAME,
@@ -228,19 +228,17 @@ class TestEngineParity:
         queries = sample_queries(list(data), 4, seed=7)
         tau = _tau(distance)
         for q in queries:
-            s0, s1 = SearchStats(), SearchStats()
+            s0, s1 = MetricsRegistry(), MetricsRegistry()
             want = sorted((t.traj_id, d) for t, d in base.search(q, tau, s0))
             got_lazy = sorted((t.traj_id, d) for t, d in lazy.search(q, tau, s1))
             assert got_lazy == want  # distances compared bit-exactly
-            assert s1 == s0
+            assert s1.snapshot() == s0.snapshot()
 
     @pytest.mark.parametrize("how", ["from_partitions", "from_store_lazy"])
     def test_every_constructor_installs_the_same_layout(self, data, store, how):
         """The constructors differ only in where their partitions come
         from: same partition ids, same master-side metadata, same answers
         and stats as ``DITAEngine(data)``."""
-        from repro.core.join import JoinStats
-
         cfg = _cfg()
         base = DITAEngine(data, cfg)
         if how == "from_partitions":
@@ -252,14 +250,13 @@ class TestEngineParity:
         assert other.partition_pids() == base.partition_pids()
         assert other.global_index.partitions_meta == base.global_index.partitions_meta
         for q in sample_queries(list(data), 3, seed=7):
-            s0, s1 = SearchStats(), SearchStats()
+            s0, s1 = MetricsRegistry(), MetricsRegistry()
             want = [(t.traj_id, d) for t, d in base.search(q, 0.01, s0)]
             assert [(t.traj_id, d) for t, d in other.search(q, 0.01, s1)] == want
-            assert s1 == s0
-        j0, j1 = JoinStats(), JoinStats()
+            assert s1.snapshot() == s0.snapshot()
+        j0, j1 = MetricsRegistry(), MetricsRegistry()
         assert other.self_join(0.005, stats=j1) == base.self_join(0.005, stats=j0)
-        j0.plan = j1.plan = None  # plans are objects; the counts are the contract
-        assert j1 == j0 and j0.result_pairs > 0
+        assert j1.snapshot() == j0.snapshot() and j0.value("join.result_pairs") > 0
 
     def test_globally_pruned_partitions_never_load(self, data, store):
         engine = DITAEngine.from_store(store, _cfg(), distance="dtw")

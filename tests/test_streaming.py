@@ -3,7 +3,7 @@
 The headline invariant: **any** interleaving of appends, extends,
 removals (under both their names: ``insert``/``remove`` are the same
 delta path), delta flushes, generation merges and online repartitionings
-leaves the engine answering every query — results *and* ``SearchStats``
+leaves the engine answering every query — results *and* ``stats`` counters
 — byte-identically to a freshly bulk-built engine over the same logical
 dataset, for all six distance adapters, on both execution backends.
 
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro import DITAConfig, DITAEngine
 from repro.core.adapters import EDRAdapter, ERPAdapter, LCSSAdapter, get_adapter
-from repro.core.search import SearchStats
 from repro.datagen import citywide_dataset, sample_queries
+from repro.obs import MetricsRegistry
 from repro.storage import CURRENT_NAME, GenerationalStore
 from repro.trajectory import Trajectory
 
@@ -51,17 +51,9 @@ CFG = DITAConfig(
 )
 
 
-def stats_tuple(s: SearchStats):
+def stats_tuple(s: MetricsRegistry):
     """Every counter a search reports — the byte-identical contract."""
-    return (
-        s.relevant_partitions,
-        s.filter.nodes_visited,
-        s.filter.nodes_pruned,
-        s.filter.candidates,
-        s.verify.pairs,
-        s.verify.exact_computed,
-        s.verify.accepted,
-    )
+    return s.snapshot()
 
 
 def bulk_twin(engine: DITAEngine, make_adapter) -> DITAEngine:
@@ -165,9 +157,9 @@ class StreamingMachine(RuleBasedStateMachine):
         q = Trajectory(-1, self.model[tid])
         tau = self.taus[tau_idx % len(self.taus)]
         twin = bulk_twin(self.engine, self.make_adapter)
-        s_live, s_twin = SearchStats(), SearchStats()
-        live = self.engine.search_batch_rows([q], [tau], [s_live])
-        bulk = twin.search_batch_rows([q], [tau], [s_twin])
+        s_live, s_twin = MetricsRegistry(), MetricsRegistry()
+        live = self.engine.search_batch_rows([q], [tau], s_live)
+        bulk = twin.search_batch_rows([q], [tau], s_twin)
         assert live == bulk, (self.name, tau)
         assert stats_tuple(s_live) == stats_tuple(s_twin), (self.name, tau)
         # and both are *right*: brute force over the model
@@ -282,12 +274,11 @@ class TestDeltaMechanics:
         queries = sample_queries(list(citywide_dataset(20, seed=7)), 3, seed=5)
         twin = bulk_twin(small_engine, lambda: get_adapter("dtw"))
         taus = [0.004] * len(queries)
-        s1 = [SearchStats() for _ in queries]
-        s2 = [SearchStats() for _ in queries]
+        s1, s2 = MetricsRegistry(), MetricsRegistry()
         assert small_engine.search_batch_rows(queries, taus, s1) == twin.search_batch_rows(
             queries, taus, s2
         )
-        assert [stats_tuple(s) for s in s1] == [stats_tuple(s) for s in s2]
+        assert stats_tuple(s1) == stats_tuple(s2)
 
 
 class TestGenerations:
@@ -324,13 +315,13 @@ class TestGenerations:
         assert eng.runtime.loaded() == {}
         dirty = set(eng.runtime.pending_pids())
         q, tau = sample_queries(base, 1, seed=5)[0], 0.004
-        s_live, s_twin = SearchStats(), SearchStats()
-        live = eng.search_batch_rows([q], [tau], [s_live])
+        s_live, s_twin = MetricsRegistry(), MetricsRegistry()
+        live = eng.search_batch_rows([q], [tau], s_live)
         touched = set(eng.global_index.relevant_partitions(q.points, tau, eng.adapter))
         assert set(eng.runtime.loaded()) == dirty | touched
         assert len(eng.runtime.loaded()) < eng.n_partitions
         twin = bulk_twin(eng, lambda: get_adapter("dtw"))
-        assert live == twin.search_batch_rows([q], [tau], [s_twin])
+        assert live == twin.search_batch_rows([q], [tau], s_twin)
         assert stats_tuple(s_live) == stats_tuple(s_twin)
 
     def test_merge_requires_attached_generations(self, small_engine):
@@ -395,14 +386,14 @@ class TestRepartition:
         fresh = DITAEngine(logical, CFG, "dtw")
         queries = sample_queries(logical, 3, seed=5)
         for q in queries:
-            s1, s2 = SearchStats(), SearchStats()
+            s1, s2 = MetricsRegistry(), MetricsRegistry()
             got = sorted(
                 (int(eng.partition(p).traj_ids[r]), round(d, 12))
-                for p, r, d in eng.search_batch_rows([q], [0.004], [s1])[0]
+                for p, r, d in eng.search_batch_rows([q], [0.004], s1)[0]
             )
             want = sorted(
                 (int(fresh.partition(p).traj_ids[r]), round(d, 12))
-                for p, r, d in fresh.search_batch_rows([q], [0.004], [s2])[0]
+                for p, r, d in fresh.search_batch_rows([q], [0.004], s2)[0]
             )
             assert got == want
             assert stats_tuple(s1) == stats_tuple(s2)
@@ -433,11 +424,10 @@ class TestProcessBackendParity:
             twin = bulk_twin(eng, make_adapter)  # simulated backend
             queries = sample_queries(base, 2, seed=5)
             tau_list = [taus[i % len(taus)] for i in range(len(queries))]
-            s1 = [SearchStats() for _ in queries]
-            s2 = [SearchStats() for _ in queries]
+            s1, s2 = MetricsRegistry(), MetricsRegistry()
             live = eng.search_batch_rows(queries, tau_list, s1)
             bulk = twin.search_batch_rows(queries, tau_list, s2)
             assert live == bulk, name
-            assert [stats_tuple(s) for s in s1] == [stats_tuple(s) for s in s2], name
+            assert stats_tuple(s1) == stats_tuple(s2), name
         finally:
             eng.shutdown()

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nonzero_counts
 from oracles.per_pair import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok, verify
 from repro.core.adapters import DTWAdapter, FrechetAdapter
-from repro.core.verify import VerificationData, Verifier, VerifyStats
+from repro.core.verify import VerificationData, Verifier
 from repro.distances.dtw import dtw
 from repro.distances.frechet import frechet
 from repro.geometry.cell import CellSet
 from repro.kernels import TrajectoryBlock
+from repro.obs import MetricsRegistry
 from repro.storage.columnar import ColumnarDataset
 from repro.trajectory import Trajectory
 
@@ -69,17 +71,20 @@ class TestCellBounds:
 class TestVerifier:
     def _verify(self, v, t, q, tau, stats=None, cell=1.0):
         """One pair through ``src``'s batched stages (a one-row block) and
-        through the per-pair oracle: same verdict, same counts."""
+        through the per-pair oracle: same verdict, same counts, which are
+        added to ``stats`` when given."""
         dataset = ColumnarDataset.from_trajectories([t])
         block = TrajectoryBlock.from_columnar(dataset, cell)
         q_data = VerificationData.of(q, cell)
-        rows = v.filter_rows(block, dataset.alive_rows(), tau, q_data, stats)
-        matches = v.exact_rows(dataset, [rows], [q.points], [tau], [stats])[0]
+        counts, oracle_counts = MetricsRegistry(), MetricsRegistry()
+        rows = v.filter_rows(block, dataset.alive_rows(), tau, q_data, counts)
+        matches = v.exact_rows(dataset, [rows], [q.points], [tau], counts)[0]
         got = matches[0][1] if matches else math.inf
-        oracle_stats = None if stats is None else VerifyStats()
-        want = verify(v, t, q, tau, VerificationData.of(t, cell), q_data, oracle_stats)
+        want = verify(v, t, q, tau, VerificationData.of(t, cell), q_data, oracle_counts)
         assert got == want
-        assert stats == oracle_stats
+        assert nonzero_counts(counts) == nonzero_counts(oracle_counts)
+        if stats is not None:
+            stats.merge(counts)
         return got
 
     def test_exact_path(self):
@@ -91,43 +96,53 @@ class TestVerifier:
     def test_mbr_prune_path(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
         q = Trajectory(1, [(50, 50), (51, 51)])
-        stats = VerifyStats()
+        stats = MetricsRegistry()
         v = Verifier(DTWAdapter())
         assert self._verify(v, t, q, 1.0, stats) == math.inf
-        assert stats.pruned_by_mbr == 1
-        assert stats.exact_computed == 0
+        assert stats.value("verify.pruned_by_mbr") == 1
+        assert stats.value("verify.exact_computed") == 0
 
     def test_cell_prune_path(self):
         # overlapping MBRs but points consistently ~2 apart: MBR coverage
         # passes with tau big enough, cells catch the accumulated cost
         t = Trajectory(0, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)])
         q = Trajectory(1, [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2)])
-        stats = VerifyStats()
+        stats = MetricsRegistry()
         v = Verifier(DTWAdapter(), use_mbr_coverage=True)
         d = self._verify(v, t, q, 3.0, stats, cell=0.5)
         assert d == math.inf
-        assert stats.pruned_by_cells == 1
+        assert stats.value("verify.pruned_by_cells") == 1
 
     def test_stats_accept(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
-        stats = VerifyStats()
+        stats = MetricsRegistry()
         v = Verifier(DTWAdapter())
         self._verify(v, t, t, 0.1, stats)
-        assert stats.accepted == 1
+        assert stats.value("verify.accepted") == 1
 
     def test_stats_merge(self):
-        a = VerifyStats(pairs=1, accepted=1)
-        b = VerifyStats(pairs=2, pruned_by_mbr=1)
-        a.merge(b)
-        assert a.pairs == 3 and a.pruned_by_mbr == 1 and a.accepted == 1
+        """Counts of several verifier calls into one registry add up."""
+        t = Trajectory(0, [(0, 0), (1, 1)])
+        far = Trajectory(1, [(50, 50), (51, 51)])
+        v = Verifier(DTWAdapter())
+        dataset = ColumnarDataset.from_trajectories([t])
+        block = TrajectoryBlock.from_columnar(dataset, 1.0)
+        counts = MetricsRegistry()
+        for q in (t, far, far):
+            q_data = VerificationData.of(q, 1.0)
+            rows = v.filter_rows(block, dataset.alive_rows(), 1.0, q_data, counts)
+            v.exact_rows(dataset, [rows], [q.points], [1.0], counts)
+        assert counts.value("verify.pairs") == 3
+        assert counts.value("verify.pruned_by_mbr") == 2
+        assert counts.value("verify.accepted") == 1
 
     def test_filters_can_be_disabled(self):
         t = Trajectory(0, [(0, 0), (1, 1)])
         q = Trajectory(1, [(50, 50), (51, 51)])
-        stats = VerifyStats()
+        stats = MetricsRegistry()
         v = Verifier(DTWAdapter(), use_mbr_coverage=False, use_cell_filter=False)
         assert self._verify(v, t, q, 1.0, stats) == math.inf
-        assert stats.exact_computed == 1
+        assert stats.value("verify.exact_computed") == 1
 
     @settings(max_examples=80)
     @given(trajectories(), trajectories(), st.floats(0.1, 40))
