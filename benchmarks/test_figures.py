@@ -7,6 +7,9 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_figures.py``.
 
 from __future__ import annotations
 
+import io
+import json
+
 import figures
 from figures import TAU, engine, point, queries
 
@@ -153,3 +156,58 @@ def test_ablation_full_prunes_most_exact():
 
 def test_knn_faster_than_brute_force():
     assert point("ext-knn", "a", "dita", 5) < point("ext-knn", "a", "brute", 5)
+
+
+#: the units of a time: a panel in one of them says which clock it read
+TIME_UNITS = ("s", "ms", "µs", "ns")
+EXT_FIGURES = ("ext-kernels", "ext-storage", "ext-streaming")
+
+
+def test_every_timing_names_its_clock():
+    unlabelled = [
+        (fid, p.key) for fid, fig in figures.FIGURES.items() for p in fig.panels
+        if p.unit in TIME_UNITS and p.clock not in ("sim", "wall")
+    ]
+    assert not unlabelled
+
+
+def test_ext_records_carry_n_and_seed():
+    """Every record ``--out`` would write for the extension figures names
+    its dataset's size and seed, and its clock where it is a time."""
+    sink = io.StringIO()
+    for fid in EXT_FIGURES:
+        for p in figures.FIGURES[fid].panels:
+            figures.write_records(sink, fid, p, {s: [0.0] * len(p.xs) for s in p.series}, {})
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert {r["figure"] for r in records} == set(EXT_FIGURES)
+    assert all(isinstance(r["n"], int) and isinstance(r["seed"], int) for r in records)
+    assert all(r["clock"] in ("sim", "wall") for r in records if r["unit"] in TIME_UNITS)
+
+
+def test_ext_kernels_batch_wins_from_six_pairs():
+    """The crossover MIN_BATCH_PAIRS sits below: from six pairs on, one
+    batched sweep beats the per-pair kernel in a loop at both lengths."""
+    for key in "abcd":
+        assert point("ext-kernels", key, "batch", 6) < point("ext-kernels", key, "loop", 6)
+
+
+def test_ext_storage_reload_beats_parse():
+    """Cold start from the store is at least half as far ahead of a CSV
+    parse as the last committed run (14.0x / 16.7x) and at least 5x at 10k."""
+    assert point("ext-storage", "b", "city_2k", "ratio") >= 7.0
+    assert point("ext-storage", "b", "city_10k", "ratio") >= 8.35
+
+
+def test_ext_streaming_delta_read_ceiling():
+    """Routing appends instead of rebuilding costs a read at most 1.3x at
+    10k trips, and at most twice the last committed ratio (0.98x) at 2k."""
+    assert point("ext-streaming", "a", "city_10k", "ratio") <= 1.3
+    assert point("ext-streaming", "a", "city_2k", "ratio") <= 1.96
+
+
+def test_ext_streaming_repartitioning_beats_static():
+    """Priced by wall time, not unit cost, repartitioning still finishes
+    the hot-corner stream before static placement, migrations included."""
+    assert point("ext-streaming", "d", "adaptive", "repartitions") >= 1
+    last = figures.HOT_APPENDS
+    assert point("ext-streaming", "b", "adaptive", last) < point("ext-streaming", "b", "static", last)

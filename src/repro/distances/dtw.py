@@ -19,7 +19,7 @@ All four run the min-plus form of
 outside it); many threshold pairs at once go through
 :func:`~repro.kernels.pairbatch.dtw_double_direction_batch`.  The per-cell
 Python loops these replaced are differential oracles under
-``tests/oracles/`` (also the ``benchmarks/bench_kernels.py`` baseline).
+``tests/oracles/``.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ package delivers both:
   per-node Python recursion.
 
 The per-cell loops these kernels replaced live on as differential oracles
-under ``tests/oracles/``; ``benchmarks/bench_kernels.py``
-measures one against the other and emits ``BENCH_kernels.json``.
+under ``tests/oracles/``.  The ``ext-kernels`` figure of
+``benchmarks/figures.py`` times the pair-batched sweeps against the
+per-pair kernels at the lengths real trips have.
 """
 
 from .batch import TrajectoryBlock, batch_box_bounds, batch_cell_bounds, batch_mbr_coverage

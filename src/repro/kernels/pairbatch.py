@@ -48,25 +48,27 @@ _INF = math.inf
 
 #: Most padded cost cells (frame rows x frame columns x tables) one sweep
 #: may hold: 32 MiB of float64, room for the two half-tables of one
-#: 1,500 x 1,500 pair and not for two such pairs.  ``BENCH_kernels.json``'s
-#: ``pair_batch`` series stops gaining from more tables per sweep long
-#: before this (at n = 40, 256 pairs are 0.4 M cells); the cap only keeps a
-#: few very long trajectories from allocating a frame sized for their
-#: product.
+#: 1,500 x 1,500 pair and not for two such pairs.  The ``ext-kernels``
+#: figure of ``benchmarks/figures.py`` stops gaining from more tables per
+#: sweep long before this (at n = 40, 48 pairs and 256 pairs, 0.4 M cells,
+#: cost the same µs a pair); the cap only keeps a few very long
+#: trajectories from allocating a frame sized for their product.
 MAX_SWEEP_VOLUME = 1 << 22
 
 #: A sweep costs a fixed amount per diagonal (its numpy calls) plus an
 #: amount per padded cell; this is the first in units of the second.
-#: ``BENCH_kernels.json``'s ``pair_batch.sweep_cost_terms`` times both:
-#: about 10 us against about 10 ns, one diagonal for roughly 1,000 cells
-#: (650-1,450 from run to run).  On ragged batches of real trip lengths
-#: anything from 1,024 to 3,072 runs within noise of the best split.
+#: ``ext-kernels`` panels (e) and (f) time both (wall clock, 2 vCPUs,
+#: ``benchmarks/RESULTS.jsonl``): about 9 us against about 10 ns, one
+#: diagonal for roughly 800-900 cells (700-1,550 from run to run).  On
+#: ragged batches of real trip lengths anything from 1,024 to 3,072 runs
+#: within noise of the best split.
 DIAGONAL_OVERHEAD_CELLS = 1024
 
 #: Fewer pairs than this and the per-pair kernels win: the batched sweep
 #: makes more numpy calls per diagonal (per-table thresholds, last-row
-#: capture).  ``pair_batch`` series: 0.6-0.9x at pairs = 1; at 2, 1.2-1.7x
-#: for DTW and break-even for Fréchet; 2.4x and up from 6.
+#: capture).  ``ext-kernels`` panels (a)-(d), batch over loop (wall):
+#: 0.6-0.9x at pairs = 1; at 2, 1.7-1.8x for DTW and 1.1x for Fréchet;
+#: 2.2x and up from 6.
 MIN_BATCH_PAIRS = 2
 
 

@@ -18,6 +18,7 @@ physical operators the SQL path uses::
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Dict, List, Optional
 
 from ..trajectory.trajectory import Trajectory
@@ -153,7 +154,9 @@ class TrajectoryFrame:
         return self._derive(_SortLimit(self._root_op(), key, ascending, None))
 
     def limit(self, n: int) -> "TrajectoryFrame":
-        return self._derive(_SortLimit(self._root_op(), None, True, n))
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"n must be an int >= 0, got {n!r}")
+        return self._derive(_SortLimit(self._root_op(), None, True, int(n)))
 
     # ------------------------------------------------------------------ #
     # actions

@@ -152,7 +152,12 @@ class Parser:
             order_by = tuple(order_items)
         limit = None
         if self._accept(TokenType.LIMIT):
-            limit = int(self._expect(TokenType.NUMBER, "limit count").value)
+            count = self._expect(TokenType.NUMBER, "limit count")
+            if not (count.value.isascii() and count.value.isdigit()):
+                raise SQLError(
+                    f"LIMIT expects a non-negative integer at position {count.pos}, got {count.value!r}"
+                )
+            limit = int(count.value)
         return Select(
             items=items,
             table=table,

@@ -1,7 +1,6 @@
 """Per-cell Python loops for the DP distances: the differential oracles
 for the wavefront sweeps (:mod:`repro.kernels.wavefront`) behind
-:mod:`repro.distances`, and the baseline ``benchmarks/bench_kernels.py``
-times them against.  Moved here verbatim from ``src/repro/distances``.
+:mod:`repro.distances`.  Moved here verbatim from ``src/repro/distances``.
 """
 
 from __future__ import annotations
@@ -152,41 +151,6 @@ def frechet_reference(t: np.ndarray, q: np.ndarray) -> float:
     return float(v[m - 1, n - 1])
 
 
-def frechet_threshold_reference(t: np.ndarray, q: np.ndarray, tau: float) -> float:
-    """Reachability-pass early abandon over cells with ``w[i, j] <= tau``;
-    oracle for :func:`frechet_threshold`.
-
-    The reachability pass is O(mn) boolean work and rejects most dissimilar
-    pairs without computing exact max-accumulation.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    w = pairwise_distances(t, q)
-    m, n = w.shape
-    ok = w <= tau
-    if not ok[0, 0] or not ok[m - 1, n - 1]:
-        return _INF
-    reach = np.zeros_like(ok)
-    reach[0, 0] = True
-    # first row/column reachable along an unbroken run of ok cells
-    for j in range(1, n):
-        reach[0, j] = reach[0, j - 1] and ok[0, j]
-    for i in range(1, m):
-        reach[i, 0] = reach[i - 1, 0] and ok[i, 0]
-        row_ok = ok[i]
-        prev_reach = reach[i - 1]
-        row_reach = reach[i]
-        for j in range(1, n):
-            if row_ok[j] and (prev_reach[j - 1] or prev_reach[j] or row_reach[j - 1]):
-                row_reach[j] = True
-        if not row_reach.any() and not prev_reach.any():
-            return _INF
-    if not reach[m - 1, n - 1]:
-        return _INF
-    value = frechet_reference(t, q)
-    return value if value <= tau else _INF
-
-
 def edr_reference(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
     """Exact EDR via the per-cell edit-distance loop; oracle for
     :func:`edr`."""
@@ -213,45 +177,6 @@ def edr_reference(t: np.ndarray, q: np.ndarray, epsilon: float) -> int:
             cur[j] = best
         prev = cur
     return int(prev[n])
-
-
-def edr_threshold_reference(
-    t: np.ndarray, q: np.ndarray, epsilon: float, tau: float
-) -> float:
-    """Banded-loop EDR threshold; oracle for :func:`edr_threshold`.
-
-    Any path with more than ``tau`` edits is useless, so cells with
-    ``|i - j| > tau`` (which force at least that many indels) are skipped.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    m, n = t.shape[0], q.shape[0]
-    if abs(m - n) > tau:
-        return _INF
-    band = int(math.floor(tau))
-    match = pairwise_distances(t, q) <= epsilon
-    big = m + n + 1
-    prev = np.full(n + 1, big, dtype=np.int64)
-    hi0 = min(n, band)
-    prev[: hi0 + 1] = np.arange(hi0 + 1)
-    for i in range(1, m + 1):
-        cur = np.full(n + 1, big, dtype=np.int64)
-        lo = max(0, i - band)
-        hi = min(n, i + band)
-        if lo == 0:
-            cur[0] = i
-            lo = 1
-        match_row = match[i - 1]
-        for j in range(lo, hi + 1):
-            sub = prev[j - 1] + (0 if match_row[j - 1] else 1)
-            ins = prev[j] + 1
-            dele = cur[j - 1] + 1
-            best = min(sub, ins, dele)
-            cur[j] = best
-        if cur.min() > tau:
-            return _INF
-        prev = cur
-    return float(prev[n]) if prev[n] <= tau else _INF
 
 
 def lcss_reference(t: np.ndarray, q: np.ndarray, epsilon: float, delta: int) -> int:

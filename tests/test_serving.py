@@ -508,11 +508,18 @@ class TestServingBehaviour:
 
         assert run_once() == run_once()
 
-    def test_concurrency_beats_serial(self):
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            (("search", 0.8), ("knn", 0.2)),
+            (("search", 0.65), ("knn", 0.20), ("append", 0.10), ("remove", 0.05)),
+        ],
+        ids=["reads", "writes"],
+    )
+    def test_concurrency_beats_serial(self, mix):
         data = beijing_like(60, seed=61)
         cfg = make_config()
         tenants = [f"t{i}" for i in range(8)]
-        mix = (("search", 0.8), ("knn", 0.2))
 
         def makespan(serial):
             engine = DITAEngine(data, cfg)
@@ -524,6 +531,39 @@ class TestServingBehaviour:
 
         speedup = makespan(True) / makespan(False)
         assert speedup >= 2.0, f"speedup {speedup:.2f} < 2x over serial admission"
+
+    def test_overload_sheds_with_typed_errors(self):
+        """Offered at 4x a serial server's capacity, admission control
+        sheds, and every shed outcome names the admission error it got."""
+        data = beijing_like(60, seed=79)
+        tenants = [f"t{i}" for i in range(8)]
+        mix = (("search", 0.8), ("knn", 0.2))
+        probe = ServingLayer(DITAEngine(data, make_config()), config=make_config(), serial=True)
+        served = probe.run_closed_loop(closed_loop(data, ["probe"], seed=5, mix=mix), n_per_tenant=8)
+        capacity = sum(o.status == "ok" for o in served) / probe.scheduler.makespan
+        cfg = make_config(tenant_rate=2.0 * capacity / len(tenants), tenant_burst=4.0)
+        layer = ServingLayer(DITAEngine(data, cfg), config=cfg)
+        rate = 4.0 * capacity / len(tenants)
+        outcomes = layer.run(open_loop(data, tenants, 12, rate_per_tenant=rate, seed=5, mix=mix))
+        shed = [o for o in outcomes if o.status == "shed"]
+        assert shed, "4x overload shed nothing: admission control never engaged"
+        assert {o.error.split(":")[0] for o in shed} <= {"RateLimitedError", "QueueFullError"}
+        assert int(layer.metrics.value("serve.shed")) == len(shed)
+
+    def test_duplicate_searches_come_from_the_cache(self):
+        """With no mutation in between, the second copy of every search is
+        answered from the result cache."""
+        data = beijing_like(60, seed=83)
+        cfg = make_config(tenant_rate=1e9, tenant_burst=1e9, serving_queue_depth=10_000)
+        layer = ServingLayer(DITAEngine(data, cfg), config=cfg)
+        firsts = open_loop(data, ["t0", "t1"], 10, rate_per_tenant=100.0, seed=19, mix=(("search", 1.0),))
+        dupes = [
+            Request(req_id=len(firsts) + i, tenant=r.tenant, kind=r.kind,
+                    payload=r.payload, arrival=r.arrival + 1_000.0)
+            for i, r in enumerate(firsts)
+        ]
+        outcomes = layer.run(firsts + dupes)
+        assert [(o.status, o.cached) for o in outcomes[len(firsts):]] == [("ok", True)] * len(dupes)
 
     def test_cost_model_learns_per_partition(self):
         data = beijing_like(60, seed=67)

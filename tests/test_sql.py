@@ -117,6 +117,11 @@ class TestParser:
         assert stmt.limit == 3
         assert not stmt.order_by[0].ascending
 
+    @pytest.mark.parametrize("count", ["2.5", "1e3"])
+    def test_limit_rejects_a_non_integer(self, count):
+        with pytest.raises(SQLError, match="LIMIT"):
+            parse(f"SELECT * FROM t LIMIT {count}")
+
     def test_arithmetic_precedence(self):
         stmt = parse("SELECT * FROM t WHERE x <= 1 + 2 * 3")
         rhs = stmt.where.right
@@ -267,6 +272,25 @@ class TestDataFrame:
         )
         assert len(rows) <= 3
         assert all(set(r) == {"traj_id", "distance"} for r in rows)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3", None])
+    def test_limit_rejects_what_is_not_a_count(self, session, n):
+        """Regression: limit(-1) sliced rows[:-1] and answered all but one
+        row; limit(2.5) escaped as a bare TypeError from slicing."""
+        s, _ = session
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            s.table("taxi").limit(n)
+
+    def test_limit_takes_any_integral_count(self, session):
+        s, data = session
+        assert s.table("taxi").limit(0).collect() == []
+        assert len(s.table("taxi").limit(np.int64(3)).collect()) == 3
+        assert len(s.table("taxi").limit(len(data) + 5).collect()) == len(data)
+
+    def test_sql_limit_rejects_a_non_integer(self, session):
+        s, _ = session
+        with pytest.raises(SQLError, match="LIMIT"):
+            s.sql("SELECT * FROM taxi LIMIT 2.5")
 
     def test_tra_join(self, session):
         s, data = session

@@ -258,6 +258,13 @@ class TestErrorPositions:
         with pytest.raises(SQLError, match="position"):
             parse("SELECT * FROM t LIMIT 9e-")
 
+    @pytest.mark.parametrize("count,pos", [("2.5", 22), ("1e3", 22), ("0.0", 22)])
+    def test_limit_count_must_be_an_integer(self, count, pos):
+        """Regression: a fractional or exponent LIMIT count reached int()
+        and escaped as a bare ValueError instead of an SQLError."""
+        with pytest.raises(SQLError, match=f"LIMIT .* at position {pos}"):
+            parse(f"SELECT * FROM t LIMIT {count}")
+
     def test_every_error_names_a_position(self):
         """Property over a corpus of mutations: whatever the failure, the
         message must localize it."""
