@@ -53,10 +53,13 @@ from repro.core.trie import TrieIndex
 from repro.core.verify import VerificationData, Verifier
 from repro.datagen import beijing_like, chengdu_like, citywide_dataset, osm_like, sample_queries, worldwide_dataset
 from repro.distances import dtw, dtw_double_direction, frechet, frechet_threshold, get_distance
+from repro.geometry.cell import CellSet
 from repro.geometry.point import pairwise_distances
+from repro.kernels.batch import compress_cells
 from repro.kernels.pairbatch import _sweep, dtw_double_direction_batch, frechet_threshold_batch
 from repro.obs import MetricsRegistry
 from repro.storage import ColumnarDataset
+from repro.storage.columnar import partition_rows
 from repro.storage.store import TrajectoryStore, build_store
 from repro.trajectory import Trajectory, dataset_stats, load_csv, save_csv
 
@@ -89,6 +92,12 @@ DATASETS: Dict[str, Tuple[Callable[..., ColumnarDataset], int, int, Dict[str, An
     "city_2k": (citywide_dataset, 2000, 11, dict(avg_len=24, min_len=4, max_len=64)),
     "city_10k": (citywide_dataset, 10000, 11, dict(avg_len=24, min_len=4, max_len=64)),
     "hot_stream": (citywide_dataset, 600, 11, dict(avg_len=16)),
+    # the cell compression panel's blocks: the e2e workloads' cities
+    # (city_read's Beijing, dense_join's Chengdu, both on seed 2018), and
+    # one trip as long as a day of GPS fixes
+    "beijing_8k": (beijing_like, 8000, 2018, {}),
+    "chengdu_632": (chengdu_like, 632, 2018, {}),
+    "long_trip": (citywide_dataset, 1, 11, dict(avg_len=3000, min_len=3000, max_len=3000)),
 }
 
 #: the datasets are ~1/10^4 of the paper's and Python verifies a pair ~50x
@@ -414,6 +423,32 @@ def sweep_terms(name: str) -> Tuple[float, float]:
     s = best_of({k: functools.partial(_sweep, ts, np.full(len(ts), math.inf), np.add)
                  for k, ts in (("few", tables[:2]), ("many", tables))}, 9)
     return s["few"] * 1e6 / (half + n - 1), (s["many"] - s["few"]) * 1e9 / ((len(tables) - 2) * half * n)
+
+
+#: ext-kernels (g): the blocks whose cells are compressed
+CELL_BLOCKS = ("beijing_8k", "chengdu_632", "long_trip")
+
+
+@cached
+def cells_us(name: str) -> Dict[str, float]:
+    """µs a point of Lemma 5.6's cell compression over one block:
+    ``CellSet.from_points`` row by row (``loop``) against one block-wide
+    ``compress_cells`` pass (``block``).  A city's block is its largest of
+    the engine's NG x NG partitions; ``long_trip`` is one row.  The cells
+    are compared bit for bit before anything is timed."""
+    dataset, side = data(name), config().cell_size
+    block = dataset.subset(max(partition_rows(dataset, config().num_global_partitions), key=len))
+    coords, starts = block.point_coords, block.point_starts
+
+    def loop():
+        sets = [CellSet.from_points(coords[a:b], side) for a, b in zip(starts[:-1], starts[1:])]
+        return np.concatenate([c.centers for c in sets]), np.concatenate([c.counts for c in sets])
+
+    calls = {"loop": loop, "block": lambda: compress_cells(coords, starts, side)}
+    (want_c, want_n), (got_c, got_n, _) = calls["loop"](), calls["block"]()
+    assert np.array_equal(want_c.view(np.uint64), got_c.view(np.uint64)), name
+    assert np.array_equal(want_n, got_n), name
+    return {key: s / block.n_points * 1e6 for key, s in best_of(calls, 5).items()}
 
 
 @cached
@@ -792,7 +827,8 @@ FIGURES: Dict[str, Figure] = {
         ],
     ),
     "ext-kernels": Figure(
-        "Extension: the pair-batched exact stage vs the per-pair kernels (trips cut to 24 / 40 points)",
+        "Extension: the pair-batched exact stage vs the per-pair kernels (trips cut to 24 / 40 points, "
+        "a-f); block-wide vs per-row cell compression (g)",
         "(not a paper figure; sets MIN_BATCH_PAIRS, DIAGONAL_OVERHEAD_CELLS and MAX_SWEEP_VOLUME in "
         "repro/kernels/pairbatch.py; bit-identity tested in tests/test_kernels.py)",
         [
@@ -805,6 +841,8 @@ FIGURES: Dict[str, Figure] = {
                   "µs", "wall", param="", xs=("diagonal",)),
             Panel("f", "sweep cost a padded cell", None, tuple(PAIR_LENGTHS), lambda name, _: sweep_terms(name)[1],
                   "ns", "wall", param="", xs=("cell",)),
+            Panel("g", "Lemma 5.6 cell compression µs a point (one partition of 16; long_trip: one row)", None,
+                  CELL_BLOCKS, lambda name, how: cells_us(name)[how], "µs", "wall", param="", xs=("loop", "block")),
         ],
     ),
     "ext-storage": Figure(

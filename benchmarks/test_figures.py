@@ -191,6 +191,16 @@ def test_ext_kernels_batch_wins_from_six_pairs():
         assert point("ext-kernels", key, "batch", 6) < point("ext-kernels", key, "loop", 6)
 
 
+def test_ext_kernels_block_compression_wins():
+    """One block-wide pass compresses a partition's cells at least 3x
+    faster than a loop of per-row compressions, on both workload cities;
+    a single long row, where the block pass steps one row at a time, pays
+    at most 2x."""
+    for name in ("beijing_8k", "chengdu_632"):
+        assert point("ext-kernels", "g", name, "loop") >= 3 * point("ext-kernels", "g", name, "block")
+    assert point("ext-kernels", "g", "long_trip", "block") <= 2 * point("ext-kernels", "g", "long_trip", "loop")
+
+
 def test_ext_storage_reload_beats_parse():
     """Cold start from the store is at least half as far ahead of a CSV
     parse as the last committed run (14.0x / 16.7x) and at least 5x at 10k."""

@@ -10,7 +10,10 @@ point.
 :class:`CellSet` is the vectorized representation used on the hot path
 (verification runs it for every surviving candidate pair); the
 :class:`Cell` dataclass remains as the one-cell view for inspection and
-tests.
+tests.  :meth:`CellSet.from_points` compresses one trajectory (a query, or
+a joined row compressed at another cell size); a partition's rows are
+compressed all at once by :func:`repro.kernels.batch.compress_cells`,
+to the same bits.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ package delivers both:
   coverage filter (Lemma 5.4) and the cell-compression lower bound
   (Lemma 5.6) evaluated for a whole candidate list with matrix operations
   over contiguous stacked arrays (:class:`~repro.kernels.batch.TrajectoryBlock`),
-  so only surviving pairs ever reach an exact kernel.
+  so only surviving pairs ever reach an exact kernel.  The block's cells
+  come from one block-wide greedy compression pass
+  (:func:`~repro.kernels.batch.compress_cells`), not one per row.
 * :mod:`repro.kernels.frontier` — the columnar trie layout
   (:class:`~repro.kernels.frontier.ColumnarTrie`) and the
   level-synchronous frontier traversal that runs Algorithm 2's filter

@@ -9,7 +9,11 @@ This module stacks the precomputed per-trajectory artifacts (Lemma 5.4
 MBRs and Lemma 5.6 cell summaries) into contiguous arrays — a
 :class:`TrajectoryBlock`, built once per trie at index time — so both
 filter stages evaluate for a *whole candidate list* with a few large
-matrix operations:
+matrix operations.  The block is built the same way: :func:`compress_cells`
+compresses every row's cells in one pass over the point column, stepping
+over point positions with all rows at once, where
+:meth:`~repro.geometry.cell.CellSet.from_points` (the one-trajectory form,
+still used for queries) steps over one row's points.
 
 * :func:`batch_mbr_coverage` — the Lemma 5.4 coverage test for all
   candidates at once: four broadcast comparisons over ``(k, d)`` corner
@@ -87,44 +91,23 @@ class TrajectoryBlock:
         """Build the block straight from a columnar dataset's arrays.
 
         MBR corners come from the dataset's vectorized per-row summaries
-        (no object iteration); cells run the paper's greedy compression per
-        row over zero-copy point views.
+        (no object iteration); cells come from one :func:`compress_cells`
+        pass over the whole point column, bit-identical to compressing each
+        row with :meth:`~repro.geometry.cell.CellSet.from_points`.  This is
+        the one place a block is built: index builds, delta flushes,
+        repartitioning and lazy store loads all come through here.
         """
-        from ..geometry.cell import CellSet
-
-        n = dataset.n_rows
-        d = dataset.ndim
-        if n == 0:
-            return cls(
-                np.empty(0, dtype=np.int64),
-                np.empty((0, d)),
-                np.empty((0, d)),
-                np.empty((0, d)),
-                np.empty(0),
-                np.empty(0),
-                np.zeros(1, dtype=np.int64),
-                cell_size,
-            )
-        centers: List[np.ndarray] = []
-        counts: List[np.ndarray] = []
-        lens = np.zeros(n, dtype=np.int64)
-        for r in range(n):
-            cs = CellSet.from_points(dataset.points(r), cell_size)
-            centers.append(cs.centers)
-            counts.append(cs.counts)
-            lens[r] = cs.centers.shape[0]
-        cell_starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=cell_starts[1:])
-        cell_centers = np.concatenate(centers)
-        cell_counts = np.concatenate(counts).astype(np.float64)
-        cell_halves = np.full(cell_centers.shape[0], cell_size / 2.0)
+        # (an empty dataset's point column may be shaped (0, 0))
+        cell_centers, counts, cell_starts = compress_cells(
+            dataset.point_coords.reshape(-1, dataset.ndim), dataset.point_starts, cell_size
+        )
         return cls(
             dataset.traj_ids,
             dataset.mbr_lows,
             dataset.mbr_highs,
             cell_centers,
-            cell_counts,
-            cell_halves,
+            counts.astype(np.float64),
+            np.full(cell_centers.shape[0], cell_size / 2.0),
             cell_starts,
             cell_size,
         )
@@ -152,6 +135,105 @@ class TrajectoryBlock:
         seg_starts = ends - lens
         pos = np.arange(total, dtype=np.int64) + np.repeat(starts - seg_starts, lens)
         return pos, seg_starts, lens
+
+
+def compress_cells(
+    point_coords: np.ndarray, point_starts: np.ndarray, side: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lemma 5.6's greedy compression of every row of a CSR point column
+    in one pass: row ``r`` owns points ``point_starts[r]:point_starts[r+1]``.
+
+    Returns ``(centers, counts, cell_starts)`` in the CSR layout of
+    :class:`TrajectoryBlock`: row ``r`` owns cells
+    ``cell_starts[r]:cell_starts[r+1]``, bit for bit the centres and counts
+    :meth:`~repro.geometry.cell.CellSet.from_points` gives that row (a row
+    with no points owns no cells).
+
+    The pass steps over point position ``j`` rather than over rows.  Rows
+    are ordered longest first, so the rows still holding a ``j``-th point
+    are a prefix of that order, and one step tests all their ``j``-th
+    points at once: a point joins its row's first opened cell whose centre
+    is within ``side / 2`` on every axis, else opens a cell centred on
+    itself.  The test is ``abs(center - p) <= side / 2`` per axis, the very
+    elementwise comparison ``from_points`` makes, hence the bit identity.
+    Unopened cell slots hold NaN, which no comparison accepts (coordinates
+    are finite).  The working arrays hold the active rows' cells padded to
+    the widest row's count, and are re-cut whenever a row needs a new slot
+    or half the rows have finished; a row never holds more cells than
+    points, so each cut is O(points), however one long row skews the block.
+    """
+    if side <= 0:
+        raise ValueError("cell side length must be positive")
+    coords = np.asarray(point_coords, dtype=np.float64)
+    starts = np.asarray(point_starts, dtype=np.int64)
+    n, d = int(starts.shape[0]) - 1, int(coords.shape[1])
+    half = side / 2.0
+    lens = np.diff(starts)
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    sorted_starts = starts[:-1][order]
+    longest = int(sorted_lens[0]) if n else 0
+    # active[j]: how many rows (a prefix of ``order``) hold a j-th point
+    active = np.searchsorted(-sorted_lens, -np.arange(longest + 1, dtype=np.int64), side="left")
+    # finished rows' cells, one (centres, counts) pair per retired block of
+    # sorted rows, shortest rows first
+    done: List[Tuple[np.ndarray, np.ndarray]] = []
+    kept = int(active[0])  # sorted rows not yet retired
+    # every row's first point opens its first cell
+    centers = np.full((d, kept, 4), np.nan)
+    centers[:, :, 0] = coords[sorted_starts[:kept]].T
+    counts = np.zeros((kept, 4), dtype=np.int64)
+    counts[:, 0] = 1
+    n_cells = np.minimum(sorted_lens, 1)
+    opened = min(kept, 1)  # the most cells any working row has opened
+    ranks = np.arange(kept, dtype=np.int64)
+
+    def recut(live: int, width: int) -> None:
+        """Working arrays for the first ``live`` sorted rows, ``width`` slots wide."""
+        nonlocal centers, counts
+        grown_c = np.full((d, live, width), np.nan)
+        grown_n = np.zeros((live, width), dtype=np.int64)
+        grown_c[:, :, :opened] = centers[:, :live, :opened]
+        grown_n[:, :opened] = counts[:live, :opened]
+        centers, counts = grown_c, grown_n
+
+    for j in range(1, longest + 1):
+        live = int(active[j])
+        if live < kept:  # sorted rows live:kept have no j-th point: retire them
+            mask = np.arange(opened, dtype=np.int64)[None, :] < n_cells[live:kept, None]
+            done.append((centers[:, live:kept, :opened][:, mask].T, counts[live:kept, :opened][mask]))
+            kept = live
+            opened = int(n_cells[:live].max()) if live else 0
+            if 2 * live <= counts.shape[0]:
+                recut(live, counts.shape[1])
+        if not live:
+            break
+        ar = ranks[:live]
+        p = coords[sorted_starts[:live] + j]
+        inside = (np.abs(centers[:, :live, :opened] - p.T[:, :, None]) <= half).all(axis=0)
+        first = np.argmax(inside, axis=1)
+        hit = inside[ar, first]
+        counts[ar, first] += hit
+        miss = ar[~hit]
+        if miss.shape[0]:
+            slot = n_cells[miss]
+            need = int(slot.max()) + 1
+            if need > counts.shape[1]:
+                recut(live, max(2 * counts.shape[1], need))
+            centers[:, miss, slot] = p[miss].T
+            counts[miss, slot] = 1
+            n_cells[miss] = slot + 1
+            opened = max(opened, need)
+    # reversed, the retired blocks hold the cells in sorted-row order; a
+    # stable sort by owning row puts them back in row order
+    done.reverse()
+    owner = np.repeat(order, n_cells)
+    back = np.argsort(owner, kind="stable")
+    cell_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=cell_starts[1:])
+    if not done:
+        return np.empty((0, d)), np.empty(0, dtype=np.int64), cell_starts
+    return np.concatenate([c for c, _ in done])[back], np.concatenate([k for _, k in done])[back], cell_starts
 
 
 def batch_mbr_coverage(

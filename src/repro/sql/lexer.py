@@ -23,6 +23,10 @@ _SINGLE = {
     "/": TokenType.SLASH,
 }
 
+#: a number's digits: ASCII only, since ``str.isdigit`` also takes "²" or
+#: "٣", which ``float()`` then rejects or reads as another number
+_DIGITS = frozenset("0123456789")
+
 
 def tokenize(text: str) -> List[Token]:
     """Lex ``text`` into tokens, ending with an EOF token."""
@@ -49,13 +53,13 @@ def tokenize(text: str) -> List[Token]:
             tokens.append(Token(ttype, word, start))
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
             seen_exp = False
             while j < n:
                 ch = text[j]
-                if ch.isdigit():
+                if ch in _DIGITS:
                     j += 1
                 elif ch == "." and not seen_dot and not seen_exp:
                     seen_dot = True
@@ -67,7 +71,7 @@ def tokenize(text: str) -> List[Token]:
                     k = j + 1
                     if k < n and text[k] in "+-":
                         k += 1
-                    if k < n and text[k].isdigit():
+                    if k < n and text[k] in _DIGITS:
                         seen_exp = True
                         j = k
                     else:

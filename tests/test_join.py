@@ -206,13 +206,31 @@ class TestSenderCells:
         monkeypatch.setattr(CellSet, "from_points", classmethod(counting))
         return calls
 
-    def test_self_join_compresses_nothing(self, left, cfg, compressions):
+    @pytest.fixture()
+    def block_compressions(self, monkeypatch):
+        """Counts block-wide ``compress_cells`` calls from here on (one per
+        block :meth:`TrajectoryBlock.from_columnar` builds)."""
+        from repro.kernels import batch
+
+        calls = []
+        original = batch.compress_cells
+
+        def counting(point_coords, point_starts, side):
+            calls.append(side)
+            return original(point_coords, point_starts, side)
+
+        monkeypatch.setattr(batch, "compress_cells", counting)
+        return calls
+
+    def test_self_join_compresses_nothing(self, left, cfg, compressions, block_compressions):
         engine = DITAEngine(left, cfg)
-        built = len(compressions)
-        assert built == len(left)  # the index build compressed every row once
+        # the index build compressed every partition's rows in one pass per
+        # block, and no row on its own
+        assert len(block_compressions) == len(engine.partition_pids()) and not compressions
+        built = len(block_compressions)
         stats = MetricsRegistry()
         pairs = engine.self_join(0.003, stats=stats)
-        assert len(compressions) == built
+        assert not compressions and len(block_compressions) == built
         assert stats.value("join.trajectories_shipped") > 0 and pairs
 
     def test_worker_resolver_compresses_nothing(self, left, cfg, tmp_path, compressions):

@@ -11,6 +11,7 @@ whenever it is within tau.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from repro.distances import (
 )
 from repro.geometry.cell import CellSet
 from repro.kernels import TrajectoryBlock, batch_cell_bounds, dtw_wavefront_last_row, pairbatch
+from repro.kernels.batch import compress_cells
 from repro.storage import ColumnarDataset
 
 EDR_EPS = 0.002
@@ -396,6 +398,95 @@ class TestPairBatchBitIdentity:
                 batch([ok, ok], [ok, np.zeros((3, 3))], [1.0, 1.0])
         with pytest.raises(ValueError):
             pairbatch.dtw_double_direction_batch([np.zeros((0, 2))], [ok], [1.0])
+
+
+def _cells_row_by_row(coords, starts, side):
+    """The per-row form ``compress_cells`` replaced: one
+    ``CellSet.from_points`` a row, stacked CSR-style."""
+    sets = [CellSet.from_points(coords[a:b], side) for a, b in zip(starts[:-1], starts[1:])]
+    cell_starts = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in sets], out=cell_starts[1:])
+    if not sets:
+        return np.empty((0, coords.shape[1])), np.empty(0, dtype=np.int64), cell_starts
+    return np.concatenate([c.centers for c in sets]), np.concatenate([c.counts for c in sets]), cell_starts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCompressCellsBitIdentity:
+    """The block-wide greedy compression against ``CellSet.from_points``
+    row by row: centres ``view(uint64)``-equal, counts and ``cell_starts``
+    equal, on ragged blocks whose rows start anywhere in the point column.
+    Any RuntimeWarning fails: an unopened cell slot must never reach
+    arithmetic as garbage."""
+
+    SIDE = 0.25
+
+    @classmethod
+    def _block(cls, rng, lens, d, ties):
+        """Random walks of the given lengths, a few points repeated; with
+        ``ties`` every coordinate is a multiple of ``SIDE / 2``, so points
+        fall exactly on a cell's edge (``abs(c - p) == SIDE / 2``)."""
+        starts = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=starts[1:])
+        coords = np.cumsum(rng.normal(scale=0.2, size=(int(starts[-1]), d)), axis=0)
+        if ties:
+            coords = np.round(coords / (cls.SIDE / 2)) * (cls.SIDE / 2)
+        dup = rng.integers(1, max(2, coords.shape[0]), size=coords.shape[0] // 5)
+        coords[dup] = coords[dup - 1]
+        return coords, starts
+
+    @staticmethod
+    def _assert_matches(coords, starts, side):
+        got = compress_cells(coords, starts, side)
+        want = _cells_row_by_row(coords, starts, side)
+        assert got[0].dtype == np.float64 and got[0].shape == want[0].shape
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+        assert got[2].dtype == np.int64 and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ragged_fuzz(self, d, seed):
+        rng = np.random.default_rng(1000 * d + seed)
+        lens = rng.integers(1, 60, size=int(rng.integers(1, 50)))
+        lens[rng.random(lens.shape[0]) < 0.2] = 1  # one-point rows
+        self._assert_matches(*self._block(rng, lens, d, ties=seed % 2 == 0), self.SIDE)
+
+    def test_ties_join_the_first_opened_cell(self):
+        """On the edge counts as inside, and the first cell wins over a
+        later one that also holds the point."""
+        coords = np.array([[0.0, 0.0], [0.125, -0.125], [0.25, 0.0], [0.125, 0.0], [0.375, 0.0]])
+        centers, counts, cell_starts = compress_cells(coords, np.array([0, 5]), self.SIDE)
+        assert centers.tolist() == [[0.0, 0.0], [0.25, 0.0]]
+        assert counts.tolist() == [3, 2] and cell_starts.tolist() == [0, 2]
+        self._assert_matches(coords, np.array([0, 5]), self.SIDE)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_long_row_among_short_ones(self, d):
+        """A 5 000-point trip among 499 short ones matches, and the pass
+        allocates a small multiple of the points, not a rows x longest pad."""
+        rng = np.random.default_rng(d)
+        lens = rng.integers(1, 40, size=500)
+        lens[123] = 5000
+        coords, starts = self._block(rng, lens, d, ties=False)
+        tracemalloc.start()
+        try:
+            compress_cells(coords, starts, self.SIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = len(lens) * int(lens.max()) * d * 8
+        assert peak < padded / 20, (peak, padded)
+        self._assert_matches(coords, starts, self.SIDE)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_block(self, d):
+        centers, counts, cell_starts = compress_cells(np.empty((0, d)), np.zeros(1, dtype=np.int64), self.SIDE)
+        assert centers.shape == (0, d) and counts.shape == (0,) and cell_starts.tolist() == [0]
+
+    def test_rejects_a_non_positive_side(self):
+        with pytest.raises(ValueError):
+            compress_cells(np.zeros((2, 2)), np.array([0, 2]), 0.0)
 
 
 class TestCellBoundsBitIdentity:

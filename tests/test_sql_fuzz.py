@@ -265,6 +265,23 @@ class TestErrorPositions:
         with pytest.raises(SQLError, match=f"LIMIT .* at position {pos}"):
             parse(f"SELECT * FROM t LIMIT {count}")
 
+    @pytest.mark.parametrize(
+        "literal,pos",
+        [("²", 27), ("٣", 27), ("1٣", 28), ("3.٣", 29), ("١٢", 27)],
+    )
+    def test_numbers_take_ascii_digits_only(self, literal, pos):
+        """Regression: the lexer took any Unicode digit (``str.isdigit``),
+        so "²" escaped as a bare ValueError from float() and "٣" (Arabic-
+        Indic three) silently read as 3.0."""
+        with pytest.raises(SQLError, match=f"unexpected character '.' at position {pos}"):
+            parse(f"SELECT * FROM t WHERE x <= {literal}")
+
+    def test_an_exponent_takes_ascii_digits_only(self):
+        """float() reads "2e٣" as 2000.0; the lexer stops the number at "2"
+        and the "e٣" after it is not a statement's end."""
+        with pytest.raises(SQLError, match="at position 28"):
+            parse("SELECT * FROM t WHERE x <= 2e٣")
+
     def test_every_error_names_a_position(self):
         """Property over a corpus of mutations: whatever the failure, the
         message must localize it."""
