@@ -134,35 +134,35 @@ def _join_chunk_body(spec: TaskSpec, res: Any) -> Any:
     evaluated as ``exact(first, second)`` in its reported order: the left
     side's row first in a join, the smaller id first in a self-join, whose
     diagonal edge also drops every candidate whose id does not exceed its
-    sender's (identity pairs and mirrors).  Returns ``(match_lists,
-    counts)``: per row of ``row_ids``, receiver-side ``(row, distance)``
-    matches, and the task's registry of stage counts.
+    sender's (identity pairs and mirrors).  The local step is
+    :func:`~repro.core.join.join_rows`.  Returns ``(match_lists, counts)``:
+    per row of ``row_ids``, receiver-side ``(row, distance)`` matches, and
+    the task's registry of stage counts.
     """
-    from ..core.search import search_rows
+    from ..core.join import join_rows
 
     send_side, send_pid, rows, tau, self_join = spec.payload
-    # the left engine's adapter drives the join; the receiving side
-    # supplies trie and verifier
-    recv = res.engine(spec.side)
+    rows = np.asarray(rows, dtype=np.int64)
     part = res.engine(send_side).partition(send_pid)
-    row_list = list(rows)
-    datas = [res.sender_data(send_side, send_pid, r) for r in row_list]
-    q_pts = [part.points(r) for r in row_list]
+    block, block_rows = res.sender_block(send_side, send_pid, rows)
     if self_join:
-        keys = part.traj_ids[row_list].astype(np.float64)
+        keys = part.traj_ids[rows].astype(np.float64)
     else:
-        keys = np.full(len(row_list), np.inf if spec.side == "L" else -np.inf)
+        keys = np.full(rows.shape[0], np.inf if spec.side == "L" else -np.inf)
     counts = MetricsRegistry()
-    match_lists = search_rows(
-        recv.trie(spec.partition_id),
+    match_lists = join_rows(
+        res.engine(spec.side),
+        spec.partition_id,
+        # the left engine's adapter drives the join
         res.engine("L").adapter,
-        recv.verifier,
-        q_pts,
-        [tau] * len(row_list),
-        datas,
+        part,
+        rows,
+        block,
+        block_rows,
+        tau,
+        keys,
+        self_join and send_pid == spec.partition_id,
         counts,
-        pair_keys=keys,
-        floor=self_join and send_pid == spec.partition_id,
     )
     return match_lists, counts
 

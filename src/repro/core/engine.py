@@ -548,6 +548,13 @@ class DITAEngine:
         use_division: bool,
         stats: Optional[MetricsRegistry],
     ) -> List[JoinPair]:
+        if not isinstance(other, DITAEngine):
+            raise TypeError(f"other must be a DITAEngine, got {type(other).__name__}")
+        if other.runtime.ndim != self.runtime.ndim:
+            raise ValueError(
+                f"cannot join a {self.runtime.ndim}-d engine with a {other.runtime.ndim}-d one "
+                "(other has another dimensionality)"
+            )
         self.runtime.check_query([tau])
         self.runtime.sync()
         if other is not self:

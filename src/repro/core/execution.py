@@ -19,8 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..cluster.parallel import ExecutorError, ParallelExecutor, SideInit, WorkerInit
 from ..cluster.tasks import TaskSpec, run_task_body
+from ..kernels.batch import TrajectoryBlock
 from ..obs import MetricsRegistry
 from ..storage.store import snapshot_partitions
 from .verify import VerificationData
@@ -67,14 +70,18 @@ class LocalResolver:
             self._qdata[id(points)] = q
         return q
 
-    def sender_data(self, side: str, pid: int, row: int) -> VerificationData:
-        # a join verifies with the left engine's cell size; a sending side
-        # built with the same one already holds the row's cells in its block
+    def sender_block(self, side: str, pid: int, rows: np.ndarray) -> Tuple[TrajectoryBlock, np.ndarray]:
+        """A join chunk's shipped ``rows`` of partition ``pid`` as verification
+        artifacts at the join's cell size (the left engine's): a block and the
+        rows' places in it.  A sending side built at that size already holds
+        them in its partition's block; another's shipped rows are compressed
+        in one pass."""
         eng = self._engines[side]
         cell_size = self._engines["L"].config.cell_size
         if eng.config.cell_size == cell_size:
-            return VerificationData.from_block(eng.trie(pid).batch_block(), int(row))
-        return VerificationData.from_points(eng.partition(pid).points(int(row)), cell_size)
+            return eng.trie(pid).batch_block(), rows
+        shipped = eng.partition(pid).subset(rows)
+        return TrajectoryBlock.from_columnar(shipped, cell_size), np.arange(rows.shape[0], dtype=np.int64)
 
 
 def subdivide_task(tracer, counts: MetricsRegistry) -> None:

@@ -3,15 +3,20 @@
 The planner builds the partition-pair bi-graph with sampled ``trans``/
 ``comp`` weights, orients it greedily and applies division-based load
 balancing; the executor then ships only trajectories that have candidates
-on the other side and runs local trie joins, charging compute and network
-to the simulated cluster.
+on the other side and runs one local join per chunk on the receiver,
+charging compute and network to the simulated cluster.
 
 The whole path is row-native: senders are selected as row arrays over each
 partition's columnar dataset (one vectorized endpoint-distance filter per
-edge), shipped rows are verified through
-:func:`~repro.core.search.search_rows`, and result ids are read straight
-from the id columns — no ``Trajectory`` object is materialized anywhere in
-the join.
+edge), a chunk's shipped rows are joined by :func:`join_rows`, and result
+ids are read straight from the id columns — no ``Trajectory`` object is
+materialized anywhere in the join.
+
+Where the adapter declares an endpoint bound (DTW, Fréchet) a chunk walks
+no trie: its *flat plan* is one ``(shipped rows x receiving rows)``
+endpoint-bound mask, one filter pass over the pairs it keeps and one exact
+stage (docs/PERFORMANCE.md, "Flat join plan").  The other distances take
+their candidates from the receiver's trie walk.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from ..cluster.simulator import Cluster
 from ..cluster.tasks import TaskSpec
+from ..kernels.batch import TrajectoryBlock
 from ..obs import MetricsRegistry
 from ..storage.columnar import ColumnarDataset
 from .adapters import IndexAdapter
@@ -31,6 +37,7 @@ from .costmodel import BiEdge, Node, OrientationPlan, plan_join
 from .execution import EngineTask, subdivide_task
 from .global_index import GlobalIndex, min_dist_boxes
 from .numerics import slack
+from .trie import FilterStats
 
 #: join output: (left trajectory id, right trajectory id, distance)
 JoinPair = Tuple[int, int, float]
@@ -71,6 +78,116 @@ def relevant_pairs(
         left.one_point[:, None] & right.one_point[None],
     )
     return bound <= slack(tau)
+
+
+def _point_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(len(a), len(b))`` Euclidean distances between two point
+    arrays, one coordinate axis at a time."""
+    sq = None
+    for axis in range(a.shape[1]):
+        gap = np.subtract.outer(a[:, axis], b[:, axis])
+        np.multiply(gap, gap, out=gap)
+        sq = gap if sq is None else np.add(sq, gap, out=sq)
+    return np.sqrt(sq)
+
+
+def candidate_pairs(
+    engine,
+    pid: int,
+    adapter: IndexAdapter,
+    senders: ColumnarDataset,
+    rows: np.ndarray,
+    tau: float,
+    floor: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, FilterStats]:
+    """The candidate pairs of the shipped ``rows`` of ``senders`` in
+    partition ``pid`` of ``engine``: ``(shipped, received, stats)``, pair
+    ``i`` being ``rows[shipped[i]]`` and receiving row ``received[i]``,
+    ordered by shipped row, then as the candidate source gives them.
+
+    Where the adapter declares an endpoint bound the source is every pair
+    it keeps — one ``(len(rows), receiving rows)`` mask over the two
+    partitions' first and last points, no trie — and ``stats`` counts them
+    as candidates.  Otherwise it is the receiver's trie walk, and ``stats``
+    its nodes and candidates.  With ``floor`` (one key per shipped row, a
+    self-join's diagonal edge) a pair whose receiving id does not exceed
+    its shipped row's key is dropped, before the flat plan's count and
+    after the walk's.
+    """
+    stats = FilterStats()
+    recv = engine.partition(pid)
+    ids = recv.traj_ids
+    if adapter.endpoint_bound is not None:
+        keep = endpoint_bound(
+            adapter.endpoint_bound,
+            _point_gaps(senders.firsts[rows], recv.firsts),
+            _point_gaps(senders.lasts[rows], recv.lasts),
+            (senders.lengths[rows] == 1)[:, None] & (recv.lengths == 1)[None, :],
+        ) <= slack(tau)
+        if floor is not None:
+            keep &= ids[None, :] > floor[:, None]
+        shipped, received = np.nonzero(keep)
+        stats.candidates = int(shipped.shape[0])
+        return shipped, received, stats
+    n = int(rows.shape[0])
+    found = engine.trie(pid).filter_candidates_batch(
+        [senders.points(r) for r in rows.tolist()], [tau] * n, adapter, [stats] * n
+    )
+    if floor is not None:
+        found = [c[ids[c] > key] for c, key in zip(found, floor)]
+    shipped = np.repeat(np.arange(n, dtype=np.int64), [c.shape[0] for c in found])
+    return shipped, np.concatenate(found) if n else np.empty(0, dtype=np.int64), stats
+
+
+def join_rows(
+    engine,
+    pid: int,
+    adapter: IndexAdapter,
+    senders: ColumnarDataset,
+    rows: np.ndarray,
+    send_block: TrajectoryBlock,
+    send_rows: np.ndarray,
+    tau: float,
+    keys: np.ndarray,
+    floor: bool,
+    counts: MetricsRegistry,
+) -> List[List[Tuple[int, float]]]:
+    """One join chunk's local step on partition ``pid`` of ``engine`` (the
+    receiver), for the shipped ``rows`` of ``senders``, whose artifacts are
+    rows ``send_rows`` of ``send_block``: :func:`candidate_pairs`, one
+    :meth:`~repro.core.verify.Verifier.filter_pairs` pass over every pair
+    of the chunk, one :meth:`~repro.core.verify.Verifier.exact_rows` stage.
+    Returns, per shipped row, its accepted ``(receiving row, distance)``
+    pairs in candidate order, and counts the stages into ``counts``
+    (``filter.*`` from the candidate source, ``verify.*``).
+
+    ``keys`` (one per shipped row) fixes each pair's exact-stage order:
+    ``exact(shipped, received)`` where the receiving id exceeds the key,
+    ``exact(received, shipped)`` otherwise; with ``floor`` the pairs that
+    are not so ordered are dropped before any filter (a self-join's
+    diagonal edge, whose keys are the shipped ids).
+    """
+    verifier = engine.verifier
+    shipped, received, stats = candidate_pairs(
+        engine, pid, adapter, senders, rows, tau, keys if floor else None
+    )
+    counts.counter("filter.nodes_visited", stats.nodes_visited)
+    counts.counter("filter.nodes_pruned", stats.nodes_pruned)
+    counts.counter("filter.candidates", stats.candidates)
+    kept = verifier.filter_pairs(
+        engine.trie(pid).batch_block(), received, send_block, send_rows[shipped], tau, counts
+    )
+    shipped, received = shipped[kept], received[kept]
+    per_row = np.split(received, np.searchsorted(shipped, np.arange(1, rows.shape[0])))
+    recv = engine.partition(pid)
+    return verifier.exact_rows(
+        recv,
+        per_row,
+        [senders.points(r) for r in rows.tolist()],
+        [tau] * int(rows.shape[0]),
+        counts,
+        [recv.traj_ids[c] > key for c, key in zip(per_row, keys)],
+    )
 
 
 class JoinExecutor:
@@ -152,28 +269,25 @@ class JoinExecutor:
         floor: bool = False,
     ) -> Tuple[float, float]:
         """Estimate (bytes shipped, candidate pairs) for one direction by
-        sampling the sending partition; with ``floor`` a sender counts only
-        the candidates with a greater id (a self-join's diagonal edge)."""
+        sampling the sending partition: the sampled rows' pairs from
+        :func:`candidate_pairs`, the chunk bodies' own source; with
+        ``floor`` a sender counts only the candidates with a greater id (a
+        self-join's diagonal edge)."""
         n = senders.n_rows
         if n == 0:
             return 0.0, 0.0
         k = max(1, int(round(n * JOIN_SAMPLE_FRACTION)))
         sampled = rng.choice(n, size=min(k, n), replace=False).astype(np.int64)
         scale = n / sampled.shape[0]
-        trie = receiver_engine.trie(receiver_meta.partition_id)
         kept = _relevant_rows(senders, sampled, receiver_meta, tau, self.adapter)
         trans = float(int(senders.lengths[kept].sum()) * senders.ndim * 8)
         comp = 0.0
         if kept.shape[0]:
-            cand_lists = trie.filter_candidates_batch(
-                [senders.points(int(r)) for r in kept],
-                [tau] * int(kept.shape[0]),
-                self.adapter,
-            )
-            if floor:
-                ids = trie.dataset.traj_ids
-                cand_lists = [c[ids[c] > sid] for c, sid in zip(cand_lists, senders.traj_ids[kept])]
-            comp = float(sum(int(c.shape[0]) for c in cand_lists))
+            pairs = candidate_pairs(
+                receiver_engine, receiver_meta.partition_id, self.adapter, senders, kept, tau,
+                senders.traj_ids[kept] if floor else None,
+            )[0]
+            comp = float(pairs.shape[0])
         return trans * scale, comp * scale
 
     def plan(self, tau: float, use_orientation: bool = True, use_division: bool = True) -> OrientationPlan:

@@ -47,8 +47,6 @@ def search_rows(
     q_datas: Optional[Sequence[Optional[VerificationData]]],
     counts: MetricsRegistry,
     k: Optional[int] = None,
-    pair_keys: Optional[np.ndarray] = None,
-    floor: bool = False,
 ) -> List[List[Tuple[int, float]]]:
     """The local search of one partition: many queries (as raw point
     arrays) against ``trie`` in one frontier sweep, then rounds of one
@@ -102,8 +100,6 @@ def search_rows(
     counts.counter("filter.nodes_pruned", fs.nodes_pruned)
     counts.counter("filter.candidates", fs.candidates)
     ids = dataset.traj_ids
-    if floor:
-        cands = [rows[ids[rows] > key] for rows, key in zip(cands, pair_keys)]
     bounds: List[Optional[np.ndarray]] = [None] * n
     if k is not None:
         for i, q_pts in enumerate(q_points_list):
@@ -136,8 +132,7 @@ def search_rows(
             )
         live = list(kths)
         matches = verifier.exact_rows(
-            dataset, chunks, [q_points_list[i] for i in live], list(kths.values()), counts,
-            None if pair_keys is None else [ids[rows] > pair_keys[i] for i, rows in zip(live, chunks)],
+            dataset, chunks, [q_points_list[i] for i in live], list(kths.values()), counts
         )
         if k is None:
             return matches

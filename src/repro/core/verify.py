@@ -35,6 +35,7 @@ from ..kernels.batch import (
     batch_box_bounds,
     batch_cell_bounds,
     batch_mbr_coverage,
+    pair_box_bounds,
 )
 from ..obs import MetricsRegistry
 from ..trajectory.trajectory import Trajectory
@@ -63,15 +64,6 @@ class VerificationData:
         zero-copy storage row view) — no ``Trajectory`` required."""
         pts = np.asarray(points, dtype=np.float64)
         return cls(mbr=MBR.of_points(pts), cells=CellSet.from_points(pts, cell_size))
-
-    @classmethod
-    def from_block(cls, block: TrajectoryBlock, row: int) -> "VerificationData":
-        """The artifacts of dataset row ``row`` read back out of its
-        partition's block — what :meth:`from_points` would compute from the
-        row's points at the block's cell size, without the compression."""
-        return cls(
-            mbr=MBR(block.mbr_low[row], block.mbr_high[row]), cells=block.cellset_of(row)
-        )
 
 
 class Verifier:
@@ -144,6 +136,42 @@ class Verifier:
         counts.counter("verify.pruned_by_mbr", by_mbr)
         counts.counter("verify.pruned_by_cells", by_cells)
         return rows
+
+    def filter_pairs(
+        self,
+        block: TrajectoryBlock,
+        rows: np.ndarray,
+        q_block: TrajectoryBlock,
+        q_rows: np.ndarray,
+        tau: float,
+        counts: MetricsRegistry,
+    ) -> np.ndarray:
+        """A join task's filter pass over aligned pairs of many queries at
+        once: pair ``i`` is row ``rows[i]`` of ``block`` against row
+        ``q_rows[i]`` of ``q_block`` (the shipped rows' artifacts).  Lemma
+        5.4 coverage, then the box bound
+        (:func:`~repro.kernels.batch.pair_box_bounds`), each one array pass
+        over every pair; both count as pruned by the MBR.  Lemma 5.6 does
+        not run here: past a join's candidate source, Lemma 5.4 and the box
+        bound it prunes too few pairs to pay for itself (docs/PERFORMANCE.md,
+        "Flat join plan").  Returns the indices of the surviving pairs,
+        ascending, having counted them into ``counts`` as
+        :meth:`filter_rows` does.
+        """
+        keep = np.arange(rows.shape[0], dtype=np.int64)
+        if keep.shape[0] and not math.isinf(tau) and self.use_mbr_coverage:
+            slack = _slack(tau)
+            mask = batch_mbr_coverage(
+                block, rows, q_block.mbr_low[q_rows], q_block.mbr_high[q_rows], slack
+            )
+            keep = np.nonzero(mask)[0]
+            if keep.shape[0]:
+                bounds = pair_box_bounds(block, rows[keep], q_block, q_rows[keep], self.cell_bound)
+                keep = keep[np.nonzero(bounds <= slack)[0]]
+        counts.counter("verify.pairs", int(rows.shape[0]))
+        counts.counter("verify.pruned_by_mbr", int(rows.shape[0] - keep.shape[0]))
+        counts.counter("verify.pruned_by_cells", 0)
+        return keep
 
     def exact_rows(
         self,

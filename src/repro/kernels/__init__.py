@@ -25,7 +25,9 @@ package delivers both:
   coverage filter (Lemma 5.4) and the cell-compression lower bound
   (Lemma 5.6) evaluated for a whole candidate list with matrix operations
   over contiguous stacked arrays (:class:`~repro.kernels.batch.TrajectoryBlock`),
-  so only surviving pairs ever reach an exact kernel.  The block's cells
+  so only surviving pairs ever reach an exact kernel; a join's box bound
+  (:func:`~repro.kernels.batch.pair_box_bounds`) takes a task's pairs of
+  many queries in one pass.  The block's cells
   come from one block-wide greedy compression pass
   (:func:`~repro.kernels.batch.compress_cells`), not one per row.
 * :mod:`repro.kernels.frontier` — the columnar trie layout
@@ -40,7 +42,13 @@ under ``tests/oracles/``.  The ``ext-kernels`` figure of
 per-pair kernels at the lengths real trips have.
 """
 
-from .batch import TrajectoryBlock, batch_box_bounds, batch_cell_bounds, batch_mbr_coverage
+from .batch import (
+    TrajectoryBlock,
+    batch_box_bounds,
+    batch_cell_bounds,
+    batch_mbr_coverage,
+    pair_box_bounds,
+)
 from .frontier import (
     BatchStep,
     BatchVisit,
@@ -64,6 +72,7 @@ __all__ = [
     "batch_cell_bounds",
     "batch_mbr_coverage",
     "frontier_filter",
+    "pair_box_bounds",
     "rows_point_box_dist",
     "span_drop_min",
     "span_min_dist",

@@ -22,6 +22,8 @@ still used for queries) steps over one row's points.
   form, for the top-k scan: each side's cells against the other side's
   MBR, summed with counts or maxed.  Linear in the cells where Lemma 5.6
   is quadratic, so it thins a chunk before the cell bound sees it.
+  :func:`pair_box_bounds` is the same bound over a join task's pairs,
+  whichever shipped row each pair holds.
 * :func:`batch_cell_bounds` — the Lemma 5.6 lower bound for all
   candidates: one cell-to-cell min-distance matrix over the concatenated
   candidate cells (chunked to bound memory), reduced per candidate with
@@ -328,6 +330,66 @@ def batch_box_bounds(
         cell_w = np.sqrt(cell_sq) * np.take(block.cell_counts, pos)
         backward = np.bincount(np.repeat(ks, lens), cell_w, minlength=k)
     return np.maximum(forward, backward)
+
+
+def pair_box_bounds(
+    block: TrajectoryBlock,
+    rows: np.ndarray,
+    q_block: TrajectoryBlock,
+    q_rows: np.ndarray,
+    kind: str,
+    max_elems: int = 1 << 20,
+) -> np.ndarray:
+    """:func:`batch_box_bounds` over aligned pairs, whichever queries they
+    hold: pair ``i`` is row ``rows[i]`` of ``block`` against row
+    ``q_rows[i]`` of ``q_block`` (a join's shipped rows), its value
+    ``view(uint64)``-equal to ``batch_box_bounds`` of that one row against
+    that query's cells and MBR.
+
+    Both directions are one entry per gathered cell — the query's cells
+    against the row's MBR, the row's cells against the query's MBR — with
+    the same per-axis gap and the same reduction in stored cell order
+    (``np.bincount`` or ``np.maximum.reduceat`` per pair), so a pair's
+    value does not depend on what shares the call.  Pairs are taken in
+    runs of at most ``max_elems`` gathered cells.
+    """
+    if kind not in ("sum", "max"):
+        raise ValueError(f"unknown cell bound kind {kind!r}")
+    rows = np.asarray(rows, dtype=np.int64)
+    q_rows = np.asarray(q_rows, dtype=np.int64)
+    k = int(rows.shape[0])
+    out = np.empty(k, dtype=np.float64)
+    cells = np.cumsum(
+        block.cell_starts[rows + 1] - block.cell_starts[rows]
+        + q_block.cell_starts[q_rows + 1] - q_block.cell_starts[q_rows]
+    )
+    lo = 0
+    while lo < k:
+        base = int(cells[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cells, base + max_elems, side="right")))
+        forward = _cells_to_boxes(q_block, q_rows[lo:hi], block.mbr_low, block.mbr_high, rows[lo:hi], kind)
+        backward = _cells_to_boxes(block, rows[lo:hi], q_block.mbr_low, q_block.mbr_high, q_rows[lo:hi], kind)
+        np.maximum(forward, backward, out=out[lo:hi])
+        lo = hi
+    return out
+
+
+def _cells_to_boxes(block, rows, low, high, box_rows, kind: str) -> np.ndarray:
+    """Per pair ``i``: the cells of ``block`` row ``rows[i]`` against box
+    ``box_rows[i]`` of ``low``/``high``, summed with counts or maxed."""
+    pos, seg_starts, lens = block.gather_cells(rows)
+    owner = np.repeat(np.arange(rows.shape[0], dtype=np.int64), lens)
+    boxes = box_rows[owner]
+    centers = np.take(block.cell_centers, pos, axis=0).T
+    halves = np.take(block.cell_halves, pos)
+    sq = _box_gaps(
+        [c - halves for c in centers], [c + halves for c in centers],
+        np.take(low, boxes, axis=0).T, np.take(high, boxes, axis=0).T,
+    )
+    if kind == "max":
+        return np.sqrt(np.maximum.reduceat(sq, seg_starts))
+    weighted = np.sqrt(sq) * np.take(block.cell_counts, pos)
+    return np.bincount(owner, weighted, minlength=rows.shape[0])
 
 
 def batch_cell_bounds(

@@ -1,12 +1,21 @@
 """End-to-end join correctness and planner behaviour (Section 6)."""
 
+import math
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from conftest import brute_force_join
+from oracles.box_bounds_reference import box_bound_reference
 from repro import DITAConfig, DITAEngine
+from repro.core.adapters import get_adapter
 from repro.datagen import beijing_like, citywide_dataset, random_walk_dataset
 from repro.distances import get_distance
+from repro.kernels import TrajectoryBlock, pair_box_bounds
 from repro.obs import MetricsRegistry
+from repro.storage import ColumnarDataset
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +149,13 @@ class TestJoinStatsSemantics:
     def test_verified_counts_verifier_invocations(self):
         engine = self._fresh(120, seed=7)
         stats = MetricsRegistry()
-        pairs = engine.join(engine, 0.008, stats=stats)
+        pairs = engine.join(engine, 0.016, stats=stats)
         count = stats.value
-        # every trie candidate enters the verifier exactly once
+        # every candidate enters the verifier exactly once
         assert count("join.verified_pairs") == count("join.candidate_pairs")
         # and on this dataset the verifier really rejects some of them, so
         # the invocation count is distinguishable from the result count
+        # (at tau = 0.008 the endpoint bound alone keeps only matches)
         assert count("join.verified_pairs") > count("join.result_pairs")
         assert count("join.result_pairs") == len(pairs)
 
@@ -189,7 +199,7 @@ class TestSenderCells:
     """A shipped row's MBR and cells are read out of its partition's block
     (built with the index) instead of being recompressed for every join;
     only a sending side built with another ``cell_size`` than the join's
-    (the left engine's) falls back to compressing the row's points."""
+    (the left engine's) falls back to compressing a chunk's shipped rows."""
 
     @pytest.fixture()
     def compressions(self, monkeypatch):
@@ -264,23 +274,31 @@ class TestSenderCells:
                 shipped += len(rows)
         assert shipped and len(compressions) == built
 
-    def test_two_engines_with_different_cell_size(self, left, right, cfg, compressions):
+    def test_two_engines_with_different_cell_size(self, left, right, cfg, compressions, block_compressions):
         """The fallback: the right side's blocks hold cells of another
-        size, so its shipped rows are compressed at the join's size."""
-        from dataclasses import replace
+        size, so a chunk of its shipped rows is compressed at the join's
+        size, in one block-wide pass and no row on its own."""
+        from repro.cluster.tasks import TaskSpec, run_task_body
 
         left_engine = DITAEngine(left, cfg)
         right_engine = DITAEngine(right, replace(cfg, cell_size=cfg.cell_size * 3))
-        built = len(compressions)
         got = sorted((a, b) for a, b, _ in left_engine.join(right_engine, 0.003))
         assert got == brute_force_join(left, right, get_distance("dtw"), 0.003)
-        fallback = compressions[built:]
-        assert fallback and set(fallback) == {cfg.cell_size}
         # the other way round the left side (the join's cell size) ships
         # from its blocks and the right side still falls back
         assert sorted(
             (b, a) for a, b, _ in right_engine.join(left_engine, 0.003)
         ) == got
+        # a chunk shipped by the right side, whichever way a plan orients
+        built = len(block_compressions)
+        chunks = 0
+        for send in right_engine.partition_pids():
+            rows = tuple(int(r) for r in right_engine.partition(send).alive_rows())
+            for recv in left_engine.partition_pids():
+                spec = TaskSpec(0, "join.chunk", "L", recv, ("R", send, rows, 0.003, False))
+                run_task_body(spec, left_engine.resolver(right_engine))
+                chunks += 1
+        assert block_compressions[built:] == [cfg.cell_size] * chunks and not compressions
 
     def test_self_join_after_append_and_remove(self, left, right, cfg, compressions):
         """Writes rebuild the partitions they touch (flush-on-read), block
@@ -385,3 +403,179 @@ class TestPlanIndependentAnswers:
         assert half("join.result_pairs") == len(pairs) == (full("join.result_pairs") - len(engine)) // 2
         assert half("join.partition_pairs") < full("join.partition_pairs")
         assert 2 * half("join.verified_pairs") < full("join.verified_pairs")
+
+
+class TestJoinArguments:
+    """A join's counterpart is checked before planning: the planner used to
+    fail inside numpy (mismatched dimensionality) or on an attribute
+    lookup (not an engine)."""
+
+    def test_not_an_engine(self, left_engine):
+        with pytest.raises(TypeError, match="other"):
+            left_engine.join([1, 2], 0.01)
+
+    def test_other_dimensionality(self, left_engine, cfg):
+        rng = np.random.default_rng(4)
+        walks = [np.cumsum(rng.normal(scale=1e-3, size=(6, 3)), axis=0) for _ in range(8)]
+        three_d = DITAEngine(ColumnarDataset.from_point_arrays(list(range(8)), walks), cfg)
+        with pytest.raises(ValueError, match="2-d.*3-d"):
+            left_engine.join(three_d, 0.01)
+        with pytest.raises(ValueError, match="3-d.*2-d"):
+            three_d.join(left_engine, 0.01)
+
+
+ADAPTERS = ("dtw", "frechet", "hausdorff", "erp", "edr", "lcss")
+
+
+def _with_one_point_rows(data, first_id, n):
+    """``data`` plus ``n`` one-point rows cut from its own first trips."""
+    ids = [t.traj_id for t in data] + list(range(first_id, first_id + n))
+    points = [t.points for t in data] + [t.points[:1] for t in list(data)[:n]]
+    return ColumnarDataset.from_point_arrays(ids, points)
+
+
+def _oracle(distance, left, right, tau, self_join):
+    """Every pair within ``tau`` as ``(a, b, exact(a, b).hex())``: the left
+    row first in a join, the smaller id first in a self-join."""
+    exact = get_adapter(distance).exact
+    out = []
+    for a in left:
+        for b in right:
+            if self_join and a.traj_id >= b.traj_id:
+                continue
+            d = exact(a.points, b.points, tau)
+            if d <= tau:
+                out.append((a.traj_id, b.traj_id, float(d).hex()))
+    return sorted(out)
+
+
+def _answers(pairs):
+    return sorted((a, b, float(d).hex()) for a, b, d in pairs)
+
+
+class TestFlatJoinAnswers:
+    """Every join and self-join answer is each pair's ``exact(first,
+    second)`` to the last bit, the pair found once: the flat plan
+    (DTW, Fréchet) and the trie walk (the others), one-point rows on both
+    sides (the endpoint bound's single-point case), a sending side built at
+    another ``cell_size`` (its shipped rows compressed per chunk), both
+    backends."""
+
+    TAUS = (0.0, 0.002, math.inf)
+
+    @pytest.fixture(scope="class")
+    def sides(self):
+        return (
+            _with_one_point_rows(beijing_like(30, seed=61), 1000, 3),
+            _with_one_point_rows(beijing_like(24, seed=62), 2000, 3),
+        )
+
+    @pytest.mark.parametrize("distance", ADAPTERS)
+    def test_simulated(self, sides, cfg, distance):
+        left, right = sides
+        engine = DITAEngine(left, cfg, distance=distance)
+        other = DITAEngine(right, replace(cfg, cell_size=cfg.cell_size * 3), distance=distance)
+        for tau in self.TAUS:
+            want = _oracle(distance, left, right, tau, False)
+            assert _answers(engine.join(other, tau)) == want, tau
+            assert _answers(other.join(engine, tau)) == _oracle(distance, right, left, tau, False), tau
+            assert _answers(engine.self_join(tau)) == _oracle(distance, left, left, tau, True), tau
+
+    @pytest.mark.parametrize("distance", ADAPTERS)
+    def test_process_backend(self, sides, cfg, distance, tmp_path):
+        from repro import TrajectoryStore, build_store
+
+        left, right = sides
+        engines = []
+        for name, data, cell_size in (("l", left, cfg.cell_size), ("r", right, cfg.cell_size * 3)):
+            build_store(data, tmp_path / name, n_groups=cfg.num_global_partitions)
+            engines.append(DITAEngine.from_store(
+                TrajectoryStore.open(tmp_path / name),
+                replace(cfg, cell_size=cell_size, backend="process", num_processes=2),
+                distance=distance,
+            ))
+        engine, other = engines
+        try:
+            assert _answers(engine.join(other, 0.002)) == _oracle(distance, left, right, 0.002, False)
+            assert _answers(engine.self_join(0.002)) == _oracle(distance, left, left, 0.002, True)
+        finally:
+            engine.shutdown()
+            other.shutdown()
+
+
+class TestFlatPlanCalls:
+    """A DTW or Fréchet join, plan and execution, walks no trie and runs no
+    Lemma 5.6: each chunk is one filter pass over its pairs."""
+
+    @pytest.mark.parametrize("distance", ["dtw", "frechet"])
+    def test_one_filter_pass_per_task(self, distance, cfg, left, right, monkeypatch):
+        from repro.core import join, verify
+        from repro.core.trie import TrieIndex
+        from repro.kernels import batch
+
+        calls = Counter()
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        engine = DITAEngine(left, cfg, distance=distance)
+        other = DITAEngine(right, cfg, distance=distance)
+        counting(TrieIndex, "filter_candidates_batch", "trie")
+        counting(batch, "batch_cell_bounds", "cells")
+        counting(verify, "batch_cell_bounds", "cells")
+        counting(verify.Verifier, "filter_rows", "filter_rows")
+        counting(verify.Verifier, "filter_pairs", "filter_pairs")
+        counting(join, "join_rows", "tasks")
+        engine.join(other, 0.003)
+        assert engine.self_join(0.003)
+        assert calls["tasks"] > 0 and calls["filter_pairs"] == calls["tasks"]
+        assert calls["trie"] == calls["cells"] == calls["filter_rows"] == 0
+
+
+class TestPairBoxBounds:
+    """The join's box bound over pairs of many senders against its per-pair
+    loop form on a ragged fuzz: every float identical, whatever pairs share
+    a call or a run."""
+
+    CELL = 2e-3
+
+    @staticmethod
+    def _block(rng, n, d, cell):
+        trips = []
+        for _ in range(n):
+            steps = rng.normal(scale=1.5e-3, size=(int(rng.integers(1, 48)), d))
+            trips.append(rng.uniform(0.0, 0.05, size=d) + np.cumsum(steps, axis=0))
+        return TrajectoryBlock.from_columnar(ColumnarDataset.from_point_arrays(list(range(n)), trips), cell)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_loop_form(self, d):
+        rng = np.random.default_rng(40 + d)
+        block = self._block(rng, 60, d, self.CELL)
+        for q_cell in (self.CELL, 3 * self.CELL):
+            q_block = self._block(rng, 25, d, q_cell)
+            rows = rng.integers(0, 60, size=400).astype(np.int64)
+            q_rows = rng.integers(0, 25, size=400).astype(np.int64)
+            for kind in ("sum", "max"):
+                want = np.asarray([
+                    box_bound_reference(
+                        block, r, q_block.cellset_of(q), q_block.mbr_low[q], q_block.mbr_high[q], kind
+                    )
+                    for r, q in zip(rows.tolist(), q_rows.tolist())
+                ])
+                for max_elems in (1 << 20, 64, 1):
+                    got = pair_box_bounds(block, rows, q_block, q_rows, kind, max_elems)
+                    assert got.dtype == np.float64 and got.shape == rows.shape
+                    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_empty_pairs_and_an_unknown_kind(self):
+        block = self._block(np.random.default_rng(0), 3, 2, self.CELL)
+        none = np.empty(0, dtype=np.int64)
+        assert pair_box_bounds(block, none, block, none, "sum").shape == (0,)
+        with pytest.raises(ValueError):
+            pair_box_bounds(block, none, block, none, "min")
