@@ -1,13 +1,5 @@
-"""Setup shim for environments without PEP 517 editable-install support."""
-from setuptools import find_packages, setup
+"""Setup shim for installers without PEP 660 editable installs; every
+setting is declared in ``pyproject.toml``."""
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description="DITA: Distributed In-Memory Trajectory Analytics (SIGMOD 2018) reproduction",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=["numpy"],
-    entry_points={"console_scripts": ["repro-dita = repro.cli:main"]},
-)
+setup()

@@ -1,7 +1,7 @@
 """Baselines the paper compares against: Naive, Simba, DFT, VP-tree, MBE."""
 
 from .dft import DFTEngine, segment_trajectory
-from .mbe import MBEIndex, envelope, envelope_lower_bound
+from .mbe import MBEIndex, envelope
 from .naive import NaiveEngine
 from .simba import SimbaEngine
 from .vptree import VPTree
@@ -13,6 +13,5 @@ __all__ = [
     "SimbaEngine",
     "VPTree",
     "envelope",
-    "envelope_lower_bound",
     "segment_trajectory",
 ]

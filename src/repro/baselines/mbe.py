@@ -38,19 +38,6 @@ def envelope(t: Trajectory, points_per_box: int = 4) -> List[MBR]:
     ]
 
 
-def envelope_lower_bound(boxes: List[MBR], q: np.ndarray, aggregate: str = "sum") -> float:
-    """The MBE lower bound of DTW ("sum") or Fréchet ("max") for query
-    points ``q`` against a trajectory's envelope."""
-    per_point = np.empty(q.shape[0])
-    for j, point in enumerate(q):
-        per_point[j] = min(box.min_dist_point(point) for box in boxes)
-    if aggregate == "sum":
-        return float(per_point.sum())
-    if aggregate == "max":
-        return float(per_point.max())
-    raise ValueError(f"unknown aggregate {aggregate!r}")
-
-
 class MBEIndex:
     """Centralized envelope index: linear scan of cheap lower bounds."""
 

@@ -22,12 +22,11 @@ from .parallel import (
     ExecutorError,
     ParallelExecutor,
     SideInit,
-    TaskResult,
     WorkerInit,
 )
 from .partitioner import RandomPartitioner
 from .simulator import Cluster, Worker
-from .tasks import TaskSpec, pickle_budget, register_task_kind, run_task_body
+from .tasks import TaskSpec, pickle_budget, run_task_body
 
 __all__ = [
     "Cluster",
@@ -44,13 +43,11 @@ __all__ = [
     "SideInit",
     "Stopwatch",
     "TaskAbandonedError",
-    "TaskResult",
     "TaskSpec",
     "Worker",
     "WorkerInit",
     "make_fixed_cost_measure",
     "pickle_budget",
-    "register_task_kind",
     "run_task_body",
     "unit_cost_measure",
     "wall_clock",

@@ -10,7 +10,7 @@ from .adapters import (
     LCSSAdapter,
     get_adapter,
 )
-from .bounds import amd, mbr_accumulated_min_dist, opamd, pamd
+from .bounds import pamd
 from .config import DITAConfig
 from .costmodel import BiEdge, OrientationPlan, divide_partitions, orient_edges, plan_join
 from .engine import DITAEngine
@@ -42,7 +42,6 @@ __all__ = [
     "TrieIndex",
     "VerificationData",
     "Verifier",
-    "amd",
     "available_strategies",
     "divide_partitions",
     "get_adapter",
@@ -50,8 +49,6 @@ __all__ = [
     "knn_join",
     "knn_search",
     "knn_search_batch",
-    "mbr_accumulated_min_dist",
-    "opamd",
     "orient_edges",
     "pamd",
     "partition_info",

@@ -31,6 +31,9 @@ Layout = Dict[int, Optional[TrieIndex]]
 #: the last merge pass this fraction of the engine's rows
 MERGE_TRIGGER = 0.25
 
+#: the range a trajectory id must fit: ids are stored as int64
+_INT64 = np.iinfo(np.int64)
+
 
 class PartitionRuntime:
     """The partitions of one engine: ``parts`` in memory, validated and
@@ -206,6 +209,19 @@ class PartitionRuntime:
         check_finite(pts)
         return pts
 
+    @staticmethod
+    def checked_id(traj_id) -> int:
+        """A write's trajectory id as an ``int``.  Ids are stored as int64,
+        so what would be truncated or overflow is a ``ValueError`` naming
+        it: a ``bool`` or a value of no integer type (``1007.9`` must not
+        address id 1007), or an integer outside int64 (it would make every
+        later flush raise)."""
+        if isinstance(traj_id, bool) or not isinstance(traj_id, numbers.Integral):
+            raise ValueError(f"trajectory id must be an integer, got {traj_id!r}")
+        if not _INT64.min <= traj_id <= _INT64.max:
+            raise ValueError(f"trajectory id {traj_id} is outside int64")
+        return int(traj_id)
+
     def check_query(self, taus: Iterable[float], queries: Iterable = ()) -> None:
         """The read-side twin of :meth:`checked_points`, first in every
         query: a ``tau`` that is no real number (a ``bool`` included), a
@@ -229,7 +245,7 @@ class PartitionRuntime:
         returns that pid.  O(1): nothing moves until the delta is applied
         (at ``delta_max_rows``, or by the next read, which sees it with
         results byte-identical to a bulk build)."""
-        traj_id = int(traj_id)
+        traj_id = self.checked_id(traj_id)
         if traj_id in self.id_map():
             raise ValueError(f"trajectory id {traj_id} already present")
         pts = self.checked_points(points)
@@ -242,7 +258,7 @@ class PartitionRuntime:
     def extend(self, traj_id: int, extra_points) -> None:
         """Buffer extra points onto a trajectory (KeyError when absent): a
         base row is shadowed by a full delta row, a pending one grows."""
-        traj_id = int(traj_id)
+        traj_id = self.checked_id(traj_id)
         pid = self.id_map().get(traj_id)
         if pid is None:
             raise KeyError(traj_id)
@@ -258,7 +274,7 @@ class PartitionRuntime:
 
     def remove(self, traj_id: int) -> bool:
         """Buffer a removal (False when the id is unknown)."""
-        traj_id = int(traj_id)
+        traj_id = self.checked_id(traj_id)
         ids = self.id_map()
         pid = ids.get(traj_id)
         if pid is None:

@@ -1,7 +1,7 @@
 """Geometric primitives: points, MBRs and cell compression."""
 
-from .cell import Cell, CellSet, cell_lower_bound, cell_lower_bound_max, compress, symmetric_cell_lower_bound
-from .mbr import MBR, coverage_filter, mbr_of_trajectory
+from .cell import CellSet
+from .mbr import MBR
 from .point import (
     angle_at,
     as_point,
@@ -13,20 +13,13 @@ from .point import (
 )
 
 __all__ = [
-    "Cell",
     "CellSet",
-    "cell_lower_bound_max",
     "MBR",
     "angle_at",
     "as_point",
-    "cell_lower_bound",
     "centroid",
-    "compress",
-    "coverage_filter",
     "euclidean",
-    "mbr_of_trajectory",
     "pairwise_distances",
     "point_to_points_min",
     "squared_euclidean",
-    "symmetric_cell_lower_bound",
 ]

@@ -7,51 +7,19 @@ or opens a new cell centered on itself.  ``Cell(T, Q)`` then lower-bounds
 ``DTW(T, Q)`` with one min-distance computation per cell instead of per
 point.
 
-:class:`CellSet` is the vectorized representation used on the hot path
-(verification runs it for every surviving candidate pair); the
-:class:`Cell` dataclass remains as the one-cell view for inspection and
-tests.  :meth:`CellSet.from_points` compresses one trajectory (a query, or
-a joined row compressed at another cell size); a partition's rows are
+:class:`CellSet` holds the cells as arrays (centers and point counts),
+the one form verification reads.  :meth:`CellSet.from_points` compresses
+one trajectory (a query, or a joined row compressed at another cell
+size); a partition's rows are
 compressed all at once by :func:`repro.kernels.batch.compress_cells`,
 to the same bits.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A square cell: ``center`` with side length ``side`` and the number of
-    trajectory points that fell inside it."""
-
-    center: tuple
-    side: float
-    count: int
-
-    @property
-    def low(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=np.float64) - self.side / 2.0
-
-    @property
-    def high(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=np.float64) + self.side / 2.0
-
-    def contains(self, p: np.ndarray) -> bool:
-        # center-based test so it agrees bit-for-bit with the membership
-        # predicate used during compression (|p - center| <= side/2)
-        c = np.asarray(self.center, dtype=np.float64)
-        return bool(np.all(np.abs(np.asarray(p, dtype=np.float64) - c) <= self.side / 2.0))
-
-    def min_dist_cell(self, other: "Cell") -> float:
-        """Minimum distance between two cells (0 when they overlap)."""
-        gap = np.maximum(0.0, np.maximum(self.low - other.high, other.low - self.high))
-        return float(math.sqrt(float(np.sum(gap * gap))))
 
 
 class CellSet:
@@ -102,13 +70,6 @@ class CellSet:
     def n_points(self) -> int:
         return int(self.counts.sum())
 
-    def cells(self) -> List[Cell]:
-        """The per-cell view (for inspection and tests)."""
-        return [
-            Cell(tuple(c.tolist()), self.side, int(n))
-            for c, n in zip(self.centers, self.counts)
-        ]
-
     def min_dist_matrix(self, other: "CellSet") -> np.ndarray:
         """Pairwise cell-to-cell minimum distances, shape (len(self), len(other))."""
         half_a = self.side / 2.0
@@ -125,51 +86,3 @@ class CellSet:
             ),
         )
         return np.sqrt(np.sum(gap * gap, axis=2))
-
-
-def compress(points: np.ndarray, side: float) -> List[Cell]:
-    """Paper-style compression returning the list-of-cells view."""
-    return CellSet.from_points(points, side).cells()
-
-
-def cell_lower_bound(cells_t, cells_q) -> float:
-    """``Cell(T, Q)`` of Lemma 5.6: sum over cells of T of
-    ``min-dist to any cell of Q`` weighted by the cell's point count.
-
-    A valid DTW lower bound because every point of T must be matched to at
-    least one point of Q, and every such point-to-point distance is at least
-    the distance between the containing cells.  Accepts :class:`CellSet`
-    or sequences of :class:`Cell`.
-    """
-    ct = _as_cellset(cells_t)
-    cq = _as_cellset(cells_q)
-    mins = ct.min_dist_matrix(cq).min(axis=1)
-    return float(np.dot(mins, ct.counts))
-
-
-def cell_lower_bound_max(cells_t, cells_q) -> float:
-    """Fréchet variant: the largest cell-to-nearest-cell gap from T to Q."""
-    ct = _as_cellset(cells_t)
-    cq = _as_cellset(cells_q)
-    return float(ct.min_dist_matrix(cq).min(axis=1).max())
-
-
-def symmetric_cell_lower_bound(cells_t, cells_q) -> float:
-    """``max(Cell(T, Q), Cell(Q, T))`` — the tighter of the two directions."""
-    ct = _as_cellset(cells_t)
-    cq = _as_cellset(cells_q)
-    m = ct.min_dist_matrix(cq)
-    forward = float(np.dot(m.min(axis=1), ct.counts))
-    backward = float(np.dot(m.min(axis=0), cq.counts))
-    return max(forward, backward)
-
-
-def _as_cellset(cells) -> CellSet:
-    if isinstance(cells, CellSet):
-        return cells
-    cells = list(cells)
-    if not cells:
-        raise ValueError("cell bound needs non-empty cells")
-    centers = np.asarray([c.center for c in cells])
-    counts = np.asarray([c.count for c in cells])
-    return CellSet(centers, counts, cells[0].side)

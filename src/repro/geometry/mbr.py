@@ -170,22 +170,3 @@ class MBR:
 
     def __repr__(self) -> str:
         return f"MBR(low={self.low.tolist()}, high={self.high.tolist()})"
-
-
-def mbr_of_trajectory(points: np.ndarray) -> MBR:
-    """The trajectory MBR used in Lemma 5.4 (covers the whole trajectory)."""
-    return MBR.of_points(points)
-
-
-def coverage_filter(
-    t_mbr: MBR, q_mbr: MBR, tau: float
-) -> bool:
-    """MBR coverage filter (Lemma 5.4).
-
-    Returns ``True`` when the pair *survives* the filter — i.e. it is still
-    possible that ``DTW(T, Q) <= tau`` — and ``False`` when the pair is
-    provably dissimilar: if ``EMBR(T, tau)`` does not fully cover ``MBR(Q)``
-    (some point of Q is farther than ``tau`` from every point of T) or vice
-    versa, then DTW must exceed ``tau``.
-    """
-    return t_mbr.expand(tau).contains_mbr(q_mbr) and q_mbr.expand(tau).contains_mbr(t_mbr)

@@ -13,31 +13,23 @@ from .admission import (
     RateLimitedError,
     TokenBucket,
 )
-from .cache import CandidateCache, ResultCache, footprint_valid, snapshot_footprint
-from .scheduler import CostModel, CostScheduler, FairQueue
-from .server import MUTATION_KINDS, QUERY_KINDS, Outcome, Request, ServingLayer, canonical_result
-from .workload import RequestSampler, closed_loop, open_loop
+from .cache import CandidateCache, ResultCache, snapshot_footprint
+from .scheduler import CostScheduler, FairQueue
+from .server import Outcome, Request, ServingLayer, canonical_result
 
 __all__ = [
     "AdmissionController",
     "AdmissionError",
     "CandidateCache",
-    "CostModel",
     "CostScheduler",
     "FairQueue",
-    "MUTATION_KINDS",
     "Outcome",
-    "QUERY_KINDS",
     "QueueFullError",
     "RateLimitedError",
     "Request",
-    "RequestSampler",
     "ResultCache",
     "ServingLayer",
     "TokenBucket",
     "canonical_result",
-    "closed_loop",
-    "footprint_valid",
-    "open_loop",
     "snapshot_footprint",
 ]

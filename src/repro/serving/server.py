@@ -146,8 +146,8 @@ class ServingLayer:
         shared catalog the first time it issues SQL.
     serial:
         Model the no-concurrency baseline: one serving slot, FIFO-ish
-        (WFQ over one worker), no throughput from overlap.  The bench's
-        speedup denominator.
+        (WFQ over one worker), no throughput from overlap: the speedup
+        denominator.
     """
 
     #: simulated cost of serving a cached answer
@@ -185,52 +185,18 @@ class ServingLayer:
         self.queue.set_weight(tenant, weight)
 
     def run(self, requests: List[Request]) -> List[Outcome]:
-        """Serve an open-loop workload: every request has a fixed arrival
+        """Serve ``requests``, each arriving at its fixed ``arrival``
         time.  Returns outcomes in request order."""
         events: List[Tuple[float, int, int, Any]] = []
         for r in sorted(requests, key=lambda r: (r.arrival, r.req_id)):
             heapq.heappush(events, (r.arrival, 1, r.req_id, r))
-        return self._loop(events, closed_loop=None)
-
-    def run_closed_loop(
-        self,
-        factories: Dict[str, Any],
-        n_per_tenant: int,
-        think_s: float = 0.0,
-    ) -> List[Outcome]:
-        """Serve a closed-loop workload: each tenant issues its next
-        request ``think_s`` after its previous one *finishes* (shed
-        requests retry-as-next immediately, still counting against
-        ``n_per_tenant``).  ``factories[tenant](i)`` returns the
-        ``(kind, payload)`` of that tenant's i-th request."""
-        events: List[Tuple[float, int, int, Any]] = []
-        state = {"issued": {t: 0 for t in factories}, "next_id": 0}
-
-        def issue(tenant: str, now: float) -> Optional[Request]:
-            i = state["issued"][tenant]
-            if i >= n_per_tenant:
-                return None
-            state["issued"][tenant] = i + 1
-            kind, payload = factories[tenant](i)
-            req = Request(
-                req_id=state["next_id"], tenant=tenant, kind=kind,
-                payload=payload, arrival=now,
-            )
-            state["next_id"] += 1
-            return req
-
-        for tenant in sorted(factories):
-            req = issue(tenant, 0.0)
-            if req is not None:
-                heapq.heappush(events, (0.0, 1, req.req_id, req))
-        closed = (issue, think_s)
-        return self._loop(events, closed_loop=closed)
+        return self._loop(events)
 
     # ------------------------------------------------------------------ #
     # the event loop
     # ------------------------------------------------------------------ #
 
-    def _loop(self, events, closed_loop) -> List[Outcome]:
+    def _loop(self, events) -> List[Outcome]:
         """Discrete-event simulation.  Event tuples are
         ``(time, kind, seq, payload)`` with kind 0 = completion, 1 =
         arrival — completions at time t free their worker before
@@ -246,11 +212,6 @@ class ServingLayer:
                 self.latency.record(outcome.request.tenant, outcome.latency)
                 self.metrics.counter("serve.completed")
                 outcomes.append(outcome)
-                if closed_loop is not None:
-                    issue, think = closed_loop
-                    nxt = issue(outcome.request.tenant, now + think)
-                    if nxt is not None:
-                        heapq.heappush(events, (nxt.arrival, 1, nxt.req_id, nxt))
             else:
                 req = payload
                 try:
@@ -263,11 +224,6 @@ class ServingLayer:
                         error=f"{type(exc).__name__}: {exc}",
                     )
                     outcomes.append(out)
-                    if closed_loop is not None:
-                        issue, think = closed_loop
-                        nxt = issue(req.tenant, now + max(think, 1.0 / self.config.tenant_rate))
-                        if nxt is not None:
-                            heapq.heappush(events, (nxt.arrival, 1, nxt.req_id, nxt))
                     continue
                 self.metrics.counter("serve.admitted")
                 self.queue.push(req.tenant, req, self._estimate(req))

@@ -1,7 +1,6 @@
-"""Spatial indexing substrate: STR packing, bulk-loaded R-tree, grid index."""
+"""Spatial indexing substrate: STR packing and a bulk-loaded R-tree."""
 
-from .grid import GridIndex
 from .rtree import RTree
-from .str_pack import str_group_sizes, str_partition, str_tile_1d
+from .str_pack import str_partition
 
-__all__ = ["GridIndex", "RTree", "str_group_sizes", "str_partition", "str_tile_1d"]
+__all__ = ["RTree", "str_partition"]

@@ -10,7 +10,7 @@ highly skewed data.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -67,8 +67,3 @@ def str_partition(points: np.ndarray, n_tiles: int) -> List[np.ndarray]:
         for sub in str_tile_1d(y_values, max(1, rows)):
             tiles.append(slab_idx[sub])
     return tiles
-
-
-def str_group_sizes(tiles: Sequence[np.ndarray]) -> List[int]:
-    """Sizes of each tile, convenience for balance checks."""
-    return [int(t.size) for t in tiles]

@@ -7,7 +7,6 @@ from .lexer import tokenize
 from .parser import parse
 from .session import DITASession, ExplainAnalyzeResult
 from .tokens import SQLError
-from .unparse import unparse, unparse_expr
 
 __all__ = [
     "Catalog",
@@ -21,6 +20,4 @@ __all__ = [
     "TrajectoryFrame",
     "parse",
     "tokenize",
-    "unparse",
-    "unparse_expr",
 ]

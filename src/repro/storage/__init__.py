@@ -17,12 +17,10 @@ from .columnar import ColumnarDataset, concat_datasets, partition_rows
 from .delta import DeltaPartition
 from .generations import CURRENT_NAME, GenerationalStore
 from .store import (
-    BLOCK_ARRAYS,
     CATALOG_NAME,
     STORAGE_FORMAT_VERSION,
     ChecksumError,
     CorruptBlockError,
-    PartitionMeta,
     SchemaVersionError,
     StorageError,
     TrajectoryStore,
@@ -33,7 +31,6 @@ from .store import (
 )
 
 __all__ = [
-    "BLOCK_ARRAYS",
     "CATALOG_NAME",
     "CURRENT_NAME",
     "STORAGE_FORMAT_VERSION",
@@ -42,7 +39,6 @@ __all__ = [
     "CorruptBlockError",
     "DeltaPartition",
     "GenerationalStore",
-    "PartitionMeta",
     "SchemaVersionError",
     "StorageError",
     "TrajectoryStore",

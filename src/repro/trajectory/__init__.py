@@ -4,7 +4,7 @@ from ..storage.columnar import ColumnarDataset
 from .geolife import load_plt, load_plt_directory
 from .io import load_csv, load_jsonl, save_csv, save_jsonl
 from .simplify import douglas_peucker, simplify
-from .stats import DatasetStats, dataset_stats, stats_header
+from .stats import dataset_stats, stats_header
 from .temporal import attach_time, attach_uniform_time, strip_time, temporal_dataset
 from .transforms import dataset_bounds, normalize_unit_box, resample, scale, translate
 from .trajectory import Trajectory
@@ -14,7 +14,6 @@ from .trajectory import Trajectory
 TrajectoryDataset = ColumnarDataset.from_trajectories
 
 __all__ = [
-    "DatasetStats",
     "Trajectory",
     "TrajectoryDataset",
     "dataset_bounds",

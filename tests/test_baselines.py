@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import brute_force_join, brute_force_search
+from oracles.envelope_reference import envelope_lower_bound
 from repro.baselines import (
     DFTEngine,
     MBEIndex,
@@ -10,7 +11,6 @@ from repro.baselines import (
     SimbaEngine,
     VPTree,
     envelope,
-    envelope_lower_bound,
     segment_trajectory,
 )
 from repro.datagen import beijing_like, sample_queries
@@ -199,12 +199,10 @@ class TestMBE:
 
     def test_envelope_bound_sound(self, city):
         trajs = list(city)[:20]
-        for t in trajs[:5]:
-            boxes = envelope(t, 4)
-            for q in trajs[5:10]:
-                lb = envelope_lower_bound(boxes, q.points, "sum")
+        by_sum, by_max = MBEIndex(trajs[:5], "dtw"), MBEIndex(trajs[:5], "frechet")
+        for q in trajs[5:10]:
+            for t, lb, lbm in zip(trajs[:5], by_sum.lower_bounds(q.points), by_max.lower_bounds(q.points)):
                 assert lb <= dtw(t.points, q.points) + 1e-9
-                lbm = envelope_lower_bound(boxes, q.points, "max")
                 assert lbm <= frechet(t.points, q.points) + 1e-9
 
     def test_join(self, city):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import nonzero_counts
+from oracles.envelope_reference import envelope_lower_bound
 from oracles.per_pair import cell_bound_dtw, cell_bound_frechet, mbr_coverage_ok, verify
-from repro.baselines.mbe import MBEIndex, envelope_lower_bound
+from repro.baselines.mbe import MBEIndex
 from repro.core.adapters import get_adapter
 from repro.core.numerics import slack
 from repro.core.verify import VerificationData, Verifier

@@ -1,4 +1,10 @@
-"""Property tests for the DTW lower bounds (Lemmas 4.1, 4.3, 5.1)."""
+"""Property tests for the DTW lower bounds (Lemmas 4.1, 4.3 and 5.1).
+
+AMD is PAMD over every interior row.  The MBR form of Section 5.3.1 and
+Lemma 5.1's ordered (suffix) form exist only batched, inside the trie
+filter, so they are checked there: a trie over the trajectories prunes a
+query exactly when its node MBRs' accumulated distance exceeds ``tau``.
+"""
 
 import math
 
@@ -7,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import amd, mbr_accumulated_min_dist, opamd, pamd
+from repro.core.adapters import DTWAdapter
+from repro.core.bounds import pamd
+from repro.core.config import DITAConfig
 from repro.core.pivots import pivot_indices
+from repro.core.trie import TrieIndex
 from repro.distances.dtw import dtw
-from repro.geometry.mbr import MBR
+from repro.trajectory import Trajectory
 
 coords = st.floats(-20, 20, allow_nan=False, allow_infinity=False)
 
@@ -23,6 +32,25 @@ def trajectories(draw, min_len=1, max_len=12):
 
 T1 = np.array([(1, 1), (1, 2), (3, 2), (4, 4), (4, 5), (5, 5)], float)
 T3 = np.array([(1, 1), (4, 1), (4, 3), (4, 5), (4, 6), (5, 6)], float)
+
+
+def amd(t, q):
+    """Accumulated Minimum Distance (Lemma 4.1): PAMD over every interior row."""
+    return pamd(t, q, range(1, len(t) - 1))
+
+
+def kept(trajs, q, tau, k, suffix):
+    """Whether the trie filter keeps each of ``trajs`` for query ``q``: one
+    node per level (fanout 1), so every node MBR covers all of them and
+    neighbour pivots are chosen as :func:`pivot_indices` chooses them.  A
+    copy of the first trajectory rides along, so that even one trajectory
+    fills more than a leaf and is filtered level by level."""
+    cfg = DITAConfig(trie_fanout=1, num_pivots=k, pivot_strategy="neighbor", trie_leaf_capacity=1)
+    rows = [*trajs, trajs[0]]
+    trie = TrieIndex([Trajectory(i, t) for i, t in enumerate(rows)], cfg)
+    rows = trie.filter_candidates(q, tau, DTWAdapter(use_suffix_pruning=suffix))
+    found = {int(i) for i in trie.dataset.ids_of(rows)}
+    return [i in found for i in range(len(trajs))]
 
 
 class TestAMD:
@@ -78,56 +106,45 @@ class TestOPAMD:
     @settings(max_examples=120)
     @given(trajectories(min_len=3), trajectories(), st.integers(1, 4), st.floats(0.1, 60))
     def test_conditional_soundness(self, t, q, k, tau):
-        """Lemma 5.1: whenever DTW <= tau, OPAMD <= DTW — so OPAMD > tau
-        never prunes a true answer."""
-        idx = pivot_indices(t, k, "neighbor")
-        d = dtw(t, q)
-        o = opamd(t, q, idx, tau)
-        if d <= tau:
-            assert o <= d + 1e-6
+        """Lemma 5.1: whenever DTW <= tau the suffix-pruned filter keeps T —
+        OPAMD > tau never prunes a true answer."""
+        if dtw(t, q) <= tau:
+            assert kept([t], q, tau, k, suffix=True) == [True]
 
     @settings(max_examples=80)
     @given(trajectories(min_len=3), trajectories(), st.integers(1, 4), st.floats(0.1, 60))
     def test_at_least_pamd(self, t, q, k, tau):
-        """Suffix restriction can only tighten: OPAMD >= PAMD — except when
-        the endpoint base cost alone exceeds tau, where OPAMD returns early
-        (the pair is pruned either way)."""
-        idx = pivot_indices(t, k, "neighbor")
-        base = float(np.linalg.norm(t[0] - q[0])) + float(np.linalg.norm(t[-1] - q[-1]))
-        o = opamd(t, q, idx, tau)
-        if base > tau:
-            assert o > tau  # still prunes
-        else:
-            assert o >= pamd(t, q, idx) - 1e-9 or o == math.inf
+        """Suffix restriction can only tighten: OPAMD >= PAMD, so what the
+        suffix-pruned filter keeps the plain one keeps too."""
+        if kept([t], q, tau, k, suffix=True) == [True]:
+            assert kept([t], q, tau, k, suffix=False) == [True]
 
     def test_inf_when_pivot_unreachable(self):
         t = np.array([(0, 0), (100, 100), (0.1, 0.1)], float)
         q = np.array([(0, 0), (0.1, 0.1)], float)
         # endpoints align closely but the pivot (100,100) is far from all
         # of Q, so similarity within tau = 1 is impossible
-        assert opamd(t, q, [1], 1.0) == math.inf
+        assert kept([t], q, 1.0, 1, suffix=True) == [False]
 
 
 class TestMBRAccumulated:
     def test_basic(self):
+        """First-point MBR (0,0)-(1,1), last-point MBR (4,4)-(6,6), pivot MBR
+        (10,10)-(11,11): the bound is MinDist((5,5), pivot MBR) = sqrt(50)."""
+        trajs = [np.array([(0, 0), (10, 10), (4, 4)], float), np.array([(1, 1), (11, 11), (6, 6)], float)]
         q = np.array([(0, 0), (5, 5)], float)
-        align = [MBR((0, 0), (1, 1)), MBR((4, 4), (6, 6))]
-        pivots = [MBR((10, 10), (11, 11))]
-        v = mbr_accumulated_min_dist(q, align, pivots)
-        # q1 inside first MBR, qn inside last MBR; pivot MBR ~ dist from (5,5)
-        assert v == pytest.approx(math.sqrt(50), abs=1e-6)
-
-    def test_requires_two_align(self):
-        q = np.array([(0, 0)], float)
-        with pytest.raises(ValueError):
-            mbr_accumulated_min_dist(q, [MBR((0, 0), (1, 1))], [])
+        bound = math.sqrt(50)
+        assert kept(trajs, q, bound * (1 + 1e-6), 1, suffix=False) == [True, True]
+        assert kept(trajs, q, bound * (1 - 1e-6), 1, suffix=False) == [False, False]
 
     @settings(max_examples=60)
-    @given(trajectories(min_len=3, max_len=8), trajectories(min_len=1, max_len=8))
-    def test_mbr_version_no_tighter_than_point_version(self, t, q):
-        """Grouping by MBRs only loosens the bound: MBR-AMD <= PAMD."""
-        idx = pivot_indices(t, 2, "neighbor")
-        align = [MBR.of_point(t[0]), MBR.of_point(t[-1])]
-        pivots = [MBR.of_point(t[i]) for i in idx]
-        mbr_bound = mbr_accumulated_min_dist(q, align, pivots)
-        assert mbr_bound <= pamd(t, q, idx) + 1e-9
+    @given(
+        trajectories(min_len=3, max_len=8),
+        trajectories(min_len=3, max_len=8),
+        trajectories(min_len=1, max_len=8),
+    )
+    def test_mbr_version_no_tighter_than_point_version(self, t, u, q):
+        """Grouping by MBRs only loosens the bound: MBR-AMD <= PAMD, so a
+        trajectory sharing its nodes with another is kept at tau = PAMD."""
+        tau = pamd(t, q, pivot_indices(t, 2, "neighbor"))
+        assert kept([t, u], q, tau * (1 + 1e-9) + 1e-9, 2, suffix=False)[0]

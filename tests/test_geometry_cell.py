@@ -1,4 +1,9 @@
-"""Unit and property tests for cell compression (Lemma 5.6)."""
+"""Unit and property tests for cell compression (Lemma 5.6).
+
+The bounds are the scalar forms in :mod:`oracles.per_pair`, the reference
+the batched ``batch_cell_bounds`` is compared against; ``Cell(T, Q)`` alone
+is one direction of :func:`cell_bound_dtw`'s matrix.
+"""
 
 import numpy as np
 import pytest
@@ -7,16 +12,23 @@ from hypothesis import strategies as st
 
 from repro.distances.dtw import dtw
 from repro.distances.frechet import frechet
-from repro.geometry.cell import (
-    Cell,
-    CellSet,
-    cell_lower_bound,
-    cell_lower_bound_max,
-    compress,
-    symmetric_cell_lower_bound,
-)
+from oracles.per_pair import cell_bound_dtw, cell_bound_frechet
+from repro.geometry.cell import CellSet
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+
+
+def compress(points, side):
+    """``(center, count)`` per cell, in the order the paper's greedy pass
+    opens them."""
+    cs = CellSet.from_points(points, side)
+    return [(tuple(c.tolist()), int(n)) for c, n in zip(cs.centers, cs.counts)]
+
+
+def directed_cell_bound(ct, cq):
+    """``Cell(T, Q)``: each cell of T to its nearest cell of Q, weighted by
+    the cell's point count."""
+    return float(np.dot(ct.min_dist_matrix(cq).min(axis=1), ct.counts))
 
 
 @st.composite
@@ -28,15 +40,13 @@ def trajectories(draw, max_len=10):
 class TestCompress:
     def test_single_point(self):
         cells = compress(np.array([(1.0, 1.0)]), side=2.0)
-        assert len(cells) == 1
-        assert cells[0].count == 1
-        assert cells[0].center == (1.0, 1.0)
+        assert cells == [((1.0, 1.0), 1)]
 
     def test_paper_example_5_7(self):
         """Example 5.7: T1 compresses to [t1,2; t3,1; t4,3] with D=2."""
         t1 = np.array([(1, 1), (1, 2), (3, 2), (4, 4), (4, 5), (5, 5)], float)
         cells = compress(t1, side=2.0)
-        assert [(c.center, c.count) for c in cells] == [
+        assert cells == [
             ((1.0, 1.0), 2),
             ((3.0, 2.0), 1),
             ((4.0, 4.0), 3),
@@ -45,7 +55,7 @@ class TestCompress:
     def test_counts_sum_to_points(self):
         pts = np.random.default_rng(0).uniform(0, 10, size=(30, 2))
         cells = compress(pts, side=1.5)
-        assert sum(c.count for c in cells) == 30
+        assert sum(n for _, n in cells) == 30
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
@@ -57,9 +67,9 @@ class TestCompress:
 
     @given(trajectories())
     def test_every_point_in_some_cell(self, pts):
-        cells = compress(pts, side=1.0)
+        cs = CellSet.from_points(pts, side=1.0)
         for p in pts:
-            assert any(c.contains(p) for c in cells)
+            assert np.all(np.abs(cs.centers - p) <= cs.side / 2.0, axis=1).any()
 
 
 class TestCellSet:
@@ -86,9 +96,8 @@ class TestCellSet:
     def test_cells_view_matches(self):
         pts = np.array([(0, 0), (3, 3)], float)
         cs = CellSet.from_points(pts, 1.0)
-        cells = cs.cells()
-        assert [c.count for c in cells] == [1, 1]
-        assert isinstance(cells[0], Cell)
+        assert cs.centers.tolist() == pts.tolist()
+        assert cs.counts.tolist() == [1, 1]
 
 
 class TestCellBound:
@@ -100,7 +109,7 @@ class TestCellBound:
         )
         ct = CellSet.from_points(t1, 2.0)
         cq = CellSet.from_points(q, 2.0)
-        assert cell_lower_bound(cq, ct) == pytest.approx(4.0)
+        assert directed_cell_bound(cq, ct) == pytest.approx(4.0)
 
     @settings(max_examples=60)
     @given(trajectories(), trajectories())
@@ -109,9 +118,9 @@ class TestCellBound:
         ct = CellSet.from_points(t, 1.0)
         cq = CellSet.from_points(q, 1.0)
         d = dtw(t, q)
-        assert cell_lower_bound(ct, cq) <= d + 1e-6
-        assert cell_lower_bound(cq, ct) <= d + 1e-6
-        assert symmetric_cell_lower_bound(ct, cq) <= d + 1e-6
+        assert directed_cell_bound(ct, cq) <= d + 1e-6
+        assert directed_cell_bound(cq, ct) <= d + 1e-6
+        assert cell_bound_dtw(ct, cq) <= d + 1e-6
 
     @settings(max_examples=60)
     @given(trajectories(), trajectories())
@@ -119,10 +128,10 @@ class TestCellBound:
         ct = CellSet.from_points(t, 1.0)
         cq = CellSet.from_points(q, 1.0)
         f = frechet(t, q)
-        assert cell_lower_bound_max(ct, cq) <= f + 1e-6
-        assert cell_lower_bound_max(cq, ct) <= f + 1e-6
+        assert cell_bound_frechet(ct, cq) <= f + 1e-6
+        assert cell_bound_frechet(cq, ct) <= f + 1e-6
 
     def test_identical_trajectories_zero(self):
         pts = np.array([(0, 0), (1, 1), (2, 2)], float)
         cs = CellSet.from_points(pts, 1.0)
-        assert symmetric_cell_lower_bound(cs, cs) == 0.0
+        assert cell_bound_dtw(cs, cs) == 0.0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.mbr import MBR, coverage_filter, mbr_of_trajectory
+from oracles.per_pair import mbr_coverage_ok as coverage_filter
+from repro.geometry.mbr import MBR
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
@@ -157,6 +158,9 @@ class TestMinDist:
 
 
 class TestCoverageFilter:
+    """Lemma 5.4 on hand-made boxes, through the per-pair form the batched
+    ``batch_mbr_coverage`` is compared against."""
+
     def test_identical_pass(self):
         m = MBR((0, 0), (1, 1))
         assert coverage_filter(m, m, 0.0)
@@ -178,6 +182,6 @@ class TestCoverageFilter:
         assert not coverage_filter(t, q, 1.0)
 
     def test_mbr_of_trajectory(self):
-        m = mbr_of_trajectory(np.array([(0, 5), (2, 1)], float))
+        m = MBR.of_points(np.array([(0, 5), (2, 1)], float))
         assert m.low.tolist() == [0, 1]
         assert m.high.tolist() == [2, 5]

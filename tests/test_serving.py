@@ -31,13 +31,11 @@ from repro.serving import (
     ServingLayer,
     TokenBucket,
     canonical_result,
-    closed_loop,
-    open_loop,
     snapshot_footprint,
 )
-from repro.serving.workload import RequestSampler
 from repro.sql.session import DITASession
 from repro.trajectory import Trajectory
+from serving_workload import open_loop
 
 ADAPTERS = ["dtw", "frechet", "hausdorff", "edr", "lcss", "erp"]
 
@@ -524,9 +522,8 @@ class TestServingBehaviour:
         def makespan(serial):
             engine = DITAEngine(data, cfg)
             layer = ServingLayer(engine, config=cfg, serial=serial)
-            layer.run_closed_loop(
-                closed_loop(data, tenants, seed=3, mix=mix), n_per_tenant=5
-            )
+            # every request offered at once: the makespan is throughput-bound
+            layer.run(open_loop(data, tenants, 5, rate_per_tenant=1e9, seed=3, mix=mix))
             return layer.scheduler.makespan
 
         speedup = makespan(True) / makespan(False)
@@ -538,8 +535,9 @@ class TestServingBehaviour:
         data = beijing_like(60, seed=79)
         tenants = [f"t{i}" for i in range(8)]
         mix = (("search", 0.8), ("knn", 0.2))
-        probe = ServingLayer(DITAEngine(data, make_config()), config=make_config(), serial=True)
-        served = probe.run_closed_loop(closed_loop(data, ["probe"], seed=5, mix=mix), n_per_tenant=8)
+        unlimited = make_config(tenant_rate=1e9, tenant_burst=1e9, serving_queue_depth=10_000)
+        probe = ServingLayer(DITAEngine(data, unlimited), config=unlimited, serial=True)
+        served = probe.run(open_loop(data, ["probe"], 8, rate_per_tenant=1e9, seed=5, mix=mix))
         capacity = sum(o.status == "ok" for o in served) / probe.scheduler.makespan
         cfg = make_config(tenant_rate=2.0 * capacity / len(tenants), tenant_burst=4.0)
         layer = ServingLayer(DITAEngine(data, cfg), config=cfg)

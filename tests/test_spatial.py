@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.mbr import MBR
-from repro.spatial import GridIndex, RTree, str_group_sizes, str_partition, str_tile_1d
+from repro.spatial import RTree, str_partition
+from repro.spatial.str_pack import str_tile_1d
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
@@ -44,7 +45,7 @@ class TestSTRPartition:
         rng = np.random.default_rng(1)
         pts = np.vstack([rng.normal(0, 0.001, size=(90, 2)), rng.uniform(0, 10, size=(10, 2))])
         tiles = str_partition(pts, 4)
-        sizes = str_group_sizes(tiles)
+        sizes = [t.size for t in tiles]
         assert max(sizes) <= 2 * min(sizes) + 2
 
     def test_more_tiles_than_points(self):
@@ -138,45 +139,3 @@ class TestRTree:
         )
         want = sorted(pid for mbr, pid in entries if region.contains_mbr(mbr))
         assert got == want
-
-
-class TestGridIndex:
-    def test_insert_and_probe(self):
-        g = GridIndex(cell_size=1.0)
-        g.insert_trajectory(1, np.array([(0.5, 0.5), (5.5, 5.5)]))
-        g.insert_trajectory(2, np.array([(9.5, 9.5)]))
-        assert 1 in g.candidates_near_point(np.array([0.6, 0.6]), 0.5)
-        assert 2 not in g.candidates_near_point(np.array([0.6, 0.6]), 0.5)
-
-    def test_superset_guarantee(self):
-        """Every trajectory with a point within radius is returned."""
-        rng = np.random.default_rng(8)
-        g = GridIndex(cell_size=0.7)
-        trajs = {}
-        for tid in range(30):
-            pts = rng.uniform(0, 10, size=(5, 2))
-            trajs[tid] = pts
-            g.insert_trajectory(tid, pts)
-        q = np.array([5.0, 5.0])
-        radius = 1.3
-        got = g.candidates_near_point(q, radius)
-        for tid, pts in trajs.items():
-            truly_near = np.min(np.sqrt(np.sum((pts - q) ** 2, axis=1))) <= radius
-            if truly_near:
-                assert tid in got
-
-    def test_candidates_near_trajectory(self):
-        g = GridIndex(cell_size=1.0)
-        g.insert_trajectory(7, np.array([(0.0, 0.0)]))
-        q = np.array([(10.0, 10.0), (0.2, 0.2)])
-        assert 7 in g.candidates_near_trajectory(q, 0.5)
-
-    def test_counters(self):
-        g = GridIndex(cell_size=1.0)
-        g.insert_trajectory(1, np.array([(0.1, 0.1), (0.2, 0.2), (5.0, 5.0)]))
-        assert g.n_points == 3
-        assert g.n_cells == 2
-
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            GridIndex(0.0)

@@ -11,10 +11,10 @@ import random
 
 import pytest
 
-from repro.sql import parse, unparse
+from repro.sql import parse
 from repro.sql.ast import BinaryOp, ColumnRef, FunctionCall, Literal, Select
 from repro.sql.tokens import SQLError
-from repro.sql.unparse import unparse_expr
+from sql_unparse import unparse, unparse_expr
 
 # identifier pools chosen to dodge every keyword
 TABLES = ["taxi", "trips", "geolife", "fleet", "t1"]

@@ -195,6 +195,64 @@ class TestWriteValidation:
         assert len(engine) == len(base)
 
 
+class TestWriteIds:
+    """A write's id is stored as int64: what would truncate or overflow is
+    rejected before anything is buffered, on every write path."""
+
+    BAD_IDS = {
+        "past-int64": 2**70,
+        "below-int64": -(2**63) - 1,
+        "fraction": 1007.9,
+        "float": 1007.2,
+        "bool": True,
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_IDS))
+    @pytest.mark.parametrize("how", ["append", "extend", "remove"])
+    def test_bad_id_rejected_and_engine_unchanged(self, how, bad):
+        base = list(beijing_like(20, seed=1))
+        engine = DITAEngine(base, DITAConfig(num_global_partitions=2))
+        want = engine.search_ids(base[0], 0.003)
+        generation = engine.generation
+        tid = self.BAD_IDS[bad]
+        write = {
+            "append": lambda: engine.append_trajectory(tid, base[3].points),
+            "extend": lambda: engine.extend_trajectory(tid, base[3].points[:2]),
+            "remove": lambda: engine.remove_trajectory(tid),
+        }[how]
+        with pytest.raises(ValueError, match=str(tid)):
+            write()
+        assert engine.n_pending == 0 and engine.generation == generation
+        engine.flush_deltas()
+        assert engine.search_ids(base[0], 0.003) == want
+        assert len(engine) == len(base)
+
+    @pytest.mark.parametrize("tid", [7_000, np.int64(7_000), np.int32(7_000), 2**63 - 1, -(2**63)])
+    def test_integer_ids_accepted(self, tid):
+        base = list(beijing_like(20, seed=1))
+        engine = DITAEngine(base, DITAConfig(num_global_partitions=2))
+        pts = base[3].points + 0.5
+        engine.append_trajectory(tid, pts)
+        assert engine.search_ids(Trajectory(0, pts), 0.0) == [int(tid)]
+        engine.extend_trajectory(tid, pts[-2:])
+        grown = np.concatenate([pts, pts[-2:]])
+        assert engine.search_ids(Trajectory(0, grown), 0.0) == [int(tid)]
+        assert engine.remove_trajectory(tid)
+        assert engine.search_ids(Trajectory(0, grown), 0.0) == []
+
+    def test_serving_append_names_the_id(self):
+        from repro.serving import Request, ServingLayer
+
+        base = list(beijing_like(20, seed=1))
+        engine = DITAEngine(base, DITAConfig(num_global_partitions=2))
+        layer = ServingLayer(engine)
+        req = Request(req_id=0, tenant="t", kind="append",
+                      payload={"traj_id": 2**70, "points": base[3].points}, arrival=0.0)
+        (out,) = layer.run([req])
+        assert out.status == "error" and str(2**70) in out.error
+        assert len(engine) == len(base)
+
+
 class TestRandomUpdateSequences:
     @settings(
         max_examples=15,
